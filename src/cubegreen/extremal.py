@@ -262,9 +262,11 @@ def optimality_gap(family: MonotoneFamily, measure: Measure, dep: DependenceFunc
 def _nystrom_principal(kernel: GreenKernel, n: int, tol: float = 1e-12,
                        max_iter: int = 100_000) -> float:
     pts, wts = tensor_rule(kernel.m, n)
-    K = kernel.cross(pts, pts)
+    A = kernel.cross(pts, pts)
     s = np.sqrt(wts)
-    A = K * s[:, None] * s[None, :]
+    # scale in place: no further N x N arrays
+    A *= s[:, None]
+    A *= s[None, :]
     v = np.ones(len(A))
     v /= np.linalg.norm(v)
     lam_prev = 0.0
@@ -305,8 +307,7 @@ def trace_bound(kernel: GreenKernel, grid_n: int) -> float:
     """Quadrature trace of the operator, an upper bound for the principal
     eigenvalue."""
     pts, wts = tensor_rule(kernel.m, grid_n)
-    diag = np.array([kernel.evaluate(p, p) for p in pts])
-    return float(diag @ wts)
+    return float(kernel.diagonal(pts) @ wts)
 
 
 # closed-form reference fixtures -------------------------------------------

@@ -10,7 +10,7 @@ boundary conditions of the kernels in :mod:`cubegreen.kernel`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 MIN_DIM = 2
@@ -94,13 +94,16 @@ class MonotoneFamily:
 
     m: int
     members: tuple[int, ...]
+    _member_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_dim(self.m)
-        if list(self.members) != sorted(set(self.members), key=_sort_key):
+        member_set = frozenset(self.members)
+        if list(self.members) != sorted(member_set, key=_sort_key):
             raise ValueError("members must be unique and sorted by (popcount, value)")
         if not is_monotone(self.members, self.m):
             raise ValueError("family is not upward-closed or contains the empty subset")
+        object.__setattr__(self, "_member_set", member_set)
 
     @classmethod
     def from_members(cls, masks, m: int) -> "MonotoneFamily":
@@ -113,7 +116,7 @@ class MonotoneFamily:
         return iter(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
+        return mask in self._member_set
 
     def to_coord_lists(self) -> list[list[int]]:
         return [list(coords_from_mask(u)) for u in self.members]

@@ -12,17 +12,18 @@ and twice (the Lagrange multiplier of the underlying extremal problem),
     lam = double integral of G(x, xi) d mu(x) d mu(xi).
 
 Closed forms are used for Lebesgue and diagonal components and are
-cross-checked by a quadrature path; mixtures involving the anti-diagonal
-are quadrature only.  All quadrature splits the domain at the kinks of
-min(x, xi), which restores exactness for the piecewise-polynomial
-integrands that occur here.
+cross-checked by a quadrature path.  Both sum the kernel's all-positive
+terms (see :mod:`cubegreen.kernel`), so nothing cancels.  Mixtures
+involving the anti-diagonal are quadrature only.  All quadrature splits
+the domain at the kinks of min(x, xi), which restores exactness for the
+piecewise-polynomial integrands that occur here.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
@@ -147,7 +148,8 @@ def scaled(measure: Measure, c: float) -> Measure:
 # ---------------------------------------------------------------------------
 
 def _once_lebesgue(kernel: GreenKernel, x: np.ndarray, method: str) -> float:
-    # per-coordinate factors: int min(x, xi) d xi and int x xi d xi
+    # per-axis factors of a term integrated over xi: int min(x, xi) d xi,
+    # int x xi d xi and int (min(x, xi) - x xi) d xi
     if method == "quadrature":
         fmin = np.empty_like(x)
         for j, xj in enumerate(x):
@@ -155,14 +157,12 @@ def _once_lebesgue(kernel: GreenKernel, x: np.ndarray, method: str) -> float:
             fmin[j] = np.minimum(xj, ts) @ ws
         ts, ws = unit_rule(4)
         fk = x * float(ts @ ws)
+        gaps = fmin - fk
     else:
         fmin = x - x * x / 2.0
         fk = x / 2.0
-    total = float(np.prod(fmin))
-    for u, a in kernel.coefficients.items():
-        sel = np.array([(u >> j) & 1 for j in range(kernel.m)], dtype=bool)
-        total -= a * float(np.prod(np.where(sel, fk, fmin)))
-    return total
+        gaps = x * (1.0 - x) / 2.0
+    return float(kernel.sum_terms(fmin[:, None], fk[:, None], gaps[:, None])[0])
 
 
 def _once_line(kernel: GreenKernel, comp, x: np.ndarray, extra_nodes: int = 0) -> float:
@@ -198,15 +198,11 @@ def integrate_once(kernel: GreenKernel, measure: Measure, x, method: str = "auto
 # double integration:  lam = iint G d mu d mu
 # ---------------------------------------------------------------------------
 
-def _term_powers(kernel: GreenKernel):
-    """(coefficient, |U|) pairs for the kernel sum, K-product term first."""
-    yield 1, 0
-    for u, a in kernel.coefficients.items():
-        yield -a, u.bit_count()
-
-
 def _lambda_leb_leb(kernel: GreenKernel, method: str) -> float:
+    # a term with |W| = w integrates to q_k^w q_gap^(m-w), where q_k and
+    # q_gap are the double integrals of x xi and min(x, xi) - x xi
     m = kernel.m
+    counts = kernel.complement_sizes()
     if method == "quadrature":
         # nested 1-D quadrature for the coordinate factors
         xo, wo = unit_rule(6)
@@ -216,29 +212,19 @@ def _lambda_leb_leb(kernel: GreenKernel, method: str) -> float:
             q_min += wj * float(np.minimum(xj, ts) @ ws)
         ts, ws = unit_rule(4)
         q_k = float(ts @ ws) ** 2
-    else:
-        # exact rational arithmetic: the alternating coefficient sum can
-        # cancel down to 12^{-m}, far below the size of its terms
-        total = Fraction(1, 3) ** m
-        for u, a in kernel.coefficients.items():
-            k = u.bit_count()
-            total -= a * Fraction(1, 3) ** (m - k) * Fraction(1, 4) ** k
-        return float(total)
-    total = float(q_min) ** m
-    for u, a in kernel.coefficients.items():
-        k = u.bit_count()
-        total -= a * q_min ** (m - k) * q_k ** k
-    return total
+        q_gap = q_min - q_k
+        return sum(c * q_k ** w * q_gap ** (m - w) for w, c in enumerate(counts))
+    # exact: 4^-w 12^-(m-w) = 3^w / 12^m, one correctly rounded division
+    return sum(c * 3 ** w for w, c in enumerate(counts)) / 12 ** m
 
 
 def _lambda_diag_diag_closed(kernel: GreenKernel) -> float:
-    # iint min(t,s)^a (ts)^b dt ds = 2 / ((a+b+1)(a+2b+2)), here a+b = m
+    # iint (ts)^w (min(t,s) - ts)^(m-w) dt ds = 2 (m+w+1)! (m-w)! / ((m+1) (2m+2)!);
+    # summed exactly in integers, then one correctly rounded division
     m = kernel.m
-    total = Fraction(2, (m + 1) * (m + 2))
-    for u, a in kernel.coefficients.items():
-        b = u.bit_count()
-        total -= a * Fraction(2, (m + 1) * (m + b + 2))
-    return float(total)
+    num = sum(c * factorial(m + w + 1) * factorial(m - w)
+              for w, c in enumerate(kernel.complement_sizes()))
+    return 2 * num / ((m + 1) * factorial(2 * m + 2))
 
 
 def _lambda_line_outer(kernel: GreenKernel, outer, inner, method: str) -> float:

@@ -39,6 +39,13 @@ class TestBasicCommands:
                        "--x", "0.2,0.5", "--xi", "0.3,0.7")
         assert rep["result"]["value"] == pytest.approx(0.1)
 
+    def test_green_eval_pillow_m16_corner(self, capsys):
+        x, xi = np.full(16, 0.9), np.full(16, 0.95)
+        rep = run_json(capsys, "green-eval", "--family-all", "--m", "16",
+                       "--x", ",".join(map(str, x)), "--xi", ",".join(map(str, xi)))
+        want = float(np.prod(np.minimum(x, xi) - x * xi))
+        assert rep["result"]["value"] == pytest.approx(want, rel=1e-12)
+
     def test_lambda_diagonal(self, capsys):
         rep = run_json(capsys, "lambda", "--family-known-margins-V", "",
                        "--m", "2", "--measure", "diagonal")

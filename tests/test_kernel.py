@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +16,27 @@ from cubegreen.kernel import GreenKernel, compute_coefficients, green_kernel
 
 RNG = np.random.default_rng(51423)
 
+# the dimensions where the signed-coefficient sum used to cancel
+HIGH_M = [10, 12, 14, 16]
+
 
 def prod_min(x, y):
     return float(np.prod(np.minimum(x, y)))
+
+
+def point_pairs(m, count=200):
+    """Random interior pairs plus the near-corner pair 0.9*1, 0.95*1."""
+    pairs = [(RNG.random(m), RNG.random(m)) for _ in range(count)]
+    return pairs + [(np.full(m, 0.9), np.full(m, 0.95))]
+
+
+def positive_sum(fam, x, y):
+    """fsum over W not in F of prod_{j in W} x_j y_j prod_{j not in W} (min - x y)."""
+    m = fam.m
+    comp = np.array([w for w in range(1 << m) if w not in fam])
+    bits = (comp[:, None] >> np.arange(m)) & 1 == 1
+    ks = x * y
+    return math.fsum(np.where(bits, ks, np.minimum(x, y) - ks).prod(axis=1))
 
 
 class TestCoefficients:
@@ -28,7 +48,7 @@ class TestCoefficients:
         assert compute_coefficients(fam) == {full_mask(4): 1}
 
     def test_all_nonempty_alternating_signs(self):
-        for m in range(2, 7):
+        for m in (*range(2, 7), 16):
             coeffs = compute_coefficients(all_nonempty_family(m))
             for mask, a in coeffs.items():
                 k = bin(mask).count("1")
@@ -72,20 +92,36 @@ class TestEvaluate:
         # product of one-dimensional bridge covariances at 0.5
         assert k.evaluate([0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.0625)
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, *HIGH_M])
     def test_pillow_closed_form(self, m):
         k = green_kernel(all_nonempty_family(m))
-        for _ in range(200):
-            x, y = RNG.random(m), RNG.random(m)
+        for x, y in point_pairs(m):
             closed = float(np.prod(np.minimum(x, y) - x * y))
-            assert abs(k.evaluate(x, y) - closed) <= 1e-14
+            got = k.evaluate(x, y)
+            assert got >= 0.0
+            assert abs(got - closed) <= 1e-14
+            assert abs(got - closed) <= 1e-12 * closed
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, *HIGH_M])
     def test_sheet_closed_form(self, m):
         k = green_kernel(empty_family(m))
-        for _ in range(200):
-            x, y = RNG.random(m), RNG.random(m)
-            assert abs(k.evaluate(x, y) - prod_min(x, y)) <= 1e-14
+        for x, y in point_pairs(m):
+            got = k.evaluate(x, y)
+            assert got >= 0.0
+            assert abs(got - prod_min(x, y)) <= 1e-14
+            assert abs(got - prod_min(x, y)) <= 1e-12 * prod_min(x, y)
+
+    def test_known_margins_m16_matches_positive_sum(self):
+        fam = family_for_known_margins(0b1010_0000_0000_0101, 16)
+        k = green_kernel(fam)
+        for x, y in point_pairs(16, count=4):
+            got = k.evaluate(x, y)
+            assert got >= 0.0
+            assert got == pytest.approx(positive_sum(fam, x, y), rel=1e-12)
+
+    def test_single_term_for_pillow_and_sheet(self):
+        assert green_kernel(all_nonempty_family(16)).terms == ((False,) * 16,)
+        assert green_kernel(empty_family(16)).terms == ()
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_top_only_closed_form(self, m):
@@ -145,6 +181,15 @@ class TestMatrixOps:
         for i in range(7):
             for j in range(5):
                 assert C[i, j] == pytest.approx(k.evaluate(A[i], B[j]), abs=1e-14)
+
+    def test_diagonal_matches_evaluate(self):
+        for m in (2, 3, 4):
+            for fam in (empty_family(m), all_nonempty_family(m),
+                        family_for_known_margins(1, m), upward_closure([0b11], m)):
+                k = green_kernel(fam)
+                P = RNG.random((9, m))
+                want = [k.evaluate(p, p) for p in P]
+                assert np.allclose(k.diagonal(P), want, rtol=1e-14, atol=0.0)
 
     def test_json_round_trip(self):
         k = green_kernel(family_for_known_margins(0b10, 4))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -108,10 +110,20 @@ class TestLambdaClosedForms:
         assert lam == pytest.approx(
             ((4 / 3) ** m - m / 3 - 1) / 4**m, rel=1e-13)
 
-    @pytest.mark.parametrize("m", range(2, 7))
+    @pytest.mark.parametrize("m", [*range(2, 7), 12])
     def test_pillow_lebesgue(self, m):
         k = green_kernel(all_nonempty_family(m))
-        assert lambda_value(k, lebesgue(m)) == pytest.approx(12.0**-m, rel=1e-13)
+        assert lambda_value(k, lebesgue(m), method="closed") == pytest.approx(
+            12.0**-m, rel=1e-14)
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 16])
+    def test_pillow_diagonal(self, m):
+        # the single term integrates to 2 (m!)^2 / (2m+2)!
+        k = green_kernel(all_nonempty_family(m))
+        want = 2 * math.factorial(m) ** 2 / math.factorial(2 * m + 2)
+        assert lambda_value(k, diagonal(m), method="closed") == pytest.approx(want, rel=1e-14)
+        assert lambda_value(k, diagonal(m), method="quadrature") == pytest.approx(
+            want, rel=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_top_only_lebesgue(self, m):
