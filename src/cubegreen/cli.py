@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Every run emits a JSON report whose "config" block echoes the fully
-resolved configuration (seed included), so a report can be replayed.
+resolved configuration (seed included), so a report can be replayed; a
+family is echoed as the command-line option that gave it, not member by
+member.
 Floats are serialized with shortest round-trip precision (lossless).
 Wall-clock time lives only under the "timing" key.  Exit codes: 0 ok,
 2 validation error, 1 I/O error.
@@ -40,7 +42,8 @@ from .montecarlo import (
 from . import rankstats
 
 
-def _add_family_args(p: argparse.ArgumentParser) -> None:
+def _add_family_args(p: argparse.ArgumentParser):
+    """Add the required, mutually exclusive family options; returns their group."""
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--family", help="JSON array-of-arrays of 1-based coordinates")
     g.add_argument("--family-known-margins-V", dest="known_v",
@@ -49,6 +52,7 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
                    help="all nonempty subsets (pillow)")
     g.add_argument("--family-empty", action="store_true",
                    help="empty family (sheet)")
+    return g
 
 
 def _resolve_family(args) -> MonotoneFamily:
@@ -61,6 +65,15 @@ def _resolve_family(args) -> MonotoneFamily:
     if getattr(args, "family_all", False):
         return all_nonempty_family(m)
     return empty_family(m)
+
+
+def _family_flag(args) -> list[str]:
+    """The family option as given, echoed in a report's config for replay."""
+    if args.family:
+        return ["--family", args.family]
+    if args.known_v is not None:
+        return ["--family-known-margins-V", args.known_v]
+    return ["--family-all"] if args.family_all else ["--family-empty"]
 
 
 def _parse_point(text: str, m: int) -> np.ndarray:
@@ -124,7 +137,7 @@ def _cmd_family(args) -> dict:
 def _cmd_coeffs(args) -> dict:
     fam = _resolve_family(args)
     kern = green_kernel(fam)
-    return {"config": {"m": args.m, "family": fam.to_coord_lists()},
+    return {"config": {"m": args.m, "family": _family_flag(args)},
             "result": {"a": kern.coefficients_by_name()}}
 
 
@@ -133,7 +146,7 @@ def _cmd_green_eval(args) -> dict:
     kern = green_kernel(fam)
     x = _parse_point(args.x, args.m)
     xi = _parse_point(args.xi, args.m)
-    return {"config": {"m": args.m, "family": fam.to_coord_lists(),
+    return {"config": {"m": args.m, "family": _family_flag(args),
                        "x": list(x), "xi": list(xi)},
             "result": {"value": kern.evaluate(x, xi)}}
 
@@ -143,7 +156,7 @@ def _cmd_lambda(args) -> dict:
     kern = green_kernel(fam)
     measure = measure_from_json(args.measure, args.m)
     lam = lambda_value(kern, measure, args.method)
-    return {"config": {"m": args.m, "family": fam.to_coord_lists(),
+    return {"config": {"m": args.m, "family": _family_flag(args),
                        "measure": args.measure, "method": args.method},
             "result": {"lambda": lam, "inverse_lambda": 1.0 / lam}}
 
@@ -156,7 +169,7 @@ def _cmd_solve(args) -> dict:
     for text in args.eval_at or []:
         x = _parse_point(text, args.m)
         samples.append({"x": list(map(float, x)), "omega": sol.omega(x)})
-    return {"config": {"m": args.m, "family": fam.to_coord_lists(),
+    return {"config": {"m": args.m, "family": _family_flag(args),
                        "measure": args.measure, "method": args.method},
             "result": {"lambda": sol.lam, "inverse_lambda": 1.0 / sol.lam,
                        "omega": samples}}
@@ -174,7 +187,7 @@ def _cmd_efficiency(args) -> dict:
 def _cmd_eigen(args) -> dict:
     fam = _resolve_family(args)
     est = principal_eigenvalue(green_kernel(fam), args.grid_n)
-    return {"config": {"m": args.m, "family": fam.to_coord_lists(),
+    return {"config": {"m": args.m, "family": _family_flag(args),
                        "grid_n": args.grid_n},
             "result": {"value": est.value, "error": est.error,
                        "coarse": est.coarse, "fine": est.fine}}
@@ -186,16 +199,7 @@ def _cmd_stat(args) -> dict:
         X = rankstats.to_copula_scale(X)
     m = X.shape[1]
     V = _parse_V(args.V, m)
-    if args.name == "B":
-        value = rankstats.stat_B(X, V, args.p, args.grid_n)
-    elif args.name == "Bhat":
-        value = rankstats.stat_Bhat(X, args.p, args.grid_n)
-    elif args.name == "rho":
-        value = rankstats.spearman_rho(X)
-    elif args.name == "gini":
-        value = rankstats.gini_coefficient(X)
-    else:
-        value = float(rankstats.footrule(X))
+    value = rankstats.statistic(args.name, X, V, args.p, args.grid_n)
     return {"config": {"name": args.name, "input": args.input, "n": int(X.shape[0]),
                        "m": int(m), "V": format_subset(V), "p": args.p,
                        "grid_n": args.grid_n, "rank_pit": bool(args.rank_pit)},
@@ -211,14 +215,9 @@ def _cmd_simulate(args) -> dict:
     config = {"mode": args.mode, "m": args.m, "n": args.n, "R": args.R,
               "seed": args.seed, "grid_n": args.grid_n, "threads": args.threads,
               "V": format_subset(V) if V is not None else None}
-    if args.mode == "cov":
-        rep = simulate_null_covariance(cfg)
-        result = {"empirical": _matrix(rep.empirical),
-                  "theoretical": _matrix(rep.theoretical),
-                  "max_abs_dev": rep.max_abs_dev,
-                  "max_dev_in_se": rep.max_dev_in_se}
-    elif args.mode == "tiedcov":
-        rep = simulate_tied_down_covariance(cfg)
+    if args.mode in ("cov", "tiedcov"):
+        rep = (simulate_null_covariance(cfg) if args.mode == "cov"
+               else simulate_tied_down_covariance(cfg))
         result = {"empirical": _matrix(rep.empirical),
                   "theoretical": _matrix(rep.theoretical),
                   "max_abs_dev": rep.max_abs_dev,
@@ -253,12 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = common(sub.add_parser("family", help="build or enumerate monotone families"))
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--family")
-    g.add_argument("--family-known-margins-V", dest="known_v")
-    g.add_argument("--family-all", action="store_true")
-    g.add_argument("--family-empty", action="store_true")
-    g.add_argument("--enumerate", action="store_true")
+    _add_family_args(sp).add_argument("--enumerate", action="store_true")
     sp.set_defaults(handler=_cmd_family)
 
     for name, handler in (("coeffs", _cmd_coeffs), ("green-eval", _cmd_green_eval),
@@ -290,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = common(sub.add_parser("stat"))
     sp.add_argument("--name", required=True,
-                    choices=("B", "Bhat", "rho", "gini", "footrule"))
+                    choices=rankstats.STATISTICS)
     sp.add_argument("--input", required=True)
     sp.add_argument("--V")
     sp.add_argument("--p", type=int, default=1)
@@ -310,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--count", type=int, default=100, help="field draws")
     sp.add_argument("--stat", default="Bhat",
-                    choices=("B", "Bhat", "rho", "gini", "footrule"))
+                    choices=rankstats.STATISTICS)
     sp.add_argument("--p", type=int, default=1)
     sp.add_argument("--scale-sqrt-n", action="store_true")
     sp.set_defaults(handler=_cmd_simulate)

@@ -11,7 +11,10 @@ This module also computes Bahadur slopes, Pitman slopes (multivariate
 Spearman statistic and the tied-down one-degree statistic), Fisher
 information of a dependence direction, the efficiency-bound gap, and the
 principal eigenvalue of the kernel's integral operator by the Nystrom
-method.
+method.  Every cube integral of a dependence direction goes through
+`quadrature.cube_integral` and its one default node table; the face
+corrections of the tied-down slope are integrated over their free axes
+only.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .families import MonotoneFamily, family_for_known_margins, full_mask, subsets_of_size
+from .families import MonotoneFamily, family_for_known_margins, subsets_of_size
 from .kernel import GreenKernel, green_kernel
 from .measures import Measure, integrate_against, integrate_once, lambda_value, lebesgue
-from .quadrature import tensor_rule, unit_rule
+from .quadrature import cube_integral, default_nodes, tensor_rule
 
 _MIN_LAMBDA = 1e-14
 _NYSTROM_CAP = 20_000
@@ -126,17 +129,6 @@ def mixed_derivative(f, x, h: float = 1e-3) -> float:
     return total / (2.0 * h) ** m
 
 
-def _cube_integral(f, m: int, nodes: int | None = None) -> float:
-    n = nodes or _default_nodes(m)
-    pts, wts = tensor_rule(m, n)
-    vals = np.array([f(p) for p in pts])
-    return float(vals @ wts)
-
-
-def _default_nodes(m: int) -> int:
-    return {2: 24, 3: 16, 4: 12, 5: 8, 6: 6}.get(m, 5)
-
-
 def _check_face_vanishing(fn, m: int, tol: float = 1e-6) -> None:
     # probe each face x_U = 1, |U| = m-1, at interior values of the free axis
     probes = np.linspace(0.1, 0.9, 9)
@@ -160,7 +152,7 @@ def bahadur_slope_B1(V: int, m: int, dep: DependenceFunction,
     _check_face_vanishing(dep.fn, m)
     fam = family_for_known_margins(V, m)
     lam = lambda_value(green_kernel(fam), lebesgue(m), method="closed")
-    integral = _cube_integral(dep.fn, m, nodes)
+    integral = cube_integral(dep.fn, m, nodes)
     return integral * integral / lam
 
 
@@ -171,7 +163,7 @@ def pitman_slope_spearman(m: int, dep: DependenceFunction,
     if m < 2:
         raise ValueError("m must be at least 2")
     _check_face_vanishing(dep.fn, m)
-    integral = _cube_integral(dep.fn, m, nodes)
+    integral = cube_integral(dep.fn, m, nodes)
     denom = 2.0 ** m - m - 1.0
     mu_prime = 2.0 ** m * (m + 1.0) / denom * integral
     sigma_sq = (m + 1.0) ** 2 * ((4.0 / 3.0) ** m - m / 3.0 - 1.0) / denom ** 2
@@ -186,7 +178,9 @@ def pitman_slope_bhat(m: int, dep: DependenceFunction,
     12^m times the squared integral of the dependence function corrected
     by its face restrictions of codimension <= m-2.  When no face map is
     supplied the restrictions are obtained by pinning coordinates of the
-    main evaluator to 1.
+    main evaluator to 1.  A correction x_U * f(x with x_U = 1) factorizes:
+    the x_U factor integrates to 2^-|U|, so each restriction is integrated
+    over its m - |U| free axes only, with the same nodes per axis.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -195,25 +189,23 @@ def pitman_slope_bhat(m: int, dep: DependenceFunction,
         missing = [u for u in face_masks if u not in dep.faces]
         if missing:
             raise ValueError(f"missing face evaluators for masks {missing}")
+    n = nodes or default_nodes(m)
 
-    def face_value(u: int, x: np.ndarray) -> float:
-        xf = x.copy()
-        for j in range(m):
-            if u >> j & 1:
-                xf[j] = 1.0
-        if dep.faces is not None:
-            return dep.faces[u](xf)
-        return dep.fn(xf)
+    def restriction(u: int):
+        face = dep.fn if dep.faces is None else dep.faces[u]
+        free = [j for j in range(m) if not u >> j & 1]
 
-    def corrected(x: np.ndarray) -> float:
-        val = dep.fn(x)
-        for u in face_masks:
-            k = u.bit_count()
-            xu = np.prod([x[j] for j in range(m) if u >> j & 1])
-            val -= (-1.0) ** (k - 1) * xu * face_value(u, x)
-        return val
+        def f(y: np.ndarray) -> float:
+            x = np.ones(m)
+            x[free] = y
+            return face(x)
 
-    integral = _cube_integral(corrected, m, nodes)
+        return f
+
+    integral = cube_integral(dep.fn, m, n)
+    for u in face_masks:
+        k = u.bit_count()
+        integral -= (-1.0) ** (k - 1) * 0.5 ** k * cube_integral(restriction(u), m - k, n)
     return 12.0 ** m * integral * integral
 
 
@@ -227,21 +219,18 @@ def fisher_info(dep: DependenceFunction, m: int | None = None, h: float = 1e-3,
     the shrinks delta, 2*delta, 3*delta toward the full cube (the boundary
     strip contributes a smooth O(delta) term).
     """
-    if dep.density is not None:
-        if m is None:
-            raise ValueError("m is required")
-        return _cube_integral(lambda p: dep.density(p) ** 2, m, nodes)
     if m is None:
         raise ValueError("m is required")
+    if dep.density is not None:
+        return cube_integral(lambda p: dep.density(p) ** 2, m, nodes)
     d = delta if delta is not None else max(0.006, 2.0 * m * h)
 
     def shrunk_integral(dd: float) -> float:
-        pts, wts = tensor_rule(m, nodes)
-        mapped = dd + (1.0 - 2.0 * dd) * pts
-        vals = np.array([mixed_derivative(dep.fn, p, h) ** 2 for p in mapped])
-        if not np.all(np.isfinite(vals)):
+        total = cube_integral(
+            lambda p: mixed_derivative(dep.fn, dd + (1.0 - 2.0 * dd) * p, h) ** 2, m, nodes)
+        if not np.isfinite(total):
             raise ValueError("non-finite derivative estimates")
-        return float(vals @ wts) * (1.0 - 2.0 * dd) ** m
+        return total * (1.0 - 2.0 * dd) ** m
 
     i1 = shrunk_integral(d)
     i2 = shrunk_integral(2.0 * d)

@@ -28,7 +28,7 @@ from math import factorial
 import numpy as np
 
 from .kernel import GreenKernel
-from .quadrature import segmented_rule, tensor_rule, unit_rule
+from .quadrature import cube_integral, segmented_rule, unit_rule
 
 
 @dataclass(frozen=True)
@@ -288,23 +288,13 @@ def lambda_value(kernel: GreenKernel, measure: Measure, method: str = "auto") ->
 # checks and efficiency indices)
 # ---------------------------------------------------------------------------
 
-_DEFAULT_CUBE_NODES = {2: 24, 3: 16, 4: 10, 5: 8, 6: 6}
-
-
-def default_cube_nodes(m: int) -> int:
-    return _DEFAULT_CUBE_NODES.get(m, 5)
-
-
 def integrate_against(measure: Measure, f, cube_nodes: int | None = None,
                       line_segments: int = 40, line_nodes: int = 10) -> float:
     """Integral of a scalar callable against the measure."""
     total = 0.0
     for comp, w in measure.components:
         if isinstance(comp, LebesgueComponent):
-            n = cube_nodes or default_cube_nodes(comp.m)
-            pts, wts = tensor_rule(comp.m, n)
-            vals = np.array([f(p) for p in pts])
-            total += w * float(vals @ wts)
+            total += w * cube_integral(f, comp.m, cube_nodes)
         elif isinstance(comp, (DiagonalComponent, AntiDiagonalComponent)):
             breaks = [i / line_segments for i in range(1, line_segments)]
             ts, ws = segmented_rule(breaks, line_nodes)

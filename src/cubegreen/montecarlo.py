@@ -177,27 +177,15 @@ def sample_gaussian_field(kernel: GreenKernel, grid, count: int, seed: int,
     return z @ L.T
 
 
-_STAT_NAMES = ("B", "Bhat", "rho", "gini", "footrule")
-
-
 def null_distribution(cfg: SimConfig, statistic: str, p: int = 1,
                       grid_n: int | None = None,
                       scale_sqrt_n: bool = False) -> NullDistribution:
-    """Monte Carlo null moments and upper quantiles of a named statistic."""
-    if statistic not in _STAT_NAMES:
-        raise ValueError(f"unknown statistic {statistic!r}; choose from {_STAT_NAMES}")
+    """Monte Carlo null moments and upper quantiles of a statistic named by
+    `rankstats.STATISTICS`; an unknown name raises ValueError."""
+    V = cfg.V if cfg.V is not None else 0
 
     def stat(X: np.ndarray) -> float:
-        if statistic == "B":
-            v = rankstats.stat_B(X, cfg.V if cfg.V is not None else 0, p, grid_n)
-        elif statistic == "Bhat":
-            v = rankstats.stat_Bhat(X, p, grid_n)
-        elif statistic == "rho":
-            v = rankstats.spearman_rho(X)
-        elif statistic == "gini":
-            v = rankstats.gini_coefficient(X)
-        else:
-            v = float(rankstats.footrule(X))
+        v = rankstats.statistic(statistic, X, V, p, grid_n)
         return np.sqrt(cfg.n) * v if scale_sqrt_n else v
 
     vals = _replication_values(cfg, stat)

@@ -1,14 +1,18 @@
-"""Gauss-Legendre rules on [0,1] with breakpoint-aware segmentation.
+"""Gauss-Legendre rules on [0,1] and I^m, and the one cube integrator.
 
 Kernels built from min(x, xi) are piecewise polynomial; splitting the
 integration interval at every kink before applying Gauss-Legendre keeps
 the quadrature exact to machine precision instead of degrading to a slow
 algebraic rate.
+
+`cube_integral` is the only integrator of a point callable over I^m
+(slopes, Fisher information, Lebesgue integrals against a measure); its
+default per-axis node count comes from the one table `_CUBE_NODES`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -58,16 +62,22 @@ def tensor_rule(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = unit_rule(n)
     grids = np.meshgrid(*([x] * m), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = np.ones(len(pts))
-    for axis in range(m):
-        wgrid = np.meshgrid(*([w] * m), indexing="ij")[axis].ravel()
-        wts *= wgrid
+    wts = reduce(np.multiply.outer, [w] * m, 1.0).ravel()
     return pts, wts
 
 
-def cube_integral(f, m: int, n: int) -> float:
-    """Tensor Gauss-Legendre integral of a scalar callable over I^m."""
-    pts, wts = tensor_rule(m, n)
+_CUBE_NODES = {2: 24, 3: 16, 4: 12, 5: 8, 6: 6}
+
+
+def default_nodes(m: int) -> int:
+    """Default Gauss-Legendre nodes per axis for a cube integral over I^m."""
+    return _CUBE_NODES.get(m, 5)
+
+
+def cube_integral(f, m: int, n: int | None = None) -> float:
+    """Tensor Gauss-Legendre integral of a scalar callable over I^m,
+    with n nodes per axis (default `default_nodes(m)`)."""
+    pts, wts = tensor_rule(m, n or default_nodes(m))
     vals = np.array([f(p) for p in pts], dtype=float)
     return float(vals @ wts)
 

@@ -225,6 +225,27 @@ def footrule(data) -> int:
     return int(np.abs(R[:, 0] - R[:, 1]).sum())
 
 
+STATISTICS = ("B", "Bhat", "rho", "gini", "footrule")
+
+
+def statistic(name: str, X, V: int, p: int, grid_n: int | None) -> float:
+    """The statistic of the data named by one of STATISTICS.
+
+    V is read by B only, p and grid_n by B and Bhat only.
+    """
+    if name == "B":
+        return stat_B(X, V, p, grid_n)
+    if name == "Bhat":
+        return stat_Bhat(X, p, grid_n)
+    if name == "rho":
+        return spearman_rho(X)
+    if name == "gini":
+        return gini_coefficient(X)
+    if name == "footrule":
+        return float(footrule(X))
+    raise ValueError(f"unknown statistic {name!r}; choose from {STATISTICS}")
+
+
 def load_csv(path) -> np.ndarray:
     """Load an n x m dataset from CSV; a non-numeric first row is a header."""
     with open(path) as fh:

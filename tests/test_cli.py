@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from cubegreen.cli import main
+from cubegreen import rankstats
+from cubegreen.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +47,39 @@ class TestBasicCommands:
                        "--x", ",".join(map(str, x)), "--xi", ",".join(map(str, xi)))
         want = float(np.prod(np.minimum(x, xi) - x * xi))
         assert rep["result"]["value"] == pytest.approx(want, rel=1e-12)
+
+    def test_m16_report_echoes_family_flag(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        x = ",".join(["0.9"] * 16)
+        code, _, err = run_cli(capsys, "green-eval", "--family-all", "--m", "16",
+                               "--x", x, "--xi", x, "--out-file", str(out))
+        assert code == 0, err
+        assert out.stat().st_size < 4096
+        assert json.loads(out.read_text())["config"]["family"] == ["--family-all"]
+
+    def test_family_flag_replays(self, capsys):
+        argv = ["lambda", "--m", "3", "--measure", "diagonal"]
+        for flag in (["--family", "[[1,2],[1,2,3]]"], ["--family-known-margins-V", "1"],
+                     ["--family-all"], ["--family-empty"]):
+            rep = run_json(capsys, *argv, *flag)
+            assert rep["config"]["family"] == flag
+            replay = run_json(capsys, *argv, *rep["config"]["family"])
+            assert replay["result"] == rep["result"]
+
+    def test_family_command_shares_family_group(self, capsys):
+        rep = run_json(capsys, "family", "--family-all", "--m", "2")
+        assert rep["result"]["family"] == [[1], [2], [1, 2]]
+        with pytest.raises(SystemExit):
+            main(["family", "--family-all", "--enumerate", "--m", "2"])
+        with pytest.raises(SystemExit):
+            main(["family", "--m", "2"])
+
+    def test_statistic_choices_are_the_registry(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command, dest in (("stat", "name"), ("simulate", "stat")):
+            action = next(a for a in sub.choices[command]._actions if a.dest == dest)
+            assert tuple(action.choices) == rankstats.STATISTICS
 
     def test_lambda_diagonal(self, capsys):
         rep = run_json(capsys, "lambda", "--family-known-margins-V", "",

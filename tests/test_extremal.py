@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,25 @@ class TestSlopes:
         dep = DependenceFunction(fn=pillow_direction(3).fn, faces={0b001: lambda x: 0.0})
         with pytest.raises(ValueError):
             pitman_slope_bhat(3, dep)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_bhat_slope_nonvanishing_faces_closed_form(self, m, supplied):
+        # g(t) = t + t^2 does not vanish at t = 1, so every face correction
+        # counts; each x_U * f(x_U = 1) integrates to prod_U g(1)/2 prod a
+        g = lambda t: t + t * t
+        a, g1 = 5.0 / 6.0, g(1.0)
+        masks = [u for u in range(1, full_mask(m)) if u.bit_count() <= m - 2]
+        integral = math.fsum([a ** m] + [
+            -(-1.0) ** (u.bit_count() - 1) * (g1 / 2.0) ** u.bit_count()
+            * a ** (m - u.bit_count()) for u in masks])
+        faces = None
+        if supplied:
+            faces = {u: (lambda x, u=u: float(np.prod(
+                [g1 if u >> j & 1 else g(x[j]) for j in range(m)]))) for u in masks}
+        dep = DependenceFunction(fn=lambda x: float(np.prod([g(t) for t in x])), faces=faces)
+        got = pitman_slope_bhat(m, dep, nodes=4)
+        assert got == pytest.approx(12.0 ** m * integral * integral, rel=1e-12)
 
 
 class TestFisherInfo:

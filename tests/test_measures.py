@@ -23,6 +23,7 @@ from cubegreen.measures import (
     scaled,
     weighted_sum,
 )
+from cubegreen.quadrature import cube_integral
 
 RNG = np.random.default_rng(7281)
 
@@ -208,6 +209,11 @@ class TestMeasureAlgebra:
         mu = weighted_sum([(diagonal(2), 0.5), (lebesgue(2), 0.5)])
         got = integrate_against(mu, lambda p: 1.0)
         assert got == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_integrate_against_lebesgue_is_cube_integral(self, m):
+        f = lambda p: float(np.cos(p[0]) * p[-1])
+        assert integrate_against(lebesgue(m), f) == cube_integral(f, m)
 
 
 class TestMeasureJson:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubegreen.rankstats import (
+    STATISTICS,
     empirical_process_W,
     footrule,
     gini_coefficient,
@@ -11,6 +12,7 @@ from cubegreen.rankstats import (
     spearman_rho,
     stat_B,
     stat_Bhat,
+    statistic,
     tied_down_process,
     tied_down_process_subtraction,
     to_copula_scale,
@@ -224,6 +226,19 @@ class TestRankCoefficients:
         assert -1.0 - 1e-12 <= spearman_rho(X) <= 1.0 + 1e-12
         assert -1.0 - 1e-12 <= gini_coefficient(X) <= 1.0 + 1e-12
         assert 0 <= footrule(X)
+
+
+class TestStatisticDispatch:
+    def test_names_dispatch_to_their_functions(self):
+        X = RNG.random((12, 2))
+        want = {"B": stat_B(X, 0b01, 2, 8), "Bhat": stat_Bhat(X, 2, 8),
+                "rho": spearman_rho(X), "gini": gini_coefficient(X),
+                "footrule": float(footrule(X))}
+        assert {name: statistic(name, X, 0b01, 2, 8) for name in STATISTICS} == want
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError):
+            statistic("tau", RNG.random((5, 2)), 0, 1, None)
 
 
 class TestCsv:
