@@ -57,7 +57,7 @@ def _add_family_args(p: argparse.ArgumentParser):
 
 def _resolve_family(args) -> MonotoneFamily:
     m = args.m
-    if getattr(args, "family", None):
+    if getattr(args, "family", None) is not None:
         return family_from_json(args.family, m)
     if getattr(args, "known_v", None) is not None:
         coords = [int(t) for t in args.known_v.split(",") if t.strip()]
@@ -69,7 +69,7 @@ def _resolve_family(args) -> MonotoneFamily:
 
 def _family_flag(args) -> list[str]:
     """The family option as given, echoed in a report's config for replay."""
-    if args.family:
+    if args.family is not None:
         return ["--family", args.family]
     if args.known_v is not None:
         return ["--family-known-margins-V", args.known_v]

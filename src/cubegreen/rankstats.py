@@ -5,11 +5,18 @@ column are a hard error, never resolved by midranks.  Statistics that
 presuppose uniform margins (the integral statistics with known margins)
 expect data already on the copula scale; `to_copula_scale` performs the
 explicit rank transform R/(n+1) when asked.
+
+B and B-hat at p >= 2 are sums over a lattice of midpoint-grid nodes and
+empirical product atoms.  Every lattice value comes from one cumulative
+histogram (`_cumcounts`): one bincount and a cumulative sum per axis, in
+O(n·m·log g + cells).  A lattice above _CELL_CAP cells is refused with
+ValueError before anything is allocated.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import math
+from functools import reduce
 
 import numpy as np
 
@@ -17,7 +24,8 @@ from .families import full_mask
 from .quadrature import midpoint_grid
 
 _DEFAULT_GRID = {2: 64, 3: 24}
-_ATOM_CAP = 200_000
+# lattice cells of a p >= 2 integral statistic: 256 MB per float64 array
+_CELL_CAP = 1 << 25
 
 
 def as_dataset(data) -> np.ndarray:
@@ -31,13 +39,19 @@ def ranks(data) -> np.ndarray:
     """Column-wise ranks R[i, j] = #{k : X[k, j] <= X[i, j]} (1-based)."""
     X = as_dataset(data)
     n, m = X.shape
+    # one argsort of all columns, each made contiguous as a row; ties are
+    # refused below, so the order among equal values never matters
+    Xt = np.ascontiguousarray(X.T)
+    order = np.argsort(Xt, axis=1)
+    rows = np.arange(m)[:, None]
+    S = Xt[rows, order]
+    if np.isnan(S[:, -1:]).any():  # argsort puts NaN last
+        raise ValueError("dataset contains NaN")
+    tied = (S[:, 1:] == S[:, :-1]).any(axis=1)
+    if tied.any():
+        raise ValueError(f"ties detected in column {int(np.argmax(tied)) + 1}")
     R = np.empty((n, m), dtype=np.int64)
-    for j in range(m):
-        col = X[:, j]
-        if np.unique(col).size != n:
-            raise ValueError(f"ties detected in column {j + 1}")
-        order = np.argsort(col, kind="stable")
-        R[order, j] = np.arange(1, n + 1)
+    R.T[rows, order] = np.arange(1, n + 1)
     return R
 
 
@@ -48,7 +62,7 @@ def to_copula_scale(data) -> np.ndarray:
 
 
 def _check_unit_cube(X: np.ndarray) -> None:
-    if np.any(X < 0.0) or np.any(X > 1.0):
+    if not np.all((X >= 0.0) & (X <= 1.0)):  # NaN fails too
         raise ValueError("data must lie in the unit cube for this statistic")
 
 
@@ -113,13 +127,48 @@ def _split_V(V: int, m: int):
     return in_v, out_v
 
 
+def _grid_size(grid_n: int | None, m: int) -> int:
+    """Midpoint nodes per axis: the default for m when grid_n is None."""
+    if grid_n is None:
+        return _DEFAULT_GRID.get(m, 12)
+    if grid_n < 1:
+        raise ValueError("grid_n must be a positive integer")
+    return int(grid_n)
+
+
+def _check_cells(shape: tuple[int, ...]) -> None:
+    """Refuse a lattice above _CELL_CAP cells before anything is allocated."""
+    cells = math.prod(shape)
+    if cells > _CELL_CAP:
+        raise ValueError(f"the statistic needs a lattice of {cells} cells, above the "
+                         f"cap of {_CELL_CAP}; reduce grid_n, n or m, or choose larger V")
+
+
+def _cumcounts(idx: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """C[k] = #{i : idx[i, a] <= k[a] on every axis a}, as float64.
+
+    idx is an (n, d) array of lattice coordinates within `shape`, which
+    `_check_cells` has passed: one bincount of the flattened coordinates,
+    then an in-place cumulative sum along each axis.
+    """
+    flat = np.ravel_multi_index(tuple(idx.T), shape)
+    C = np.bincount(flat, minlength=math.prod(shape)).astype(float).reshape(shape)
+    for a in range(len(shape)):
+        np.cumsum(C, axis=a, out=C)
+    return C
+
+
 def stat_B(data, V: int, p: int = 1, grid_n: int | None = None) -> float:
     """Integral statistic with the margins in V known (uniform convention).
 
     p = 1 is evaluated exactly: the Lebesgue part integrates in closed form
     and the empirical product measure factorizes through the column ranks.
     p >= 2 combines a midpoint grid over the V-axes (O(1/grid_n) bias) with
-    the exact empirical sum over the complementary product atoms.
+    the exact empirical sum over the complementary product atoms.  F_n on
+    that (grid, atom) lattice is one cumulative histogram: the V-axes are
+    binned at the grid midpoints, the other axes indexed by rank.  Cost
+    O(n·m·log g + cells) for g^|V| · n^(m-|V|) cells; above _CELL_CAP
+    cells it raises ValueError before allocating.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
@@ -128,6 +177,7 @@ def stat_B(data, V: int, p: int = 1, grid_n: int | None = None) -> float:
     n, m = X.shape
     if V & ~full_mask(m):
         raise ValueError("V is not a subset of the coordinate set")
+    g = _grid_size(grid_n, m)
     in_v, out_v = _split_V(V, m)
     R = ranks(X)
     if p == 1:
@@ -141,55 +191,67 @@ def stat_B(data, V: int, p: int = 1, grid_n: int | None = None) -> float:
         t2 = 0.5 ** len(in_v) * ((n + 1.0) / (2.0 * n)) ** len(out_v)
         return t1 - t2
 
-    g = grid_n or _DEFAULT_GRID.get(m, 12)
     l, k = len(in_v), len(out_v)
-    if n ** k > _ATOM_CAP:
-        raise ValueError("too many empirical product atoms; reduce n or choose larger V")
-    if l:
-        grid_pts, cellw = midpoint_grid(l, g)
-    else:
-        grid_pts, cellw = np.zeros((1, 0)), 1.0
-    # indicator of the V-part per (observation, grid point)
-    ind_v = np.ones((n, len(grid_pts)))
-    for a, j in enumerate(in_v):
-        ind_v *= (X[:, j][:, None] <= grid_pts[:, a][None, :])
-    prod_xv = grid_pts.prod(axis=1) if l else np.ones(1)
-    cols = [np.sort(X[:, j]) for j in out_v]
-    total = 0.0
-    atom_w = n ** (-k) if k else 1.0
-    for atom in product(*[range(n) for _ in out_v]):
-        ind_rows = np.ones(n)
-        f_marg = 1.0
-        for a, j in enumerate(out_v):
-            y = cols[a][atom[a]]
-            ind_rows *= X[:, j] <= y
-            f_marg *= (atom[a] + 1.0) / n
-        Fn = ind_rows @ ind_v / n
-        integrand = (Fn - prod_xv * f_marg) ** p
-        total += atom_w * float(integrand.sum()) * cellw
-    return total
+    shape = tuple(g if j in in_v else n for j in range(m))
+    _check_cells(shape)
+    # lattice coordinates: the midpoint bin on a V-axis (1{X <= c_k} =
+    # 1{b <= k}), rank - 1 elsewhere (1{X <= X_(a)} = 1{R <= a+1})
+    idx = R - 1
+    if in_v:
+        c = midpoint_grid(1, g)[0].ravel()
+        idx[:, in_v] = np.searchsorted(c, X[:, in_v], side="left")
+        # b = g: above every midpoint, so counted at no node
+        idx = idx[(idx[:, in_v] < g).all(axis=1)]
+    # the reference product per axis: x_j on a V-axis, F_{j,n}(X_(a)) = (a+1)/n
+    ref = [c if j in in_v else np.arange(1, n + 1) / n for j in range(m)]
+    D = _cumcounts(idx, shape) / n
+    D -= reduce(np.multiply.outer, ref)
+    D **= p
+    return float(D.sum()) / (n ** k * g ** l)
+
+
+def _tied_down_grid(X: np.ndarray, g: int) -> np.ndarray:
+    """sqrt(n) times the tied-down process at every midpoint-grid node,
+    sum_i prod_j (1{X_ij <= c_kj} - c_kj), on the g^m lattice.
+
+    C is the cumulative histogram on (g+1)^m, where index g on an axis
+    counts every observation, so a slice at g is the histogram of a face.
+    T[..k..] -= c_k T[..g..] along each axis in turn expands the product
+    over every face at once (inclusion-exclusion, O(m·(g+1)^m)).
+    """
+    m = X.shape[1]
+    shape = (g + 1,) * m
+    _check_cells(shape)
+    c = midpoint_grid(1, g)[0].ravel()
+    # 1{X_ij <= c_k} = 1{b_ij <= k}; b = g for no midpoint
+    T = _cumcounts(np.searchsorted(c, X, side="left"), shape)
+    cs = c.reshape((g,) + (1,) * (m - 1))
+    for a in range(m):
+        Ta = np.moveaxis(T, a, 0)
+        Ta[:g] -= cs * Ta[g]
+    return T[(slice(0, g),) * m]
 
 
 def stat_Bhat(data, p: int = 1, grid_n: int | None = None) -> float:
     """Tied-down integral statistic.
 
     p = 1 has the exact closed form n^{-1} sum_i prod_j (1/2 - X_ij);
-    p >= 2 uses a midpoint tensor grid of the tied-down process.
+    p >= 2 sums the tied-down process over a midpoint tensor grid, all
+    g^m nodes from one cumulative histogram (`_tied_down_grid`).  Cost
+    O(n·m·log g + cells) for (g+1)^m cells; above _CELL_CAP cells it
+    raises ValueError before allocating.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
     X = as_dataset(data)
     _check_unit_cube(X)
     n, m = X.shape
+    g = _grid_size(grid_n, m)
     if p == 1:
         return float(np.prod(0.5 - X, axis=1).mean())
-    g = grid_n or _DEFAULT_GRID.get(m, 12)
-    pts, cellw = midpoint_grid(m, g)
-    total = 0.0
-    for x in pts:
-        val = float(np.prod((X <= x).astype(float) - x, axis=1).mean())
-        total += val ** p
-    return total * cellw
+    T = _tied_down_grid(X, g) / n
+    T **= p
+    return float(T.sum()) / g ** m
 
 
 def spearman_rho(data) -> float:

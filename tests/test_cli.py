@@ -134,6 +134,22 @@ class TestStatCommand:
         expected = np.prod(1 - X, axis=1).mean() - 0.25
         assert rep["result"]["value"] == pytest.approx(expected, abs=1e-14)
 
+    @pytest.mark.parametrize("grid_n", ["0", "-3"])
+    def test_grid_n_out_of_range(self, capsys, csv_path, grid_n):
+        for name in ("Bhat", "B"):
+            code, out, err = run_cli(capsys, "stat", "--name", name, "--input", csv_path,
+                                     "--p", "2", "--grid-n", grid_n)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "grid_n" in err
+
+    def test_oversized_lattice(self, capsys, tmp_path):
+        path = tmp_path / "m7.csv"
+        np.savetxt(path, np.random.default_rng(0).random((10, 7)), delimiter=",")
+        code, out, err = run_cli(capsys, "stat", "--name", "Bhat", "--input", str(path),
+                                 "--p", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "cells" in err
+
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "stat", "--name", "rho",
                                "--input", "/nonexistent/x.csv")
@@ -162,6 +178,15 @@ class TestSimulateCommand:
         reports[1]["config"].pop("threads")
         assert reports[0] == reports[1]
 
+    def test_nulldist_p2_deterministic_across_threads(self, capsys):
+        results = []
+        for stat, threads in (("Bhat", "1"), ("Bhat", "2"), ("B", "1"), ("B", "2")):
+            rep = run_json(capsys, "simulate", "--mode", "nulldist", "--stat", stat,
+                           "--p", "2", "--m", "2", "--n", "30", "--R", "100",
+                           "--seed", "5", "--threads", threads)
+            results.append(rep["result"])
+        assert results[0] == results[1] and results[2] == results[3]
+
     def test_field_mode(self, capsys):
         rep = run_json(capsys, "simulate", "--mode", "field", "--m", "2",
                        "--grid-n", "2", "--count", "5", "--seed", "1")
@@ -184,6 +209,11 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "coeffs", "--family", "not json",
                                "--m", "2")
         assert code == 2
+        assert err.startswith("error:")
+
+    def test_empty_family_json(self, capsys):
+        code, out, err = run_cli(capsys, "lambda", "--family", "", "--m", "2")
+        assert code == 2 and out == ""
         assert err.startswith("error:")
 
     def test_non_monotone_family(self, capsys):

@@ -1,9 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubegreen import rankstats
+from cubegreen.quadrature import midpoint_grid
 from cubegreen.rankstats import (
     STATISTICS,
+    _cumcounts,
+    _tied_down_grid,
     empirical_process_W,
     footrule,
     gini_coefficient,
@@ -59,6 +65,65 @@ def brute_B1(X, V):
     return total
 
 
+def loop_Bhat(X, g, ps):
+    """Reference B-hat at p >= 2: the tied-down process evaluated point by
+    point on the midpoint grid.  Returns {p: (value, scale)}, where scale
+    is the same sum over the absolute values of the terms."""
+    pts, cellw = midpoint_grid(X.shape[1], g)
+    sums = {p: [0.0, 0.0] for p in ps}
+    for x in pts:
+        val = float(np.prod((X <= x).astype(float) - x, axis=1).mean())
+        for p in ps:
+            sums[p][0] += val ** p
+            sums[p][1] += abs(val) ** p
+    return {p: (v * cellw, a * cellw) for p, (v, a) in sums.items()}
+
+
+def loop_B(X, V, g, ps):
+    """Reference B at p >= 2: the midpoint grid over the V-axes times an
+    explicit loop over the empirical product atoms of the other axes.
+    Returns {p: (value, scale)} as `loop_Bhat` does."""
+    n, m = X.shape
+    in_v = [j for j in range(m) if V >> j & 1]
+    out_v = [j for j in range(m) if not V >> j & 1]
+    k = len(out_v)
+    if in_v:
+        grid_pts, cellw = midpoint_grid(len(in_v), g)
+    else:
+        grid_pts, cellw = np.zeros((1, 0)), 1.0
+    ind_v = np.ones((n, len(grid_pts)))
+    for a, j in enumerate(in_v):
+        ind_v *= X[:, j][:, None] <= grid_pts[:, a][None, :]
+    prod_xv = grid_pts.prod(axis=1) if in_v else np.ones(1)
+    cols = [np.sort(X[:, j]) for j in out_v]
+    diffs = []
+    for atom in itertools.product(*[range(n) for _ in out_v]):
+        ind_rows = np.ones(n)
+        f_marg = 1.0
+        for a, j in enumerate(out_v):
+            ind_rows *= X[:, j] <= cols[a][atom[a]]
+            f_marg *= (atom[a] + 1.0) / n
+        diffs.append(ind_rows @ ind_v / n - prod_xv * f_marg)
+    D = np.array(diffs)
+    w = float(n) ** -k * cellw
+    return {p: (w * float((D ** p).sum()), w * float((np.abs(D) ** p).sum())) for p in ps}
+
+
+def oracle_datasets(m, g, distinct):
+    """Random data at n = 1, 2, 20, then data on the grid midpoints, at 0
+    and at 1; with `distinct`, every column of that last set is tie-free."""
+    for n in (1, 2, 20):
+        yield RNG.random((n, m))
+    edges = np.concatenate([[0.0], (np.arange(g) + 0.5) / g, [1.0]])
+    if distinct:
+        yield np.column_stack([RNG.permutation(edges) for _ in range(m)])
+    else:
+        yield RNG.choice(edges, size=(2 * len(edges), m))
+
+
+ORACLE_GRID = {2: 7, 3: 4, 4: 3}
+
+
 class TestRanks:
     def test_simple(self):
         X = np.array([[0.3, 10.0], [0.1, 30.0], [0.2, 20.0]])
@@ -68,6 +133,19 @@ class TestRanks:
     def test_ties_rejected(self):
         with pytest.raises(ValueError, match="ties"):
             ranks(np.array([[0.5, 1.0], [0.5, 2.0]]))
+
+    def test_first_tied_column_named(self):
+        X = np.array([[0.1, 0.5, 0.7], [0.2, 0.5, 0.7], [0.3, 0.6, 0.8]])
+        with pytest.raises(ValueError, match="column 2"):
+            ranks(X)
+
+    def test_nan_rejected(self):
+        X = np.array([[0.1, np.nan], [0.2, np.nan]])
+        with pytest.raises(ValueError, match="NaN"):
+            ranks(X)
+        for f in (stat_Bhat, lambda X: stat_B(X, 0b11)):
+            with pytest.raises(ValueError, match="unit cube"):
+                f(X)
 
     def test_copula_scale(self):
         X = RNG.random((5, 3))
@@ -178,6 +256,72 @@ class TestStatBhat:
     def test_second_power_nonnegative(self):
         X = RNG.random((6, 3))
         assert stat_Bhat(X, p=2, grid_n=12) >= 0.0
+
+
+class TestGridECDF:
+    def test_cumcounts_counts_dominated_points(self):
+        for shape in ((5,), (3, 4), (2, 3, 4)):
+            idx = np.column_stack([RNG.integers(0, s, size=9) for s in shape])
+            C = _cumcounts(idx, shape)
+            for k in np.ndindex(*shape):
+                assert C[k] == np.all(idx <= np.array(k), axis=1).sum()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_Bhat_matches_loop_oracle(self, m):
+        g = ORACLE_GRID[m]
+        for X in oracle_datasets(m, g, distinct=False):
+            want = loop_Bhat(X, g, (2, 3))
+            for p in (2, 3):
+                value, scale = want[p]
+                assert abs(stat_Bhat(X, p, g) - value) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_B_matches_loop_oracle(self, m):
+        g = ORACLE_GRID[m]
+        for X in oracle_datasets(m, g, distinct=True):
+            for V in range(1 << m):
+                want = loop_B(X, V, g, (2, 3))
+                for p in (2, 3):
+                    value, scale = want[p]
+                    assert abs(stat_B(X, V, p, g) - value) <= 1e-12 * scale
+
+    def test_tied_down_grid_is_the_process(self):
+        for m, g in ((2, 8), (3, 5)):
+            X = RNG.random((15, m))
+            T = _tied_down_grid(X, g)
+            assert T.shape == (g,) * m
+            for k in [(0,) * m, (g - 1,) * m, tuple(RNG.integers(0, g, size=m))]:
+                c = (np.array(k) + 0.5) / g
+                assert T[k] / np.sqrt(15) == pytest.approx(
+                    tied_down_process(X, c), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("grid_n", [0, -3])
+    def test_grid_n_out_of_range(self, grid_n):
+        X = RNG.random((5, 2))
+        for p in (1, 2):
+            with pytest.raises(ValueError, match="grid_n"):
+                stat_Bhat(X, p, grid_n)
+            with pytest.raises(ValueError, match="grid_n"):
+                stat_B(X, 0b01, p, grid_n)
+
+    def test_oversized_lattice_refused(self):
+        # 13^7 cells at the default 12-point grid
+        with pytest.raises(ValueError, match="cells"):
+            stat_Bhat(RNG.random((10, 7)), 2)
+        # 12^5 * 135 cells: |V| = 5 and one rank axis
+        with pytest.raises(ValueError, match="cells"):
+            stat_B(RNG.random((135, 6)), 0b011111, 2)
+
+    def test_lattice_at_the_cap_runs(self, monkeypatch):
+        X = RNG.random((6, 3))
+        for call, cells in ((lambda: stat_Bhat(X, 2, 5), 6 ** 3),
+                            (lambda: stat_B(X, 0b001, 2, 5), 5 * 6 * 6),
+                            (lambda: stat_B(X, 0, 2, 5), 6 ** 3)):
+            monkeypatch.setattr(rankstats, "_CELL_CAP", cells)
+            assert call() >= 0.0
+            monkeypatch.setattr(rankstats, "_CELL_CAP", cells - 1)
+            with pytest.raises(ValueError, match="cells"):
+                call()
 
 
 class TestRankCoefficients:
