@@ -5,8 +5,10 @@ resolved configuration (seed included), so a report can be replayed; a
 family is echoed as the command-line option that gave it, not member by
 member.
 Floats are serialized with shortest round-trip precision (lossless).
-Wall-clock time lives only under the "timing" key.  Exit codes: 0 ok,
-2 validation error, 1 I/O error.
+Wall-clock time lives only under the "timing" key; how a number was
+computed (such as power-iteration counts) under "diagnostics".  Exit codes:
+0 ok, 2 validation error or a computation that did not converge, 1 I/O
+error.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .families import (
 )
 from .kernel import green_kernel
 from .measures import integrate_once, lambda_value, measure_from_json
-from .extremal import efficiency_coefficient, principal_eigenvalue, solve
+from .extremal import ConvergenceError, efficiency_coefficient, principal_eigenvalue, solve
 from .montecarlo import (
     SimConfig,
     null_distribution,
@@ -190,7 +193,9 @@ def _cmd_eigen(args) -> dict:
     return {"config": {"m": args.m, "family": _family_flag(args),
                        "grid_n": args.grid_n},
             "result": {"value": est.value, "error": est.error,
-                       "coarse": est.coarse, "fine": est.fine}}
+                       "coarse": est.coarse, "fine": est.fine},
+            "diagnostics": {"coarse_iterations": est.coarse_iterations,
+                            "fine_iterations": est.fine_iterations}}
 
 
 def _cmd_stat(args) -> dict:
@@ -312,13 +317,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call: parsing leaves no
+    state in it, and building it costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         report = args.handler(args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError, ConvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

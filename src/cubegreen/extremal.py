@@ -11,10 +11,11 @@ This module also computes Bahadur slopes, Pitman slopes (multivariate
 Spearman statistic and the tied-down one-degree statistic), Fisher
 information of a dependence direction, the efficiency-bound gap, and the
 principal eigenvalue of the kernel's integral operator by the Nystrom
-method.  Every cube integral of a dependence direction goes through
-`quadrature.cube_integral` and its one default node table; the face
-corrections of the tied-down slope are integrated over their free axes
-only.
+method, with a power iteration that applies the kernel matrix through its
+per-axis Kronecker factors instead of forming it.  Every cube integral of
+a dependence direction goes through `quadrature.cube_integral` and its
+one default node table; the face corrections of the tied-down slope are
+integrated over their free axes only.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .families import MonotoneFamily, family_for_known_margins, subsets_of_size
 from .kernel import GreenKernel, green_kernel
 from .measures import Measure, integrate_against, integrate_once, lambda_value, lebesgue
-from .quadrature import cube_integral, default_nodes, tensor_rule
+from .quadrature import cube_integral, default_nodes, tensor_rule, unit_rule
 
 _MIN_LAMBDA = 1e-14
 _NYSTROM_CAP = 20_000
@@ -36,6 +37,10 @@ _NYSTROM_CAP = 20_000
 
 class DegenerateMeasureError(ValueError):
     """The measure is concentrated where the kernel vanishes."""
+
+
+class ConvergenceError(RuntimeError):
+    """A power iteration did not converge within its iteration limit."""
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,8 @@ class EigenEstimate:
     coarse: float
     fine: float
     grid_n: int
+    coarse_iterations: int
+    fine_iterations: int
 
 
 def solve(family: MonotoneFamily, measure: Measure, method: str = "auto") -> ExtremalSolution:
@@ -249,26 +256,37 @@ def optimality_gap(family: MonotoneFamily, measure: Measure, dep: DependenceFunc
 
 
 def _nystrom_principal(kernel: GreenKernel, n: int, tol: float = 1e-12,
-                       max_iter: int = 100_000) -> float:
-    pts, wts = tensor_rule(kernel.m, n)
-    A = kernel.cross(pts, pts)
-    s = np.sqrt(wts)
-    # scale in place: no further N x N arrays
-    A *= s[:, None]
-    A *= s[None, :]
-    v = np.ones(len(A))
+                       max_iter: int = 100_000) -> tuple[float, int]:
+    """Principal eigenvalue of the symmetrized Nystrom matrix on the tensor
+    Gauss grid with n nodes per axis, by power iteration from the all-ones
+    vector; returns (eigenvalue, iterations).
+
+    The matrix S K S, with K the kernel on the n**m nodes and S = diag of
+    the square-rooted weights, is never formed: both K and S factor by
+    axis, so `GreenKernel.kron_matvec` applies it from three scaled n x n
+    matrices in O(T m n**(m+1)) per iteration for a kernel of T terms.
+    """
+    x, w = unit_rule(n)
+    s = np.sqrt(w)
+    scale = np.outer(s, s)
+    mins = np.minimum.outer(x, x)
+    ks = np.multiply.outer(x, x)
+    gaps = (mins - ks) * scale
+    mins *= scale
+    ks *= scale
+    v = np.ones(n ** kernel.m)
     v /= np.linalg.norm(v)
     lam_prev = 0.0
-    for _ in range(max_iter):
-        u = A @ v
+    for it in range(1, max_iter + 1):
+        u = kernel.kron_matvec(mins, ks, gaps, v)
         lam = float(np.linalg.norm(u))
         if lam == 0.0:
-            return 0.0
+            return 0.0, it
         v = u / lam
         if abs(lam - lam_prev) <= tol * max(1.0, lam):
-            return lam
+            return lam, it
         lam_prev = lam
-    raise RuntimeError("power iteration did not converge")
+    raise ConvergenceError("power iteration did not converge")
 
 
 def principal_eigenvalue(kernel: GreenKernel, grid_n: int) -> EigenEstimate:
@@ -277,7 +295,11 @@ def principal_eigenvalue(kernel: GreenKernel, grid_n: int) -> EigenEstimate:
     Nystrom discretization on tensor Gauss-Legendre grids at grid_n and
     grid_n // 2 points per axis, Richardson-extrapolated assuming
     second-order convergence.  The reported error is the (conservative)
-    difference between the two grids.
+    difference between the two grids.  Each grid's power iteration is
+    matrix-free (see `_nystrom_principal`): O(T m n**(m+1)) time per
+    iteration, three n x n matrices and a few vectors of n**m, so no
+    N x N matrix is built.
+    Raises ConvergenceError if a power iteration does not converge.
     """
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
@@ -285,11 +307,12 @@ def principal_eigenvalue(kernel: GreenKernel, grid_n: int) -> EigenEstimate:
         raise ValueError(
             f"grid_n**m = {grid_n ** kernel.m} exceeds the Nystrom cap {_NYSTROM_CAP}"
         )
-    coarse = _nystrom_principal(kernel, max(4, grid_n // 2))
-    fine = _nystrom_principal(kernel, grid_n)
+    coarse, coarse_it = _nystrom_principal(kernel, max(4, grid_n // 2))
+    fine, fine_it = _nystrom_principal(kernel, grid_n)
     value = fine + (fine - coarse) / 3.0
     return EigenEstimate(value=value, error=abs(fine - coarse),
-                         coarse=coarse, fine=fine, grid_n=grid_n)
+                         coarse=coarse, fine=fine, grid_n=grid_n,
+                         coarse_iterations=coarse_it, fine_iterations=fine_it)
 
 
 def trace_bound(kernel: GreenKernel, grid_n: int) -> float:

@@ -16,6 +16,11 @@ with U in F; it is the covariance function of the matching limiting
 Gaussian field (Brownian sheet, pillow and tucked sheet arise as special
 cases).
 
+Every term is a product over axes, so on a tensor grid with the same n
+nodes on each axis the kernel matrix is a sum of Kronecker products of
+three n x n matrices (min, x xi and their difference), and
+`GreenKernel.kron_matvec` applies it to a vector without forming it.
+
 The signed integer coefficients a_U of the equivalent expansion
 prod min - sum_{U in F} a_U prod_{j not in U} min_j prod_{j in U} k_j are
 the Moebius transform of the indicator of F.  No numeric path reads them:
@@ -140,6 +145,39 @@ class GreenKernel:
                 total += buf
             else:
                 total -= buf
+        return total
+
+    def kron_matvec(self, mins: np.ndarray, ks: np.ndarray, gaps: np.ndarray,
+                    v: np.ndarray) -> np.ndarray:
+        """The kernel matrix on an n**m tensor grid applied to v, matrix-free.
+
+        mins, ks and gaps are the n x n matrices min(x, xi), x xi and their
+        difference on one axis's nodes (symmetrically scaled, if need be).
+        On the tensor grid, in `tensor_rule` order, each term is the
+        Kronecker product of one of them per axis, so the kernel matrix is
+        the sum of the terms (or the product of mins minus them).  Each
+        Kronecker product is applied axis by axis to v reshaped to (n,)*m:
+        O(T m n**(m+1)) time, and no matrix larger than n x n.
+        """
+        n = len(mins)
+
+        def apply(mats) -> np.ndarray:
+            x = v
+            for a in mats:
+                # contract the leading axis and move it last: after m axes
+                # the order is back to the start
+                x = x.reshape(n, -1).T @ a.T
+            return x.reshape(-1)
+
+        total = None if self.positive else apply([mins] * self.m)
+        for sel in self.terms:
+            t = apply([ks if s else gaps for s in sel])
+            if total is None:
+                total = t
+            elif self.positive:
+                total += t
+            else:
+                total -= t
         return total
 
     def _check_points(self, P) -> np.ndarray:

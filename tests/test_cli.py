@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from cubegreen import rankstats
+from cubegreen import cli, rankstats
 from cubegreen.cli import build_parser, main
+from cubegreen.extremal import ConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +108,23 @@ class TestBasicCommands:
         rep = run_json(capsys, "eigen", "--family-all", "--m", "2",
                        "--grid-n", "24")
         assert rep["result"]["value"] == pytest.approx(np.pi**-4, rel=1e-3)
+
+    def test_eigen_reports_iterations(self, capsys):
+        rep = run_json(capsys, "eigen", "--family-all", "--m", "3",
+                       "--grid-n", "16")
+        assert set(rep["result"]) == {"value", "error", "coarse", "fine"}
+        assert rep["result"]["value"] == pytest.approx(np.pi**-6, rel=1e-3)
+        diag = rep["diagnostics"]
+        assert set(diag) == {"coarse_iterations", "fine_iterations"}
+        assert all(isinstance(v, int) and v >= 1 for v in diag.values())
+
+    def test_parser_reused_without_state(self, capsys):
+        assert build_parser() is not build_parser()
+        argv = ["lambda", "--family-empty", "--m", "2"]
+        rep = run_json(capsys, *argv, "--method", "quadrature")
+        assert rep["config"]["method"] == "quadrature"
+        rep = run_json(capsys, *argv)
+        assert rep["config"]["method"] == "auto"
 
 
 class TestStatCommand:
@@ -220,6 +238,14 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "coeffs", "--family", "[[1]]",
                                "--m", "2")
         assert code == 2
+
+    def test_power_iteration_failure(self, capsys, monkeypatch):
+        def fail(kernel, grid_n):
+            raise ConvergenceError("power iteration did not converge")
+        monkeypatch.setattr(cli, "principal_eigenvalue", fail)
+        code, out, err = run_cli(capsys, "eigen", "--family-all", "--m", "2")
+        assert code == 2 and out == ""
+        assert err == "error: power iteration did not converge\n"
 
     def test_bad_measure_name(self, capsys):
         code, _, err = run_cli(capsys, "lambda", "--family-empty", "--m", "2",

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from cubegreen.extremal import (
+    ConvergenceError,
     DegenerateMeasureError,
     DependenceFunction,
+    _nystrom_principal,
     bahadur_slope_B1,
     efficiency_coefficient,
     fisher_info,
@@ -25,11 +27,12 @@ from cubegreen.extremal import (
 from cubegreen.families import (
     all_nonempty_family,
     empty_family,
+    enumerate_monotone_families,
     family_for_known_margins,
     full_mask,
     upward_closure,
 )
-from cubegreen.kernel import green_kernel
+from cubegreen.kernel import GreenKernel, green_kernel
 from cubegreen.measures import (
     anti_diagonal,
     diagonal,
@@ -39,6 +42,7 @@ from cubegreen.measures import (
     scaled,
     weighted_sum,
 )
+from cubegreen.quadrature import tensor_rule
 
 RNG = np.random.default_rng(90210)
 
@@ -290,6 +294,45 @@ class TestPrincipalEigenvalue:
     def test_grid_cap(self):
         with pytest.raises(ValueError):
             principal_eigenvalue(green_kernel(empty_family(3)), 48)
+
+    @pytest.mark.parametrize("m, grid_n", [(2, 48), (2, 141), (3, 16), (3, 27),
+                                           (4, 8), (4, 11)])
+    @pytest.mark.parametrize("bridge", [True, False], ids=["pillow", "sheet"])
+    def test_tensor_kernels_are_powers_of_1d(self, m, grid_n, bridge):
+        """The pillow's and the sheet's Nystrom matrices are m-fold
+        Kronecker powers of the 1-D one, so their eigenvalues are powers;
+        the grids up to the node cap included."""
+        fam = all_nonempty_family(m) if bridge else empty_family(m)
+        est = principal_eigenvalue(green_kernel(fam), grid_n)
+        assert est.fine == pytest.approx(self.oracle_1d(bridge, grid_n) ** m, rel=1e-10)
+        assert est.coarse == pytest.approx(
+            self.oracle_1d(bridge, grid_n // 2) ** m, rel=1e-10)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n", [4, 6, 9])
+    def test_every_family_matches_dense_eigensolve(self, m, n):
+        pts, wts = tensor_rule(m, n)
+        s = np.sqrt(wts)
+        for fam in enumerate_monotone_families(m):
+            kern = green_kernel(fam)
+            dense = np.linalg.eigvalsh(kern.cross(pts, pts) * np.outer(s, s)).max()
+            lam, iterations = _nystrom_principal(kern, n)
+            assert lam == pytest.approx(dense, rel=1e-9), fam
+            assert iterations >= 1
+
+    def test_no_dense_kernel_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense kernel matrix requested")
+        monkeypatch.setattr(GreenKernel, "cross", refuse)
+        kern = green_kernel(family_for_known_margins(1, 3))
+        est = principal_eigenvalue(kern, 10)
+        assert 0.0 < est.value < trace_bound(kern, 10)
+        assert est.coarse_iterations >= 1 and est.fine_iterations >= 1
+
+    def test_nonconvergence_raises(self):
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            _nystrom_principal(green_kernel(empty_family(2)), 8, max_iter=1)
+        assert issubclass(ConvergenceError, RuntimeError)
 
 
 class TestReferenceDirections:
