@@ -37,6 +37,7 @@ from .measures import integrate_once, lambda_value, measure_from_json
 from .extremal import ConvergenceError, efficiency_coefficient, principal_eigenvalue, solve
 from .montecarlo import (
     SimConfig,
+    check_grid_size,
     null_distribution,
     sample_gaussian_field,
     simulate_null_covariance,
@@ -94,11 +95,13 @@ def _parse_V(text: str | None, m: int) -> int:
 
 
 def _interior_grid(m: int, per_axis: int) -> tuple[tuple[float, ...], ...]:
-    axis = [(i + 1.0) / (per_axis + 1.0) for i in range(per_axis)]
-    pts = [()]
-    for _ in range(m):
-        pts = [p + (a,) for p in pts for a in axis]
-    return tuple(pts)
+    """The per_axis^m interior lattice points, the last axis varying fastest;
+    a grid too large for its kernel matrices is refused before it is built."""
+    per_axis = max(per_axis, 0)
+    check_grid_size(per_axis ** m)
+    axis = (np.arange(per_axis) + 1.0) / (per_axis + 1.0)
+    pts = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)
+    return tuple(map(tuple, pts.tolist()))
 
 
 def _matrix(a: np.ndarray) -> list[list[float]]:

@@ -216,13 +216,6 @@ class GreenKernel:
         Pt = self._check_points(points).T.copy()  # C order, and ours to overwrite
         return self.sum_terms(Pt, Pt * Pt)
 
-    def gram_matrix(self, points) -> np.ndarray:
-        """Symmetric matrix of kernel values over a list of points."""
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-        G = self.cross(P, P)
-        # identical arithmetic order for (i,j) and (j,i) makes this exact
-        return G
-
     def to_json(self) -> str:
         obj = {
             "m": self.m,

@@ -1,9 +1,15 @@
 """Seeded simulation harness for the limiting-covariance claims.
 
 Every replication draws its uniforms from a counter-based Philox stream
-keyed by (seed, replication index), so results are bit-identical whether
-replications run serially or across any number of worker threads; merging
-always happens in replication order.
+keyed by (seed, replication index), the stream `substream` returns.
+Replications run in fixed-size blocks: one Philox generator per block
+has its key set to [r, seed] and its counter and buffer zeroed for each
+replication r, and the block's (B, n, m) sample goes through the batch
+forms of `rankstats` in one call.  A block holds as many replications as
+keep each temporary near _BLOCK_BYTES.  Up to MAX_THREADS worker threads
+take whole blocks, and blocks are merged in block order, so results are
+bit-identical whether replications run serially or across any number of
+threads.
 """
 
 from __future__ import annotations
@@ -18,6 +24,19 @@ from .kernel import GreenKernel, green_kernel
 from . import rankstats
 
 _MASK64 = (1 << 64) - 1
+# bytes of the largest temporary of one replication block: a block's few
+# temporaries then stay within a core's L2 cache (at 1 MiB the tied-down
+# process cost up to twice as much per replication)
+_BLOCK_BYTES = 1 << 18
+MAX_THREADS = 64
+
+
+def check_grid_size(points: int) -> None:
+    """Refuse a grid whose G x G kernel and covariance matrices would hold
+    more than rankstats._CELL_CAP entries, before anything is built."""
+    if points * points > rankstats._CELL_CAP:
+        raise ValueError(f"a grid of {points} points needs {points}^2 kernel entries, above "
+                         f"the cap of {rankstats._CELL_CAP}; reduce grid_n or m")
 
 
 @dataclass(frozen=True)
@@ -35,6 +54,9 @@ class SimConfig:
             raise ValueError("at least 100 replications are required")
         if self.n < 1:
             raise ValueError("sample size must be positive")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ValueError(f"threads must be between 1 and {MAX_THREADS}")
+        check_grid_size(len(self.grid))
         if self.grid:
             g = np.asarray(self.grid, dtype=float)
             if g.ndim != 2 or g.shape[1] != self.m:
@@ -76,31 +98,58 @@ def substream(seed: int, replication: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _replication_values(cfg: SimConfig, fn) -> np.ndarray:
-    """Evaluate fn(uniform sample) for every replication, in index order."""
-    first = fn(substream(cfg.seed, 0).random((cfg.n, cfg.m)))
-    out = np.empty((cfg.replications,) + np.shape(first))
-    out[0] = first
-
-    def run(r: int) -> None:
-        out[r] = fn(substream(cfg.seed, r).random((cfg.n, cfg.m)))
-
-    if cfg.threads <= 1:
-        for r in range(1, cfg.replications):
-            run(r)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(run, range(1, cfg.replications)))
+def _uniform_block(seed: int, lo: int, hi: int, n: int, m: int) -> np.ndarray:
+    """The (hi - lo, n, m) uniforms of replications lo..hi-1: row r - lo is
+    substream(seed, r).random((n, m)), drawn by one reset generator."""
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    state["state"]["counter"][:] = 0
+    state["buffer"][:] = 0
+    state["buffer_pos"] = len(state["buffer"])  # empty
+    state["has_uint32"] = state["uinteger"] = 0
+    key = state["state"]["key"]
+    key[1] = seed & _MASK64
+    out = np.empty((hi - lo, n, m))
+    for r in range(lo, hi):
+        key[0] = r & _MASK64
+        bitgen.state = state
+        gen.random(out=out[r - lo])
     return out
+
+
+def _replication_values(cfg: SimConfig, fn) -> np.ndarray:
+    """fn of the uniform sample of every replication, in index order.
+
+    fn maps a (B, n, m) block to B rows of values.  Its largest temporary
+    is taken to be B·n·max(m, G) floats, G the number of grid points.
+    """
+    R = cfg.replications
+    step = max(1, _BLOCK_BYTES // (8 * cfg.n * max(cfg.m, len(cfg.grid))))
+
+    def run(lo: int) -> np.ndarray:
+        return fn(_uniform_block(cfg.seed, lo, min(lo + step, R), cfg.n, cfg.m))
+
+    starts = range(0, R, step)
+    if cfg.threads == 1 or len(starts) == 1:
+        return np.concatenate([run(lo) for lo in starts])
+    with ThreadPoolExecutor(max_workers=min(cfg.threads, len(starts))) as pool:
+        return np.concatenate(list(pool.map(run, starts)))
 
 
 def _covariance_report(values: np.ndarray, theoretical: np.ndarray,
                        cfg: SimConfig) -> CovarianceReport:
-    R = values.shape[0]
+    R, G = values.shape
     centered = values - values.mean(axis=0)
     empirical = centered.T @ centered / (R - 1)
-    prods = values[:, :, None] * values[:, None, :]
-    se = prods.std(axis=0, ddof=1) / np.sqrt(R)
+    # standard errors of the products v_g v_h, a block of grid rows at a
+    # time: each entry is the same reduction over R as on the whole
+    # R x G x G array of products
+    se = np.empty((G, G))
+    step = max(1, _BLOCK_BYTES // (8 * R * G))
+    for lo in range(0, G, step):
+        prods = values[:, lo:lo + step, None] * values[:, None, :]
+        se[lo:lo + step] = prods.std(axis=0, ddof=1) / np.sqrt(R)
     dev = np.abs(empirical - theoretical)
     return CovarianceReport(
         empirical=empirical,
@@ -112,23 +161,6 @@ def _covariance_report(values: np.ndarray, theoretical: np.ndarray,
     )
 
 
-def _process_values_W(X: np.ndarray, grid: np.ndarray, V: int) -> np.ndarray:
-    n, m = X.shape
-    ind = X[:, None, :] <= grid[None, :, :]
-    Fn = ind.all(axis=2).mean(axis=0)
-    marg = ind.mean(axis=0)  # (G, m) marginal ecdfs at the grid coordinates
-    prod = np.ones(len(grid))
-    for j in range(m):
-        prod *= grid[:, j] if V >> j & 1 else marg[:, j]
-    return np.sqrt(n) * (Fn - prod)
-
-
-def _process_values_tied(X: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    n = X.shape[0]
-    terms = (X[:, None, :] <= grid[None, :, :]).astype(float) - grid[None, :, :]
-    return terms.prod(axis=2).sum(axis=0) / np.sqrt(n)
-
-
 def simulate_null_covariance(cfg: SimConfig) -> CovarianceReport:
     """Empirical covariance of the known-margins process on the grid versus
     the Green kernel of the matching family."""
@@ -138,8 +170,8 @@ def simulate_null_covariance(cfg: SimConfig) -> CovarianceReport:
         raise ValueError("config must include a grid")
     grid = cfg.grid_array()
     kern = green_kernel(family_for_known_margins(cfg.V, cfg.m))
-    theo = kern.gram_matrix(grid)
-    vals = _replication_values(cfg, lambda X: _process_values_W(X, grid, cfg.V))
+    theo = kern.cross(grid, grid)
+    vals = _replication_values(cfg, lambda X: rankstats.batch_process_W(X, grid, cfg.V))
     return _covariance_report(vals, theo, cfg)
 
 
@@ -149,8 +181,8 @@ def simulate_tied_down_covariance(cfg: SimConfig) -> CovarianceReport:
         raise ValueError("config must include a grid")
     grid = cfg.grid_array()
     kern = green_kernel(all_nonempty_family(cfg.m))
-    theo = kern.gram_matrix(grid)
-    vals = _replication_values(cfg, lambda X: _process_values_tied(X, grid))
+    theo = kern.cross(grid, grid)
+    vals = _replication_values(cfg, lambda X: rankstats.batch_tied_down(X, grid))
     return _covariance_report(vals, theo, cfg)
 
 
@@ -162,7 +194,8 @@ def sample_gaussian_field(kernel: GreenKernel, grid, count: int, seed: int,
     three times on failure.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    G = kernel.gram_matrix(grid)
+    check_grid_size(len(grid))
+    G = kernel.cross(grid, grid)
     ridge = base_ridge * np.trace(G) / len(G)
     L = None
     for attempt in range(3):
@@ -184,8 +217,8 @@ def null_distribution(cfg: SimConfig, statistic: str, p: int = 1,
     `rankstats.STATISTICS`; an unknown name raises ValueError."""
     V = cfg.V if cfg.V is not None else 0
 
-    def stat(X: np.ndarray) -> float:
-        v = rankstats.statistic(statistic, X, V, p, grid_n)
+    def stat(X: np.ndarray) -> np.ndarray:
+        v = rankstats.batch_statistic(statistic, X, V, p, grid_n)
         return np.sqrt(cfg.n) * v if scale_sqrt_n else v
 
     vals = _replication_values(cfg, stat)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cubegreen import cli, rankstats
+from cubegreen import cli, montecarlo, rankstats
 from cubegreen.cli import build_parser, main
 from cubegreen.extremal import ConvergenceError
 
@@ -168,6 +168,13 @@ class TestStatCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "cells" in err
 
+    def test_gini_of_one_observation_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("0.3,0.4\n")
+        code, out, err = run_cli(capsys, "stat", "--name", "gini", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "two observations" in err
+
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "stat", "--name", "rho",
                                "--input", "/nonexistent/x.csv")
@@ -204,6 +211,38 @@ class TestSimulateCommand:
                            "--seed", "5", "--threads", threads)
             results.append(rep["result"])
         assert results[0] == results[1] and results[2] == results[3]
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "cov", "--m", "16", "--grid-n", "4", "--V", ""],
+        ["--mode", "field", "--m", "8", "--grid-n", "4"],
+    ])
+    def test_grid_too_large_for_memory(self, capsys, argv):
+        # 4^16 and 4^8 grid points: refused before the grid is built
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        assert code == 2 and out == ""
+        assert "reduce grid_n" in err
+
+    def test_interior_grid_at_the_cap(self):
+        # 2^12 points: 2^24 kernel entries are accepted, 2^13 points are not
+        pts = cli._interior_grid(12, 2)
+        assert len(pts) == 4096 and pts[0] == (1 / 3,) * 12 and pts[1][-1] == 2 / 3
+        with pytest.raises(ValueError, match="kernel entries"):
+            cli._interior_grid(13, 2)
+
+    def test_interior_grid_order(self):
+        assert cli._interior_grid(2, 2) == ((1 / 3, 1 / 3), (1 / 3, 2 / 3),
+                                            (2 / 3, 1 / 3), (2 / 3, 2 / 3))
+
+    @pytest.mark.parametrize("threads", ["0", "-1", str(10**6)])
+    def test_threads_out_of_range(self, capsys, monkeypatch, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        code, out, err = run_cli(capsys, "simulate", "--mode", "nulldist", "--stat", "rho",
+                                 "--n", "20", "--R", "100", "--threads", threads)
+        assert code == 2 and out == ""
+        assert "threads must be between 1 and 64" in err
 
     def test_field_mode(self, capsys):
         rep = run_json(capsys, "simulate", "--mode", "field", "--m", "2",

@@ -170,7 +170,7 @@ class TestMatrixOps:
             k = green_kernel(fam)
             for _ in range(20):
                 pts = RNG.random((RNG.integers(2, 13), m))
-                G = k.gram_matrix(pts)
+                G = k.cross(pts, pts)
                 assert np.allclose(G, G.T)
                 assert np.linalg.eigvalsh(G).min() >= -1e-10
 

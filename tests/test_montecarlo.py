@@ -1,10 +1,16 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cubegreen import montecarlo
 from cubegreen.families import all_nonempty_family, empty_family
 from cubegreen.kernel import green_kernel
 from cubegreen.montecarlo import (
+    MAX_THREADS,
     SimConfig,
+    check_grid_size,
     null_distribution,
     sample_gaussian_field,
     simulate_null_covariance,
@@ -13,6 +19,7 @@ from cubegreen.montecarlo import (
 )
 
 GRID2 = ((0.25, 0.5), (0.5, 0.25), (0.75, 0.75))
+GRID3 = ((0.25, 0.5, 0.75), (0.5, 0.5, 0.5), (0.75, 0.25, 0.5))
 
 
 class TestConfig:
@@ -32,6 +39,30 @@ class TestConfig:
     def test_rejects_bad_V(self):
         with pytest.raises(ValueError):
             SimConfig(seed=1, n=10, replications=100, m=2, V=0b100)
+
+    @pytest.mark.parametrize("threads", [0, -1, 10**6])
+    def test_rejects_threads_out_of_range(self, monkeypatch, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="threads must be between 1 and 64"):
+            SimConfig(seed=1, n=10, replications=100, m=2, threads=threads)
+        assert threading.active_count() == before
+
+    def test_accepts_thread_cap(self):
+        assert SimConfig(seed=1, n=10, replications=100, m=2,
+                         threads=MAX_THREADS).threads == 64
+
+    def test_grid_size_cap_edge(self):
+        # 5792^2 = 33 547 264 <= 2^25 < 5793^2
+        check_grid_size(5792)
+        with pytest.raises(ValueError, match="5793 points"):
+            check_grid_size(5793)
+        grid = tuple((0.5, (i + 1) / 5794) for i in range(5793))
+        with pytest.raises(ValueError, match="reduce grid_n"):
+            SimConfig(seed=1, n=10, replications=100, m=2, grid=grid)
 
     def test_covariance_requires_grid(self):
         cfg = SimConfig(seed=1, n=10, replications=100, m=2, V=0)
@@ -58,6 +89,51 @@ class TestSubstreams:
         assert np.abs(off).max() < 4.0 / np.sqrt(4000)
 
 
+class TestReplicationBlocks:
+    def test_block_rows_are_the_substreams(self):
+        for seed, lo, hi in ((3, 0, 4), (2**63, 2**40 - 2, 2**40 + 2), (-1, 5, 6)):
+            block = montecarlo._uniform_block(seed, lo, hi, 6, 3)
+            for r in range(lo, hi):
+                assert np.array_equal(block[r - lo], substream(seed, r).random((6, 3)))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_values_across_block_boundaries(self, monkeypatch, threads):
+        # 7 replications of 40 bytes per block: 15 blocks, the last one short
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 7 * 8 * 5 * 2)
+        cfg = SimConfig(seed=2**63, n=5, replications=100, m=2, threads=threads)
+        vals = montecarlo._replication_values(cfg, lambda X: X.reshape(len(X), -1))
+        want = [substream(2**63, r).random((5, 2)).ravel() for r in range(100)]
+        assert np.array_equal(vals, want)
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        cfg = SimConfig(seed=8, n=30, replications=150, m=3, grid=GRID3)
+        reps = [simulate_tied_down_covariance(cfg)]
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 1)
+        reps.append(simulate_tied_down_covariance(cfg))
+        assert np.array_equal(reps[0].empirical, reps[1].empirical)
+        assert np.array_equal(reps[0].standard_errors, reps[1].standard_errors)
+
+
+class TestStandardErrors:
+    def test_streamed_equals_one_shot(self):
+        values = np.random.default_rng(4).standard_normal((500, 27))
+        rep = montecarlo._covariance_report(values, np.eye(27), None)
+        prods = values[:, :, None] * values[:, None, :]
+        assert np.array_equal(rep.standard_errors,
+                              prods.std(axis=0, ddof=1) / np.sqrt(500))
+
+    def test_peak_memory_far_below_product_array(self):
+        # the R x G x G products at G = 256, R = 200 would take 105 MB
+        values = np.random.default_rng(5).standard_normal((200, 256))
+        tracemalloc.start()
+        try:
+            montecarlo._covariance_report(values, np.eye(256), None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+
 class TestCovarianceSimulations:
     def test_known_margins_covariance_within_bands(self):
         cfg = SimConfig(seed=11, n=300, replications=2000, m=2, V=0b11,
@@ -72,7 +148,7 @@ class TestCovarianceSimulations:
         assert rep.max_dev_in_se < 4.0
         pillow = green_kernel(all_nonempty_family(2))
         assert np.allclose(rep.theoretical,
-                           pillow.gram_matrix(np.asarray(GRID2)))
+                           pillow.cross(GRID2, GRID2))
 
     def test_deviation_shrinks_with_sample_size(self):
         # at n = 8 the O(1/n) bias of the estimated-margins process
@@ -112,7 +188,7 @@ class TestGaussianField:
         pts = np.array([[0.3, 0.4], [0.8, 0.9]])
         z = sample_gaussian_field(k, pts, count=60000, seed=7)
         emp = np.cov(z.T)
-        assert np.abs(emp - k.gram_matrix(pts)).max() < 0.02
+        assert np.abs(emp - k.cross(pts, pts)).max() < 0.02
 
     def test_reproducible(self):
         k = green_kernel(empty_family(2))

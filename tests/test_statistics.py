@@ -10,6 +10,10 @@ from cubegreen.rankstats import (
     STATISTICS,
     _cumcounts,
     _tied_down_grid,
+    batch_process_W,
+    batch_ranks,
+    batch_statistic,
+    batch_tied_down,
     empirical_process_W,
     footrule,
     gini_coefficient,
@@ -348,6 +352,11 @@ class TestRankCoefficients:
         with pytest.raises(ValueError):
             gini_coefficient(RNG.random((5, 3)))
 
+    def test_gini_needs_two_observations(self):
+        # d_n = 0 at n = 1: refused, not a division by zero
+        with pytest.raises(ValueError, match="two observations"):
+            gini_coefficient([[0.3, 0.4]])
+
     def test_footrule_values(self):
         up = np.column_stack([np.arange(3.0), np.arange(3.0)])
         down = np.column_stack([np.arange(3.0), 2.0 - np.arange(3.0)])
@@ -370,6 +379,121 @@ class TestRankCoefficients:
         assert -1.0 - 1e-12 <= spearman_rho(X) <= 1.0 + 1e-12
         assert -1.0 - 1e-12 <= gini_coefficient(X) <= 1.0 + 1e-12
         assert 0 <= footrule(X)
+
+
+def loop_ranks(X):
+    return np.argsort(np.argsort(X, axis=0), axis=0) + 1
+
+
+def loop_p1(name, X, V):
+    """The p = 1 statistics of one dataset, in the arithmetic order of the
+    single-dataset formulas, as the reference for the batch forms."""
+    n, m = X.shape
+    R = loop_ranks(X)
+    if name == "B":
+        term1 = np.ones(n)
+        for j in sorted(range(m), key=lambda j: not V >> j & 1):  # V's axes first
+            term1 *= 1.0 - X[:, j] if V >> j & 1 else (n - R[:, j] + 1.0) / n
+        k = V.bit_count()
+        return float(term1.mean()) - 0.5 ** k * ((n + 1.0) / (2.0 * n)) ** (m - k)
+    if name == "Bhat":
+        return float(np.prod(0.5 - X, axis=1).mean())
+    if name == "rho":
+        c_m = float(np.mean(np.arange(1, n + 1, dtype=float) ** m) - ((n + 1.0) / 2.0) ** m)
+        return float(np.prod(n + 1.0 - R, axis=1).mean() - ((n + 1.0) / 2.0) ** m) / c_m
+    if name == "gini":
+        d_n = float(n * n if n % 2 == 0 else n * n - 1)
+        s = np.abs(n + 1 - R[:, 0] - R[:, 1]) - np.abs(R[:, 0] - R[:, 1])
+        return float(2.0 / d_n * s.sum())
+    return float(np.abs(R[:, 0] - R[:, 1]).sum())
+
+
+class TestBatchForms:
+    @pytest.mark.parametrize("n", [2, 50, 1000])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_p1_batch_equals_each_dataset(self, n, m):
+        X = RNG.random((5, n, m))
+        for name in STATISTICS if m == 2 else ("B", "Bhat", "rho"):
+            for V in ((0, 1, 2, (1 << m) - 1) if name == "B" else (0,)):
+                batch = batch_statistic(name, X, V)
+                assert batch.shape == (5,) and batch.dtype == float
+                assert batch.tolist() == [statistic(name, x, V, 1, None) for x in X]
+                assert batch.tolist() == [loop_p1(name, x, V) for x in X]
+
+    def test_p2_batch_is_per_dataset(self):
+        X = RNG.random((3, 20, 2))
+        for name in ("B", "Bhat"):
+            assert batch_statistic(name, X, 1, 2, 8).tolist() == [
+                statistic(name, x, 1, 2, 8) for x in X]
+
+    def test_batch_ranks(self):
+        X = RNG.random((4, 30, 3))
+        R = batch_ranks(X)
+        assert R.shape == (4, 30, 3) and R.flags.c_contiguous
+        for b in range(4):
+            assert np.array_equal(R[b], loop_ranks(X[b]))
+            assert np.array_equal(ranks(X[b]), R[b])
+
+    @pytest.mark.parametrize("G", [1, 2, 9])
+    def test_processes_equal_pointwise_loops(self, G):
+        for n, m in ((1, 2), (40, 2), (300, 3)):
+            X = RNG.random((4, n, m))
+            grid = RNG.random((G, m))
+            T = batch_tied_down(X, grid)
+            for V in (0, 1, (1 << m) - 1):
+                W = batch_process_W(X, grid, V)
+                for b in range(4):
+                    for g in range(G):
+                        x = grid[g]
+                        below = X[b] <= x
+                        prod = 1.0
+                        for j in range(m):
+                            prod *= x[j] if V >> j & 1 else below[:, j].mean()
+                        want = np.sqrt(n) * (below.all(axis=1).mean() - prod)
+                        assert W[b, g] == want == empirical_process_W(X[b], V, x)
+            for b in range(4):
+                # products over the axes, summed over the observations
+                terms = ((X[b][:, None, :] <= grid).astype(float) - grid).prod(axis=2)
+                assert np.array_equal(T[b], terms.sum(axis=0) / np.sqrt(n))
+                assert T[b] == pytest.approx([tied_down_process(X[b], x) for x in grid],
+                                             rel=1e-12, abs=1e-12)
+
+    def test_tie_in_one_replication(self):
+        X = RNG.random((4, 10, 3))
+        X[2, 7, 1] = X[2, 3, 1]
+        with pytest.raises(ValueError) as alone:
+            ranks(X[2])
+        assert str(alone.value) == "ties detected in column 2"
+        for name in ("B", "rho"):
+            with pytest.raises(ValueError, match="^ties detected in column 2$"):
+                batch_statistic(name, X)
+
+    def test_nan_in_one_replication(self):
+        X = RNG.random((4, 10, 2))
+        X[1, 4, 0] = np.nan
+        with pytest.raises(ValueError, match="^dataset contains NaN$"):
+            ranks(X[1])
+        for name in ("rho", "gini", "footrule"):
+            with pytest.raises(ValueError, match="^dataset contains NaN$"):
+                batch_statistic(name, X)
+        with pytest.raises(ValueError, match="unit cube"):
+            batch_statistic("Bhat", X)
+
+    def test_first_bad_replication_names_the_error(self):
+        X = RNG.random((4, 10, 2))
+        X[1, 2, 1] = X[1, 5, 1]
+        X[3, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="^ties detected in column 2$"):
+            batch_ranks(X)
+        X[0, 9, 0] = np.nan
+        with pytest.raises(ValueError, match="^dataset contains NaN$"):
+            batch_ranks(X)
+
+    def test_batch_shape_checked(self):
+        with pytest.raises(ValueError, match="B x n x m"):
+            batch_statistic("rho", RNG.random((10, 2)))
+        with pytest.raises(ValueError, match="unknown statistic"):
+            batch_statistic("tau", RNG.random((1, 10, 2)))
 
 
 class TestStatisticDispatch:
