@@ -13,14 +13,20 @@ information of a dependence direction, the efficiency-bound gap, and the
 principal eigenvalue of the kernel's integral operator by the Nystrom
 method, with a power iteration that applies the kernel matrix through its
 per-axis Kronecker factors instead of forming it.  Every cube integral of
-a dependence direction goes through `quadrature.cube_integral` and its
-one default node table; the face corrections of the tied-down slope are
-integrated over their free axes only.
+a dependence direction goes through `quadrature.block_integral` (or
+`cube_integral`, the same integrator over single points) with its one
+default node table and evaluation budget, and every call of a dependence
+function goes through `quadrature.point_values`.  The face corrections
+of the tied-down slope are integrated over their free axes only, embedded
+into the cube a block of nodes at a time.  Finite-difference Fisher
+information builds the 2^m-point stencil of a whole block of nodes as one
+array; `mixed_derivative` is the same stencil at one point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable
 
@@ -29,7 +35,14 @@ import numpy as np
 from .families import MonotoneFamily, family_for_known_margins, subsets_of_size
 from .kernel import GreenKernel, green_kernel
 from .measures import Measure, integrate_against, integrate_once, lambda_value, lebesgue
-from .quadrature import cube_integral, default_nodes, tensor_rule, unit_rule
+from .quadrature import (
+    block_integral,
+    cube_integral,
+    nodes_per_axis,
+    point_values,
+    tensor_rule,
+    unit_rule,
+)
 
 _MIN_LAMBDA = 1e-14
 _NYSTROM_CAP = 20_000
@@ -119,6 +132,36 @@ def efficiency_coefficient(family: MonotoneFamily, measure: Measure,
     return 1.0 / solve(family, measure, method).lam
 
 
+@lru_cache(maxsize=None)
+def _stencil(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sign table (2^m, m) of the nested central differences, rows in
+    `itertools.product` order, and the product of each row."""
+    signs = np.array(list(product((-1.0, 1.0), repeat=m))).reshape(-1, m)
+    prods = np.prod(signs, axis=1)
+    signs.flags.writeable = False
+    prods.flags.writeable = False
+    return signs, prods
+
+
+def _check_stencil_room(X: np.ndarray, h: float) -> None:
+    if np.any(X < h) or np.any(X > 1.0 - h):
+        raise ValueError("point too close to the boundary for the difference stencil")
+
+
+def _stencil_derivatives(f, X: np.ndarray, h: float) -> np.ndarray:
+    """Mixed-derivative estimates at the rows of X, (B, m) -> (B,).
+
+    f is called at every stencil point of every row, row by row and in
+    sign-table order; each row's signed values are summed in that order."""
+    B, m = X.shape
+    signs, prods = _stencil(m)
+    F = point_values(f, (X[:, None, :] + h * signs).reshape(-1, m)).reshape(B, -1)
+    total = 0.0
+    for k in range(len(prods)):
+        total += prods[k] * F[:, k]
+    return total / (2.0 * h) ** m
+
+
 def mixed_derivative(f, x, h: float = 1e-3) -> float:
     """m-fold mixed partial derivative by nested central differences.
 
@@ -126,27 +169,22 @@ def mixed_derivative(f, x, h: float = 1e-3) -> float:
     cube provided each coordinate is at distance >= h from the boundary.
     """
     x = np.asarray(x, dtype=float)
-    m = len(x)
-    if np.any(x < h) or np.any(x > 1.0 - h):
-        raise ValueError("point too close to the boundary for the difference stencil")
-    total = 0.0
-    for signs in product((-1.0, 1.0), repeat=m):
-        s = np.asarray(signs)
-        total += np.prod(s) * f(x + h * s)
-    return total / (2.0 * h) ** m
+    _check_stencil_room(x, h)
+    return _stencil_derivatives(f, x[None, :], h)[0]
 
 
 def _check_face_vanishing(fn, m: int, tol: float = 1e-6) -> None:
     # probe each face x_U = 1, |U| = m-1, at interior values of the free axis
     probes = np.linspace(0.1, 0.9, 9)
-    for free in range(m):
-        for t in probes:
-            x = np.ones(m)
-            x[free] = t
-            if abs(fn(x)) > tol:
-                raise ValueError(
-                    f"dependence function does not vanish on the face opposite axis {free + 1}"
-                )
+    X = np.ones((m, len(probes), m))
+    axes = np.arange(m)
+    X[axes, :, axes] = probes
+    bad = np.flatnonzero(np.abs(point_values(fn, X.reshape(-1, m))) > tol)
+    if bad.size:
+        raise ValueError(
+            f"dependence function does not vanish on the face opposite axis "
+            f"{bad[0] // len(probes) + 1}"
+        )
 
 
 def bahadur_slope_B1(V: int, m: int, dep: DependenceFunction,
@@ -156,10 +194,11 @@ def bahadur_slope_B1(V: int, m: int, dep: DependenceFunction,
     Equals (1/lam) * (integral of the dependence function)^2 with lam taken
     for the known-margins family of V under Lebesgue measure.
     """
+    n = nodes_per_axis(m, nodes)
     _check_face_vanishing(dep.fn, m)
     fam = family_for_known_margins(V, m)
     lam = lambda_value(green_kernel(fam), lebesgue(m), method="closed")
-    integral = cube_integral(dep.fn, m, nodes)
+    integral = cube_integral(dep.fn, m, n)
     return integral * integral / lam
 
 
@@ -169,8 +208,9 @@ def pitman_slope_spearman(m: int, dep: DependenceFunction,
     multivariate Spearman statistic."""
     if m < 2:
         raise ValueError("m must be at least 2")
+    n = nodes_per_axis(m, nodes)
     _check_face_vanishing(dep.fn, m)
-    integral = cube_integral(dep.fn, m, nodes)
+    integral = cube_integral(dep.fn, m, n)
     denom = 2.0 ** m - m - 1.0
     mu_prime = 2.0 ** m * (m + 1.0) / denom * integral
     sigma_sq = (m + 1.0) ** 2 * ((4.0 / 3.0) ** m - m / 3.0 - 1.0) / denom ** 2
@@ -187,32 +227,33 @@ def pitman_slope_bhat(m: int, dep: DependenceFunction,
     supplied the restrictions are obtained by pinning coordinates of the
     main evaluator to 1.  A correction x_U * f(x with x_U = 1) factorizes:
     the x_U factor integrates to 2^-|U|, so each restriction is integrated
-    over its m - |U| free axes only, with the same nodes per axis.
+    over its m - |U| free axes only, with the same nodes per axis; a block
+    of free-axis nodes is embedded into a ones array once.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
+    n = nodes_per_axis(m, nodes)
     face_masks = [u for k in range(1, m - 1) for u in subsets_of_size(m, k)]
     if dep.faces is not None:
         missing = [u for u in face_masks if u not in dep.faces]
         if missing:
             raise ValueError(f"missing face evaluators for masks {missing}")
-    n = nodes or default_nodes(m)
 
     def restriction(u: int):
         face = dep.fn if dep.faces is None else dep.faces[u]
         free = [j for j in range(m) if not u >> j & 1]
 
-        def f(y: np.ndarray) -> float:
-            x = np.ones(m)
-            x[free] = y
-            return face(x)
+        def g(Y: np.ndarray) -> np.ndarray:
+            X = np.ones((len(Y), m))
+            X[:, free] = Y
+            return point_values(face, X)
 
-        return f
+        return g
 
     integral = cube_integral(dep.fn, m, n)
     for u in face_masks:
         k = u.bit_count()
-        integral -= (-1.0) ** (k - 1) * 0.5 ** k * cube_integral(restriction(u), m - k, n)
+        integral -= (-1.0) ** (k - 1) * 0.5 ** k * block_integral(restriction(u), m - k, n)
     return 12.0 ** m * integral * integral
 
 
@@ -224,17 +265,35 @@ def fisher_info(dep: DependenceFunction, m: int | None = None, h: float = 1e-3,
     Otherwise the density is estimated by nested central differences on a
     cube shrunk by delta, and the result is Richardson-extrapolated through
     the shrinks delta, 2*delta, 3*delta toward the full cube (the boundary
-    strip contributes a smooth O(delta) term).
+    strip contributes a smooth O(delta) term).  The stencils of a block of
+    nodes are evaluated as one array.  The third shrink has width
+    1 - 6*delta, so delta must lie in [0, 1/6), and h must be positive.
+
+    The default of 16 nodes per axis holds at every m, so the evaluation
+    budget `quadrature.MAX_EVALUATIONS` refuses it from m = 6 on with a
+    density (16^m points) and from m = 5 on with finite differences (16^m
+    nodes of 2^m stencil points each); pass a smaller `nodes` there.
     """
     if m is None:
         raise ValueError("m is required")
     if dep.density is not None:
         return cube_integral(lambda p: dep.density(p) ** 2, m, nodes)
+    if not h > 0.0:
+        raise ValueError(f"difference step h must be positive, got {h!r}")
     d = delta if delta is not None else max(0.006, 2.0 * m * h)
+    if not 0.0 <= d < 1.0 / 6.0:
+        raise ValueError(f"shrink delta must lie in [0, 1/6), got {d!r}")
+    n = nodes_per_axis(m, nodes, 2 ** m)
 
     def shrunk_integral(dd: float) -> float:
-        total = cube_integral(
-            lambda p: mixed_derivative(dep.fn, dd + (1.0 - 2.0 * dd) * p, h) ** 2, m, nodes)
+        def g(P: np.ndarray) -> np.ndarray:
+            X = dd + (1.0 - 2.0 * dd) * P
+            _check_stencil_room(X, h)
+            # float_power squares with C pow, as the scalar ** 2 of a single
+            # estimate does; x * x differs from it in the last bit at times
+            return np.float_power(_stencil_derivatives(dep.fn, X, h), 2)
+
+        total = block_integral(g, m, n, 2 ** m)
         if not np.isfinite(total):
             raise ValueError("non-finite derivative estimates")
         return total * (1.0 - 2.0 * dd) ** m

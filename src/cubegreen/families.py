@@ -5,6 +5,11 @@ bit j-1 set iff coordinate j belongs to the subset.  A monotone family is
 an upward-closed collection of nonempty subsets: whenever U is a member,
 so is every W with U <= W <= M.  These families index the right-face
 boundary conditions of the kernels in :mod:`cubegreen.kernel`.
+
+A family is validated without sorting: its members are sorted when their
+(popcount, mask) keys strictly increase along one pass, and upward closed
+when every member's immediate oversets are members, looked up in a
+boolean table over all 2^m subsets as one array lookup.
 """
 
 from __future__ import annotations
@@ -13,9 +18,13 @@ import json
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 MIN_DIM = 2
 MAX_DIM = 16
 MAX_ENUM_DIM = 5
+
+_BITS = 1 << np.arange(MAX_DIM)
 
 
 def _check_dim(m: int) -> None:
@@ -67,21 +76,42 @@ def _sort_key(mask: int):
     return (mask.bit_count(), mask)
 
 
+def _strictly_sorted(masks) -> bool:
+    """True iff the (popcount, value) keys strictly increase along the
+    masks, in one pass: the masks are unique and sorted."""
+    prev = (-1, 0)
+    for u in masks:
+        key = (u.bit_count(), u)
+        if key <= prev:
+            return False
+        prev = key
+    return True
+
+
 def is_monotone(masks, m: int) -> bool:
-    """True iff the masks form an upward-closed family of nonempty subsets."""
+    """True iff the masks form an upward-closed family of nonempty subsets.
+
+    A mask above the full mask raises ValueError, naming the first such
+    mask in the given order, whatever else is wrong; otherwise a mask
+    <= 0 makes the answer False.
+    """
     _check_dim(m)
     top = full_mask(m)
-    members = set(masks)
-    for u in members:
-        if not 0 < u <= top:
-            if u > top:
-                raise ValueError(f"mask {u} out of range for m={m}")
-            return False
-        # checking immediate oversets suffices for upward closure
-        for j in range(m):
-            if not u >> j & 1 and (u | 1 << j) not in members:
-                return False
-    return True
+    masks = list(masks)
+    if not masks:
+        return True
+    if max(masks) > top:
+        u = next(u for u in masks if u > top)
+        raise ValueError(f"mask {u} out of range for m={m}")
+    if min(masks) <= 0:
+        return False
+    # every immediate overset is a member; u | 1 << j is u itself when u
+    # holds j
+    arr = np.array(masks)
+    table = np.zeros(top + 1, dtype=bool)
+    table[arr] = True
+    over = arr[:, None] | _BITS[:m]
+    return bool(np.count_nonzero(table[over]) == over.size)
 
 
 @dataclass(frozen=True)
@@ -98,12 +128,11 @@ class MonotoneFamily:
 
     def __post_init__(self):
         _check_dim(self.m)
-        member_set = frozenset(self.members)
-        if list(self.members) != sorted(member_set, key=_sort_key):
+        if not _strictly_sorted(self.members):
             raise ValueError("members must be unique and sorted by (popcount, value)")
         if not is_monotone(self.members, self.m):
             raise ValueError("family is not upward-closed or contains the empty subset")
-        object.__setattr__(self, "_member_set", member_set)
+        object.__setattr__(self, "_member_set", frozenset(self.members))
 
     @classmethod
     def from_members(cls, masks, m: int) -> "MonotoneFamily":

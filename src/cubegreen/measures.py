@@ -28,7 +28,7 @@ from math import factorial
 import numpy as np
 
 from .kernel import GreenKernel
-from .quadrature import cube_integral, segmented_rule, unit_rule
+from .quadrature import cube_integral, point_values, segmented_rule, unit_rule
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,8 @@ def lambda_value(kernel: GreenKernel, measure: Measure, method: str = "auto") ->
 
 def integrate_against(measure: Measure, f, cube_nodes: int | None = None,
                       line_segments: int = 40, line_nodes: int = 10) -> float:
-    """Integral of a scalar callable against the measure."""
+    """Integral of a scalar point callable against the measure; every
+    component evaluates f through `quadrature.point_values`."""
     total = 0.0
     for comp, w in measure.components:
         if isinstance(comp, LebesgueComponent):
@@ -298,11 +299,10 @@ def integrate_against(measure: Measure, f, cube_nodes: int | None = None,
         elif isinstance(comp, (DiagonalComponent, AntiDiagonalComponent)):
             breaks = [i / line_segments for i in range(1, line_segments)]
             ts, ws = segmented_rule(breaks, line_nodes)
-            vals = np.array([f(p) for p in comp.points(ts)])
-            total += w * float(vals @ ws)
+            total += w * float(point_values(f, comp.points(ts)) @ ws)
         elif isinstance(comp, PointMassComponent):
-            total += w * sum(pw * f(np.asarray(p))
-                             for p, pw in zip(comp.array(), comp.weights))
+            vals = point_values(f, comp.array())
+            total += w * sum(pw * v for v, pw in zip(vals, comp.weights))
         else:
             raise TypeError(f"unsupported component {comp!r}")
     return total

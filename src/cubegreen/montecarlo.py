@@ -21,13 +21,10 @@ import numpy as np
 
 from .families import all_nonempty_family, family_for_known_margins, full_mask
 from .kernel import GreenKernel, green_kernel
+from .quadrature import _BLOCK_BYTES
 from . import rankstats
 
 _MASK64 = (1 << 64) - 1
-# bytes of the largest temporary of one replication block: a block's few
-# temporaries then stay within a core's L2 cache (at 1 MiB the tied-down
-# process cost up to twice as much per replication)
-_BLOCK_BYTES = 1 << 18
 MAX_THREADS = 64
 
 

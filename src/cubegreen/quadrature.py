@@ -5,16 +5,44 @@ integration interval at every kink before applying Gauss-Legendre keeps
 the quadrature exact to machine precision instead of degrading to a slow
 algebraic rate.
 
-`cube_integral` is the only integrator of a point callable over I^m
-(slopes, Fisher information, Lebesgue integrals against a measure); its
-default per-axis node count comes from the one table `_CUBE_NODES`.
+`point_values` is the only loop in the package that calls a point
+callable (a dependence function, a face restriction, a density): it
+applies it to each point of an array in order.  `block_integral`
+integrates every callable over I^m.  It takes a block callable, (B, m)
+nodes to (B,) values, and builds the node blocks lazily from the per-axis
+rule, each under a fixed byte budget, so a difference stencil of 2^m
+points per node is never held for the whole grid.  `cube_integral` is
+that integrator with `point_values` inside.  Every node count goes through
+`nodes_per_axis`: an integer >= 1 (default from the one table
+`_CUBE_NODES`), and at most `MAX_EVALUATIONS` point evaluations per
+integral, refused before any array is built.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache, reduce
 
 import numpy as np
+
+# point evaluations one integral may ask for (nodes^m, times the stencil
+# size); at the budget the node values and weights take 64 MiB
+MAX_EVALUATIONS = 2 ** 22
+# bytes of the largest temporary of one block, here and in the Monte Carlo
+# replication blocks: a block's few temporaries then stay within a core's
+# L2 cache (at 1 MiB the tied-down process cost up to twice as much per
+# replication)
+_BLOCK_BYTES = 1 << 18
+
+
+def _node_count(n) -> int:
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = 0
+    if count < 1 or isinstance(n, bool):
+        raise ValueError(f"node count must be an integer >= 1, got {n!r}")
+    return count
 
 
 @lru_cache(maxsize=None)
@@ -29,9 +57,7 @@ def _unit_rule_cached(n: int):
 
 def unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights on [0, 1]."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    return _unit_rule_cached(int(n))
+    return _unit_rule_cached(_node_count(n))
 
 
 def segmented_rule(breakpoints, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -46,24 +72,16 @@ def segmented_rule(breakpoints, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def point_values(f, X) -> np.ndarray:
+    """f at each point of X, in order: the rows of an (N, m) array, or the
+    scalars of an (N,) array.  Returns an (N,) float array."""
+    return np.fromiter(map(f, X), dtype=float, count=len(X))
+
+
 def integrate_segmented(f, breakpoints, n: int) -> float:
     """Integrate a callable over [0,1] with segment breaks at the kinks."""
     x, w = segmented_rule(breakpoints, n)
-    vals = np.array([f(t) for t in x], dtype=float)
-    return float(vals @ w)
-
-
-def tensor_rule(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre rule on the unit cube I^m.
-
-    Returns (points, weights) with points of shape (n**m, m), ordered
-    lexicographically in the per-axis node index.
-    """
-    x, w = unit_rule(n)
-    grids = np.meshgrid(*([x] * m), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = reduce(np.multiply.outer, [w] * m, 1.0).ravel()
-    return pts, wts
+    return float(point_values(f, x) @ w)
 
 
 _CUBE_NODES = {2: 24, 3: 16, 4: 12, 5: 8, 6: 6}
@@ -74,12 +92,66 @@ def default_nodes(m: int) -> int:
     return _CUBE_NODES.get(m, 5)
 
 
-def cube_integral(f, m: int, n: int | None = None) -> float:
-    """Tensor Gauss-Legendre integral of a scalar callable over I^m,
-    with n nodes per axis (default `default_nodes(m)`)."""
-    pts, wts = tensor_rule(m, n or default_nodes(m))
-    vals = np.array([f(p) for p in pts], dtype=float)
+def nodes_per_axis(m: int, n: int | None = None, per_node: int = 1) -> int:
+    """Validated nodes per axis for one integral over I^m: n, or
+    `default_nodes(m)` when n is None.
+
+    Refuses a count that is not an integer >= 1, and an integral that
+    would need more than `MAX_EVALUATIONS` point evaluations (n^m nodes
+    times `per_node` points each, e.g. 2^m for a difference stencil).
+    """
+    n = default_nodes(m) if n is None else _node_count(n)
+    count = n ** m * per_node
+    if count > MAX_EVALUATIONS:
+        raise ValueError(
+            f"an integral over I^{m} with {n} nodes per axis needs {count} point "
+            f"evaluations, above the budget of {MAX_EVALUATIONS}"
+        )
+    return n
+
+
+def _tensor_weights(w: np.ndarray, m: int) -> np.ndarray:
+    return reduce(np.multiply.outer, [w] * m, 1.0).ravel()
+
+
+def tensor_rule(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre rule on the unit cube I^m.
+
+    Returns (points, weights) with points of shape (n**m, m), ordered
+    lexicographically in the per-axis node index.
+    """
+    x, w = unit_rule(nodes_per_axis(m, _node_count(n)))
+    grids = np.meshgrid(*([x] * m), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    return pts, _tensor_weights(w, m)
+
+
+def block_integral(g, m: int, n: int | None = None, per_node: int = 1) -> float:
+    """Tensor Gauss-Legendre integral over I^m of a block callable g, which
+    maps (B, m) nodes to (B,) values, with n nodes per axis (default
+    `default_nodes(m)`).
+
+    The nodes come in `tensor_rule` order, in blocks of about
+    `_BLOCK_BYTES` of evaluation points (`per_node` points per node); the
+    values fill one vector that is dotted with the `tensor_rule` weights,
+    so the result does not depend on the block size.
+    """
+    n = nodes_per_axis(m, n, per_node)
+    x, w = unit_rule(n)
+    wts = _tensor_weights(w, m)
+    vals = np.empty(len(wts))
+    step = max(1, _BLOCK_BYTES // (8 * m * per_node))
+    for start in range(0, len(vals), step):
+        stop = min(start + step, len(vals))
+        digits = np.unravel_index(np.arange(start, stop), (n,) * m)
+        vals[start:stop] = g(np.stack([x[d] for d in digits], axis=-1))
     return float(vals @ wts)
+
+
+def cube_integral(f, m: int, n: int | None = None) -> float:
+    """Tensor Gauss-Legendre integral of a scalar point callable over I^m,
+    with n nodes per axis (default `default_nodes(m)`)."""
+    return block_integral(lambda P: point_values(f, P), m, n)
 
 
 def midpoint_grid(m: int, n: int) -> tuple[np.ndarray, float]:

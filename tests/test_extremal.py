@@ -1,8 +1,12 @@
 import math
+import time
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
+from cubegreen import quadrature
 from cubegreen.extremal import (
     ConvergenceError,
     DegenerateMeasureError,
@@ -30,6 +34,7 @@ from cubegreen.families import (
     enumerate_monotone_families,
     family_for_known_margins,
     full_mask,
+    subsets_of_size,
     upward_closure,
 )
 from cubegreen.kernel import GreenKernel, green_kernel
@@ -69,6 +74,74 @@ def five_fixtures(m):
     fixtures.append(DependenceFunction(
         fn=lambda x: 0.3 * f_mix(x) + 0.7 * g_mix(x)))
     return fixtures
+
+
+# the point-by-point formulas of the slopes and of finite-difference Fisher
+# information, kept as the reference for the stencil-array evaluation
+
+def loop_mixed_derivative(f, x, h=1e-3):
+    x = np.asarray(x, dtype=float)
+    total = 0.0
+    for signs in product((-1.0, 1.0), repeat=len(x)):
+        s = np.asarray(signs)
+        total += np.prod(s) * f(x + h * s)
+    return total / (2.0 * h) ** len(x)
+
+
+def loop_cube_integral(f, m, n):
+    pts, wts = tensor_rule(m, n)
+    return float(np.array([f(p) for p in pts], dtype=float) @ wts)
+
+
+def loop_fisher_fd(fn, m, h=1e-3, nodes=16, delta=None):
+    d = delta if delta is not None else max(0.006, 2.0 * m * h)
+
+    def shrunk(dd):
+        total = loop_cube_integral(
+            lambda p: loop_mixed_derivative(fn, dd + (1.0 - 2.0 * dd) * p, h) ** 2, m, nodes)
+        return total * (1.0 - 2.0 * dd) ** m
+
+    return 3.0 * shrunk(d) - 3.0 * shrunk(2.0 * d) + shrunk(3.0 * d)
+
+
+def loop_face_check(fn, m, tol=1e-6):
+    for free in range(m):
+        for t in np.linspace(0.1, 0.9, 9):
+            x = np.ones(m)
+            x[free] = t
+            if abs(fn(x)) > tol:
+                raise ValueError(f"face opposite axis {free + 1}")
+
+
+def loop_pitman_bhat(m, dep, n):
+    def restriction(u):
+        face = dep.fn if dep.faces is None else dep.faces[u]
+        free = [j for j in range(m) if not u >> j & 1]
+
+        def f(y):
+            x = np.ones(m)
+            x[free] = y
+            return face(x)
+
+        return f
+
+    integral = loop_cube_integral(dep.fn, m, n)
+    for k in range(1, m - 1):
+        for u in subsets_of_size(m, k):
+            integral -= (-1.0) ** (k - 1) * 0.5 ** k * loop_cube_integral(restriction(u), m - k, n)
+    return 12.0 ** m * integral * integral
+
+
+def recording(fn, seen):
+    def f(x):
+        seen.append(tuple(np.atleast_1d(x)))
+        return fn(x)
+    return f
+
+
+def non_vanishing(m):
+    g = lambda t: t + t * t
+    return lambda x: float(np.prod([g(t) for t in x]))
 
 
 class TestSolve:
@@ -146,6 +219,23 @@ class TestMixedDerivative:
     def test_boundary_guard(self):
         with pytest.raises(ValueError):
             mixed_derivative(lambda x: 0.0, [0.0001, 0.5], h=1e-3)
+        with pytest.raises(ValueError):
+            mixed_derivative(lambda x: 0.0, [0.5, 0.9995], h=1e-3)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_equals_pointwise_stencil(self, m):
+        fns = [
+            lambda x: float(np.prod(x * (1.0 - x))),
+            spearman_optimal_direction(m, normalize=True).fn,
+            lambda x: float(np.exp(np.sum(x)) * np.sin(3.0 * x[0])),
+            lambda x: float(np.sum(np.abs(x - 0.4) ** 3)),
+        ]
+        for x in RNG.uniform(0.01, 0.99, (25, m)):
+            for fn, h in zip(fns, (1e-3, 1e-3, 1e-4, 5e-3)):
+                a, b = [], []
+                got = mixed_derivative(recording(fn, a), x, h)
+                assert got == loop_mixed_derivative(recording(fn, b), x, h)
+                assert a == b
 
 
 class TestSlopes:
@@ -193,6 +283,68 @@ class TestSlopes:
         with pytest.raises(ValueError):
             pitman_slope_bhat(3, dep)
 
+    @pytest.mark.parametrize("m, n", [(2, 7), (3, 5), (4, 4), (5, 3)])
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_bhat_slope_equals_pointwise_formula(self, m, n, supplied):
+        masks = [u for k in range(1, m - 1) for u in subsets_of_size(m, k)]
+        a, b = [], []
+        g = lambda t: t + t * t
+        faces_a = faces_b = None
+        if supplied:
+            face = lambda x: float(np.prod([g(t) for t in x]) + x[0])
+            faces_a = {u: recording(face, a) for u in masks}
+            faces_b = {u: recording(face, b) for u in masks}
+        fn = non_vanishing(m)
+        got = pitman_slope_bhat(m, DependenceFunction(fn=recording(fn, a), faces=faces_a), n)
+        want = loop_pitman_bhat(m, DependenceFunction(fn=recording(fn, b), faces=faces_b), n)
+        assert got == want
+        assert a == b
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_face_check_sees_parent_points_and_first_face(self, m):
+        a, b = [], []
+        fn = pillow_direction(m).fn
+        bahadur_slope_B1(0, m, DependenceFunction(fn=recording(fn, a)), nodes=3)
+        loop_face_check(recording(fn, b), m)
+        b.extend(tuple(p) for p in tensor_rule(m, 3)[0])
+        assert a == b
+        # nonzero at x_2 = 0.9 on the face opposite axis 2 and at x_m = 0.1
+        # on the face opposite axis m: the first failing face is reported
+        bad = lambda x: float(0.85 < x[1] < 0.95) + float(x[m - 1] < 0.2)
+        with pytest.raises(ValueError, match="opposite axis 2$"):
+            loop_face_check(bad, m)
+        with pytest.raises(ValueError, match="opposite axis 2$"):
+            bahadur_slope_B1(0, m, DependenceFunction(fn=bad))
+        with pytest.raises(ValueError, match=f"opposite axis {m}$"):
+            pitman_slope_spearman(m, DependenceFunction(fn=lambda x: float(x[m - 1] < 0.2)))
+
+    def test_slopes_refuse_node_counts_before_evaluation(self):
+        def never(x):
+            raise AssertionError("dependence function called")
+
+        dep = DependenceFunction(fn=never)
+        for nodes in (0, -2, 2.5):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                pitman_slope_bhat(3, dep, nodes=nodes)
+            with pytest.raises(ValueError, match="integer >= 1"):
+                bahadur_slope_B1(0, 3, dep, nodes=nodes)
+            with pytest.raises(ValueError, match="integer >= 1"):
+                pitman_slope_spearman(3, dep, nodes=nodes)
+
+    def test_oversized_slopes_refused_at_once(self):
+        # 5^12 nodes at m = 12 would be ~23 GB of points
+        def never(x):
+            raise AssertionError("dependence function called")
+
+        dep = DependenceFunction(fn=never)
+        t0 = time.perf_counter()
+        for call in (lambda: bahadur_slope_B1(0, 12, dep),
+                     lambda: pitman_slope_spearman(12, dep),
+                     lambda: pitman_slope_bhat(12, dep)):
+            with pytest.raises(ValueError, match=f"needs {5 ** 12} point evaluations"):
+                call()
+        assert time.perf_counter() - t0 < 0.5
+
     @pytest.mark.parametrize("m", [3, 4, 5])
     @pytest.mark.parametrize("supplied", [False, True])
     def test_bhat_slope_nonvanishing_faces_closed_form(self, m, supplied):
@@ -226,6 +378,82 @@ class TestFisherInfo:
     def test_requires_dimension(self):
         with pytest.raises(ValueError):
             fisher_info(DependenceFunction(fn=lambda x: 0.0))
+
+    @pytest.mark.parametrize("m, nodes", [(2, 6), (3, 3), (4, 2)])
+    def test_finite_differences_equal_pointwise_formula(self, m, nodes):
+        fns = [pillow_direction(m).fn, spearman_optimal_direction(m, normalize=True).fn,
+               five_fixtures(m)[2].fn]
+        for fn in fns:
+            a, b = [], []
+            got = fisher_info(DependenceFunction(fn=recording(fn, a)), m=m, nodes=nodes)
+            assert got == loop_fisher_fd(recording(fn, b), m, nodes=nodes)
+            assert a == b
+        fn = fns[1]
+        assert (fisher_info(DependenceFunction(fn=fn), m=m, h=2e-3, nodes=nodes, delta=0.05)
+                == loop_fisher_fd(fn, m, h=2e-3, nodes=nodes, delta=0.05))
+
+    def test_estimates_are_squared_as_single_estimates_are(self):
+        # f is v * (2h)^2 on the cells where floor(x_j / 2h) is odd on both
+        # axes and 0 elsewhere, so every stencil has one nonzero corner and
+        # every estimate is +-v exactly.  With one node and no shrink the
+        # result is the squared estimate itself; for this v, v * v != v ** 2
+        v, h = 1.6121007653006214, 2.0 ** -10
+        if v * v == v ** 2:
+            pytest.skip("pow(v, 2) is correctly rounded here")
+        fn = lambda x: v * (2 * h) ** 2 * float(np.all(np.floor(x / (2 * h)) % 2 == 1))
+        dep = DependenceFunction(fn=fn)
+        assert fisher_info(dep, m=2, h=h, nodes=1, delta=0.0) == v ** 2
+        for nodes in (1, 12):
+            assert (fisher_info(dep, m=2, h=h, nodes=nodes, delta=0.01)
+                    == loop_fisher_fd(fn, 2, h=h, nodes=nodes, delta=0.01))
+
+    def test_shrink_and_step_bounds(self):
+        dep = DependenceFunction(fn=pillow_direction(2).fn)
+        below = np.nextafter(1.0 / 6.0, 0.0)
+        assert np.isfinite(fisher_info(dep, m=2, nodes=3, delta=below))
+        assert fisher_info(dep, m=2, nodes=3, delta=0.0) == loop_fisher_fd(
+            dep.fn, 2, nodes=3, delta=0.0)
+        for delta in (1.0 / 6.0, 0.2, 0.3, -1e-9, float("nan")):
+            with pytest.raises(ValueError, match="delta"):
+                fisher_info(dep, m=2, delta=delta)
+        # the default shrink 2*m*h reaches 1/6 at h = 1/24 for m = 2
+        with pytest.raises(ValueError, match="delta"):
+            fisher_info(dep, m=2, h=1.0 / 24.0)
+        for h in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ValueError, match="step h"):
+                fisher_info(dep, m=2, h=h, delta=0.01)
+
+    def test_nodes_refused_before_evaluation(self):
+        def never(x):
+            raise AssertionError("dependence function called")
+
+        dep = DependenceFunction(fn=never)
+        for nodes in (0, 2.5):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                fisher_info(dep, m=2, nodes=nodes)
+        # 16^5 nodes times a 2^5-point stencil is 2^25 evaluations
+        with pytest.raises(ValueError, match=f"needs {2 ** 25} point evaluations"):
+            fisher_info(dep, m=5)
+        # with a density, 16^6 = 2^24 nodes
+        dep = DependenceFunction(fn=never, density=never)
+        with pytest.raises(ValueError, match=f"needs {2 ** 24} point evaluations"):
+            fisher_info(dep, m=6)
+
+    def test_stencil_memory_stays_within_blocks(self):
+        # the full stencil array would be 10^4 nodes * 16 points * 4 coords * 8 bytes
+        dep = DependenceFunction(fn=lambda x: 0.0)
+        full = 10 ** 4 * 16 * 4 * 8
+        fisher_info(dep, m=4, nodes=2)  # fills the rule and stencil caches
+        tracemalloc.start()
+        try:
+            assert fisher_info(dep, m=4, nodes=10) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the values and weights of all 10^4 nodes take 160 kB; each block of
+        # stencil points takes the block budget, and its values a quarter of that
+        assert full > 5e6
+        assert peak < 4 * quadrature._BLOCK_BYTES < full / 4
 
 
 class TestOptimalityGap:

@@ -47,6 +47,112 @@ class TestIsMonotone:
             is_monotone([], m)
 
 
+# the set-based validation the array checks replace, kept as their reference
+
+def set_is_monotone(masks, m):
+    top = full_mask(m)
+    members = set(masks)
+    for u in members:
+        if not 0 < u <= top:
+            if u > top:
+                raise ValueError(f"mask {u} out of range for m={m}")
+            return False
+        for j in range(m):
+            if not u >> j & 1 and (u | 1 << j) not in members:
+                return False
+    return True
+
+
+def set_family_check(m, members):
+    if list(members) != sorted(frozenset(members), key=lambda u: (u.bit_count(), u)):
+        raise ValueError("members must be unique and sorted by (popcount, value)")
+    if not set_is_monotone(members, m):
+        raise ValueError("family is not upward-closed or contains the empty subset")
+    return True
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+def check_against_sets(m, masks):
+    """The array checks decide as the set checks do.  Where the set checks
+    depend on set iteration order (an out-of-range mask beside another
+    defect), the array checks report the first out-of-range mask."""
+    top = full_mask(m)
+    over = [u for u in masks if u > top]
+    ranged = {f"mask {u} out of range for m={m}" for u in over}
+    rest_closed = set_is_monotone([u for u in masks if u <= top], m)
+    family = outcome(lambda: isinstance(MonotoneFamily(m, tuple(masks)), MonotoneFamily))
+    want_family = outcome(set_family_check, m, tuple(masks))
+    for got, want, false in ((outcome(is_monotone, masks, m), outcome(set_is_monotone, masks, m),
+                              ("ok", False)),
+                             (family, want_family, ("error", "family is not upward-closed "
+                                                             "or contains the empty subset"))):
+        if over and want != ("error", "members must be unique and sorted by (popcount, value)"):
+            assert got == ("error", f"mask {over[0]} out of range for m={m}")
+            assert want[1] in ranged or (want == false and not rest_closed)
+        else:
+            assert got == want
+
+
+@st.composite
+def mask_lists(draw):
+    m = draw(st.integers(2, 6))
+    top = full_mask(m)
+    kind = draw(st.sampled_from(["raw", "sorted", "closure"]))
+    if kind == "closure":
+        gens = draw(st.lists(st.integers(1, top), min_size=1, max_size=3))
+        masks = sorted(brute_closure(gens, m))
+        drop = draw(st.integers(-1, len(masks) - 1))
+        if drop >= 0:
+            del masks[drop]
+        masks += draw(st.lists(st.sampled_from([0, top + 1, top + 9, 2 * top]), max_size=2))
+    else:
+        masks = draw(st.lists(st.integers(0, top + 3), max_size=top + 4))
+    if kind != "raw":
+        masks = sorted(set(masks), key=lambda u: (u.bit_count(), u))
+    return m, masks
+
+
+class TestValidationAgainstSets:
+    @settings(max_examples=150, deadline=None)
+    @given(mask_lists())
+    def test_random_mask_lists(self, case):
+        check_against_sets(*case)
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_large_families(self, m):
+        pillow = all_nonempty_family(m).members
+        check_against_sets(m, list(pillow))
+        for i in range(len(pillow)):
+            check_against_sets(m, list(pillow[:i] + pillow[i + 1:]))
+        check_against_sets(m, [0] + list(pillow))
+        check_against_sets(m, list(pillow) + [full_mask(m) + 1])
+        # the subsets without coordinate j, and M: only oversets through j
+        # are missing
+        for j in range(m):
+            masks = [u for u in pillow if not u >> j & 1] + [full_mask(m)]
+            assert is_monotone(masks, m) is False
+            check_against_sets(m, masks)
+
+    def test_out_of_range_reported_before_other_defects(self):
+        # the set check answers False here (0 comes first in the set)
+        assert set_is_monotone([0, 9], 3) is False
+        with pytest.raises(ValueError, match="mask 9 out of range for m=3"):
+            is_monotone([0, 9], 3)
+        with pytest.raises(ValueError, match="mask 9 out of range for m=3"):
+            MonotoneFamily(3, (0, 9))
+        with pytest.raises(ValueError, match="mask 12 out of range for m=3"):
+            is_monotone([1, 12, 9], 3)
+        # the order check still comes first
+        with pytest.raises(ValueError, match="members must be unique and sorted"):
+            MonotoneFamily(3, (9, 0))
+
+
 class TestUpwardClosure:
     def test_single_generator(self):
         fam = upward_closure([0b01], 2)

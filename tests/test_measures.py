@@ -23,7 +23,7 @@ from cubegreen.measures import (
     scaled,
     weighted_sum,
 )
-from cubegreen.quadrature import cube_integral
+from cubegreen.quadrature import cube_integral, segmented_rule
 
 RNG = np.random.default_rng(7281)
 
@@ -214,6 +214,36 @@ class TestMeasureAlgebra:
     def test_integrate_against_lebesgue_is_cube_integral(self, m):
         f = lambda p: float(np.cos(p[0]) * p[-1])
         assert integrate_against(lebesgue(m), f) == cube_integral(f, m)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_integrate_against_lines_and_points_equal_pointwise_sums(self, m):
+        # the per-point sums of the line and point-mass branches, as the reference
+        def pointwise(measure, f):
+            total = 0.0
+            for comp, w in measure.components:
+                if hasattr(comp, "points"):
+                    breaks = [i / 40 for i in range(1, 40)]
+                    ts, ws = segmented_rule(breaks, 10)
+                    total += w * float(np.array([f(p) for p in comp.points(ts)]) @ ws)
+                else:
+                    total += w * sum(pw * f(np.asarray(p))
+                                     for p, pw in zip(comp.array(), comp.weights))
+            return total
+
+        def recording(seen):
+            def f(p):
+                seen.append(tuple(p))
+                return float(np.exp(-np.sum(p)) * np.sin(7.0 * p[0]) + p[-1] ** 3)
+            return f
+
+        pts = RNG.uniform(0.0, 1.0, (5, m))
+        parts = [(diagonal(m), 0.7), (point_masses(pts, RNG.uniform(0.5, 2.0, 5), m), 1.3)]
+        if m == 2:
+            parts.append((anti_diagonal(), 0.4))
+        mu = weighted_sum(parts)
+        a, b = [], []
+        assert integrate_against(mu, recording(a)) == pointwise(mu, recording(b))
+        assert a == b and len(a) == 400 * (len(parts) - 1) + 5
 
 
 class TestMeasureJson:
