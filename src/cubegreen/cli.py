@@ -216,12 +216,15 @@ def _cmd_stat(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
-    grid = _interior_grid(args.m, args.grid_n) if args.grid_n else ()
+    # nulldist hands grid_n to the statistic and builds no interior grid
+    nulldist = args.mode == "nulldist"
+    grid_n = 4 if args.grid_n is None and not nulldist else args.grid_n
+    grid = _interior_grid(args.m, grid_n) if grid_n and not nulldist else ()
     V = _parse_V(args.V, args.m) if args.V is not None else None
     cfg = SimConfig(seed=args.seed, n=args.n, replications=args.R, m=args.m,
                     grid=grid, V=V, threads=args.threads)
     config = {"mode": args.mode, "m": args.m, "n": args.n, "R": args.R,
-              "seed": args.seed, "grid_n": args.grid_n, "threads": args.threads,
+              "seed": args.seed, "grid_n": grid_n, "threads": args.threads,
               "V": format_subset(V) if V is not None else None}
     if args.mode in ("cov", "tiedcov"):
         rep = (simulate_null_covariance(cfg) if args.mode == "cov"
@@ -238,7 +241,7 @@ def _cmd_simulate(args) -> dict:
         config["count"] = args.count
         result = {"draws": _matrix(draws)}
     else:  # nulldist
-        dist = null_distribution(cfg, args.stat, p=args.p,
+        dist = null_distribution(cfg, args.stat, p=args.p, grid_n=grid_n,
                                  scale_sqrt_n=args.scale_sqrt_n)
         config.update({"stat": args.stat, "p": args.p,
                        "scale_sqrt_n": args.scale_sqrt_n})
@@ -253,8 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"cubegreen {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--m", type=int, default=2)
+    def common(sp, m=True):
+        if m:
+            sp.add_argument("--m", type=int, default=2)
         sp.add_argument("--output", choices=("json", "csv"), default="json")
         sp.add_argument("--out-file")
         return sp
@@ -290,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--measure", default="lebesgue")
     sp.set_defaults(handler=_cmd_efficiency)
 
-    sp = common(sub.add_parser("stat"))
+    sp = common(sub.add_parser("stat"), m=False)  # m comes from the data
     sp.add_argument("--name", required=True,
                     choices=rankstats.STATISTICS)
     sp.add_argument("--input", required=True)
@@ -307,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--R", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--grid-n", type=int, default=4,
-                    help="interior grid points per axis")
+    sp.add_argument("--grid-n", type=int,
+                    help="interior grid points per axis (default 4); with nulldist, "
+                         "the midpoints per axis of B and Bhat at p >= 2")
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--count", type=int, default=100, help="field draws")
     sp.add_argument("--stat", default="Bhat",

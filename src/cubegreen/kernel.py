@@ -16,6 +16,9 @@ with U in F; it is the covariance function of the matching limiting
 Gaussian field (Brownian sheet, pillow and tucked sheet arise as special
 cases).
 
+`GreenKernel.values(X, Y)`, G at the pairs of two broadcast (..., m)
+arrays, is the one evaluator; `evaluate`, `cross` and `diagonal` call it.
+
 Every term is a product over axes, so on a tensor grid with the same n
 nodes on each axis the kernel matrix is a sum of Kronecker products of
 three n x n matrices (min, x xi and their difference), and
@@ -72,6 +75,12 @@ def _product(factors, out=None) -> np.ndarray:
     for f in factors[2:]:
         np.multiply(out, f, out=out)
     return out
+
+
+def _axis_first(P: np.ndarray, d: int) -> np.ndarray:
+    # (..., m) -> an (m, ...) view with d - 1 trailing axes, ready to broadcast
+    P = P.reshape((1,) * (d - P.ndim) + P.shape)
+    return P.transpose(d - 1, *range(d - 1))
 
 
 @dataclass(frozen=True)
@@ -181,40 +190,41 @@ class GreenKernel:
         return total
 
     def _check_points(self, P) -> np.ndarray:
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        if P.ndim != 2 or P.shape[1] != self.m:
-            raise ValueError("point dimension does not match kernel dimension")
+        P = np.asarray(P, dtype=float)
+        if P.shape[-1:] != (self.m,):
+            raise ValueError(f"points have shape {P.shape}, expected (..., {self.m})")
         return P
 
-    def _check_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.m,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.m},)")
-        return x
+    def values(self, X, Y) -> np.ndarray:
+        """G at the pairs of two (..., m) arrays broadcast against each
+        other; returns their broadcast shape without the last axis."""
+        X, Y = self._check_points(X), self._check_points(Y)
+        d = max(X.ndim, Y.ndim)
+        Xt, Yt = _axis_first(X, d), _axis_first(Y, d)
+        # the (m, ...) factor arrays in C order, so each per-axis product
+        # runs over contiguous memory
+        mins = np.minimum(Xt, Yt, order="C")
+        ks = np.multiply(Xt, Yt, order="C").reshape(self.m, -1)
+        return self.sum_terms(mins.reshape(self.m, -1), ks).reshape(mins.shape[1:])
 
     def evaluate(self, x, xi) -> float:
         """Kernel value G(x, xi)."""
-        x = self._check_point(x)
-        xi = self._check_point(xi)
-        return float(self.cross(x[None, :], xi[None, :])[0, 0])
+        return float(self.values(x, xi))
 
     def cross(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Kernel values for all pairs: result[i, j] = G(A[i], B[j])."""
-        At = self._check_points(A).T[:, :, None]
-        Bt = self._check_points(B).T[:, None, :]
-        na, nb = At.shape[1], Bt.shape[2]
-        out = np.empty((na, nb))
-        step = max(1, _BLOCK_ELEMS // max(1, nb * self.m))
-        for lo in range(0, na, step):
-            rows = At[:, lo:lo + step]
-            # the (m, rows, nb) factor arrays live only inside sum_terms
-            out[lo:lo + step] = self.sum_terms(np.minimum(rows, Bt), rows * Bt)
+        A = np.atleast_2d(self._check_points(A))
+        B = np.atleast_2d(self._check_points(B))
+        out = np.empty((len(A), len(B)))
+        step = max(1, _BLOCK_ELEMS // max(1, len(B) * self.m))
+        for lo in range(0, len(A), step):
+            out[lo:lo + step] = self.values(A[lo:lo + step, None], B)
         return out
 
     def diagonal(self, points) -> np.ndarray:
         """Kernel values G(p, p) for each row p of an (N, m) array."""
-        Pt = self._check_points(points).T.copy()  # C order, and ours to overwrite
-        return self.sum_terms(Pt, Pt * Pt)
+        P = np.atleast_2d(self._check_points(points))
+        return self.values(P, P)
 
     def to_json(self) -> str:
         obj = {

@@ -11,6 +11,11 @@ and twice (the Lagrange multiplier of the underlying extremal problem),
 
     lam = double integral of G(x, xi) d mu(x) d mu(xi).
 
+Each component has one batch once-integral, `_once`, mapping (N, m)
+points to their N integrals; every pair of components without a closed
+form is one weighted sum of `_once` over the other component's atoms or
+line rule.
+
 Closed forms are used for Lebesgue and diagonal components and are
 cross-checked by a quadrature path.  Both sum the kernel's all-positive
 terms (see :mod:`cubegreen.kernel`), so nothing cancels.  Mixtures
@@ -44,10 +49,10 @@ class DiagonalComponent:
 
     def points(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        return np.repeat(ts[:, None], self.m, axis=1)
+        return np.repeat(ts[..., None], self.m, axis=-1)
 
-    def once_breaks(self, x: np.ndarray):
-        return list(x)
+    def once_breaks(self, x: np.ndarray) -> np.ndarray:
+        return x
 
 
 @dataclass(frozen=True)
@@ -62,10 +67,10 @@ class AntiDiagonalComponent:
 
     def points(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        return np.column_stack([1.0 - ts, ts])
+        return np.stack([1.0 - ts, ts], axis=-1)
 
-    def once_breaks(self, x: np.ndarray):
-        return [x[1], 1.0 - x[0]]
+    def once_breaks(self, x: np.ndarray) -> np.ndarray:
+        return np.stack([x[..., 1], 1.0 - x[..., 0]], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -147,38 +152,39 @@ def scaled(measure: Measure, c: float) -> Measure:
 # single integration:  L(x) = int G(x, xi) d mu(xi)
 # ---------------------------------------------------------------------------
 
-def _once_lebesgue(kernel: GreenKernel, x: np.ndarray, method: str) -> float:
-    # per-axis factors of a term integrated over xi: int min(x, xi) d xi,
-    # int x xi d xi and int (min(x, xi) - x xi) d xi
-    if method == "quadrature":
-        fmin = np.empty_like(x)
-        for j, xj in enumerate(x):
-            ts, ws = segmented_rule([xj], 4)
-            fmin[j] = np.minimum(xj, ts) @ ws
-        ts, ws = unit_rule(4)
-        fk = x * float(ts @ ws)
-        gaps = fmin - fk
-    else:
-        fmin = x - x * x / 2.0
-        fk = x / 2.0
-        gaps = x * (1.0 - x) / 2.0
-    return float(kernel.sum_terms(fmin[:, None], fk[:, None], gaps[:, None])[0])
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # dot products along the last axis, each one a BLAS dot as in a @ b
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
-def _once_line(kernel: GreenKernel, comp, x: np.ndarray, extra_nodes: int = 0) -> float:
-    ts, ws = segmented_rule(comp.once_breaks(x), kernel.m + 2 + extra_nodes)
-    vals = kernel.cross(x[None, :], comp.points(ts))[0]
-    return float(vals @ ws)
+def _min_integral(x: np.ndarray) -> np.ndarray:
+    # int_0^1 min(x, t) dt for each entry of x, by a rule split at x
+    ts, ws = segmented_rule(x[..., None], 4)
+    return _rowdot(np.minimum(x[..., None], ts), ws)
 
 
-def _once_component(kernel: GreenKernel, comp, x: np.ndarray, method: str) -> float:
+def _once(kernel: GreenKernel, comp, X: np.ndarray, method: str) -> np.ndarray:
+    """int G(x, xi) d comp(xi) for each row x of an (N, m) array."""
     if isinstance(comp, LebesgueComponent):
-        return _once_lebesgue(kernel, x, method)
-    if isinstance(comp, (DiagonalComponent, AntiDiagonalComponent)):
-        return _once_line(kernel, comp, x)
+        # per-axis factors of a term integrated over xi: int min(x, xi) d xi,
+        # int x xi d xi and int (min(x, xi) - x xi) d xi
+        Xt = np.ascontiguousarray(X.T)
+        if method == "quadrature":
+            ts, ws = unit_rule(4)
+            fmin = _min_integral(Xt)
+            fk = Xt * float(ts @ ws)
+            gaps = fmin - fk
+        else:
+            fmin = Xt - Xt * Xt / 2.0
+            fk = Xt / 2.0
+            gaps = Xt * (1.0 - Xt) / 2.0
+        return kernel.sum_terms(fmin, fk, gaps)
     if isinstance(comp, PointMassComponent):
-        vals = kernel.cross(x[None, :], comp.array())[0]
-        return float(vals @ np.asarray(comp.weights))
+        return kernel.cross(X, comp.array()) @ np.asarray(comp.weights)
+    if isinstance(comp, (DiagonalComponent, AntiDiagonalComponent)):
+        # split at each row's kinks: every piece is a polynomial of degree <= m
+        ts, ws = segmented_rule(comp.once_breaks(X), kernel.m + 2)
+        return _rowdot(kernel.values(X[:, None], comp.points(ts)), ws)
     raise TypeError(f"unsupported component {comp!r}")
 
 
@@ -189,8 +195,7 @@ def integrate_once(kernel: GreenKernel, measure: Measure, x, method: str = "auto
     x = np.asarray(x, dtype=float)
     if x.shape != (kernel.m,):
         raise ValueError(f"point has shape {x.shape}, expected ({kernel.m},)")
-    meth = "quadrature" if method == "quadrature" else "closed"
-    return sum(w * _once_component(kernel, comp, x, meth)
+    return sum(w * float(_once(kernel, comp, x[None], method)[0])
                for comp, w in measure.components)
 
 
@@ -206,10 +211,7 @@ def _lambda_leb_leb(kernel: GreenKernel, method: str) -> float:
     if method == "quadrature":
         # nested 1-D quadrature for the coordinate factors
         xo, wo = unit_rule(6)
-        q_min = 0.0
-        for xj, wj in zip(xo, wo):
-            ts, ws = segmented_rule([xj], 4)
-            q_min += wj * float(np.minimum(xj, ts) @ ws)
+        q_min = float(_min_integral(xo) @ wo)
         ts, ws = unit_rule(4)
         q_k = float(ts @ ws) ** 2
         q_gap = q_min - q_k
@@ -227,47 +229,27 @@ def _lambda_diag_diag_closed(kernel: GreenKernel) -> float:
     return 2 * num / ((m + 1) * factorial(2 * m + 2))
 
 
-def _lambda_line_outer(kernel: GreenKernel, outer, inner, method: str) -> float:
-    # outer parameter integral of the inner once-integral along the line
-    m = kernel.m
-    ts, ws = segmented_rule([0.5], m + 6)
-    pts = outer.points(ts)
-    if isinstance(inner, LebesgueComponent):
-        vals = np.array([_once_lebesgue(kernel, p, method) for p in pts])
-    else:
-        vals = np.array([_once_line(kernel, inner, p, extra_nodes=4) for p in pts])
-    return float(vals @ ws)
-
-
 def _pair_lambda(kernel: GreenKernel, ca, cb, method: str) -> float:
-    # normalize order: point masses first, then lines outermost
-    if isinstance(cb, PointMassComponent) and not isinstance(ca, PointMassComponent):
+    if isinstance(cb, PointMassComponent):  # point masses go first
         ca, cb = cb, ca
-    if isinstance(ca, PointMassComponent):
-        if isinstance(cb, PointMassComponent):
-            G = kernel.cross(ca.array(), cb.array())
-            wa = np.asarray(ca.weights)
-            wb = np.asarray(cb.weights)
-            return float(wa @ G @ wb)
-        meth = "quadrature" if method == "quadrature" else "closed"
-        return sum(w * _once_component(kernel, cb, np.asarray(p), meth)
-                   for p, w in zip(ca.array(), ca.weights))
-
     leb_a = isinstance(ca, LebesgueComponent)
-    leb_b = isinstance(cb, LebesgueComponent)
-    if leb_a and leb_b:
+    if leb_a and isinstance(cb, LebesgueComponent):
         return _lambda_leb_leb(kernel, method)
-    if isinstance(ca, DiagonalComponent) and isinstance(cb, DiagonalComponent):
-        if method != "quadrature":
-            return _lambda_diag_diag_closed(kernel)
-        return _lambda_line_outer(kernel, ca, cb, method)
-    if method == "closed":
+    if (method != "quadrature" and isinstance(ca, DiagonalComponent)
+            and isinstance(cb, DiagonalComponent)):
+        return _lambda_diag_diag_closed(kernel)
+    if method == "closed" and not isinstance(ca, PointMassComponent):
         raise ValueError(
             "no closed form for this component pair; use method='quadrature' or 'auto'"
         )
-    if leb_a:  # make the line the outer integral
+    if leb_a:  # Lebesgue is always the inner integral
         ca, cb = cb, ca
-    return _lambda_line_outer(kernel, ca, cb, method)
+    if isinstance(ca, PointMassComponent):
+        P, w = ca.array(), np.asarray(ca.weights)
+    else:  # a line, split at its kink t = 1/2
+        ts, w = segmented_rule([0.5], kernel.m + 6)
+        P = ca.points(ts)
+    return float(w @ _once(kernel, cb, P, method))
 
 
 def lambda_value(kernel: GreenKernel, measure: Measure, method: str = "auto") -> float:
@@ -288,17 +270,17 @@ def lambda_value(kernel: GreenKernel, measure: Measure, method: str = "auto") ->
 # checks and efficiency indices)
 # ---------------------------------------------------------------------------
 
-def integrate_against(measure: Measure, f, cube_nodes: int | None = None,
-                      line_segments: int = 40, line_nodes: int = 10) -> float:
+def integrate_against(measure: Measure, f) -> float:
     """Integral of a scalar point callable against the measure; every
-    component evaluates f through `quadrature.point_values`."""
+    component evaluates f through `quadrature.point_values`.  Lebesgue
+    components use `cube_integral` with its default nodes, lines 40 equal
+    pieces of 10 nodes each."""
     total = 0.0
     for comp, w in measure.components:
         if isinstance(comp, LebesgueComponent):
-            total += w * cube_integral(f, comp.m, cube_nodes)
+            total += w * cube_integral(f, comp.m)
         elif isinstance(comp, (DiagonalComponent, AntiDiagonalComponent)):
-            breaks = [i / line_segments for i in range(1, line_segments)]
-            ts, ws = segmented_rule(breaks, line_nodes)
+            ts, ws = segmented_rule(np.arange(1, 40) / 40, 10)
             total += w * float(point_values(f, comp.points(ts)) @ ws)
         elif isinstance(comp, PointMassComponent):
             vals = point_values(f, comp.array())

@@ -26,6 +26,7 @@ from . import rankstats
 
 _MASK64 = (1 << 64) - 1
 MAX_THREADS = 64
+_BASE_RIDGE = 1e-12
 
 
 def check_grid_size(points: int) -> None:
@@ -183,17 +184,16 @@ def simulate_tied_down_covariance(cfg: SimConfig) -> CovarianceReport:
     return _covariance_report(vals, theo, cfg)
 
 
-def sample_gaussian_field(kernel: GreenKernel, grid, count: int, seed: int,
-                          base_ridge: float = 1e-12) -> np.ndarray:
+def sample_gaussian_field(kernel: GreenKernel, grid, count: int, seed: int) -> np.ndarray:
     """Draw centered Gaussian vectors with the kernel's Gram covariance.
 
-    A relative ridge is added before Cholesky; it escalates tenfold up to
-    three times on failure.
+    A ridge of `_BASE_RIDGE` times the mean diagonal is added before
+    Cholesky; it escalates tenfold up to three times on failure.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     check_grid_size(len(grid))
     G = kernel.cross(grid, grid)
-    ridge = base_ridge * np.trace(G) / len(G)
+    ridge = _BASE_RIDGE * np.trace(G) / len(G)
     L = None
     for attempt in range(3):
         try:

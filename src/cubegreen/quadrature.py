@@ -3,7 +3,7 @@
 Kernels built from min(x, xi) are piecewise polynomial; splitting the
 integration interval at every kink before applying Gauss-Legendre keeps
 the quadrature exact to machine precision instead of degrading to a slow
-algebraic rate.
+algebraic rate.  `segmented_rule` builds one such rule per row of breaks.
 
 `point_values` is the only loop in the package that calls a point
 callable (a dependence function, a face restriction, a density): it
@@ -35,13 +35,13 @@ MAX_EVALUATIONS = 2 ** 22
 _BLOCK_BYTES = 1 << 18
 
 
-def _node_count(n) -> int:
+def _node_count(n, name: str = "node count") -> int:
     try:
         count = operator.index(n)
     except TypeError:
         count = 0
     if count < 1 or isinstance(n, bool):
-        raise ValueError(f"node count must be an integer >= 1, got {n!r}")
+        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     return count
 
 
@@ -61,15 +61,17 @@ def unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def segmented_rule(breakpoints, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite rule on [0,1] split at the given interior breakpoints."""
-    pts = sorted({0.0, 1.0, *(float(b) for b in breakpoints if 0.0 < float(b) < 1.0)})
+    """Composite n-point rules on [0, 1], one per row of (..., k) breaks:
+    nodes and weights of shape (..., (k + 1) n), pieces in increasing order.
+    A break outside (0, 1), or one that repeats, adds a piece of zero width
+    (zero weights), so every row has the same number of nodes."""
     bx, bw = unit_rule(n)
-    xs, ws = [], []
-    for a, b in zip(pts[:-1], pts[1:]):
-        h = b - a
-        xs.append(a + h * bx)
-        ws.append(h * bw)
-    return np.concatenate(xs), np.concatenate(ws)
+    b = np.sort(np.clip(np.asarray(breakpoints, dtype=float), 0.0, 1.0), axis=-1)
+    zeros = np.zeros(b.shape[:-1] + (1,))
+    edges = np.concatenate([zeros, b, zeros + 1.0], axis=-1)
+    h = (edges[..., 1:] - edges[..., :-1])[..., None]
+    shape = b.shape[:-1] + (-1,)
+    return (edges[..., :-1, None] + h * bx).reshape(shape), (h * bw).reshape(shape)
 
 
 def point_values(f, X) -> np.ndarray:

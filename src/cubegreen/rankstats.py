@@ -28,7 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .families import full_mask
-from .quadrature import midpoint_grid
+from .quadrature import _node_count, midpoint_grid
 
 _DEFAULT_GRID = {2: 64, 3: 24}
 # lattice cells of a p >= 2 integral statistic: 256 MB per float64 array
@@ -182,12 +182,11 @@ def _split_V(V: int, m: int):
 
 
 def _grid_size(grid_n: int | None, m: int) -> int:
-    """Midpoint nodes per axis: the default for m when grid_n is None."""
+    """Midpoint nodes per axis: the default for m when grid_n is None, else
+    grid_n, which must be an integer >= 1."""
     if grid_n is None:
         return _DEFAULT_GRID.get(m, 12)
-    if grid_n < 1:
-        raise ValueError("grid_n must be a positive integer")
-    return int(grid_n)
+    return _node_count(grid_n, "grid_n")
 
 
 def _check_cells(shape: tuple[int, ...]) -> None:

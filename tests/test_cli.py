@@ -160,6 +160,13 @@ class TestStatCommand:
             assert code == 2 and out == ""
             assert err.startswith("error:") and "grid_n" in err
 
+    def test_no_m_option(self, capsys, csv_path):
+        # m is read from the data
+        with pytest.raises(SystemExit) as exc:
+            main(["stat", "--name", "rho", "--input", csv_path, "--m", "5"])
+        assert exc.value.code == 2
+        assert "--m" in capsys.readouterr().err
+
     def test_oversized_lattice(self, capsys, tmp_path):
         path = tmp_path / "m7.csv"
         np.savetxt(path, np.random.default_rng(0).random((10, 7)), delimiter=",")
@@ -211,6 +218,28 @@ class TestSimulateCommand:
                            "--seed", "5", "--threads", threads)
             results.append(rep["result"])
         assert results[0] == results[1] and results[2] == results[3]
+
+    def test_nulldist_honours_grid_n(self, capsys, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("nulldist built an interior grid")
+
+        monkeypatch.setattr(cli, "_interior_grid", no_grid)
+        argv = ["simulate", "--mode", "nulldist", "--stat", "Bhat", "--p", "2", "--m", "2",
+                "--n", "30", "--R", "100", "--seed", "5"]
+        rep = run_json(capsys, *argv, "--grid-n", "8")
+        default = run_json(capsys, *argv)
+        cfg = montecarlo.SimConfig(seed=5, n=30, replications=100, m=2)
+        want = montecarlo.null_distribution(cfg, "Bhat", p=2, grid_n=8)
+        assert rep["config"]["grid_n"] == 8 and default["config"]["grid_n"] is None
+        assert rep["result"] == {"mean": want.mean, "variance": want.variance,
+                                 "variance_se": want.variance_se,
+                                 "quantiles": {str(q): v for q, v in want.quantiles.items()}}
+        assert rep["result"] != default["result"]
+
+    def test_grid_modes_default_to_4_points_per_axis(self, capsys):
+        rep = run_json(capsys, "simulate", "--mode", "tiedcov", "--m", "2", "--n", "20",
+                       "--R", "100", "--seed", "1")
+        assert rep["config"]["grid_n"] == 4 and len(rep["result"]["theoretical"]) == 16
 
     @pytest.mark.parametrize("argv", [
         ["--mode", "cov", "--m", "16", "--grid-n", "4", "--V", ""],

@@ -308,6 +308,16 @@ class TestGridECDF:
             with pytest.raises(ValueError, match="grid_n"):
                 stat_B(X, 0b01, p, grid_n)
 
+    @pytest.mark.parametrize("grid_n", [2.5, True, "4"])
+    def test_grid_n_not_an_integer(self, grid_n):
+        # 2.5 used to run on 2 midpoints and True on 1
+        X = RNG.random((5, 2))
+        for p in (1, 2):
+            with pytest.raises(ValueError, match="grid_n"):
+                stat_Bhat(X, p, grid_n)
+            with pytest.raises(ValueError, match="grid_n"):
+                stat_B(X, 0b01, p, grid_n)
+
     def test_oversized_lattice_refused(self):
         # 13^7 cells at the default 12-point grid
         with pytest.raises(ValueError, match="cells"):
