@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Every run emits a JSON report whose "config" block echoes the fully
-resolved configuration (seed included), so a report can be replayed; a
-family is echoed as the command-line option that gave it, not member by
-member.
-Floats are serialized with shortest round-trip precision (lossless).
+Every run emits a JSON report, one line written by the C encoder of the
+`json` module (pretty-print it with `python -m json.tool`), whose
+"config" block echoes the fully resolved configuration (seed included),
+so a report can be replayed; a family is echoed as the command-line
+option that gave it, not member by member.  Matrices are written with
+`ndarray.tolist()`, and floats with shortest round-trip precision
+(lossless).  `--output csv` writes the result's numeric matrices instead,
+and refuses a report that has none.
 Wall-clock time lives only under the "timing" key; how a number was
 computed (such as power-iteration counts) under "diagnostics".  Exit codes:
 0 ok, 2 validation error or a computation that did not converge, 1 I/O
@@ -104,21 +107,32 @@ def _interior_grid(m: int, per_axis: int) -> tuple[tuple[float, ...], ...]:
     return tuple(map(tuple, pts.tolist()))
 
 
-def _matrix(a: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(a)]
+def _is_matrix(val) -> bool:
+    """A non-empty list of equally long, non-empty lists of numbers."""
+    try:
+        a = np.asarray(val)
+    except ValueError:  # rows of different lengths
+        return False
+    return isinstance(val, list) and a.ndim == 2 and a.size > 0 and a.dtype.kind in "if"
 
 
 def _emit(report: dict, args) -> None:
-    if getattr(args, "output", "json") == "csv":
+    """Write the report as one line of JSON, or its result's matrices as
+    CSV, each under a `# key` line; for CSV, a report with no matrix is
+    refused with ValueError before anything is written."""
+    if args.output == "json":
+        text = json.dumps(report) + "\n"
+    else:
         lines = []
-        for key, val in report.get("result", {}).items():
-            if isinstance(val, list) and val and isinstance(val[0], list):
+        for key, val in report["result"].items():
+            if _is_matrix(val):
                 lines.append(f"# {key}")
                 lines.extend(",".join(f"{v:.17g}" for v in row) for row in val)
+        if not lines:
+            raise ValueError("--output csv writes numeric matrices, and this report has "
+                             "none; use --output json")
         text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(report, indent=2) + "\n"
-    if getattr(args, "out_file", None):
+    if args.out_file:
         with open(args.out_file, "w") as fh:
             fh.write(text)
     else:
@@ -229,8 +243,8 @@ def _cmd_simulate(args) -> dict:
     if args.mode in ("cov", "tiedcov"):
         rep = (simulate_null_covariance(cfg) if args.mode == "cov"
                else simulate_tied_down_covariance(cfg))
-        result = {"empirical": _matrix(rep.empirical),
-                  "theoretical": _matrix(rep.theoretical),
+        result = {"empirical": rep.empirical.tolist(),
+                  "theoretical": rep.theoretical.tolist(),
                   "max_abs_dev": rep.max_abs_dev,
                   "max_dev_in_se": rep.max_dev_in_se}
     elif args.mode == "field":
@@ -239,7 +253,7 @@ def _cmd_simulate(args) -> dict:
         draws = sample_gaussian_field(green_kernel(fam), np.asarray(grid),
                                       args.count, args.seed)
         config["count"] = args.count
-        result = {"draws": _matrix(draws)}
+        result = {"draws": draws.tolist()}
     else:  # nulldist
         dist = null_distribution(cfg, args.stat, p=args.p, grid_n=grid_n,
                                  scale_sqrt_n=args.scale_sqrt_n)
@@ -337,15 +351,11 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         report = args.handler(args)
+        report["timing"] = {"seconds": time.perf_counter() - t0}
+        _emit(report, args)
     except (ValueError, KeyError, json.JSONDecodeError, ConvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except OSError as exc:
-        sys.stderr.write(f"io-error: {exc}\n")
-        return 1
-    report["timing"] = {"seconds": time.perf_counter() - t0}
-    try:
-        _emit(report, args)
     except OSError as exc:
         sys.stderr.write(f"io-error: {exc}\n")
         return 1

@@ -5,8 +5,10 @@ keyed by (seed, replication index), the stream `substream` returns.
 Replications run in fixed-size blocks: one Philox generator per block
 has its key set to [r, seed] and its counter and buffer zeroed for each
 replication r, and the block's (B, n, m) sample goes through the batch
-forms of `rankstats` in one call.  A block holds as many replications as
-keep each temporary near _BLOCK_BYTES.  Up to MAX_THREADS worker threads
+forms of `rankstats` in one call, B and B-hat at p >= 2 included.  A
+block holds as many replications as keep each temporary near
+_BLOCK_BYTES; a p >= 2 statistic splits its block again into chunks
+whose lattices fit the same budget.  Up to MAX_THREADS worker threads
 take whole blocks, and blocks are merged in block order, so results are
 bit-identical whether replications run serially or across any number of
 threads.
@@ -35,6 +37,17 @@ def check_grid_size(points: int) -> None:
     if points * points > rankstats._CELL_CAP:
         raise ValueError(f"a grid of {points} points needs {points}^2 kernel entries, above "
                          f"the cap of {rankstats._CELL_CAP}; reduce grid_n or m")
+
+
+def check_field_size(count: int, points: int) -> None:
+    """Refuse `count` field draws on a grid of `points` points before anything
+    is drawn: fewer than one draw, or more than rankstats._CELL_CAP values."""
+    if count < 1:
+        raise ValueError(f"--count must be at least 1, got {count}")
+    if count * points > rankstats._CELL_CAP:
+        raise ValueError(f"--count {count} draws of {points} points need {count * points} "
+                         f"values, above the cap of {rankstats._CELL_CAP}; reduce --count "
+                         f"or grid_n")
 
 
 @dataclass(frozen=True)
@@ -188,10 +201,12 @@ def sample_gaussian_field(kernel: GreenKernel, grid, count: int, seed: int) -> n
     """Draw centered Gaussian vectors with the kernel's Gram covariance.
 
     A ridge of `_BASE_RIDGE` times the mean diagonal is added before
-    Cholesky; it escalates tenfold up to three times on failure.
+    Cholesky; it escalates tenfold up to three times on failure.  The grid
+    size and the count are checked before anything is built or drawn.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     check_grid_size(len(grid))
+    check_field_size(count, len(grid))
     G = kernel.cross(grid, grid)
     ridge = _BASE_RIDGE * np.trace(G) / len(G)
     L = None

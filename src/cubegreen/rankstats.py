@@ -6,18 +6,21 @@ presuppose uniform margins (the integral statistics with known margins)
 expect data already on the copula scale; `to_copula_scale` performs the
 explicit rank transform R/(n+1) when asked.
 
-Every p = 1 statistic, the ranks and both empirical processes have one
-batch implementation over a (B, n, m) stack of datasets, which returns
-one value per dataset (`batch_ranks`, `batch_statistic`,
-`batch_process_W`, `batch_tied_down`).  The functions of one (n, m)
-dataset are those forms applied to X[None], so a value does not depend
-on the batch it is computed in.
+Every statistic, p >= 2 included, the ranks and both empirical
+processes have one batch implementation over a (B, n, m) stack of
+datasets, which returns one value per dataset (`batch_ranks`,
+`batch_statistic`, `batch_process_W`, `batch_tied_down`).  The functions
+of one (n, m) dataset are those forms applied to X[None], so a value does
+not depend on the batch it is computed in.
 
 B and B-hat at p >= 2 are sums over a lattice of midpoint-grid nodes and
 empirical product atoms.  Every lattice value comes from one cumulative
-histogram (`_cumcounts`): one bincount and a cumulative sum per axis, in
-O(n·m·log g + cells).  A lattice above _CELL_CAP cells is refused with
-ValueError before anything is allocated.
+histogram (`_cumcounts`) per dataset, built for a chunk of datasets at a
+time: one bincount with each dataset offset by its own lattice, then a
+cumulative sum per axis, in O(n·m·log g + cells) per dataset.  A chunk
+holds as many datasets as keep its lattice within _BLOCK_BYTES, the
+Monte Carlo block budget.  A lattice above _CELL_CAP cells is refused
+with ValueError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import reduce
 import numpy as np
 
 from .families import full_mask
-from .quadrature import _node_count, midpoint_grid
+from .quadrature import _BLOCK_BYTES, _node_count, midpoint_grid
 
 _DEFAULT_GRID = {2: 64, 3: 24}
 # lattice cells of a p >= 2 integral statistic: 256 MB per float64 array
@@ -197,18 +200,46 @@ def _check_cells(shape: tuple[int, ...]) -> None:
                          f"cap of {_CELL_CAP}; reduce grid_n, n or m, or choose larger V")
 
 
-def _cumcounts(idx: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """C[k] = #{i : idx[i, a] <= k[a] on every axis a}, as float64.
+def _cumcounts(idx: np.ndarray, shape: tuple[int, ...],
+               drop: np.ndarray | None = None) -> np.ndarray:
+    """C[..., k] = #{i : idx[..., i, a] <= k[a] on every axis a}, as float64.
 
-    idx is an (n, d) array of lattice coordinates within `shape`, which
-    `_check_cells` has passed: one bincount of the flattened coordinates,
-    then an in-place cumulative sum along each axis.
+    idx is a (..., n, d) array of lattice coordinates within `shape`, which
+    `_check_cells` has passed, except in the rows where the (..., n) mask
+    `drop` is true: those are counted at no node.  One bincount covers
+    every leading index: the flattened coordinates offset by the index
+    times the cells, the dropped rows in one overflow bin after the last
+    lattice.  Then an in-place cumulative sum along each lattice axis.
     """
-    flat = np.ravel_multi_index(tuple(idx.T), shape)
-    C = np.bincount(flat, minlength=math.prod(shape)).astype(float).reshape(shape)
-    for a in range(len(shape)):
+    lead = idx.shape[:-2]
+    cells, count = math.prod(shape), math.prod(lead)
+    coords = tuple(idx[..., a] for a in range(len(shape)))
+    flat = np.ravel_multi_index(coords, shape, mode="clip").reshape(count, -1)
+    if count > 1:
+        flat += np.arange(0, count * cells, cells)[:, None]
+    if drop is not None:
+        flat[drop.reshape(count, -1)] = count * cells
+    C = np.bincount(flat.ravel(), minlength=count * cells + 1)[:-1]
+    C = C.astype(float).reshape(lead + shape)
+    for a in range(len(lead), C.ndim):
         np.cumsum(C, axis=a, out=C)
     return C
+
+
+def _chunk_sums(count: int, cells: int, lattice) -> np.ndarray:
+    """The sum over its lattice of each of `count` datasets, as a (count,) array.
+
+    lattice maps a slice of the datasets to their (b, ...) lattices, built
+    on `cells` float64 each.  A slice holds as many datasets as keep that
+    within _BLOCK_BYTES, at least one; each dataset's lattice is summed
+    alone, so a sum does not depend on the slice it is computed in.
+    """
+    sums = np.empty(count)
+    step = max(1, _BLOCK_BYTES // (8 * cells))
+    for lo in range(0, count, step):
+        L = lattice(slice(lo, lo + step))
+        sums[lo:lo + len(L)] = L.reshape(len(L), -1).sum(axis=1)
+    return sums
 
 
 def stat_B(data, V: int, p: int = 1, grid_n: int | None = None) -> float:
@@ -217,58 +248,71 @@ def stat_B(data, V: int, p: int = 1, grid_n: int | None = None) -> float:
     p = 1 is evaluated exactly: the Lebesgue part integrates in closed form
     and the empirical product measure factorizes through the column ranks.
     p >= 2 combines a midpoint grid over the V-axes (O(1/grid_n) bias) with
-    the exact empirical sum over the complementary product atoms.  F_n on
-    that (grid, atom) lattice is one cumulative histogram: the V-axes are
-    binned at the grid midpoints, the other axes indexed by rank.  Cost
+    the exact empirical sum over the complementary product atoms.  Cost
     O(n·m·log g + cells) for g^|V| · n^(m-|V|) cells; above _CELL_CAP
-    cells it raises ValueError before allocating.
+    cells it raises ValueError before allocating.  Both are the batch form
+    of `batch_statistic` applied to X[None].
     """
-    X = as_dataset(data)
-    if p == 1:
-        return _single("B", X, V, p, grid_n)
-    g = _check_integral(X, V, p, grid_n)
-    n, m = X.shape
+    return _single("B", as_dataset(data), V, p, grid_n)
+
+
+def _batch_Bp(X: np.ndarray, V: int, p: int, g: int) -> np.ndarray:
+    """B at p >= 2 of every dataset of a (B, n, m) batch.
+
+    F_n on the (grid, atom) lattice is one cumulative histogram per
+    dataset: the V-axes are binned at the grid midpoints, the other axes
+    indexed by rank.
+    """
+    n, m = X.shape[1:]
     in_v, out_v = _split_V(V, m)
-    R = ranks(X)
-    l, k = len(in_v), len(out_v)
-    shape = tuple(g if j in in_v else n for j in range(m))
+    shape = tuple(g if V >> j & 1 else n for j in range(m))
     _check_cells(shape)
     # lattice coordinates: the midpoint bin on a V-axis (1{X <= c_k} =
-    # 1{b <= k}), rank - 1 elsewhere (1{X <= X_(a)} = 1{R <= a+1})
-    idx = R - 1
+    # 1{b <= k}; b = g is above every midpoint, the overflow bin), rank - 1
+    # elsewhere (1{X <= X_(a)} = 1{R <= a+1})
+    idx = batch_ranks(X) - 1
+    # the reference product per axis: x_j on a V-axis, F_{j,n}(X_(a)) = (a+1)/n
+    ref = [np.arange(1, n + 1) / n] * m
+    drop = None
     if in_v:
         c = midpoint_grid(1, g)[0].ravel()
-        idx[:, in_v] = np.searchsorted(c, X[:, in_v], side="left")
-        # b = g: above every midpoint, so counted at no node
-        idx = idx[(idx[:, in_v] < g).all(axis=1)]
-    # the reference product per axis: x_j on a V-axis, F_{j,n}(X_(a)) = (a+1)/n
-    ref = [c if j in in_v else np.arange(1, n + 1) / n for j in range(m)]
-    D = _cumcounts(idx, shape) / n
-    D -= reduce(np.multiply.outer, ref)
-    D **= p
-    return float(D.sum()) / (n ** k * g ** l)
+        bins = np.searchsorted(c, X[:, :, in_v], side="left")
+        idx[:, :, in_v] = bins
+        drop = (bins == g).any(axis=2)
+        ref = [c if V >> j & 1 else r for j, r in enumerate(ref)]
+    prod = reduce(np.multiply.outer, ref)
+
+    def lattice(chunk: slice) -> np.ndarray:
+        D = _cumcounts(idx[chunk], shape, None if drop is None else drop[chunk])
+        D /= n
+        D -= prod
+        D **= p
+        return D
+
+    return _chunk_sums(len(X), math.prod(shape), lattice) / (n ** len(out_v) * g ** len(in_v))
 
 
 def _tied_down_grid(X: np.ndarray, g: int) -> np.ndarray:
     """sqrt(n) times the tied-down process at every midpoint-grid node,
-    sum_i prod_j (1{X_ij <= c_kj} - c_kj), on the g^m lattice.
+    sum_i prod_j (1{X_ij <= c_kj} - c_kj), on the g^m lattice of every
+    dataset of (..., n, m) data, as (..., g, ..., g).
 
     C is the cumulative histogram on (g+1)^m, where index g on an axis
     counts every observation, so a slice at g is the histogram of a face.
     T[..k..] -= c_k T[..g..] along each axis in turn expands the product
     over every face at once (inclusion-exclusion, O(m·(g+1)^m)).
     """
-    m = X.shape[1]
+    lead, m = X.ndim - 2, X.shape[-1]
     shape = (g + 1,) * m
     _check_cells(shape)
     c = midpoint_grid(1, g)[0].ravel()
     # 1{X_ij <= c_k} = 1{b_ij <= k}; b = g for no midpoint
     T = _cumcounts(np.searchsorted(c, X, side="left"), shape)
-    cs = c.reshape((g,) + (1,) * (m - 1))
+    cs = c.reshape((g,) + (1,) * (lead + m - 1))
     for a in range(m):
-        Ta = np.moveaxis(T, a, 0)
+        Ta = np.moveaxis(T, lead + a, 0)
         Ta[:g] -= cs * Ta[g]
-    return T[(slice(0, g),) * m]
+    return T[(Ellipsis,) + (slice(0, g),) * m]
 
 
 def stat_Bhat(data, p: int = 1, grid_n: int | None = None) -> float:
@@ -278,16 +322,22 @@ def stat_Bhat(data, p: int = 1, grid_n: int | None = None) -> float:
     p >= 2 sums the tied-down process over a midpoint tensor grid, all
     g^m nodes from one cumulative histogram (`_tied_down_grid`).  Cost
     O(n·m·log g + cells) for (g+1)^m cells; above _CELL_CAP cells it
-    raises ValueError before allocating.
+    raises ValueError before allocating.  Both are the batch form of
+    `batch_statistic` applied to X[None].
     """
-    X = as_dataset(data)
-    if p == 1:
-        return _single("Bhat", X, 0, p, grid_n)
-    g = _check_integral(X, 0, p, grid_n)
-    n, m = X.shape
-    T = _tied_down_grid(X, g) / n
-    T **= p
-    return float(T.sum()) / g ** m
+    return _single("Bhat", as_dataset(data), 0, p, grid_n)
+
+
+def _batch_Bhatp(X: np.ndarray, p: int, g: int) -> np.ndarray:
+    """B-hat at p >= 2 of every dataset of a (B, n, m) batch."""
+    n, m = X.shape[1:]
+
+    def lattice(chunk: slice) -> np.ndarray:
+        T = _tied_down_grid(X[chunk], g) / n
+        T **= p
+        return T
+
+    return _chunk_sums(len(X), (g + 1) ** m, lattice) / g ** m
 
 
 def _check_integral(X: np.ndarray, V: int, p: int, grid_n: int | None) -> int:
@@ -355,17 +405,17 @@ def batch_statistic(name: str, data, V: int = 0, p: int = 1,
                     grid_n: int | None = None) -> np.ndarray:
     """`statistic` of every dataset of a (B, n, m) batch, as a (B,) array.
 
-    B and B-hat at p >= 2 are evaluated dataset by dataset; every p = 1
-    statistic on the whole batch at once.
+    Every statistic runs on the whole batch at once; B and B-hat at
+    p >= 2 in chunks of datasets whose lattices fit _BLOCK_BYTES.
     """
     X = as_batch(data)
-    if name in ("B", "Bhat") and p != 1:
-        return np.array([statistic(name, x, V, p, grid_n) for x in X], dtype=float)
     if name == "B":
-        _check_integral(X, V, p, grid_n)
-        return _batch_B1(X, V)
+        g = _check_integral(X, V, p, grid_n)
+        return _batch_B1(X, V) if p == 1 else _batch_Bp(X, V, p, g)
     if name == "Bhat":
-        _check_integral(X, 0, p, grid_n)
+        g = _check_integral(X, 0, p, grid_n)
+        if p != 1:
+            return _batch_Bhatp(X, p, g)
         # the exact closed form n^{-1} sum_i prod_j (1/2 - X_ij)
         return np.prod(0.5 - X, axis=2).mean(axis=1)
     if name == "rho":

@@ -324,3 +324,62 @@ class TestErrorHandling:
         rep = run_json(capsys, "coeffs", "--family-all", "--m", "2")
         assert "seconds" in rep["timing"]
         assert "seconds" not in json.dumps(rep["config"]) + json.dumps(rep["result"])
+
+
+class TestOutputFormats:
+    def test_report_is_one_json_line(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--mode", "tiedcov", "--m", "2", "--n", "20",
+                               "--R", "100", "--seed", "1", "--grid-n", "2")
+        assert code == 0 and out.endswith("}\n") and out.count("\n") == 1
+        assert list(json.loads(out)) == ["config", "result", "timing"]
+
+    @pytest.mark.parametrize("argv", [
+        ["family", "--enumerate", "--m", "2"],
+        ["stat", "--name", "rho", "--input", "{csv}"],
+        ["simulate", "--mode", "nulldist", "--stat", "rho", "--n", "20", "--R", "100"],
+    ])
+    def test_csv_refused_without_a_matrix(self, capsys, tmp_path, argv):
+        data = tmp_path / "data.csv"
+        data.write_text("0.1,0.5\n0.3,0.2\n0.7,0.9\n")
+        out_file = tmp_path / "out.csv"
+        argv = [str(data) if a == "{csv}" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--output", "csv")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--output csv" in err
+        code, out, err = run_cli(capsys, *argv, "--output", "csv", "--out-file", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+
+    def test_csv_matrices_are_the_json_matrices(self, capsys):
+        argv = ["simulate", "--mode", "field", "--m", "2", "--grid-n", "2", "--count", "3",
+                "--seed", "4"]
+        draws = run_json(capsys, *argv)["result"]["draws"]
+        code, out, _ = run_cli(capsys, *argv, "--output", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "# draws"
+        assert [[float(v) for v in line.split(",")] for line in lines[1:]] == draws
+
+
+class TestFieldCount:
+    class Drawn(Exception):
+        pass
+
+    @pytest.fixture
+    def no_draw(self, monkeypatch):
+        def drawn(*args):
+            raise self.Drawn
+
+        monkeypatch.setattr(montecarlo, "substream", drawn)
+
+    @pytest.mark.parametrize("count", ["0", "-1", str(2 ** 21 + 1), str(10 ** 12)])
+    def test_count_refused_before_drawing(self, capsys, no_draw, count):
+        # 16 grid points: count * 16 above 2^25 values is refused
+        code, out, err = run_cli(capsys, "simulate", "--mode", "field", "--m", "2",
+                                 "--grid-n", "4", "--count", count)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--count" in err
+
+    def test_count_at_the_cap_reaches_the_draw(self, capsys, no_draw):
+        with pytest.raises(self.Drawn):
+            main(["simulate", "--mode", "field", "--m", "2", "--grid-n", "4",
+                  "--count", str(2 ** 21)])
