@@ -38,6 +38,7 @@ from .families import (
 from .kernel import green_kernel
 from .measures import integrate_once, lambda_value, measure_from_json
 from .extremal import ConvergenceError, efficiency_coefficient, principal_eigenvalue, solve
+from .quadrature import _node_count
 from .montecarlo import (
     SimConfig,
     check_grid_size,
@@ -100,7 +101,6 @@ def _parse_V(text: str | None, m: int) -> int:
 def _interior_grid(m: int, per_axis: int) -> tuple[tuple[float, ...], ...]:
     """The per_axis^m interior lattice points, the last axis varying fastest;
     a grid too large for its kernel matrices is refused before it is built."""
-    per_axis = max(per_axis, 0)
     check_grid_size(per_axis ** m)
     axis = (np.arange(per_axis) + 1.0) / (per_axis + 1.0)
     pts = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)
@@ -233,13 +233,22 @@ def _cmd_simulate(args) -> dict:
     # nulldist hands grid_n to the statistic and builds no interior grid
     nulldist = args.mode == "nulldist"
     grid_n = 4 if args.grid_n is None and not nulldist else args.grid_n
-    grid = _interior_grid(args.m, grid_n) if grid_n and not nulldist else ()
+    grid_n = None if grid_n is None else _node_count(grid_n, "--grid-n")
+    grid = () if nulldist else _interior_grid(args.m, grid_n)
     V = _parse_V(args.V, args.m) if args.V is not None else None
+    V_text = format_subset(V) if V is not None else None
+    if args.mode == "field":
+        fam = all_nonempty_family(args.m) if V is None \
+            else family_for_known_margins(V, args.m)
+        draws = sample_gaussian_field(green_kernel(fam), grid, args.count, args.seed)
+        return {"config": {"mode": args.mode, "m": args.m, "seed": args.seed,
+                           "grid_n": grid_n, "V": V_text, "count": args.count},
+                "result": {"draws": draws.tolist()}}
     cfg = SimConfig(seed=args.seed, n=args.n, replications=args.R, m=args.m,
                     grid=grid, V=V, threads=args.threads)
     config = {"mode": args.mode, "m": args.m, "n": args.n, "R": args.R,
               "seed": args.seed, "grid_n": grid_n, "threads": args.threads,
-              "V": format_subset(V) if V is not None else None}
+              "V": V_text}
     if args.mode in ("cov", "tiedcov"):
         rep = (simulate_null_covariance(cfg) if args.mode == "cov"
                else simulate_tied_down_covariance(cfg))
@@ -247,13 +256,6 @@ def _cmd_simulate(args) -> dict:
                   "theoretical": rep.theoretical.tolist(),
                   "max_abs_dev": rep.max_abs_dev,
                   "max_dev_in_se": rep.max_dev_in_se}
-    elif args.mode == "field":
-        fam = all_nonempty_family(args.m) if V is None \
-            else family_for_known_margins(V, args.m)
-        draws = sample_gaussian_field(green_kernel(fam), np.asarray(grid),
-                                      args.count, args.seed)
-        config["count"] = args.count
-        result = {"draws": draws.tolist()}
     else:  # nulldist
         dist = null_distribution(cfg, args.stat, p=args.p, grid_n=grid_n,
                                  scale_sqrt_n=args.scale_sqrt_n)

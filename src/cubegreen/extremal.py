@@ -15,8 +15,9 @@ method, with a power iteration that applies the kernel matrix through its
 per-axis Kronecker factors instead of forming it.  Every cube integral of
 a dependence direction goes through `quadrature.block_integral` (or
 `cube_integral`, the same integrator over single points) with its one
-default node table and evaluation budget, and every call of a dependence
-function goes through `quadrature.point_values`.  The face corrections
+default node table and evaluation budget, as does `trace_bound`, the
+integral of the kernel's diagonal; every call of a dependence function
+goes through `quadrature.point_values`.  The face corrections
 of the tied-down slope are integrated over their free axes only, embedded
 into the cube a block of nodes at a time.  Finite-difference Fisher
 information builds the 2^m-point stencil of a whole block of nodes as one
@@ -36,11 +37,11 @@ from .families import MonotoneFamily, family_for_known_margins, subsets_of_size
 from .kernel import GreenKernel, green_kernel
 from .measures import Measure, integrate_against, integrate_once, lambda_value, lebesgue
 from .quadrature import (
+    _node_count,
     block_integral,
     cube_integral,
     nodes_per_axis,
     point_values,
-    tensor_rule,
     unit_rule,
 )
 
@@ -375,10 +376,9 @@ def principal_eigenvalue(kernel: GreenKernel, grid_n: int) -> EigenEstimate:
 
 
 def trace_bound(kernel: GreenKernel, grid_n: int) -> float:
-    """Quadrature trace of the operator, an upper bound for the principal
-    eigenvalue."""
-    pts, wts = tensor_rule(kernel.m, grid_n)
-    return float(kernel.diagonal(pts) @ wts)
+    """Quadrature trace of the operator (of G(x, x), grid_n nodes per axis,
+    required), an upper bound for the principal eigenvalue."""
+    return block_integral(kernel.diagonal, kernel.m, _node_count(grid_n, "grid_n"))
 
 
 # closed-form reference fixtures -------------------------------------------

@@ -17,7 +17,8 @@ Gaussian field (Brownian sheet, pillow and tucked sheet arise as special
 cases).
 
 `GreenKernel.values(X, Y)`, G at the pairs of two broadcast (..., m)
-arrays, is the one evaluator; `evaluate`, `cross` and `diagonal` call it.
+arrays, is the one evaluator; `evaluate`, `cross` and `diagonal` call it,
+`cross` on row blocks within the one block budget (`quadrature.blocks`).
 
 Every term is a product over axes, so on a tensor grid with the same n
 nodes on each axis the kernel matrix is a sum of Kronecker products of
@@ -46,9 +47,7 @@ from .families import (
     format_subset,
     mask_from_coords,
 )
-
-# row-block size for cross-kernel matrices, keeps temporaries ~tens of MB
-_BLOCK_ELEMS = 4_000_000
+from .quadrature import blocks
 
 
 def compute_coefficients(family: MonotoneFamily) -> dict[int, int]:
@@ -216,9 +215,8 @@ class GreenKernel:
         A = np.atleast_2d(self._check_points(A))
         B = np.atleast_2d(self._check_points(B))
         out = np.empty((len(A), len(B)))
-        step = max(1, _BLOCK_ELEMS // max(1, len(B) * self.m))
-        for lo in range(0, len(A), step):
-            out[lo:lo + step] = self.values(A[lo:lo + step, None], B)
+        for rows in blocks(len(A), 8 * len(B) * self.m):
+            out[rows] = self.values(A[rows, None], B)
         return out
 
     def diagonal(self, points) -> np.ndarray:

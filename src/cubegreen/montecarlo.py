@@ -5,13 +5,12 @@ keyed by (seed, replication index), the stream `substream` returns.
 Replications run in fixed-size blocks: one Philox generator per block
 has its key set to [r, seed] and its counter and buffer zeroed for each
 replication r, and the block's (B, n, m) sample goes through the batch
-forms of `rankstats` in one call, B and B-hat at p >= 2 included.  A
-block holds as many replications as keep each temporary near
-_BLOCK_BYTES; a p >= 2 statistic splits its block again into chunks
-whose lattices fit the same budget.  Up to MAX_THREADS worker threads
-take whole blocks, and blocks are merged in block order, so results are
-bit-identical whether replications run serially or across any number of
-threads.
+forms of `rankstats` in one call, B and B-hat at p >= 2 included.  The
+blocks are the slices of `quadrature.blocks`, the one block budget; a
+p >= 2 statistic splits its block again into lattice chunks of the same
+budget.  Up to MAX_THREADS worker threads take whole blocks, and blocks
+are merged in block order, so results are bit-identical whether
+replications run serially or across any number of threads.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .families import all_nonempty_family, family_for_known_margins, full_mask
 from .kernel import GreenKernel, green_kernel
-from .quadrature import _BLOCK_BYTES
+from .quadrature import blocks
 from . import rankstats
 
 _MASK64 = (1 << 64) - 1
@@ -135,17 +134,15 @@ def _replication_values(cfg: SimConfig, fn) -> np.ndarray:
     fn maps a (B, n, m) block to B rows of values.  Its largest temporary
     is taken to be B·n·max(m, G) floats, G the number of grid points.
     """
-    R = cfg.replications
-    step = max(1, _BLOCK_BYTES // (8 * cfg.n * max(cfg.m, len(cfg.grid))))
+    slices = blocks(cfg.replications, 8 * cfg.n * max(cfg.m, len(cfg.grid)))
 
-    def run(lo: int) -> np.ndarray:
-        return fn(_uniform_block(cfg.seed, lo, min(lo + step, R), cfg.n, cfg.m))
+    def run(block: slice) -> np.ndarray:
+        return fn(_uniform_block(cfg.seed, block.start, block.stop, cfg.n, cfg.m))
 
-    starts = range(0, R, step)
-    if cfg.threads == 1 or len(starts) == 1:
-        return np.concatenate([run(lo) for lo in starts])
-    with ThreadPoolExecutor(max_workers=min(cfg.threads, len(starts))) as pool:
-        return np.concatenate(list(pool.map(run, starts)))
+    if cfg.threads == 1 or len(slices) == 1:
+        return np.concatenate([run(b) for b in slices])
+    with ThreadPoolExecutor(max_workers=min(cfg.threads, len(slices))) as pool:
+        return np.concatenate(list(pool.map(run, slices)))
 
 
 def _covariance_report(values: np.ndarray, theoretical: np.ndarray,
@@ -157,10 +154,9 @@ def _covariance_report(values: np.ndarray, theoretical: np.ndarray,
     # time: each entry is the same reduction over R as on the whole
     # R x G x G array of products
     se = np.empty((G, G))
-    step = max(1, _BLOCK_BYTES // (8 * R * G))
-    for lo in range(0, G, step):
-        prods = values[:, lo:lo + step, None] * values[:, None, :]
-        se[lo:lo + step] = prods.std(axis=0, ddof=1) / np.sqrt(R)
+    for rows in blocks(G, 8 * R * G):
+        prods = values[:, rows, None] * values[:, None, :]
+        se[rows] = prods.std(axis=0, ddof=1) / np.sqrt(R)
     dev = np.abs(empirical - theoretical)
     return CovarianceReport(
         empirical=empirical,

@@ -10,8 +10,10 @@ callable (a dependence function, a face restriction, a density): it
 applies it to each point of an array in order.  `block_integral`
 integrates every callable over I^m.  It takes a block callable, (B, m)
 nodes to (B,) values, and builds the node blocks lazily from the per-axis
-rule, each under a fixed byte budget, so a difference stencil of 2^m
-points per node is never held for the whole grid.  `cube_integral` is
+rule, so a difference stencil of 2^m points per node is never held for
+the whole grid.  Every blocked loop of the package (these node blocks,
+`cross` rows, Monte Carlo blocks, lattice chunks) takes its slices from
+`blocks`, the one block budget.  `cube_integral` is
 that integrator with `point_values` inside.  Every node count goes through
 `nodes_per_axis`: an integer >= 1 (default from the one table
 `_CUBE_NODES`), and at most `MAX_EVALUATIONS` point evaluations per
@@ -28,10 +30,9 @@ import numpy as np
 # point evaluations one integral may ask for (nodes^m, times the stencil
 # size); at the budget the node values and weights take 64 MiB
 MAX_EVALUATIONS = 2 ** 22
-# bytes of the largest temporary of one block, here and in the Monte Carlo
-# replication blocks: a block's few temporaries then stay within a core's
-# L2 cache (at 1 MiB the tied-down process cost up to twice as much per
-# replication)
+# bytes of the largest temporary of one block, read by `blocks` alone: a
+# block's few temporaries then stay within a core's L2 cache (at 1 MiB the
+# tied-down process cost up to twice as much per replication)
 _BLOCK_BYTES = 1 << 18
 
 
@@ -43,6 +44,13 @@ def _node_count(n, name: str = "node count") -> int:
     if count < 1 or isinstance(n, bool):
         raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     return count
+
+
+def blocks(count: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of range(count) of max(1, _BLOCK_BYTES //
+    item_bytes) items, the last maybe fewer (an empty item counts 1 byte)."""
+    step = max(1, _BLOCK_BYTES // max(1, item_bytes))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 @lru_cache(maxsize=None)
@@ -133,20 +141,18 @@ def block_integral(g, m: int, n: int | None = None, per_node: int = 1) -> float:
     maps (B, m) nodes to (B,) values, with n nodes per axis (default
     `default_nodes(m)`).
 
-    The nodes come in `tensor_rule` order, in blocks of about
-    `_BLOCK_BYTES` of evaluation points (`per_node` points per node); the
-    values fill one vector that is dotted with the `tensor_rule` weights,
-    so the result does not depend on the block size.
+    The nodes come in `tensor_rule` order, in `blocks` of evaluation
+    points (`per_node` points per node); the values fill one vector that
+    is dotted with the `tensor_rule` weights, so the result does not
+    depend on the block size.
     """
     n = nodes_per_axis(m, n, per_node)
     x, w = unit_rule(n)
     wts = _tensor_weights(w, m)
     vals = np.empty(len(wts))
-    step = max(1, _BLOCK_BYTES // (8 * m * per_node))
-    for start in range(0, len(vals), step):
-        stop = min(start + step, len(vals))
-        digits = np.unravel_index(np.arange(start, stop), (n,) * m)
-        vals[start:stop] = g(np.stack([x[d] for d in digits], axis=-1))
+    for b in blocks(len(vals), 8 * m * per_node):
+        digits = np.unravel_index(np.arange(b.start, b.stop), (n,) * m)
+        vals[b] = g(np.stack([x[d] for d in digits], axis=-1))
     return float(vals @ wts)
 
 

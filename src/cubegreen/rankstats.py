@@ -18,8 +18,8 @@ empirical product atoms.  Every lattice value comes from one cumulative
 histogram (`_cumcounts`) per dataset, built for a chunk of datasets at a
 time: one bincount with each dataset offset by its own lattice, then a
 cumulative sum per axis, in O(n·m·log g + cells) per dataset.  A chunk
-holds as many datasets as keep its lattice within _BLOCK_BYTES, the
-Monte Carlo block budget.  A lattice above _CELL_CAP cells is refused
+holds as many datasets as keep its lattice within the one block budget
+(`quadrature.blocks`).  A lattice above _CELL_CAP cells is refused
 with ValueError before anything is allocated.
 """
 
@@ -31,7 +31,7 @@ from functools import reduce
 import numpy as np
 
 from .families import full_mask
-from .quadrature import _BLOCK_BYTES, _node_count, midpoint_grid
+from .quadrature import _node_count, blocks, midpoint_grid
 
 _DEFAULT_GRID = {2: 64, 3: 24}
 # lattice cells of a p >= 2 integral statistic: 256 MB per float64 array
@@ -184,14 +184,6 @@ def _split_V(V: int, m: int):
     return in_v, out_v
 
 
-def _grid_size(grid_n: int | None, m: int) -> int:
-    """Midpoint nodes per axis: the default for m when grid_n is None, else
-    grid_n, which must be an integer >= 1."""
-    if grid_n is None:
-        return _DEFAULT_GRID.get(m, 12)
-    return _node_count(grid_n, "grid_n")
-
-
 def _check_cells(shape: tuple[int, ...]) -> None:
     """Refuse a lattice above _CELL_CAP cells before anything is allocated."""
     cells = math.prod(shape)
@@ -230,15 +222,14 @@ def _chunk_sums(count: int, cells: int, lattice) -> np.ndarray:
     """The sum over its lattice of each of `count` datasets, as a (count,) array.
 
     lattice maps a slice of the datasets to their (b, ...) lattices, built
-    on `cells` float64 each.  A slice holds as many datasets as keep that
-    within _BLOCK_BYTES, at least one; each dataset's lattice is summed
-    alone, so a sum does not depend on the slice it is computed in.
+    on `cells` float64 each, in slices from `quadrature.blocks`; each
+    dataset's lattice is summed alone, so a sum does not depend on the
+    slice it is computed in.
     """
     sums = np.empty(count)
-    step = max(1, _BLOCK_BYTES // (8 * cells))
-    for lo in range(0, count, step):
-        L = lattice(slice(lo, lo + step))
-        sums[lo:lo + len(L)] = L.reshape(len(L), -1).sum(axis=1)
+    for chunk in blocks(count, 8 * cells):
+        L = lattice(chunk)
+        sums[chunk] = L.reshape(len(L), -1).sum(axis=1)
     return sums
 
 
@@ -340,15 +331,18 @@ def _batch_Bhatp(X: np.ndarray, p: int, g: int) -> np.ndarray:
     return _chunk_sums(len(X), (g + 1) ** m, lattice) / g ** m
 
 
-def _check_integral(X: np.ndarray, V: int, p: int, grid_n: int | None) -> int:
-    """Validate the arguments of B or B-hat on (..., n, m) data; returns the
-    midpoint nodes per axis, checked even at p = 1, which reads none."""
+def _check_args(p: int, grid_n: int | None, m: int) -> int:
+    """Check p >= 1 and grid_n, which every statistic takes, read or not;
+    returns the midpoint nodes per axis (grid_n, or the default for m)."""
     if p < 1:
         raise ValueError("p must be a positive integer")
+    return _DEFAULT_GRID.get(m, 12) if grid_n is None else _node_count(grid_n, "grid_n")
+
+
+def _check_integral(X: np.ndarray, V: int) -> None:
+    """Validate the data and V of B or B-hat on (..., n, m) data."""
     _check_unit_cube(X)
-    m = X.shape[-1]
-    _check_V(V, m)
-    return _grid_size(grid_n, m)
+    _check_V(V, X.shape[-1])
 
 
 def _batch_B1(X: np.ndarray, V: int) -> np.ndarray:
@@ -405,15 +399,16 @@ def batch_statistic(name: str, data, V: int = 0, p: int = 1,
                     grid_n: int | None = None) -> np.ndarray:
     """`statistic` of every dataset of a (B, n, m) batch, as a (B,) array.
 
-    Every statistic runs on the whole batch at once; B and B-hat at
-    p >= 2 in chunks of datasets whose lattices fit _BLOCK_BYTES.
+    Every statistic checks p and grid_n and runs on the whole batch at
+    once; B and B-hat at p >= 2 in lattice chunks from `quadrature.blocks`.
     """
     X = as_batch(data)
+    g = _check_args(p, grid_n, X.shape[-1])
     if name == "B":
-        g = _check_integral(X, V, p, grid_n)
+        _check_integral(X, V)
         return _batch_B1(X, V) if p == 1 else _batch_Bp(X, V, p, g)
     if name == "Bhat":
-        g = _check_integral(X, 0, p, grid_n)
+        _check_integral(X, 0)
         if p != 1:
             return _batch_Bhatp(X, p, g)
         # the exact closed form n^{-1} sum_i prod_j (1/2 - X_ij)
@@ -455,12 +450,14 @@ def statistic(name: str, X, V: int, p: int, grid_n: int | None) -> float:
     """The statistic of one (n, m) dataset named by one of STATISTICS;
     `batch_statistic` is the same for a (B, n, m) batch.
 
-    V is read by B only, p and grid_n by B and Bhat only.
+    V is read by B only, p and grid_n by B and Bhat only (checked by all).
     """
     if name == "B":
         return stat_B(X, V, p, grid_n)
     if name == "Bhat":
         return stat_Bhat(X, p, grid_n)
+    X = as_dataset(X)
+    _check_args(p, grid_n, X.shape[1])
     if name == "rho":
         return spearman_rho(X)
     if name == "gini":

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from cubegreen import kernel as kernel_mod
+from cubegreen import quadrature
 from cubegreen.families import (
     all_nonempty_family,
     empty_family,
@@ -192,7 +192,7 @@ def components(m):
 @pytest.mark.parametrize("na, nb", [(1, 9), (9, 1), (11, 7)])
 def test_evaluators_equal_reference(m, na, nb, monkeypatch):
     # row blocks of 3 rows, so cross crosses a block boundary at 11 rows
-    monkeypatch.setattr(kernel_mod, "_BLOCK_ELEMS", 3 * nb * m + 1)
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 8 * 3 * nb * m)
     A, B = points(max(na, 6), m)[:na], RNG.random((nb, m))
     for k in kernels(m):
         want = ref_cross(k, A, B)

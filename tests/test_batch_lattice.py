@@ -13,7 +13,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from cubegreen import cli, montecarlo, rankstats
+from cubegreen import cli, quadrature, rankstats
 from cubegreen.quadrature import midpoint_grid
 from cubegreen.rankstats import batch_statistic, ranks, stat_B, stat_Bhat
 
@@ -87,7 +87,7 @@ def test_chunk_boundaries_do_not_change_values(budget_cells, monkeypatch):
     X = _batch(11, 12, 2, 6)
     want = {"Bhat": [ref_Bhat(x, 2, 6) for x in X],
             "B": [ref_B(x, 0b10, 2, 6) for x in X]}
-    monkeypatch.setattr(rankstats, "_BLOCK_BYTES", 8 * 72 * budget_cells)
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 8 * 72 * budget_cells)
     assert batch_statistic("Bhat", X, 0, 2, 6).tolist() == want["Bhat"]
     assert batch_statistic("B", X, 0b10, 2, 6).tolist() == want["B"]
 
@@ -171,9 +171,8 @@ def test_nulldist_p2_identical_across_threads(stat, m, V, capsys, monkeypatch):
     results = []
     for threads, small in (("1", False), ("1", True), ("3", True)):
         if small:
-            # blocks of 7 replications and lattice chunks of 2 datasets
-            monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 8 * 12 * m * 7)
-            monkeypatch.setattr(rankstats, "_BLOCK_BYTES", 8 * 12 ** m * 2)
+            # blocks of 7 replications, and lattice chunks of 1 to 4 datasets
+            monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 8 * 12 * m * 7)
         assert cli.main(argv + ["--threads", threads]) == 0
         results.append(capsys.readouterr().out.split(', "timing": ')[0].split('"result": ')[1])
     assert results[0] == results[1] == results[2]

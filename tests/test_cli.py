@@ -154,11 +154,18 @@ class TestStatCommand:
 
     @pytest.mark.parametrize("grid_n", ["0", "-3"])
     def test_grid_n_out_of_range(self, capsys, csv_path, grid_n):
-        for name in ("Bhat", "B"):
+        for name in ("Bhat", "B", "rho", "gini", "footrule"):
             code, out, err = run_cli(capsys, "stat", "--name", name, "--input", csv_path,
                                      "--p", "2", "--grid-n", grid_n)
             assert code == 2 and out == ""
             assert err.startswith("error:") and "grid_n" in err
+
+    @pytest.mark.parametrize("name", rankstats.STATISTICS)
+    def test_p_below_one(self, capsys, csv_path, name):
+        code, out, err = run_cli(capsys, "stat", "--name", name, "--input", csv_path,
+                                 "--p", "0")
+        assert code == 2 and out == ""
+        assert err == "error: p must be a positive integer\n"
 
     def test_no_m_option(self, capsys, csv_path):
         # m is read from the data
@@ -272,6 +279,29 @@ class TestSimulateCommand:
                                  "--n", "20", "--R", "100", "--threads", threads)
         assert code == 2 and out == ""
         assert "threads must be between 1 and 64" in err
+
+    @pytest.mark.parametrize("mode", ["cov", "tiedcov", "field", "nulldist"])
+    @pytest.mark.parametrize("grid_n", ["0", "-2"])
+    def test_grid_n_refused_naming_it(self, capsys, monkeypatch, mode, grid_n):
+        def drawn(*args):
+            raise AssertionError("something was drawn")
+
+        monkeypatch.setattr(montecarlo, "_uniform_block", drawn)
+        monkeypatch.setattr(montecarlo, "substream", drawn)
+        code, out, err = run_cli(capsys, "simulate", "--mode", mode, "--V", "1",
+                                 "--stat", "rho", "--grid-n", grid_n)
+        assert code == 2 and out == ""
+        assert err == f"error: --grid-n must be an integer >= 1, got {grid_n}\n"
+
+    def test_field_mode_reads_no_sample_options(self, capsys):
+        argv = ["simulate", "--mode", "field", "--m", "2", "--grid-n", "2", "--count", "3",
+                "--seed", "6"]
+        default = run_json(capsys, *argv)
+        assert list(default["config"]) == ["mode", "m", "seed", "grid_n", "V", "count"]
+        for extra in (["--R", "10"], ["--n", "0"], ["--threads", "0"]):
+            rep = run_json(capsys, *argv, *extra)
+            assert rep["config"] == default["config"]
+            assert rep["result"] == default["result"]
 
     def test_field_mode(self, capsys):
         rep = run_json(capsys, "simulate", "--mode", "field", "--m", "2",

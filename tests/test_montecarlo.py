@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cubegreen import montecarlo
+from cubegreen import montecarlo, quadrature
 from cubegreen.families import all_nonempty_family, empty_family
 from cubegreen.kernel import green_kernel
 from cubegreen.montecarlo import (
@@ -99,7 +99,7 @@ class TestReplicationBlocks:
     @pytest.mark.parametrize("threads", [1, 3])
     def test_values_across_block_boundaries(self, monkeypatch, threads):
         # 7 replications of 40 bytes per block: 15 blocks, the last one short
-        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 7 * 8 * 5 * 2)
+        monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 7 * 8 * 5 * 2)
         cfg = SimConfig(seed=2**63, n=5, replications=100, m=2, threads=threads)
         vals = montecarlo._replication_values(cfg, lambda X: X.reshape(len(X), -1))
         want = [substream(2**63, r).random((5, 2)).ravel() for r in range(100)]
@@ -108,7 +108,7 @@ class TestReplicationBlocks:
     def test_block_size_does_not_change_results(self, monkeypatch):
         cfg = SimConfig(seed=8, n=30, replications=150, m=3, grid=GRID3)
         reps = [simulate_tied_down_covariance(cfg)]
-        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 1)
         reps.append(simulate_tied_down_covariance(cfg))
         assert np.array_equal(reps[0].empirical, reps[1].empirical)
         assert np.array_equal(reps[0].standard_errors, reps[1].standard_errors)

@@ -308,6 +308,19 @@ class TestGridECDF:
             with pytest.raises(ValueError, match="grid_n"):
                 stat_B(X, 0b01, p, grid_n)
 
+    @pytest.mark.parametrize("name", STATISTICS)
+    def test_p_and_grid_n_checked_for_every_statistic(self, name):
+        X = RNG.random((2, 5, 2))
+        with pytest.raises(ValueError, match="p must be a positive integer"):
+            batch_statistic(name, X, 0, 0)
+        with pytest.raises(ValueError, match="p must be a positive integer"):
+            statistic(name, X[0], 0, 0, None)
+        for grid_n in (0, -3, 2.5):
+            with pytest.raises(ValueError, match="grid_n"):
+                batch_statistic(name, X, 0, 1, grid_n)
+            with pytest.raises(ValueError, match="grid_n"):
+                statistic(name, X[0], 0, 1, grid_n)
+
     @pytest.mark.parametrize("grid_n", [2.5, True, "4"])
     def test_grid_n_not_an_integer(self, grid_n):
         # 2.5 used to run on 2 midpoints and True on 1
