@@ -62,7 +62,6 @@ from .rankstats import (
     stat_B,
     stat_Bhat,
     tied_down_process,
-    tied_down_process_subtraction,
     to_copula_scale,
 )
 from .montecarlo import (

@@ -222,14 +222,21 @@ def _cmd_stat(args) -> dict:
     m = X.shape[1]
     V = _parse_V(args.V, m)
     value = rankstats.statistic(args.name, X, V, args.p, args.grid_n)
-    return {"config": {"name": args.name, "input": args.input, "n": int(X.shape[0]),
-                       "m": int(m), "V": format_subset(V), "p": args.p,
-                       "grid_n": args.grid_n, "rank_pit": bool(args.rank_pit)},
+    # echo only what the statistic reads: V for B, p and grid_n for B and Bhat
+    config = {"name": args.name, "input": args.input, "n": int(X.shape[0]), "m": int(m)}
+    if args.name == "B":
+        config["V"] = format_subset(V)
+    if args.name in ("B", "Bhat"):
+        config.update(p=args.p, grid_n=args.grid_n)
+    config["rank_pit"] = bool(args.rank_pit)
+    return {"config": config,
             "result": {"name": args.name, "n": int(X.shape[0]), "m": int(m),
                        "value": float(value)}}
 
 
 def _cmd_simulate(args) -> dict:
+    if args.mode == "cov" and args.V is None:
+        raise ValueError('--mode cov needs --V, the known margins (--V "" for none)')
     # nulldist hands grid_n to the statistic and builds no interior grid
     nulldist = args.mode == "nulldist"
     grid_n = 4 if args.grid_n is None and not nulldist else args.grid_n

@@ -324,14 +324,14 @@ def _nystrom_principal(kernel: GreenKernel, n: int, tol: float = 1e-12,
     The matrix S K S, with K the kernel on the n**m nodes and S = diag of
     the square-rooted weights, is never formed: both K and S factor by
     axis, so `GreenKernel.kron_matvec` applies it from three scaled n x n
-    matrices in O(T m n**(m+1)) per iteration for a kernel of T terms.
+    matrices in O(D n**(m+1)) per iteration for a diagram of D node terms.
     """
     x, w = unit_rule(n)
     s = np.sqrt(w)
     scale = np.outer(s, s)
     mins = np.minimum.outer(x, x)
     ks = np.multiply.outer(x, x)
-    gaps = (mins - ks) * scale
+    gaps = mins * (1.0 - np.maximum.outer(x, x)) * scale
     mins *= scale
     ks *= scale
     v = np.ones(n ** kernel.m)
@@ -356,7 +356,7 @@ def principal_eigenvalue(kernel: GreenKernel, grid_n: int) -> EigenEstimate:
     grid_n // 2 points per axis, Richardson-extrapolated assuming
     second-order convergence.  The reported error is the (conservative)
     difference between the two grids.  Each grid's power iteration is
-    matrix-free (see `_nystrom_principal`): O(T m n**(m+1)) time per
+    matrix-free (see `_nystrom_principal`): O(D n**(m+1)) time per
     iteration, three n x n matrices and a few vectors of n**m, so no
     N x N matrix is built.
     Raises ConvergenceError if a power iteration does not converge.

@@ -6,10 +6,11 @@ an upward-closed collection of nonempty subsets: whenever U is a member,
 so is every W with U <= W <= M.  These families index the right-face
 boundary conditions of the kernels in :mod:`cubegreen.kernel`.
 
-A family is validated without sorting: its members are sorted when their
-(popcount, mask) keys strictly increase along one pass, and upward closed
-when every member's immediate oversets are members, looked up in a
-boolean table over all 2^m subsets as one array lookup.
+A family is its boolean table over all 2^m subsets.  Upward closure is an
+OR-fold of the table over the m bit axes, and a family is upward closed
+when every member's immediate oversets are members, one table lookup.
+Members are listed in (popcount, value) order: one stable sort by
+popcount of the table's indices, which are already in value order.
 """
 
 from __future__ import annotations
@@ -72,20 +73,27 @@ def format_subset(mask: int) -> str:
     return "{" + ",".join(str(c) for c in coords_from_mask(mask)) + "}"
 
 
-def _sort_key(mask: int):
-    return (mask.bit_count(), mask)
+def _by_popcount(masks: np.ndarray) -> np.ndarray:
+    """Value-sorted masks in (popcount, value) order: one stable sort."""
+    return masks[np.argsort(np.bitwise_count(masks), kind="stable")]
 
 
-def _strictly_sorted(masks) -> bool:
-    """True iff the (popcount, value) keys strictly increase along the
-    masks, in one pass: the masks are unique and sorted."""
-    prev = (-1, 0)
-    for u in masks:
-        key = (u.bit_count(), u)
-        if key <= prev:
-            return False
-        prev = key
-    return True
+def _table(masks, m: int) -> np.ndarray | None:
+    """The boolean table over the 2^m subsets of a sequence of masks, or
+    None unless they form an upward-closed family of nonempty subsets.
+    A mask above the full mask raises ValueError, naming the first one."""
+    top = full_mask(m)
+    if masks and max(masks) > top:
+        raise ValueError(f"mask {next(u for u in masks if u > top)} out of range for m={m}")
+    if masks and min(masks) <= 0:
+        return None
+    arr = np.array(masks, dtype=np.int64)
+    table = np.zeros(top + 1, dtype=bool)
+    table[arr] = True
+    # every immediate overset is a member; u | 1 << j is u itself when u
+    # holds j
+    over = arr[:, None] | _BITS[:m]
+    return table if np.count_nonzero(table[over]) == over.size else None
 
 
 def is_monotone(masks, m: int) -> bool:
@@ -96,22 +104,7 @@ def is_monotone(masks, m: int) -> bool:
     <= 0 makes the answer False.
     """
     _check_dim(m)
-    top = full_mask(m)
-    masks = list(masks)
-    if not masks:
-        return True
-    if max(masks) > top:
-        u = next(u for u in masks if u > top)
-        raise ValueError(f"mask {u} out of range for m={m}")
-    if min(masks) <= 0:
-        return False
-    # every immediate overset is a member; u | 1 << j is u itself when u
-    # holds j
-    arr = np.array(masks)
-    table = np.zeros(top + 1, dtype=bool)
-    table[arr] = True
-    over = arr[:, None] | _BITS[:m]
-    return bool(np.count_nonzero(table[over]) == over.size)
+    return _table(list(masks), m) is not None
 
 
 @dataclass(frozen=True)
@@ -119,24 +112,34 @@ class MonotoneFamily:
     """An upward-closed family of nonempty subsets of {1..m}.
 
     Members are sorted by (cardinality, numeric value) so that derived
-    artifacts (coefficients, JSON output) are reproducible.
+    artifacts (coefficients, JSON output) are reproducible.  `table` is
+    the family's read-only boolean table over the 2^m subsets.
     """
 
     m: int
     members: tuple[int, ...]
-    _member_set: frozenset[int] = field(init=False, repr=False, compare=False)
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_dim(self.m)
-        if not _strictly_sorted(self.members):
+        members = list(self.members)
+        ordered = _by_popcount(np.sort(np.array(members, dtype=np.int64))).tolist()
+        if len(set(members)) < len(members) or ordered != members:
             raise ValueError("members must be unique and sorted by (popcount, value)")
-        if not is_monotone(self.members, self.m):
+        table = _table(members, self.m)
+        if table is None:
             raise ValueError("family is not upward-closed or contains the empty subset")
-        object.__setattr__(self, "_member_set", frozenset(self.members))
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def from_members(cls, masks, m: int) -> "MonotoneFamily":
-        return cls(m, tuple(sorted(set(masks), key=_sort_key)))
+        masks = np.sort(np.fromiter(set(masks), dtype=np.int64))
+        return cls(m, tuple(_by_popcount(masks).tolist()))
+
+    @classmethod
+    def _from_table(cls, table: np.ndarray, m: int) -> "MonotoneFamily":
+        return cls(m, tuple(_by_popcount(np.flatnonzero(table)).tolist()))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -145,7 +148,7 @@ class MonotoneFamily:
         return iter(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self._member_set
+        return 0 <= mask < len(self.table) and bool(self.table[mask])
 
     def to_coord_lists(self) -> list[list[int]]:
         return [list(coords_from_mask(u)) for u in self.members]
@@ -158,21 +161,19 @@ def upward_closure(generators, m: int) -> MonotoneFamily:
     """Smallest upward-closed family containing the given nonempty subsets."""
     _check_dim(m)
     top = full_mask(m)
-    closed: set[int] = set()
+    table = np.zeros(top + 1, dtype=bool)
     for g in generators:
-        if g == 0:
+        if g <= 0:
             raise ValueError("generators must be nonempty subsets")
         if g > top:
             raise ValueError(f"generator {g} out of range for m={m}")
-        free = top & ~g
-        # add g united with every subset of its complement
-        sub = free
-        while True:
-            closed.add(g | sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-    return MonotoneFamily.from_members(closed, m)
+        table[g] = True
+    # OR-fold along each bit axis: a subset with the bit joins if the
+    # subset without it is in
+    for j in range(m):
+        v = table.reshape(-1, 2, 1 << j)
+        v[:, 1] |= v[:, 0]
+    return MonotoneFamily._from_table(table, m)
 
 
 def family_for_known_margins(V: int, m: int) -> MonotoneFamily:
@@ -207,32 +208,20 @@ def empty_family(m: int) -> MonotoneFamily:
 def enumerate_monotone_families(m: int) -> list[MonotoneFamily]:
     """All upward-closed families of nonempty subsets of {1..m}, m <= 5.
 
-    Enumeration is by backtracking over masks in decreasing cardinality:
-    a mask may be included only if all masks covering it are included.
-    Counts are Dedekind(m) - 1 (5, 19, 167, 7580 for m = 2..5).
+    An upward-closed table over k + 1 bits is a pair of upward-closed
+    tables over k bits, the subsets without and with bit k, the first
+    inside the second; building them bit by bit gives every up-set, and
+    all but the one holding the empty set are families.  Counts are
+    Dedekind(m) - 1 (5, 19, 167, 7580 for m = 2..5).
     """
     _check_dim(m)
     if m > MAX_ENUM_DIM:
         raise ValueError(f"enumeration supported only for m <= {MAX_ENUM_DIM}")
-    order = sorted(range(1, full_mask(m) + 1), key=_sort_key, reverse=True)
-    covers = {
-        u: [u | 1 << j for j in range(m) if not u >> j & 1] for u in order
-    }
-    results: list[frozenset[int]] = []
-
-    def extend(idx: int, chosen: set[int]):
-        if idx == len(order):
-            results.append(frozenset(chosen))
-            return
-        u = order[idx]
-        extend(idx + 1, chosen)
-        if all(w in chosen for w in covers[u]):
-            chosen.add(u)
-            extend(idx + 1, chosen)
-            chosen.remove(u)
-
-    extend(0, set())
-    families = [MonotoneFamily.from_members(s, m) for s in results]
+    tables = np.array([[False], [True]])
+    for _ in range(m):
+        low, high = np.nonzero(~(tables[:, None] & ~tables[None, :]).any(axis=2))
+        tables = np.concatenate([tables[low], tables[high]], axis=1)
+    families = [MonotoneFamily._from_table(t, m) for t in tables if not t[0]]
     families.sort(key=lambda f: (len(f), f.members))
     return families
 

@@ -1,29 +1,29 @@
 """Green / covariance kernels on the unit cube indexed by a monotone family.
 
-With k_j = x_j xi_j and the per-axis gap g_j = min(x_j, xi_j) - k_j >= 0,
-the kernel of a monotone family F is the all-positive sum
+With k_j = x_j xi_j and the per-axis gap g_j = min(x_j, xi_j) - k_j =
+min(x_j, xi_j) (1 - max(x_j, xi_j)) >= 0, the kernel of a monotone family
+F is the sum over the subsets W outside F
 
-    G(x, xi) = sum_{W not in F} prod_{j in W} k_j prod_{j not in W} g_j
-             = prod_j min(x_j, xi_j) - sum_{W in F} (same terms),
+    G(x, xi) = sum_{W not in F} prod_{j in W} k_j prod_{j not in W} g_j,
 
-the second line following from prod_j min_j = prod_j (k_j + g_j) expanded
-over all subsets W.  This is the paper's subset recurrence read as Moebius
-inversion of the indicator of F on the Boolean lattice (Rota 1964).  Each
-kernel evaluates whichever side has fewer terms, so the pillow (all
-nonempty subsets) is the single term prod g_j and the sheet (empty family)
-is prod min_j.  G vanishes whenever any x_j = 0 and on every face x_U = 1
-with U in F; it is the covariance function of the matching limiting
-Gaussian field (Brownian sheet, pillow and tucked sheet arise as special
-cases).
+the paper's subset recurrence read as Moebius inversion of the indicator
+of F on the Boolean lattice (Rota 1964).  G vanishes whenever any x_j = 0
+and on every face x_U = 1 with U in F; it is the covariance function of
+the matching limiting Gaussian field (Brownian sheet, pillow and tucked
+sheet arise as special cases).  The sum is evaluated as the reduced
+ordered decision diagram of F's complement table (Bryant 1986; see
+`_diagram`): a sum of products of nonnegative factors for every family,
+with the gap computed as min (1 - max), so nothing cancels near the faces
+x_j = 1.  The pillow (all nonempty subsets) is a chain of m gap nodes,
+the sheet (empty family) the product of the mins.
 
 `GreenKernel.values(X, Y)`, G at the pairs of two broadcast (..., m)
 arrays, is the one evaluator; `evaluate`, `cross` and `diagonal` call it,
 `cross` on row blocks within the one block budget (`quadrature.blocks`).
-
-Every term is a product over axes, so on a tensor grid with the same n
-nodes on each axis the kernel matrix is a sum of Kronecker products of
-three n x n matrices (min, x xi and their difference), and
-`GreenKernel.kron_matvec` applies it to a vector without forming it.
+Every diagram term is a product over axes, so on a tensor grid with the
+same n nodes on each axis `GreenKernel.kron_matvec` applies the kernel
+matrix, a sum of Kronecker products of three n x n matrices (gap, x xi
+and min), to a vector without forming it.
 
 The signed integer coefficients a_U of the equivalent expansion
 prod min - sum_{U in F} a_U prod_{j not in U} min_j prod_{j in U} k_j are
@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
 
 import numpy as np
 
@@ -58,22 +57,46 @@ def compute_coefficients(family: MonotoneFamily) -> dict[int, int]:
     They satisfy a_U = 1 - sum of a_V over proper subsets V of U inside
     the family.  |a_U| <= 2^m, so int64 arithmetic is exact.
     """
-    m = family.m
     members = list(family.members)
-    f = np.zeros(1 << m, dtype=np.int64)
-    f[members] = 1
-    for j in range(m):
+    f = family.table.astype(np.int64)
+    for j in range(family.m):
         # view index (high bits, bit j, low bits): subtract the subset without j
         v = f.reshape(-1, 2, 1 << j)
         v[:, 1, :] -= v[:, 0, :]
     return dict(zip(members, f[members].tolist()))
 
 
-def _product(factors, out=None) -> np.ndarray:
-    out = np.multiply(factors[0], factors[1], out=out)
-    for f in factors[2:]:
-        np.multiply(out, f, out=out)
-    return out
+# the factor of a diagram term: the gap, x xi, or their sum min(x, xi)
+_GAP, _K, _MIN = 0, 1, 2
+
+Diagram = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+
+def _diagram(comp: bytes, m: int) -> Diagram:
+    """The reduced ordered decision diagram, root on the last axis, of a
+    table over 2^m subsets given as 2^m bytes of 0 and 1.
+
+    Level j holds the nodes on axis j: the distinct nonzero subtables over
+    bits 0..j, memoized by their bytes, each a tuple of (factor, child)
+    terms, child indexing level j - 1 (at j = 0, the leaf).  Equal halves
+    without and with bit j give (_MIN, half), as g_j + k_j = min_j, so an
+    all-ones subtable is a product of mins; others give (_GAP, low half)
+    and (_K, high half), an all-zero half dropped.
+    """
+    levels = []
+    subs = [comp]
+    for j in range(m - 1, -1, -1):
+        half = 1 << j
+        index: dict[bytes, int] = {}
+        level = []
+        for sub in subs:
+            low, high = sub[:half], sub[half:]
+            parts = ((_MIN, low),) if low == high else ((_GAP, low), (_K, high))
+            level.append(tuple([(f, index.setdefault(s, len(index)))
+                                for f, s in parts if 1 in s]))
+        levels.append(tuple(level))
+        subs = list(index)  # the next level's subtables, in index order
+    return tuple(reversed(levels))
 
 
 def _axis_first(P: np.ndarray, d: int) -> np.ndarray:
@@ -84,27 +107,16 @@ def _axis_first(P: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GreenKernel:
-    """A monotone family together with its kernel's term list.
-
-    `positive` says which side of the Moebius identity is evaluated:
-    True sums the terms W not in the family; False subtracts the member
-    terms from prod min.  `terms` holds one row per term, True on the
-    axes j in W (factor x_j xi_j), False elsewhere (factor min - x xi).
-    """
+    """A monotone family together with its kernel's decision diagram:
+    `levels[j]` holds the nodes on axis j (see `_diagram`), the last
+    level the root alone."""
 
     family: MonotoneFamily
-    positive: bool = field(init=False, repr=False, compare=False)
-    terms: tuple[tuple[bool, ...], ...] = field(init=False, repr=False, compare=False)
+    levels: Diagram = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fam = self.family
-        n_all = 1 << fam.m
-        # the complement always holds the empty set; ties go to it
-        positive = n_all - len(fam) <= len(fam) + 1
-        masks = [w for w in range(n_all) if w not in fam] if positive else fam.members
-        object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "terms", tuple(
-            tuple(bool(w >> j & 1) for j in range(fam.m)) for w in masks))
+        comp = (~self.family.table).tobytes()
+        object.__setattr__(self, "levels", _diagram(comp, self.family.m))
 
     @property
     def m(self) -> int:
@@ -125,68 +137,50 @@ class GreenKernel:
         Integrals of a term that are symmetric in the axes depend only on
         |W|, so these counts fix the closed-form lambda values.
         """
-        counts = [comb(self.m, w) for w in range(self.m + 1)]
-        for u in self.family.members:
-            counts[u.bit_count()] -= 1
-        return counts
+        sizes = np.bitwise_count(np.flatnonzero(~self.family.table))
+        return np.bincount(sizes, minlength=self.m + 1).tolist()
 
-    def sum_terms(self, mins: np.ndarray, ks: np.ndarray,
-                  gaps: np.ndarray | None = None) -> np.ndarray:
-        """The kernel's term sum from per-axis factors of shape (m, n, ...).
-
-        mins[j], ks[j] and gaps[j] stand for min(x_j, xi_j), x_j xi_j and
-        their difference (or for integrals of them, since every term is a
-        product over axes).  Without gaps, they are computed in place and
-        mins is overwritten.  Returns an array of shape mins.shape[1:].
-        """
-        total = None if self.positive else np.prod(mins, axis=0)
-        if not self.terms:
-            return total
-        if gaps is None:
-            gaps = np.subtract(mins, ks, out=mins)
-        buf = None
-        for sel in self.terms:
-            buf = _product([k if s else g for s, k, g in zip(sel, ks, gaps)], out=buf)
-            if total is None:
-                total, buf = buf, None
-            elif self.positive:
-                total += buf
-            else:
-                total -= buf
-        return total
+    def sum_terms(self, mins: np.ndarray, ks: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+        """The kernel from per-axis factors of shape (m, n, ...): mins[j],
+        ks[j] and gaps[j] stand for min(x_j, xi_j), x_j xi_j and the gap,
+        or for integrals of them, since every term is a product over axes.
+        Returns an array of shape mins.shape[1:]."""
+        factors = (gaps, ks, mins)
+        # a level-0 node is one term on the leaf: its factor itself
+        below = [factors[f][0] for ((f, _),) in self.levels[0]]
+        for j, level in enumerate(self.levels[1:], 1):
+            here = []
+            for (f, c), *rest in level:
+                acc = factors[f][j] * below[c]
+                for f, c in rest:
+                    acc += factors[f][j] * below[c]
+                here.append(acc)
+            below = here
+        return below[0]
 
     def kron_matvec(self, mins: np.ndarray, ks: np.ndarray, gaps: np.ndarray,
                     v: np.ndarray) -> np.ndarray:
         """The kernel matrix on an n**m tensor grid applied to v, matrix-free.
 
-        mins, ks and gaps are the n x n matrices min(x, xi), x xi and their
-        difference on one axis's nodes (symmetrically scaled, if need be).
-        On the tensor grid, in `tensor_rule` order, each term is the
-        Kronecker product of one of them per axis, so the kernel matrix is
-        the sum of the terms (or the product of mins minus them).  Each
-        Kronecker product is applied axis by axis to v reshaped to (n,)*m:
-        O(T m n**(m+1)) time, and no matrix larger than n x n.
+        mins, ks and gaps are the n x n matrices min(x, xi), x xi and the
+        gap on one axis's nodes (symmetrically scaled, if need be); in
+        `tensor_rule` order, each diagram term is the Kronecker product of
+        one of them per axis.  Level j's inputs have axis j leading, and
+        each term's product contracts it and moves it last: O(n**(m+1))
+        per term, and no matrix larger than n x n.
         """
         n = len(mins)
-
-        def apply(mats) -> np.ndarray:
-            x = v
-            for a in mats:
-                # contract the leading axis and move it last: after m axes
-                # the order is back to the start
-                x = x.reshape(n, -1).T @ a.T
-            return x.reshape(-1)
-
-        total = None if self.positive else apply([mins] * self.m)
-        for sel in self.terms:
-            t = apply([ks if s else gaps for s in sel])
-            if total is None:
-                total = t
-            elif self.positive:
-                total += t
-            else:
-                total -= t
-        return total
+        mats = (gaps.T, ks.T, mins.T)
+        below = [v]
+        for level in self.levels:
+            here = []
+            for (f, c), *rest in level:
+                acc = below[c].reshape(n, -1).T @ mats[f]
+                for f, c in rest:
+                    acc += below[c].reshape(n, -1).T @ mats[f]
+                here.append(acc)
+            below = here
+        return below[0].reshape(-1)
 
     def _check_points(self, P) -> np.ndarray:
         P = np.asarray(P, dtype=float)
@@ -203,8 +197,13 @@ class GreenKernel:
         # the (m, ...) factor arrays in C order, so each per-axis product
         # runs over contiguous memory
         mins = np.minimum(Xt, Yt, order="C")
-        ks = np.multiply(Xt, Yt, order="C").reshape(self.m, -1)
-        return self.sum_terms(mins.reshape(self.m, -1), ks).reshape(mins.shape[1:])
+        gaps = np.maximum(Xt, Yt, order="C")
+        np.subtract(1.0, gaps, out=gaps)
+        gaps *= mins
+        ks = np.multiply(Xt, Yt, order="C")
+        m = self.m
+        return self.sum_terms(mins.reshape(m, -1), ks.reshape(m, -1),
+                              gaps.reshape(m, -1)).reshape(mins.shape[1:])
 
     def evaluate(self, x, xi) -> float:
         """Kernel value G(x, xi)."""

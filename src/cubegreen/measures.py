@@ -17,10 +17,13 @@ form is one weighted sum of `_once` over the other component's atoms or
 line rule.
 
 Closed forms are used for Lebesgue and diagonal components and are
-cross-checked by a quadrature path.  Both sum the kernel's all-positive
-terms (see :mod:`cubegreen.kernel`), so nothing cancels.  Mixtures
-involving the anti-diagonal are quadrature only.  All quadrature splits
-the domain at the kinks of min(x, xi), which restores exactness for the
+cross-checked by a quadrature path.  The closed forms are exact integer
+sums over the popcount histogram of the complement table, or the
+kernel's diagram (see :mod:`cubegreen.kernel`) on per-axis integrals,
+the gap's being x (1 - x) / 2, so nothing cancels; the quadrature path
+takes the gap's integral as a difference.  Mixtures involving the
+anti-diagonal are quadrature only.  All quadrature splits the domain at
+the kinks of min(x, xi), which restores exactness for the
 piecewise-polynomial integrands that occur here.
 """
 

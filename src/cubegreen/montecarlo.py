@@ -128,20 +128,27 @@ def _uniform_block(seed: int, lo: int, hi: int, n: int, m: int) -> np.ndarray:
     return out
 
 
-def _replication_values(cfg: SimConfig, fn) -> np.ndarray:
+def _replication_values(cfg: SimConfig, fn, cells: int = 0) -> np.ndarray:
     """fn of the uniform sample of every replication, in index order.
 
     fn maps a (B, n, m) block to B rows of values.  Its largest temporary
     is taken to be B·n·max(m, G) floats, G the number of grid points.
+    Threads whose lattices of `cells` cells per dataset together pass
+    rankstats._CELL_CAP are refused before the pool starts.
     """
     slices = blocks(cfg.replications, 8 * cfg.n * max(cfg.m, len(cfg.grid)))
+    workers = min(cfg.threads, len(slices))
+    if cells <= rankstats._CELL_CAP < workers * cells:
+        raise ValueError(f"--threads {cfg.threads} builds {workers} lattices of {cells} "
+                         f"cells at once, above the cap of {rankstats._CELL_CAP}; reduce "
+                         f"--threads")
 
     def run(block: slice) -> np.ndarray:
         return fn(_uniform_block(cfg.seed, block.start, block.stop, cfg.n, cfg.m))
 
-    if cfg.threads == 1 or len(slices) == 1:
+    if workers == 1:
         return np.concatenate([run(b) for b in slices])
-    with ThreadPoolExecutor(max_workers=min(cfg.threads, len(slices))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(run, slices)))
 
 
@@ -229,7 +236,8 @@ def null_distribution(cfg: SimConfig, statistic: str, p: int = 1,
         v = rankstats.batch_statistic(statistic, X, V, p, grid_n)
         return np.sqrt(cfg.n) * v if scale_sqrt_n else v
 
-    vals = _replication_values(cfg, stat)
+    cells = rankstats.lattice_cells(statistic, cfg.n, cfg.m, V, p, grid_n)
+    vals = _replication_values(cfg, stat, cells)
     R = len(vals)
     var = float(vals.var(ddof=1))
     centered = vals - vals.mean()

@@ -155,29 +155,6 @@ def tied_down_process(data, x) -> float:
     return float(batch_tied_down(*_one_point(data, x))[0, 0])
 
 
-def tied_down_process_subtraction(data, x) -> float:
-    """Alternate form: sqrt(n) (F_n minus alternating face corrections)."""
-    X = as_dataset(data)
-    _check_unit_cube(X)
-    n, m = X.shape
-    x = np.asarray(x, dtype=float)
-
-    def F_n(z):
-        return float(np.mean(np.all(X <= z, axis=1)))
-
-    total = F_n(x)
-    for u in range(1, 1 << m):
-        k = u.bit_count()
-        xf = x.copy()
-        xu = 1.0
-        for j in range(m):
-            if u >> j & 1:
-                xu *= x[j]
-                xf[j] = 1.0
-        total -= (-1.0) ** (k - 1) * xu * F_n(xf)
-    return float(np.sqrt(n) * total)
-
-
 def _split_V(V: int, m: int):
     in_v = [j for j in range(m) if V >> j & 1]
     out_v = [j for j in range(m) if not V >> j & 1]
@@ -190,6 +167,19 @@ def _check_cells(shape: tuple[int, ...]) -> None:
     if cells > _CELL_CAP:
         raise ValueError(f"the statistic needs a lattice of {cells} cells, above the "
                          f"cap of {_CELL_CAP}; reduce grid_n, n or m, or choose larger V")
+
+
+def lattice_cells(name: str, n: int, m: int, V: int, p: int, grid_n: int | None) -> int:
+    """Cells of the lattice that the statistic builds for one dataset of n
+    points in m dimensions: B and B-hat at p >= 2 build one, the others
+    none (0).  Checks p and grid_n as the statistic does."""
+    if name not in ("B", "Bhat") or p == 1:
+        return 0
+    g = _check_args(p, grid_n, m)
+    if name == "Bhat":
+        return (g + 1) ** m
+    known = V.bit_count()
+    return g ** known * n ** (m - known)
 
 
 def _cumcounts(idx: np.ndarray, shape: tuple[int, ...],

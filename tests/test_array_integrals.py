@@ -42,12 +42,13 @@ RNG = np.random.default_rng(90817)
 def ref_cross(k, A, B):
     At = np.atleast_2d(np.asarray(A, dtype=float)).T[:, :, None]
     Bt = np.atleast_2d(np.asarray(B, dtype=float)).T[:, None, :]
-    return k.sum_terms(np.minimum(At, Bt), At * Bt)
+    mins = np.minimum(At, Bt)
+    return k.sum_terms(mins, At * Bt, mins * (1.0 - np.maximum(At, Bt)))
 
 
 def ref_diagonal(k, P):
     Pt = np.atleast_2d(np.asarray(P, dtype=float)).T.copy()
-    return k.sum_terms(Pt, Pt * Pt)
+    return k.sum_terms(Pt, Pt * Pt, Pt * (1.0 - Pt))
 
 
 def ref_evaluate(k, x, xi):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cubegreen import cli, montecarlo, rankstats
+from cubegreen import cli, montecarlo, quadrature, rankstats
 from cubegreen.cli import build_parser, main
 from cubegreen.extremal import ConvergenceError
 
@@ -152,6 +152,16 @@ class TestStatCommand:
         expected = np.prod(1 - X, axis=1).mean() - 0.25
         assert rep["result"]["value"] == pytest.approx(expected, abs=1e-14)
 
+    def test_config_echoes_only_the_options_read(self, capsys, csv_path):
+        argv = ["--input", csv_path, "--V", "1", "--p", "3", "--grid-n", "5"]
+        for name in ("rho", "gini", "footrule"):
+            cfg = run_json(capsys, "stat", "--name", name, *argv)["config"]
+            assert list(cfg) == ["name", "input", "n", "m", "rank_pit"]
+        cfg = run_json(capsys, "stat", "--name", "Bhat", *argv)["config"]
+        assert "V" not in cfg and (cfg["p"], cfg["grid_n"]) == (3, 5)
+        cfg = run_json(capsys, "stat", "--name", "B", *argv)["config"]
+        assert (cfg["V"], cfg["p"], cfg["grid_n"]) == ("{1}", 3, 5)
+
     @pytest.mark.parametrize("grid_n", ["0", "-3"])
     def test_grid_n_out_of_range(self, capsys, csv_path, grid_n):
         for name in ("Bhat", "B", "rho", "gini", "footrule"):
@@ -203,6 +213,33 @@ class TestSimulateCommand:
                        "--seed", "3", "--grid-n", "2")
         assert rep["result"]["max_dev_in_se"] < 6.0
         assert len(rep["result"]["theoretical"]) == 4
+
+    def test_cov_needs_V(self, capsys, monkeypatch):
+        def no_config(*args, **kwargs):
+            raise AssertionError("a simulation config was built")
+
+        monkeypatch.setattr(cli, "SimConfig", no_config)
+        code, out, err = run_cli(capsys, "simulate", "--mode", "cov", "--m", "2",
+                                 "--n", "20", "--R", "100")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--V" in err
+
+    def test_threads_times_lattice_refused_before_the_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        # 2 blocks of 50 replications; Bhat at p = 2 on 4 midpoints per axis
+        # builds (4 + 1)^2 = 25 cells per dataset, and two threads 50
+        monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 50 * 8 * 20 * 2)
+        monkeypatch.setattr(rankstats, "_CELL_CAP", 40)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        argv = ["simulate", "--mode", "nulldist", "--stat", "Bhat", "--p", "2", "--grid-n", "4",
+                "--m", "2", "--n", "20", "--R", "100", "--seed", "2"]
+        code, out, err = run_cli(capsys, *argv, "--threads", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--threads" in err
+        # one thread builds one lattice at a time, within the cap
+        run_json(capsys, *argv, "--threads", "1")
 
     def test_nulldist_deterministic_across_threads(self, capsys):
         reports = []

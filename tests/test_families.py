@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from cubegreen.families import (
     is_monotone,
     mask_from_coords,
     parse_subset,
+    subsets_of_size,
     upward_closure,
 )
 
@@ -45,6 +47,23 @@ class TestIsMonotone:
     def test_dimension_out_of_range(self, m):
         with pytest.raises(ValueError):
             is_monotone([], m)
+
+
+def set_upward_closure(generators, m):
+    """The set loop the table closure replaced, kept as its reference: each
+    generator united with every subset of its complement, the members in
+    (popcount, value) order."""
+    top = full_mask(m)
+    closed = set()
+    for g in generators:
+        free = top & ~g
+        sub = free
+        while True:
+            closed.add(g | sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+    return tuple(sorted(closed, key=lambda u: (u.bit_count(), u)))
 
 
 # the set-based validation the array checks replace, kept as their reference
@@ -182,6 +201,15 @@ class TestUpwardClosure:
         assert set(fam.members) == brute_closure(gens, m)
         again = upward_closure(fam.members, m) if fam.members else fam
         assert again.members == fam.members  # idempotent
+
+    @pytest.mark.parametrize("m", [8, 12, 16])
+    def test_table_closure_matches_set_loop(self, m):
+        rng = np.random.default_rng(m)
+        cases = [[int(g) for g in rng.integers(1, 1 << m, count)] for count in (1, 3, 20)]
+        # a singleton generator: every subset holding one coordinate
+        cases += [[1 << (m // 2), *cases[1]], list(subsets_of_size(m, m // 2))]
+        for gens in cases:
+            assert upward_closure(gens, m).members == set_upward_closure(gens, m)
 
 
 class TestKnownMarginsFamily:

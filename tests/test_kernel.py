@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from cubegreen.families import (
     enumerate_monotone_families,
     family_for_known_margins,
     full_mask,
+    subsets_of_size,
     upward_closure,
 )
-from cubegreen.kernel import GreenKernel, compute_coefficients, green_kernel
+from cubegreen.kernel import _GAP, _MIN, GreenKernel, compute_coefficients, green_kernel
 
 RNG = np.random.default_rng(51423)
 
@@ -96,7 +98,7 @@ class TestEvaluate:
     def test_pillow_closed_form(self, m):
         k = green_kernel(all_nonempty_family(m))
         for x, y in point_pairs(m):
-            closed = float(np.prod(np.minimum(x, y) - x * y))
+            closed = float(np.prod(np.minimum(x, y) * (1.0 - np.maximum(x, y))))
             got = k.evaluate(x, y)
             assert got >= 0.0
             assert abs(got - closed) <= 1e-14
@@ -119,9 +121,12 @@ class TestEvaluate:
             assert got >= 0.0
             assert got == pytest.approx(positive_sum(fam, x, y), rel=1e-12)
 
-    def test_single_term_for_pillow_and_sheet(self):
-        assert green_kernel(all_nonempty_family(16)).terms == ((False,) * 16,)
-        assert green_kernel(empty_family(16)).terms == ()
+    @pytest.mark.parametrize("m", [2, 3, 16])
+    def test_diagram_of_pillow_and_sheet(self, m):
+        # the pillow: one gap node per axis
+        assert green_kernel(all_nonempty_family(m)).levels == ((((_GAP, 0),),),) * m
+        # the sheet: an all-ones root, the product of the mins
+        assert green_kernel(empty_family(m)).levels == ((((_MIN, 0),),),) * m
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_top_only_closed_form(self, m):
@@ -159,6 +164,55 @@ class TestEvaluate:
                 x, y = RNG.random(m), RNG.random(m)
                 x[j] = 0.0
                 assert abs(k.evaluate(x, y)) <= 1e-15
+
+
+def exact_kernel(comp, x, xi) -> Fraction:
+    """G(x, xi) in exact arithmetic from the complement table comp (an
+    object array of 0 and 1 over the 2^m subsets): the sum of the per-axis
+    products, contracted one bit axis at a time.  Every float is a dyadic
+    rational, so each factor is an integer over 4**s."""
+    s = max(Fraction(v).denominator for v in (*x, *xi)).bit_length() - 1
+    top = 1 << s
+    for a, b in zip(x, xi):
+        lo, hi = sorted((int(a * top), int(b * top)))
+        comp = comp[0::2] * (lo * (top - hi)) + comp[1::2] * (int(a * top) * int(b * top))
+    return Fraction(int(comp[0]), top ** (2 * len(x)))
+
+
+def near_face_points(m, rng):
+    """k = 1..m coordinates at 1 - eps, the others uniform, with xi = x but
+    xi_m = 0.3."""
+    for eps in (1e-4, 1e-8, 1e-12, 1e-14):
+        for k in range(1, m + 1):
+            x = rng.random(m)
+            x[:k] = 1.0 - eps
+            xi = x.copy()
+            xi[-1] = 0.3
+            yield x, xi
+
+
+class TestExactRationals:
+    """G against exact rationals where the per-axis gap min - x xi would
+    cancel: within 1e-14 relative, for every point."""
+
+    def check(self, fam):
+        k = green_kernel(fam)
+        comp = np.array((~fam.table).astype(int).tolist(), dtype=object)
+        for x, xi in near_face_points(fam.m, RNG):
+            exact = exact_kernel(comp, x, xi)
+            assert abs(Fraction(k.evaluate(x, xi)) - exact) <= Fraction(1, 10 ** 14) * exact
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_every_family(self, m):
+        for fam in enumerate_monotone_families(m):
+            self.check(fam)
+
+    @pytest.mark.parametrize("m, size", [(12, 6), (16, 8)])
+    def test_closure_of_the_k_subsets(self, m, size):
+        self.check(upward_closure(subsets_of_size(m, size), m))
+
+    def test_known_margins_m16(self):
+        self.check(family_for_known_margins(0b101, 16))
 
 
 class TestMatrixOps:

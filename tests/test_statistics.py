@@ -24,11 +24,33 @@ from cubegreen.rankstats import (
     stat_Bhat,
     statistic,
     tied_down_process,
-    tied_down_process_subtraction,
     to_copula_scale,
 )
 
 RNG = np.random.default_rng(3141)
+
+
+def tied_down_process_subtraction(data, x) -> float:
+    """Oracle: the tied-down process as sqrt(n) (F_n minus alternating face
+    corrections)."""
+    X = np.asarray(data, dtype=float)
+    n, m = X.shape
+    x = np.asarray(x, dtype=float)
+
+    def F_n(z):
+        return float(np.mean(np.all(X <= z, axis=1)))
+
+    total = F_n(x)
+    for u in range(1, 1 << m):
+        k = u.bit_count()
+        xf = x.copy()
+        xu = 1.0
+        for j in range(m):
+            if u >> j & 1:
+                xu *= x[j]
+                xf[j] = 1.0
+        total -= (-1.0) ** (k - 1) * xu * F_n(xf)
+    return float(np.sqrt(n) * total)
 
 
 def brute_B1(X, V):
