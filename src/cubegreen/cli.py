@@ -33,10 +33,10 @@ from .families import (
     family_for_known_margins,
     family_from_json,
     format_subset,
-    mask_from_coords,
+    parse_subset,
 )
 from .kernel import green_kernel
-from .measures import integrate_once, lambda_value, measure_from_json
+from .measures import lambda_value, measure_from_json
 from .extremal import ConvergenceError, efficiency_coefficient, principal_eigenvalue, solve
 from .quadrature import _node_count
 from .montecarlo import (
@@ -50,38 +50,35 @@ from .montecarlo import (
 from . import rankstats
 
 
+_SUBSET_HELP = "the known margins V as a subset: 1,2 or {1,2} or [1,2] (empty for none)"
+
+# the mutually exclusive family options: (option, argparse keywords, builder(value, m))
+_FAMILY_OPTIONS = (
+    ("--family", {"help": "JSON array-of-arrays of 1-based coordinates"}, family_from_json),
+    ("--family-known-margins-V", {"help": _SUBSET_HELP},
+     lambda text, m: family_for_known_margins(parse_subset(text, m), m)),
+    ("--family-all", {"action": "store_true", "help": "all nonempty subsets (pillow)"},
+     lambda _, m: all_nonempty_family(m)),
+    ("--family-empty", {"action": "store_true", "help": "empty family (sheet)"},
+     lambda _, m: empty_family(m)),
+)
+
+
 def _add_family_args(p: argparse.ArgumentParser):
     """Add the required, mutually exclusive family options; returns their group."""
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--family", help="JSON array-of-arrays of 1-based coordinates")
-    g.add_argument("--family-known-margins-V", dest="known_v",
-                   help="comma-separated coordinates of V (empty string for V = empty set)")
-    g.add_argument("--family-all", action="store_true",
-                   help="all nonempty subsets (pillow)")
-    g.add_argument("--family-empty", action="store_true",
-                   help="empty family (sheet)")
+    for option, kwargs, _ in _FAMILY_OPTIONS:
+        g.add_argument(option, **kwargs)
     return g
 
 
-def _resolve_family(args) -> MonotoneFamily:
-    m = args.m
-    if getattr(args, "family", None) is not None:
-        return family_from_json(args.family, m)
-    if getattr(args, "known_v", None) is not None:
-        coords = [int(t) for t in args.known_v.split(",") if t.strip()]
-        return family_for_known_margins(mask_from_coords(coords, m), m)
-    if getattr(args, "family_all", False):
-        return all_nonempty_family(m)
-    return empty_family(m)
-
-
-def _family_flag(args) -> list[str]:
-    """The family option as given, echoed in a report's config for replay."""
-    if args.family is not None:
-        return ["--family", args.family]
-    if args.known_v is not None:
-        return ["--family-known-margins-V", args.known_v]
-    return ["--family-all"] if args.family_all else ["--family-empty"]
+def _resolve_family(args) -> tuple[MonotoneFamily, list[str]]:
+    """The family the options give, and the option as given, echoed in a
+    report's config for replay."""
+    for option, _, build in _FAMILY_OPTIONS:
+        value = getattr(args, option[2:].replace("-", "_"))  # argparse's dest
+        if value is not None and value is not False:
+            return build(value, args.m), [option] if value is True else [option, value]
 
 
 def _parse_point(text: str, m: int) -> np.ndarray:
@@ -89,13 +86,6 @@ def _parse_point(text: str, m: int) -> np.ndarray:
     if len(vals) != m:
         raise ValueError(f"expected {m} coordinates, got {len(vals)}")
     return np.asarray(vals)
-
-
-def _parse_V(text: str | None, m: int) -> int:
-    if text is None:
-        return 0
-    coords = [int(t) for t in text.split(",") if t.strip()]
-    return mask_from_coords(coords, m)
 
 
 def _interior_grid(m: int, per_axis: int) -> tuple[tuple[float, ...], ...]:
@@ -149,54 +139,54 @@ def _cmd_family(args) -> dict:
         return {"config": {"m": args.m, "enumerate": True},
                 "result": {"count": len(fams),
                            "families": [f.to_coord_lists() for f in fams]}}
-    fam = _resolve_family(args)
+    fam, _ = _resolve_family(args)
     return {"config": {"m": args.m},
             "result": {"family": fam.to_coord_lists(), "text": str(fam)}}
 
 
 def _cmd_coeffs(args) -> dict:
-    fam = _resolve_family(args)
+    fam, flag = _resolve_family(args)
     kern = green_kernel(fam)
-    return {"config": {"m": args.m, "family": _family_flag(args)},
+    return {"config": {"m": args.m, "family": flag},
             "result": {"a": kern.coefficients_by_name()}}
 
 
 def _cmd_green_eval(args) -> dict:
-    fam = _resolve_family(args)
+    fam, flag = _resolve_family(args)
     kern = green_kernel(fam)
     x = _parse_point(args.x, args.m)
     xi = _parse_point(args.xi, args.m)
-    return {"config": {"m": args.m, "family": _family_flag(args),
+    return {"config": {"m": args.m, "family": flag,
                        "x": list(x), "xi": list(xi)},
             "result": {"value": kern.evaluate(x, xi)}}
 
 
 def _cmd_lambda(args) -> dict:
-    fam = _resolve_family(args)
+    fam, flag = _resolve_family(args)
     kern = green_kernel(fam)
     measure = measure_from_json(args.measure, args.m)
     lam = lambda_value(kern, measure, args.method)
-    return {"config": {"m": args.m, "family": _family_flag(args),
+    return {"config": {"m": args.m, "family": flag,
                        "measure": args.measure, "method": args.method},
             "result": {"lambda": lam, "inverse_lambda": 1.0 / lam}}
 
 
 def _cmd_solve(args) -> dict:
-    fam = _resolve_family(args)
+    fam, flag = _resolve_family(args)
     measure = measure_from_json(args.measure, args.m)
     sol = solve(fam, measure, args.method)
     samples = []
     for text in args.eval_at or []:
         x = _parse_point(text, args.m)
         samples.append({"x": list(map(float, x)), "omega": sol.omega(x)})
-    return {"config": {"m": args.m, "family": _family_flag(args),
+    return {"config": {"m": args.m, "family": flag,
                        "measure": args.measure, "method": args.method},
             "result": {"lambda": sol.lam, "inverse_lambda": 1.0 / sol.lam,
                        "omega": samples}}
 
 
 def _cmd_efficiency(args) -> dict:
-    V = _parse_V(args.V, args.m)
+    V = parse_subset(args.V, args.m)
     fam = family_for_known_margins(V, args.m)
     measure = measure_from_json(args.measure, args.m)
     coeff = efficiency_coefficient(fam, measure)
@@ -205,9 +195,9 @@ def _cmd_efficiency(args) -> dict:
 
 
 def _cmd_eigen(args) -> dict:
-    fam = _resolve_family(args)
+    fam, flag = _resolve_family(args)
     est = principal_eigenvalue(green_kernel(fam), args.grid_n)
-    return {"config": {"m": args.m, "family": _family_flag(args),
+    return {"config": {"m": args.m, "family": flag,
                        "grid_n": args.grid_n},
             "result": {"value": est.value, "error": est.error,
                        "coarse": est.coarse, "fine": est.fine},
@@ -220,7 +210,7 @@ def _cmd_stat(args) -> dict:
     if args.rank_pit:
         X = rankstats.to_copula_scale(X)
     m = X.shape[1]
-    V = _parse_V(args.V, m)
+    V = parse_subset(args.V, m)
     value = rankstats.statistic(args.name, X, V, args.p, args.grid_n)
     # echo only what the statistic reads: V for B, p and grid_n for B and Bhat
     config = {"name": args.name, "input": args.input, "n": int(X.shape[0]), "m": int(m)}
@@ -242,7 +232,7 @@ def _cmd_simulate(args) -> dict:
     grid_n = 4 if args.grid_n is None and not nulldist else args.grid_n
     grid_n = None if grid_n is None else _node_count(grid_n, "--grid-n")
     grid = () if nulldist else _interior_grid(args.m, grid_n)
-    V = _parse_V(args.V, args.m) if args.V is not None else None
+    V = parse_subset(args.V, args.m) if args.V is not None else None
     V_text = format_subset(V) if V is not None else None
     if args.mode == "field":
         fam = all_nonempty_family(args.m) if V is None \
@@ -313,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=handler)
 
     sp = common(sub.add_parser("efficiency"))
-    sp.add_argument("--V", help="comma-separated coordinates of the known margins")
+    sp.add_argument("--V", default="", help=_SUBSET_HELP)
     sp.add_argument("--measure", default="lebesgue")
     sp.set_defaults(handler=_cmd_efficiency)
 
@@ -321,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--name", required=True,
                     choices=rankstats.STATISTICS)
     sp.add_argument("--input", required=True)
-    sp.add_argument("--V")
+    sp.add_argument("--V", default="", help=_SUBSET_HELP)
     sp.add_argument("--p", type=int, default=1)
     sp.add_argument("--grid-n", type=int)
     sp.add_argument("--rank-pit", action="store_true")
@@ -330,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = common(sub.add_parser("simulate"))
     sp.add_argument("--mode", required=True,
                     choices=("cov", "tiedcov", "field", "nulldist"))
-    sp.add_argument("--V")
+    sp.add_argument("--V", help=_SUBSET_HELP)
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--R", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .families import MonotoneFamily, family_for_known_margins, subsets_of_size
-from .kernel import GreenKernel, green_kernel
+from .kernel import GreenKernel, _pair_factors, green_kernel
 from .measures import Measure, integrate_against, integrate_once, lambda_value, lebesgue
 from .quadrature import (
     _node_count,
@@ -73,16 +73,13 @@ class ExtremalSolution:
 
 @dataclass(frozen=True)
 class DependenceFunction:
-    """A dependence direction: evaluator plus optional extras.
-
-    faces maps a subset mask U to the restriction with x_U pinned to 1
-    (the callable still receives the full m-vector).  density, when given,
-    is the closed-form m-fold mixed derivative and bypasses finite
-    differences in Fisher-information computations.
+    """A dependence direction: its evaluator fn at a point of the cube, and
+    optionally its closed-form m-fold mixed derivative, density, which
+    bypasses finite differences in Fisher-information computations.  A
+    restriction of fn to a face x_U = 1 is fn with x_U pinned to 1.
     """
 
     fn: Callable[[np.ndarray], float]
-    faces: dict[int, Callable[[np.ndarray], float]] | None = None
     density: Callable[[np.ndarray], float] | None = None
 
 
@@ -106,7 +103,6 @@ class EigenEstimate:
     error: float
     coarse: float
     fine: float
-    grid_n: int
     coarse_iterations: int
     fine_iterations: int
 
@@ -174,8 +170,11 @@ def mixed_derivative(f, x, h: float = 1e-3) -> float:
     return _stencil_derivatives(f, x[None, :], h)[0]
 
 
-def _check_face_vanishing(fn, m: int, tol: float = 1e-6) -> None:
-    # probe each face x_U = 1, |U| = m-1, at interior values of the free axis
+def _vanishing_integral(fn, m: int, nodes: int | None, tol: float = 1e-6) -> float:
+    """Cube integral of fn, which must vanish on the faces x_U = 1: the node
+    count is checked, then each face with |U| = m-1 is probed at interior
+    values of its free axis, and then fn is integrated."""
+    n = nodes_per_axis(m, nodes)
     probes = np.linspace(0.1, 0.9, 9)
     X = np.ones((m, len(probes), m))
     axes = np.arange(m)
@@ -186,6 +185,7 @@ def _check_face_vanishing(fn, m: int, tol: float = 1e-6) -> None:
             f"dependence function does not vanish on the face opposite axis "
             f"{bad[0] // len(probes) + 1}"
         )
+    return cube_integral(fn, m, n)
 
 
 def bahadur_slope_B1(V: int, m: int, dep: DependenceFunction,
@@ -195,11 +195,8 @@ def bahadur_slope_B1(V: int, m: int, dep: DependenceFunction,
     Equals (1/lam) * (integral of the dependence function)^2 with lam taken
     for the known-margins family of V under Lebesgue measure.
     """
-    n = nodes_per_axis(m, nodes)
-    _check_face_vanishing(dep.fn, m)
-    fam = family_for_known_margins(V, m)
-    lam = lambda_value(green_kernel(fam), lebesgue(m), method="closed")
-    integral = cube_integral(dep.fn, m, n)
+    lam = lambda_value(green_kernel(family_for_known_margins(V, m)), lebesgue(m), method="closed")
+    integral = _vanishing_integral(dep.fn, m, nodes)
     return integral * integral / lam
 
 
@@ -209,9 +206,7 @@ def pitman_slope_spearman(m: int, dep: DependenceFunction,
     multivariate Spearman statistic."""
     if m < 2:
         raise ValueError("m must be at least 2")
-    n = nodes_per_axis(m, nodes)
-    _check_face_vanishing(dep.fn, m)
-    integral = cube_integral(dep.fn, m, n)
+    integral = _vanishing_integral(dep.fn, m, nodes)
     denom = 2.0 ** m - m - 1.0
     mu_prime = 2.0 ** m * (m + 1.0) / denom * integral
     sigma_sq = (m + 1.0) ** 2 * ((4.0 / 3.0) ** m - m / 3.0 - 1.0) / denom ** 2
@@ -223,31 +218,26 @@ def pitman_slope_bhat(m: int, dep: DependenceFunction,
                       nodes: int | None = None) -> float:
     """Squared Pitman slope of the tied-down first-order statistic.
 
-    12^m times the squared integral of the dependence function corrected
-    by its face restrictions of codimension <= m-2.  When no face map is
-    supplied the restrictions are obtained by pinning coordinates of the
-    main evaluator to 1.  A correction x_U * f(x with x_U = 1) factorizes:
-    the x_U factor integrates to 2^-|U|, so each restriction is integrated
-    over its m - |U| free axes only, with the same nodes per axis; a block
-    of free-axis nodes is embedded into a ones array once.
+    12^m times the squared integral of the dependence function f corrected
+    by its restrictions to the faces x_U = 1 of codimension <= m-2, each f
+    with the coordinates in U pinned to 1.  A correction x_U * f(x with
+    x_U = 1) factorizes: the x_U factor integrates to 2^-|U|, so each
+    restriction is integrated over its m - |U| free axes only, with the
+    same nodes per axis; a block of free-axis nodes is embedded into a
+    ones array once.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
     n = nodes_per_axis(m, nodes)
     face_masks = [u for k in range(1, m - 1) for u in subsets_of_size(m, k)]
-    if dep.faces is not None:
-        missing = [u for u in face_masks if u not in dep.faces]
-        if missing:
-            raise ValueError(f"missing face evaluators for masks {missing}")
 
     def restriction(u: int):
-        face = dep.fn if dep.faces is None else dep.faces[u]
         free = [j for j in range(m) if not u >> j & 1]
 
         def g(Y: np.ndarray) -> np.ndarray:
             X = np.ones((len(Y), m))
             X[:, free] = Y
-            return point_values(face, X)
+            return point_values(dep.fn, X)
 
         return g
 
@@ -329,11 +319,7 @@ def _nystrom_principal(kernel: GreenKernel, n: int, tol: float = 1e-12,
     x, w = unit_rule(n)
     s = np.sqrt(w)
     scale = np.outer(s, s)
-    mins = np.minimum.outer(x, x)
-    ks = np.multiply.outer(x, x)
-    gaps = mins * (1.0 - np.maximum.outer(x, x)) * scale
-    mins *= scale
-    ks *= scale
+    mins, ks, gaps = (a * scale for a in _pair_factors(x[:, None], x[None, :]))
     v = np.ones(n ** kernel.m)
     v /= np.linalg.norm(v)
     lam_prev = 0.0
@@ -371,7 +357,7 @@ def principal_eigenvalue(kernel: GreenKernel, grid_n: int) -> EigenEstimate:
     fine, fine_it = _nystrom_principal(kernel, grid_n)
     value = fine + (fine - coarse) / 3.0
     return EigenEstimate(value=value, error=abs(fine - coarse),
-                         coarse=coarse, fine=fine, grid_n=grid_n,
+                         coarse=coarse, fine=fine,
                          coarse_iterations=coarse_it, fine_iterations=fine_it)
 
 

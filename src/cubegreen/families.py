@@ -26,6 +26,7 @@ MAX_DIM = 16
 MAX_ENUM_DIM = 5
 
 _BITS = 1 << np.arange(MAX_DIM)
+_NOT_A_FAMILY = "family is not upward-closed or contains the empty subset"
 
 
 def _check_dim(m: int) -> None:
@@ -56,7 +57,9 @@ def coords_from_mask(mask: int) -> tuple[int, ...]:
 
 
 def parse_subset(text: str, m: int) -> int:
-    """Parse a subset from brace notation '{1,3}' or a JSON list '[1,3]'."""
+    """Parse a subset of 1-based coordinates given as '1,3', in brace
+    notation '{1,3}' or as a JSON list '[1,3]'; '', '{}' and '[]' are
+    the empty set."""
     text = text.strip()
     if text in ("{}", "[]", ""):
         return 0
@@ -96,6 +99,15 @@ def _table(masks, m: int) -> np.ndarray | None:
     return table if np.count_nonzero(table[over]) == over.size else None
 
 
+def _int64(masks: list, m: int) -> np.ndarray:
+    """The masks as int64; one beyond int64 is refused as by `is_monotone`."""
+    try:
+        return np.array(masks, dtype=np.int64)
+    except OverflowError:
+        _table(masks, m)  # raises for a mask above the full mask
+        raise ValueError(_NOT_A_FAMILY) from None
+
+
 def is_monotone(masks, m: int) -> bool:
     """True iff the masks form an upward-closed family of nonempty subsets.
 
@@ -123,18 +135,18 @@ class MonotoneFamily:
     def __post_init__(self):
         _check_dim(self.m)
         members = list(self.members)
-        ordered = _by_popcount(np.sort(np.array(members, dtype=np.int64))).tolist()
+        ordered = _by_popcount(np.sort(_int64(members, self.m))).tolist()
         if len(set(members)) < len(members) or ordered != members:
             raise ValueError("members must be unique and sorted by (popcount, value)")
         table = _table(members, self.m)
         if table is None:
-            raise ValueError("family is not upward-closed or contains the empty subset")
+            raise ValueError(_NOT_A_FAMILY)
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
     @classmethod
     def from_members(cls, masks, m: int) -> "MonotoneFamily":
-        masks = np.sort(np.fromiter(set(masks), dtype=np.int64))
+        masks = np.sort(_int64(list(set(masks)), m))
         return cls(m, tuple(_by_popcount(masks).tolist()))
 
     @classmethod

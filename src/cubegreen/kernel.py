@@ -28,24 +28,17 @@ and min), to a vector without forming it.
 The signed integer coefficients a_U of the equivalent expansion
 prod min - sum_{U in F} a_U prod_{j not in U} min_j prod_{j in U} k_j are
 the Moebius transform of the indicator of F.  No numeric path reads them:
-they serve only the `coeffs` command and the JSON form of a kernel.
+they serve only the `coeffs` command.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .families import (
-    MonotoneFamily,
-    coords_from_mask,
-    family_from_json,
-    format_subset,
-    mask_from_coords,
-)
+from .families import MonotoneFamily, format_subset
 from .quadrature import blocks
 
 
@@ -99,6 +92,17 @@ def _diagram(comp: bytes, m: int) -> Diagram:
     return tuple(reversed(levels))
 
 
+def _pair_factors(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """min(x, y), x y and the gap min(x, y) (1 - max(x, y)) of two arrays
+    broadcast against each other, each a new array in C order, so that a
+    product along the leading axis runs over contiguous memory."""
+    mins = np.minimum(X, Y, order="C")
+    gaps = np.maximum(X, Y, order="C")
+    np.subtract(1.0, gaps, out=gaps)
+    gaps *= mins
+    return mins, np.multiply(X, Y, order="C"), gaps
+
+
 def _axis_first(P: np.ndarray, d: int) -> np.ndarray:
     # (..., m) -> an (m, ...) view with d - 1 trailing axes, ready to broadcast
     P = P.reshape((1,) * (d - P.ndim) + P.shape)
@@ -126,10 +130,6 @@ class GreenKernel:
     def coefficients(self) -> dict[int, int]:
         """Signed integer coefficients a_U (see `compute_coefficients`)."""
         return compute_coefficients(self.family)
-
-    def vanishing_faces(self) -> list[int]:
-        """Masks U such that the kernel is zero whenever x_U = 1."""
-        return list(self.family.members)
 
     def complement_sizes(self) -> list[int]:
         """counts[w] = number of subsets W not in the family with |W| = w.
@@ -194,16 +194,7 @@ class GreenKernel:
         X, Y = self._check_points(X), self._check_points(Y)
         d = max(X.ndim, Y.ndim)
         Xt, Yt = _axis_first(X, d), _axis_first(Y, d)
-        # the (m, ...) factor arrays in C order, so each per-axis product
-        # runs over contiguous memory
-        mins = np.minimum(Xt, Yt, order="C")
-        gaps = np.maximum(Xt, Yt, order="C")
-        np.subtract(1.0, gaps, out=gaps)
-        gaps *= mins
-        ks = np.multiply(Xt, Yt, order="C")
-        m = self.m
-        return self.sum_terms(mins.reshape(m, -1), ks.reshape(m, -1),
-                              gaps.reshape(m, -1)).reshape(mins.shape[1:])
+        return self.sum_terms(*_pair_factors(Xt, Yt))
 
     def evaluate(self, x, xi) -> float:
         """Kernel value G(x, xi)."""
@@ -222,30 +213,6 @@ class GreenKernel:
         """Kernel values G(p, p) for each row p of an (N, m) array."""
         P = np.atleast_2d(self._check_points(points))
         return self.values(P, P)
-
-    def to_json(self) -> str:
-        obj = {
-            "m": self.m,
-            "family": self.family.to_coord_lists(),
-            "coefficients": [
-                {"set": list(coords_from_mask(u)), "a": self.coefficients[u]}
-                for u in self.family.members
-            ],
-        }
-        return json.dumps(obj)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GreenKernel":
-        obj = json.loads(text)
-        family = family_from_json(obj["family"], int(obj["m"]))
-        kern = green_kernel(family)
-        for entry in obj.get("coefficients", []):
-            u = mask_from_coords(entry["set"], family.m)
-            if kern.coefficients.get(u) != entry["a"]:
-                raise ValueError(
-                    f"coefficient for {format_subset(u)} inconsistent with the family"
-                )
-        return kern
 
     def coefficients_by_name(self) -> dict[str, int]:
         return {format_subset(u): a for u, a in self.coefficients.items()}

@@ -16,7 +16,7 @@ replications run serially or across any number of threads.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,17 +89,14 @@ class CovarianceReport:
     standard_errors: np.ndarray
     max_abs_dev: float
     max_dev_in_se: float
-    config: SimConfig = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
 class NullDistribution:
-    statistic: str
     mean: float
     variance: float
     variance_se: float
     quantiles: dict[float, float]
-    config: SimConfig = field(repr=False, default=None)
 
 
 def substream(seed: int, replication: int) -> np.random.Generator:
@@ -152,8 +149,7 @@ def _replication_values(cfg: SimConfig, fn, cells: int = 0) -> np.ndarray:
         return np.concatenate(list(pool.map(run, slices)))
 
 
-def _covariance_report(values: np.ndarray, theoretical: np.ndarray,
-                       cfg: SimConfig) -> CovarianceReport:
+def _covariance_report(values: np.ndarray, theoretical: np.ndarray) -> CovarianceReport:
     R, G = values.shape
     centered = values - values.mean(axis=0)
     empirical = centered.T @ centered / (R - 1)
@@ -171,7 +167,6 @@ def _covariance_report(values: np.ndarray, theoretical: np.ndarray,
         standard_errors=se,
         max_abs_dev=float(dev.max()),
         max_dev_in_se=float((dev / se).max()),
-        config=cfg,
     )
 
 
@@ -186,7 +181,7 @@ def simulate_null_covariance(cfg: SimConfig) -> CovarianceReport:
     kern = green_kernel(family_for_known_margins(cfg.V, cfg.m))
     theo = kern.cross(grid, grid)
     vals = _replication_values(cfg, lambda X: rankstats.batch_process_W(X, grid, cfg.V))
-    return _covariance_report(vals, theo, cfg)
+    return _covariance_report(vals, theo)
 
 
 def simulate_tied_down_covariance(cfg: SimConfig) -> CovarianceReport:
@@ -197,7 +192,7 @@ def simulate_tied_down_covariance(cfg: SimConfig) -> CovarianceReport:
     kern = green_kernel(all_nonempty_family(cfg.m))
     theo = kern.cross(grid, grid)
     vals = _replication_values(cfg, lambda X: rankstats.batch_tied_down(X, grid))
-    return _covariance_report(vals, theo, cfg)
+    return _covariance_report(vals, theo)
 
 
 def sample_gaussian_field(kernel: GreenKernel, grid, count: int, seed: int) -> np.ndarray:
@@ -245,10 +240,8 @@ def null_distribution(cfg: SimConfig, statistic: str, p: int = 1,
     var_se = float(np.sqrt(max(m4 - var * var, 0.0) / R))
     qs = {q: float(np.quantile(vals, q)) for q in (0.9, 0.95, 0.99)}
     return NullDistribution(
-        statistic=statistic,
         mean=float(vals.mean()),
         variance=var,
         variance_se=var_se,
         quantiles=qs,
-        config=cfg,
     )

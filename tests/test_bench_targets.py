@@ -1,17 +1,24 @@
-"""The benchmark's traced run wraps cubegreen functions by name.
+"""The benchmark calls cubegreen by name.
 
-`perfbench/spans.py` lists them in TARGETS as (module, attribute, ...);
-a rename or deletion there would only fail the traced benchmark run, so
-this test resolves every target here.  The file is read, not imported,
-so nothing is written next to it.
+`perfbench/spans.py` lists the functions its traced run wraps in TARGETS
+as (module, attribute, ...), and `perfbench/worker.py`, `deps.py` and
+`oracle.py` call cubegreen directly.  A rename or deletion there would
+only fail the benchmark run, so this test resolves every target and
+every use here, and checks that each keyword the benchmark passes is a
+parameter (or a dataclass field) of its callee.  The files are read, not
+imported, so nothing is written next to them.
 """
 
+import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = BENCH / "spans.py"
+CALLERS = ("worker.py", "deps.py", "oracle.py")
 
 
 def _targets():
@@ -29,3 +36,54 @@ def test_span_target_resolves(module, attr):
         assert callable(getattr(mod, cls_name).__dict__.get(meth))
     else:
         assert callable(getattr(mod, attr, None))
+
+
+def _uses(name: str) -> list[tuple[str, str, tuple[str, ...]]]:
+    """(file:line, dotted cubegreen path, keywords passed) for every name a
+    caller imports from cubegreen, every attribute it reads of such a name,
+    and every call of either, which also gives the keywords."""
+    tree = ast.parse((BENCH / name).read_text())
+    bound, uses = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cubegreen":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                uses.append((f"{name}:{node.lineno}", bound[alias.asname or alias.name], ()))
+    calls = {id(c.func): c for c in ast.walk(tree) if isinstance(c, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in bound:
+            path = f"{bound[node.value.id]}.{node.attr}"
+        elif isinstance(node, ast.Name) and node.id in bound and id(node) in calls:
+            path = bound[node.id]
+        else:
+            continue
+        call = calls.get(id(node))
+        keywords = tuple(k.arg for k in call.keywords if k.arg) if call else ()
+        uses.append((f"{name}:{node.lineno}", path, keywords))
+    return uses
+
+
+def _resolve(path: str):
+    parts = path.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        obj = getattr(obj, part, None) or importlib.import_module(".".join(parts[:i]))
+    return obj
+
+
+@pytest.mark.parametrize("caller", CALLERS)
+def test_caller_uses_cubegreen(caller):
+    assert _uses(caller), f"{caller} no longer uses cubegreen; update CALLERS"
+
+
+@pytest.mark.parametrize("where, path, keywords", [
+    pytest.param(*use, id=f"{use[0]} {use[1]}" + (f"({', '.join(use[2])})" if use[2] else ""))
+    for use in sorted({use for caller in CALLERS for use in _uses(caller)})])
+def test_benchmark_use_resolves(where, path, keywords):
+    obj = _resolve(path)
+    if keywords:
+        params = inspect.signature(obj).parameters
+        if not any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            assert set(keywords) <= set(params), \
+                f"{where}: {path} takes no {sorted(set(keywords) - set(params))}"

@@ -450,3 +450,40 @@ class TestFieldCount:
         with pytest.raises(self.Drawn):
             main(["simulate", "--mode", "field", "--m", "2", "--grid-n", "4",
                   "--count", str(2 ** 21)])
+
+
+class TestSubsetSyntax:
+    """Every option naming a subset reads it with `families.parse_subset`."""
+
+    FORMS = ("1,2", "{1,2}", "[1,2]")
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("0.1,0.2\n0.4,0.5\n0.9,0.8\n")
+        return {
+            "efficiency": ["efficiency", "--m", "3", "--V"],
+            "stat": ["stat", "--name", "B", "--input", str(path), "--V"],
+            "simulate": ["simulate", "--mode", "cov", "--m", "2", "--n", "20",
+                         "--R", "100", "--seed", "5", "--grid-n", "2", "--V"],
+            "known-margins": ["lambda", "--m", "3", "--family-known-margins-V"],
+        }
+
+    @pytest.mark.parametrize("command", ["efficiency", "stat", "simulate", "known-margins"])
+    def test_forms_agree(self, capsys, commands, command):
+        reps = [run_json(capsys, *commands[command], text) for text in self.FORMS]
+        assert all(rep["result"] == reps[0]["result"] for rep in reps)
+        for text, rep in zip(self.FORMS, reps):
+            if command == "known-margins":
+                assert rep["config"]["family"] == ["--family-known-margins-V", text]
+            else:
+                assert rep["config"]["V"] == "{1,2}"
+
+    @pytest.mark.parametrize("command", ["efficiency", "stat", "simulate", "known-margins"])
+    @pytest.mark.parametrize("text", ["{1,x}", "[1,", "0"])
+    def test_bad_subset_exits_2(self, capsys, tmp_path, commands, command, text):
+        out_file = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, *commands[command], text,
+                                 "--out-file", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith("error:")

@@ -115,13 +115,12 @@ def loop_face_check(fn, m, tol=1e-6):
 
 def loop_pitman_bhat(m, dep, n):
     def restriction(u):
-        face = dep.fn if dep.faces is None else dep.faces[u]
         free = [j for j in range(m) if not u >> j & 1]
 
         def f(y):
             x = np.ones(m)
             x[free] = y
-            return face(x)
+            return dep.fn(x)
 
         return f
 
@@ -271,32 +270,15 @@ class TestSlopes:
         got = pitman_slope_bhat(3, dep)
         assert got == pytest.approx(12.0**3 / 6.0**6, rel=1e-10)
 
-    def test_bhat_slope_uses_supplied_faces(self):
-        dep = pillow_direction(3)
-        faces = {u: (lambda x: 0.0) for u in (0b001, 0b010, 0b100)}
-        with_faces = DependenceFunction(fn=dep.fn, faces=faces)
-        assert pitman_slope_bhat(3, with_faces) == pytest.approx(
-            pitman_slope_bhat(3, dep), rel=1e-12)
-
-    def test_bhat_slope_missing_face_raises(self):
-        dep = DependenceFunction(fn=pillow_direction(3).fn, faces={0b001: lambda x: 0.0})
-        with pytest.raises(ValueError):
-            pitman_slope_bhat(3, dep)
-
-    @pytest.mark.parametrize("m, n", [(2, 7), (3, 5), (4, 4), (5, 3)])
-    @pytest.mark.parametrize("supplied", [False, True])
-    def test_bhat_slope_equals_pointwise_formula(self, m, n, supplied):
-        masks = [u for k in range(1, m - 1) for u in subsets_of_size(m, k)]
+    # the ids keep the "False-" prefix of a removed parameter, so each case
+    # keeps the name the suite has long reported
+    @pytest.mark.parametrize("m, n", [(2, 7), (3, 5), (4, 4), (5, 3)],
+                             ids=["False-2-7", "False-3-5", "False-4-4", "False-5-3"])
+    def test_bhat_slope_equals_pointwise_formula(self, m, n):
         a, b = [], []
-        g = lambda t: t + t * t
-        faces_a = faces_b = None
-        if supplied:
-            face = lambda x: float(np.prod([g(t) for t in x]) + x[0])
-            faces_a = {u: recording(face, a) for u in masks}
-            faces_b = {u: recording(face, b) for u in masks}
         fn = non_vanishing(m)
-        got = pitman_slope_bhat(m, DependenceFunction(fn=recording(fn, a), faces=faces_a), n)
-        want = loop_pitman_bhat(m, DependenceFunction(fn=recording(fn, b), faces=faces_b), n)
+        got = pitman_slope_bhat(m, DependenceFunction(fn=recording(fn, a)), n)
+        want = loop_pitman_bhat(m, DependenceFunction(fn=recording(fn, b)), n)
         assert got == want
         assert a == b
 
@@ -345,9 +327,8 @@ class TestSlopes:
                 call()
         assert time.perf_counter() - t0 < 0.5
 
-    @pytest.mark.parametrize("m", [3, 4, 5])
-    @pytest.mark.parametrize("supplied", [False, True])
-    def test_bhat_slope_nonvanishing_faces_closed_form(self, m, supplied):
+    @pytest.mark.parametrize("m", [3, 4, 5], ids=["False-3", "False-4", "False-5"])
+    def test_bhat_slope_nonvanishing_faces_closed_form(self, m):
         # g(t) = t + t^2 does not vanish at t = 1, so every face correction
         # counts; each x_U * f(x_U = 1) integrates to prod_U g(1)/2 prod a
         g = lambda t: t + t * t
@@ -356,11 +337,7 @@ class TestSlopes:
         integral = math.fsum([a ** m] + [
             -(-1.0) ** (u.bit_count() - 1) * (g1 / 2.0) ** u.bit_count()
             * a ** (m - u.bit_count()) for u in masks])
-        faces = None
-        if supplied:
-            faces = {u: (lambda x, u=u: float(np.prod(
-                [g1 if u >> j & 1 else g(x[j]) for j in range(m)]))) for u in masks}
-        dep = DependenceFunction(fn=lambda x: float(np.prod([g(t) for t in x])), faces=faces)
+        dep = DependenceFunction(fn=lambda x: float(np.prod([g(t) for t in x])))
         got = pitman_slope_bhat(m, dep, nodes=4)
         assert got == pytest.approx(12.0 ** m * integral * integral, rel=1e-12)
 

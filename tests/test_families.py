@@ -171,6 +171,20 @@ class TestValidationAgainstSets:
         with pytest.raises(ValueError, match="members must be unique and sorted"):
             MonotoneFamily(3, (9, 0))
 
+    @pytest.mark.parametrize("build", [lambda u: MonotoneFamily(3, (u,)),
+                                       lambda u: MonotoneFamily.from_members([u], 3)])
+    @pytest.mark.parametrize("mask", [2**63, 2**70, -2**70])
+    def test_masks_beyond_int64_refused_as_by_is_monotone(self, build, mask):
+        if mask > 0:
+            with pytest.raises(ValueError, match=f"mask {mask} out of range for m=3"):
+                is_monotone([mask], 3)
+            with pytest.raises(ValueError, match=f"mask {mask} out of range for m=3"):
+                build(mask)
+        else:
+            assert is_monotone([mask], 3) is False
+            with pytest.raises(ValueError, match="not upward-closed or contains the empty"):
+                build(mask)
+
 
 class TestUpwardClosure:
     def test_single_generator(self):

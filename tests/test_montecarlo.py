@@ -117,7 +117,7 @@ class TestReplicationBlocks:
 class TestStandardErrors:
     def test_streamed_equals_one_shot(self):
         values = np.random.default_rng(4).standard_normal((500, 27))
-        rep = montecarlo._covariance_report(values, np.eye(27), None)
+        rep = montecarlo._covariance_report(values, np.eye(27))
         prods = values[:, :, None] * values[:, None, :]
         assert np.array_equal(rep.standard_errors,
                               prods.std(axis=0, ddof=1) / np.sqrt(500))
@@ -127,7 +127,7 @@ class TestStandardErrors:
         values = np.random.default_rng(5).standard_normal((200, 256))
         tracemalloc.start()
         try:
-            montecarlo._covariance_report(values, np.eye(256), None)
+            montecarlo._covariance_report(values, np.eye(256))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
