@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .families import (
     MonotoneFamily,
+    _check_dim,
     all_nonempty_family,
     empty_family,
     enumerate_monotone_families,
@@ -72,13 +73,25 @@ def _add_family_args(p: argparse.ArgumentParser):
     return g
 
 
+def _read_option(option: str, read, text: str, m: int):
+    """read(text, m), its ValueError naming the option and its value; m is
+    checked first, so a bad dimension is not reported as the option's."""
+    _check_dim(m)
+    try:
+        return read(text, m)
+    except ValueError as exc:
+        raise ValueError(f"{option} {text!r}: {exc}") from None
+
+
 def _resolve_family(args) -> tuple[MonotoneFamily, list[str]]:
     """The family the options give, and the option as given, echoed in a
     report's config for replay."""
     for option, _, build in _FAMILY_OPTIONS:
         value = getattr(args, option[2:].replace("-", "_"))  # argparse's dest
+        if value is True:
+            return build(value, args.m), [option]
         if value is not None and value is not False:
-            return build(value, args.m), [option] if value is True else [option, value]
+            return _read_option(option, build, value, args.m), [option, value]
 
 
 def _parse_point(text: str, m: int) -> np.ndarray:
@@ -186,7 +199,7 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_efficiency(args) -> dict:
-    V = parse_subset(args.V, args.m)
+    V = _read_option("--V", parse_subset, args.V, args.m)
     fam = family_for_known_margins(V, args.m)
     measure = measure_from_json(args.measure, args.m)
     coeff = efficiency_coefficient(fam, measure)
@@ -210,7 +223,7 @@ def _cmd_stat(args) -> dict:
     if args.rank_pit:
         X = rankstats.to_copula_scale(X)
     m = X.shape[1]
-    V = parse_subset(args.V, m)
+    V = _read_option("--V", parse_subset, args.V, m)
     value = rankstats.statistic(args.name, X, V, args.p, args.grid_n)
     # echo only what the statistic reads: V for B, p and grid_n for B and Bhat
     config = {"name": args.name, "input": args.input, "n": int(X.shape[0]), "m": int(m)}
@@ -232,7 +245,7 @@ def _cmd_simulate(args) -> dict:
     grid_n = 4 if args.grid_n is None and not nulldist else args.grid_n
     grid_n = None if grid_n is None else _node_count(grid_n, "--grid-n")
     grid = () if nulldist else _interior_grid(args.m, grid_n)
-    V = parse_subset(args.V, args.m) if args.V is not None else None
+    V = _read_option("--V", parse_subset, args.V, args.m) if args.V is not None else None
     V_text = format_subset(V) if V is not None else None
     if args.mode == "field":
         fam = all_nonempty_family(args.m) if V is None \

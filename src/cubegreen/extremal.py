@@ -14,14 +14,22 @@ principal eigenvalue of the kernel's integral operator by the Nystrom
 method, with a power iteration that applies the kernel matrix through its
 per-axis Kronecker factors instead of forming it.  Every cube integral of
 a dependence direction goes through `quadrature.block_integral` (or
-`cube_integral`, the same integrator over single points) with its one
-default node table and evaluation budget, as does `trace_bound`, the
-integral of the kernel's diagonal; every call of a dependence function
-goes through `quadrature.point_values`.  The face corrections
-of the tied-down slope are integrated over their free axes only, embedded
-into the cube a block of nodes at a time.  Finite-difference Fisher
-information builds the 2^m-point stencil of a whole block of nodes as one
-array; `mixed_derivative` is the same stencil at one point.
+`cube_integral`, the same integrator over single points) and its
+evaluation budget, as does `trace_bound`, the integral of the kernel's
+diagonal; every call of a dependence function goes through
+`quadrature.point_values`.  The slopes take their default nodes from
+`quadrature.node_ladder`: 2 and 3 nodes per axis first, then the
+halvings of the node table up to the table count, stopping at the first
+two rungs that agree to 1e-13 relative and are not both zero (exact from
+the 2-point rung on for a direction of degree <= 3 per axis), otherwise
+the table count's value.  An integrand crafted to agree on two rungs
+fools the ladder, as one that vanishes at the table's nodes fools the
+fixed table.  Fisher information keeps its explicit 16 nodes per axis.
+The face corrections of the tied-down slope are integrated over their
+free axes only, embedded into the cube a block of nodes at a time.
+Finite-difference Fisher information builds the 2^m-point stencil of a
+whole block of nodes as one array; `mixed_derivative` is the same stencil
+at one point.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .quadrature import (
     _node_count,
     block_integral,
     cube_integral,
+    node_ladder,
     nodes_per_axis,
     point_values,
     unit_rule,
@@ -173,8 +182,8 @@ def mixed_derivative(f, x, h: float = 1e-3) -> float:
 def _vanishing_integral(fn, m: int, nodes: int | None, tol: float = 1e-6) -> float:
     """Cube integral of fn, which must vanish on the faces x_U = 1: the node
     count is checked, then each face with |U| = m-1 is probed at interior
-    values of its free axis, and then fn is integrated."""
-    n = nodes_per_axis(m, nodes)
+    values of its free axis, and then fn is integrated on `node_ladder`."""
+    nodes_per_axis(m, nodes)
     probes = np.linspace(0.1, 0.9, 9)
     X = np.ones((m, len(probes), m))
     axes = np.arange(m)
@@ -185,7 +194,7 @@ def _vanishing_integral(fn, m: int, nodes: int | None, tol: float = 1e-6) -> flo
             f"dependence function does not vanish on the face opposite axis "
             f"{bad[0] // len(probes) + 1}"
         )
-    return cube_integral(fn, m, n)
+    return node_ladder(lambda n: cube_integral(fn, m, n), m, nodes)
 
 
 def bahadur_slope_B1(V: int, m: int, dep: DependenceFunction,
@@ -224,12 +233,11 @@ def pitman_slope_bhat(m: int, dep: DependenceFunction,
     x_U = 1) factorizes: the x_U factor integrates to 2^-|U|, so each
     restriction is integrated over its m - |U| free axes only, with the
     same nodes per axis; a block of free-axis nodes is embedded into a
-    ones array once.
+    ones array once.  With default nodes, each rung of
+    `quadrature.node_ladder` is the whole corrected integral.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    n = nodes_per_axis(m, nodes)
-    face_masks = [u for k in range(1, m - 1) for u in subsets_of_size(m, k)]
 
     def restriction(u: int):
         free = [j for j in range(m) if not u >> j & 1]
@@ -241,10 +249,14 @@ def pitman_slope_bhat(m: int, dep: DependenceFunction,
 
         return g
 
-    integral = cube_integral(dep.fn, m, n)
-    for u in face_masks:
-        k = u.bit_count()
-        integral -= (-1.0) ** (k - 1) * 0.5 ** k * block_integral(restriction(u), m - k, n)
+    def corrected_integral(n: int) -> float:
+        integral = cube_integral(dep.fn, m, n)
+        for k in range(1, m - 1):
+            for u in subsets_of_size(m, k):
+                integral -= (-1.0) ** (k - 1) * 0.5 ** k * block_integral(restriction(u), m - k, n)
+        return integral
+
+    integral = node_ladder(corrected_integral, m, nodes)
     return 12.0 ** m * integral * integral
 
 

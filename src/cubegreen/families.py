@@ -16,6 +16,7 @@ popcount of the table's indices, which are already in value order.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -40,11 +41,17 @@ def full_mask(m: int) -> int:
 
 
 def mask_from_coords(coords, m: int) -> int:
-    """Build a bitmask from 1-based coordinate indices."""
+    """Build a bitmask from 1-based coordinate indices: integers, that is
+    what `operator.index` accepts, bools excepted."""
     _check_dim(m)
     mask = 0
-    for c in coords:
-        c = int(c)
+    for item in coords:
+        try:
+            c = None if isinstance(item, bool) else operator.index(item)
+        except TypeError:
+            c = None
+        if c is None:
+            raise ValueError(f"coordinate {item!r} is not an integer")
         if not 1 <= c <= m:
             raise ValueError(f"coordinate {c} out of range 1..{m}")
         mask |= 1 << (c - 1)
@@ -242,9 +249,10 @@ def family_from_json(spec, m: int) -> MonotoneFamily:
     """Family from a JSON array-of-arrays of 1-based coordinates."""
     if isinstance(spec, str):
         spec = json.loads(spec)
-    masks = [mask_from_coords(item, m) for item in spec]
-    fam = MonotoneFamily.from_members(masks, m)
-    return fam
+    if not isinstance(spec, (list, tuple)) or not all(
+            isinstance(item, (list, tuple)) for item in spec):
+        raise ValueError(f"a family is an array of arrays of coordinates, got {spec!r}")
+    return MonotoneFamily.from_members([mask_from_coords(item, m) for item in spec], m)
 
 
 def subsets_of_size(m: int, k: int):

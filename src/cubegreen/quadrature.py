@@ -18,6 +18,21 @@ that integrator with `point_values` inside.  Every node count goes through
 `nodes_per_axis`: an integer >= 1 (default from the one table
 `_CUBE_NODES`), and at most `MAX_EVALUATIONS` point evaluations per
 integral, refused before any array is built.
+
+`node_ladder` chooses the nodes of an integral given as a function of the
+node count.  With an explicit count it evaluates that count alone.  With
+none it climbs the rungs of `ladder_rungs(m)`: 2 and 3 nodes per axis,
+then the halvings of the table count above 3, up to the table count, and
+stops at the first two consecutive rungs that agree to `LADDER_RTOL`
+relative and are not both exactly zero (Gauss-Legendre with n nodes is
+exact for degree 2n - 1 per axis, so a direction of degree <= 3 per axis
+with a nonzero integral stops at the 3-point rung); without agreement it
+returns the table count's value.  Two zero rungs are not agreement: a
+direction supported between the nodes of both, such as a bump on
+[0.55, 0.75]^m, is zero on each and climbs on.  Agreement of two rungs is
+evidence, not proof: an integrand crafted to agree on them fools the
+ladder, as any integrand that vanishes at the table's nodes fools the
+table alone.
 """
 
 from __future__ import annotations
@@ -30,6 +45,9 @@ import numpy as np
 # point evaluations one integral may ask for (nodes^m, times the stencil
 # size); at the budget the node values and weights take 64 MiB
 MAX_EVALUATIONS = 2 ** 22
+# two consecutive rungs of `node_ladder` agree when they differ by at most
+# this much relative to the larger of the two, and that one is not zero
+LADDER_RTOL = 1e-13
 # bytes of the largest temporary of one block, read by `blocks` alone: a
 # block's few temporaries then stay within a core's L2 cache (at 1 MiB the
 # tied-down process cost up to twice as much per replication)
@@ -118,6 +136,38 @@ def nodes_per_axis(m: int, n: int | None = None, per_node: int = 1) -> int:
             f"evaluations, above the budget of {MAX_EVALUATIONS}"
         )
     return n
+
+
+def ladder_rungs(m: int) -> tuple[int, ...]:
+    """Nodes per axis the default-node ladder tries over I^m, increasing:
+    2, 3, then the halvings of `default_nodes(m)` above 3, up to that count
+    (2, 3, 6, 12 at m = 4; 2, 3, 6, 12, 24 at m = 2)."""
+    top = default_nodes(m)
+    return tuple(sorted({2, 3} | {top >> k for k in range(top.bit_length()) if top >> k > 3}))
+
+
+def node_ladder(integral_at, m: int, nodes: int | None = None) -> float:
+    """An integral over I^m given as `integral_at(n)`, a function of the
+    nodes per axis.
+
+    With `nodes` given, that count is validated and evaluated alone.  With
+    `nodes` None, `default_nodes(m)` is validated before any evaluation,
+    then the rungs of `ladder_rungs(m)` are evaluated in increasing order up
+    to the first consecutive pair a, b with
+    |I_b - I_a| <= LADDER_RTOL * max(|I_a|, |I_b|) and max(|I_a|, |I_b|) > 0,
+    and I_b is returned; if no pair agrees, the top rung's value is.
+    """
+    top = nodes_per_axis(m, nodes)
+    if nodes is not None:
+        return integral_at(top)
+    rungs = ladder_rungs(m)
+    prev = integral_at(rungs[0])
+    for n in rungs[1:]:
+        value = integral_at(n)
+        scale = max(abs(prev), abs(value))
+        if n == top or 0.0 < scale and abs(value - prev) <= LADDER_RTOL * scale:
+            return value
+        prev = value
 
 
 def _tensor_weights(w: np.ndarray, m: int) -> np.ndarray:

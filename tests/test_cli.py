@@ -487,3 +487,34 @@ class TestSubsetSyntax:
                                  "--out-file", str(out_file))
         assert code == 2 and out == "" and not out_file.exists()
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["efficiency", "stat", "simulate", "known-margins",
+                                         "family"])
+    @pytest.mark.parametrize("coords", ["1.9, true", "true", "2.0", '"1"'])
+    def test_non_integer_coordinates_exit_2_naming_the_option(
+            self, capsys, tmp_path, commands, command, coords):
+        # a JSON coordinate is never truncated: [1.9, true] once read as {1}
+        if command == "family":
+            argv, text = ["lambda", "--m", "3", "--family"], f"[[{coords}], [1, 2, 3]]"
+        else:
+            argv, text = commands[command], f"[{coords}]"
+        out_file = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, *argv, text, "--out-file", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith(f"error: {argv[-1]} {text!r}: coordinate ")
+        assert err.endswith(" is not an integer\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["lambda", "--m", "20", "--family", "[[1]]"],
+        ["lambda", "--m", "20", "--family-known-margins-V", "{1}"],
+        ["efficiency", "--m", "20", "--V", "{1}"],
+        ["efficiency", "--m", "20"],
+        ["simulate", "--mode", "cov", "--m", "1", "--n", "20", "--R", "100", "--grid-n", "2",
+         "--V", "{1}"],
+    ])
+    def test_bad_dimension_is_not_blamed_on_the_option(self, capsys, argv):
+        # only an error in the option's own text carries the option's name
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        m = argv[argv.index("--m") + 1]
+        assert err == f"error: dimension must be an integer in [2, 16], got {m}\n"

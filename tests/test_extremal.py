@@ -1,10 +1,12 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubegreen import quadrature
 from cubegreen.extremal import (
@@ -47,7 +49,7 @@ from cubegreen.measures import (
     scaled,
     weighted_sum,
 )
-from cubegreen.quadrature import tensor_rule
+from cubegreen.quadrature import default_nodes, tensor_rule
 
 RNG = np.random.default_rng(90210)
 
@@ -341,6 +343,124 @@ class TestSlopes:
         got = pitman_slope_bhat(m, dep, nodes=4)
         assert got == pytest.approx(12.0 ** m * integral * integral, rel=1e-12)
 
+
+def bhat_closed_form_integral(values_at_one, integrals, add=sum):
+    """The face-corrected integral of a product direction prod_j p_j(x_j):
+    prod_j a_j minus, over the faces U with 1 <= |U| <= m-2, the signed
+    (-1)^(|U|-1) 2^-|U| prod_U p_j(1) prod_(not U) a_j, a_j = integral of p_j."""
+    m = len(integrals)
+    terms = [math.prod(integrals)]
+    for u in range(1, full_mask(m)):
+        k = u.bit_count()
+        if k <= m - 2:
+            terms.append(-(-1) ** (k - 1) * math.prod(
+                values_at_one[j] / 2 if u >> j & 1 else integrals[j] for j in range(m)))
+    return add(terms), terms
+
+
+def counted(fn):
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return fn(x)
+
+    return f, calls
+
+
+class TestNodeLadder:
+    """Default-node slopes climb `quadrature.node_ladder`; explicit nodes do not."""
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_low_degree_slopes_stop_at_three_nodes(self, m):
+        skew = lambda t: t * t * (1.0 - t)
+        fn, calls = counted(product_direction([skew] + [lambda t: t * (1.0 - t)] * (m - 1)).fn)
+        dep = DependenceFunction(fn=fn)
+        # 9 face probes per axis, then the 2- and 3-point rungs
+        want = 9 * m + 2 ** m + 3 ** m
+        b = bahadur_slope_B1(0, m, dep)
+        assert calls[0] == want
+        calls[0] = 0
+        slope = pitman_slope_spearman(m, dep)
+        assert calls[0] == want
+        integral = 6.0 ** (1 - m) / 12.0
+        drift = 2.0 ** m * (m + 1.0) / (2.0 ** m - m - 1.0) * integral
+        assert slope.mu_prime0 == pytest.approx(drift, rel=1e-13)
+        assert b == pytest.approx(slope.slope_sq, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_sin_product_falls_through_to_the_table(self, m):
+        dep = product_direction([lambda t: np.sin(np.pi * t)] * m)
+        top = default_nodes(m)
+        assert bahadur_slope_B1(0, m, dep) == bahadur_slope_B1(0, m, dep, nodes=top)
+        slope = pitman_slope_spearman(m, dep)
+        table = pitman_slope_spearman(m, dep, nodes=top)
+        assert slope == table
+        assert pitman_slope_bhat(m, dep) == pitman_slope_bhat(m, dep, nodes=top)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_bump_between_the_low_rungs_climbs_to_the_table(self, m):
+        # supported on [0.55, 0.75]^m, the bump is exactly 0 at every node of
+        # the 2- and 3-point rules, so those rungs give 0 and must not stop
+        bump = lambda t: ((t - 0.55) * (0.75 - t)) ** 2 if 0.55 < t < 0.75 else 0.0
+        dep = product_direction([bump] * m)
+        top = default_nodes(m)
+        b = bahadur_slope_B1(0, m, dep)
+        assert b == bahadur_slope_B1(0, m, dep, nodes=top) > 0.0
+        assert pitman_slope_spearman(m, dep) == pitman_slope_spearman(m, dep, nodes=top)
+        assert pitman_slope_bhat(m, dep) == pitman_slope_bhat(m, dep, nodes=top) > 0.0
+
+    @pytest.mark.parametrize("m, n", [(2, 5), (3, 4), (4, 2), (5, 3)])
+    def test_explicit_nodes_evaluate_one_rule(self, m, n):
+        fn, calls = counted(pillow_direction(m).fn)
+        dep = DependenceFunction(fn=fn)
+        pitman_slope_spearman(m, dep, nodes=n)
+        assert calls[0] == 9 * m + n ** m
+        calls[0] = 0
+        bahadur_slope_B1(0, m, dep, nodes=n)
+        assert calls[0] == 9 * m + n ** m
+        calls[0] = 0
+        pitman_slope_bhat(m, dep, nodes=n)
+        faces = sum(math.comb(m, k) * n ** (m - k) for k in range(1, m - 1))
+        assert calls[0] == n ** m + faces
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_bhat_slope_default_nodes_closed_form(self, m):
+        g = lambda t: t + t * t
+        integral, _ = bhat_closed_form_integral([g(1.0)] * m, [5.0 / 6.0] * m, math.fsum)
+        fn, calls = counted(lambda x: float(np.prod([g(t) for t in x])))
+        got = pitman_slope_bhat(m, DependenceFunction(fn=fn))
+        assert got == pytest.approx(12.0 ** m * integral * integral, rel=1e-12)
+        # one rung is the cube and every face; g has degree 2, so rungs 2 and 3
+        faces = lambda n: sum(math.comb(m, k) * n ** (m - k) for k in range(1, m - 1))
+        assert calls[0] == 2 ** m + faces(2) + 3 ** m + faces(3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.data())
+    def test_cubic_products_match_exact_rationals(self, m, data):
+        # each bound is the integral with |c_k| for c_k, at least the sum of
+        # |weight * value| over any Gauss rule exact for the degree, so the
+        # results are compared relative to that, not to a sum that may cancel
+        horner = lambda c, t: sum(ck * t ** k for k, ck in enumerate(c))
+        cubics = [data.draw(st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+                  for _ in range(m)]
+        fn = lambda x: float(np.prod([horner(c, t) for c, t in zip(cubics, x)]))
+        a = lambda c: sum(Fraction(ck, k + 1) for k, ck in enumerate(c))
+        integral, _ = bhat_closed_form_integral([Fraction(sum(c)) for c in cubics],
+                                                [a(c) for c in cubics])
+        _, terms = bhat_closed_form_integral([sum(map(abs, c)) for c in cubics],
+                                             [a(list(map(abs, c))) for c in cubics])
+        got = math.sqrt(pitman_slope_bhat(m, DependenceFunction(fn=fn)) / 12.0 ** m)
+        assert abs(got - abs(float(integral))) <= 1e-13 * float(sum(map(abs, terms)))
+        # quadratics times (1 - t) are cubics that vanish on every face
+        quads = [c[:3] for c in cubics]
+        fn = lambda x: float(np.prod([horner(c, t) * (1.0 - t) for c, t in zip(quads, x)]))
+        a = lambda c: sum(Fraction(ck, (k + 1) * (k + 2)) for k, ck in enumerate(c))
+        slope = pitman_slope_spearman(m, DependenceFunction(fn=fn))
+        coeff = 2.0 ** m * (m + 1.0) / (2.0 ** m - m - 1.0)
+        bound = float(math.prod(a(list(map(abs, c))) for c in quads))
+        exact = float(math.prod(a(c) for c in quads))
+        assert abs(slope.mu_prime0 - coeff * exact) <= 1e-13 * coeff * bound
 
 class TestFisherInfo:
     def test_closed_density_product(self):

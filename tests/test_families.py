@@ -293,6 +293,26 @@ class TestParsing:
         with pytest.raises(ValueError):
             mask_from_coords([5], 3)
 
+    @pytest.mark.parametrize("bad", [1.9, 2.0, True, False, "1", None, [1]])
+    def test_non_integer_coordinates_refused(self, bad):
+        # int() would truncate 1.9 to 1 and read True as 1
+        with pytest.raises(ValueError, match="is not an integer"):
+            mask_from_coords([bad], 3)
+        with pytest.raises(ValueError, match="is not an integer"):
+            family_from_json([[1, 2], [bad]], 3)
+        assert mask_from_coords([np.int64(2), 3], 3) == 0b110
+
+    def test_json_subsets_are_not_truncated(self):
+        with pytest.raises(ValueError, match="coordinate 1.9 is not an integer"):
+            parse_subset("[1.9, true]", 3)
+        with pytest.raises(ValueError, match="coordinate True is not an integer"):
+            parse_subset("[true]", 3)
+
+    @pytest.mark.parametrize("spec", ["[1, 2]", "[[1], 2]", "5", '{"1": [1]}'])
+    def test_family_must_be_arrays_of_coordinates(self, spec):
+        with pytest.raises(ValueError, match="array of arrays"):
+            family_from_json(spec, 2)
+
     def test_unsorted_members_rejected(self):
         with pytest.raises(ValueError):
             MonotoneFamily(2, (0b11, 0b01))

@@ -3,10 +3,13 @@ import pytest
 
 from cubegreen import quadrature
 from cubegreen.quadrature import (
+    LADDER_RTOL,
     MAX_EVALUATIONS,
     block_integral,
     cube_integral,
     default_nodes,
+    ladder_rungs,
+    node_ladder,
     nodes_per_axis,
     point_values,
     tensor_rule,
@@ -112,3 +115,109 @@ def test_oversized_integrals_refused_before_any_evaluation():
         block_integral(never, 3, 200)
     with pytest.raises(ValueError, match="budget"):
         tensor_rule(12, 5)
+
+
+def test_ladder_rungs():
+    assert [ladder_rungs(m) for m in range(2, 9)] == [
+        (2, 3, 6, 12, 24), (2, 3, 4, 8, 16), (2, 3, 6, 12), (2, 3, 4, 8), (2, 3, 6),
+        (2, 3, 5), (2, 3, 5)]
+    assert LADDER_RTOL == 1e-13
+
+
+def counting(f):
+    calls = []
+
+    def g(p):
+        calls.append(1)
+        return f(p)
+
+    return g, calls
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_ladder_stops_at_the_first_agreeing_rungs(m):
+    # degree 3 per axis: the 2- and 3-point rules are both exact
+    h = lambda p: float(np.prod(p ** 3 - p + 0.5))
+    f, calls = counting(h)
+    value = node_ladder(lambda k: cube_integral(f, m, k), m)
+    assert len(calls) == 2 ** m + 3 ** m
+    assert value == cube_integral(h, m, 3)
+    assert abs(value - cube_integral(h, m, 2)) <= LADDER_RTOL * abs(value)
+    assert value == pytest.approx(0.25 ** m, rel=1e-14)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_ladder_without_agreement_is_the_table_rule(m):
+    f, calls = counting(lambda p: float(np.prod(np.sin(7.0 * p))))
+    value = node_ladder(lambda k: cube_integral(f, m, k), m)
+    top = default_nodes(m)
+    assert value == cube_integral(f, m, top)
+    assert len(calls) == sum(k ** m for k in ladder_rungs(m)) + top ** m
+    assert value != cube_integral(f, m, ladder_rungs(m)[-2])
+
+
+def bump(t):
+    # C^1, supported on [0.55, 0.75]: between the nodes of the 2- and 3-point rules
+    return np.where((0.55 < t) & (t < 0.75), ((t - 0.55) * (0.75 - t)) ** 2, 0.0)
+
+
+@pytest.mark.parametrize("m", range(2, 5))
+def test_ladder_climbs_past_two_zero_rungs(m):
+    f = lambda p: float(np.prod(bump(p)))
+    assert cube_integral(f, m, 2) == cube_integral(f, m, 3) == 0.0
+    top = default_nodes(m)
+    value = node_ladder(lambda k: cube_integral(f, m, k), m)
+    assert value == cube_integral(f, m, top) > 0.0
+
+
+def test_ladder_agreement_edge():
+    # scripted rung values: each rung returns the next one
+    def scripted(values):
+        seen = []
+
+        def integral_at(n):
+            seen.append(n)
+            return values[len(seen) - 1]
+
+        return integral_at, seen
+
+    one = 1.0
+    at_tol = one + LADDER_RTOL  # |I_b - I_a| <= tol * max(|I_a|, |I_b|)
+    assert at_tol - one <= LADDER_RTOL * at_tol
+    integral_at, seen = scripted([5.0, one, at_tol, 7.0, 8.0])
+    assert node_ladder(integral_at, 4) == at_tol
+    assert seen == [2, 3, 6]
+    above = one + 4.0 * LADDER_RTOL
+    # two zero rungs are not agreement: the ladder climbs to the top
+    integral_at, seen = scripted([one, above, 0.0, 0.0, 5.0])
+    assert node_ladder(integral_at, 2) == 5.0
+    assert seen == [2, 3, 6, 12, 24]
+    integral_at, seen = scripted([0.0, 0.0, 5.0, 5.0, 7.0])
+    assert node_ladder(integral_at, 2) == 5.0
+    assert seen == [2, 3, 6, 12]
+    integral_at, seen = scripted([one, above, 3.0, 4.0])
+    assert node_ladder(integral_at, 4) == 4.0
+    assert seen == [2, 3, 6, 12]
+    integral_at, seen = scripted([float("nan")] * 5)
+    assert np.isnan(node_ladder(integral_at, 2)) and seen == [2, 3, 6, 12, 24]
+
+
+@pytest.mark.parametrize("m, n", [(2, 5), (3, 2), (4, 3), (5, 4)])
+def test_explicit_nodes_evaluate_that_rule_alone(m, n):
+    h = lambda p: float(np.prod(p ** 3 - p + 0.5))
+    f, calls = counting(h)
+    value = node_ladder(lambda k: cube_integral(f, m, k), m, n)
+    assert len(calls) == n ** m
+    assert value == cube_integral(h, m, n)
+    assert node_ladder(lambda k: float(k), m, np.int64(n)) == float(n)
+
+
+def test_ladder_refuses_before_any_evaluation():
+    def never(n):
+        raise AssertionError("called")
+
+    with pytest.raises(ValueError, match=f"needs {5 ** 12} point evaluations"):
+        node_ladder(never, 12)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            node_ladder(never, 3, bad)
