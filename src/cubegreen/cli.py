@@ -36,8 +36,8 @@ from .families import (
     format_subset,
     parse_subset,
 )
-from .kernel import green_kernel
-from .measures import lambda_value, measure_from_json
+from .kernel import check_unit_cube, compute_coefficients, green_kernel
+from .measures import measure_from_json
 from .extremal import ConvergenceError, efficiency_coefficient, principal_eigenvalue, solve
 from .quadrature import _node_count
 from .montecarlo import (
@@ -98,7 +98,7 @@ def _parse_point(text: str, m: int) -> np.ndarray:
     vals = [float(t) for t in text.split(",") if t.strip()]
     if len(vals) != m:
         raise ValueError(f"expected {m} coordinates, got {len(vals)}")
-    return np.asarray(vals)
+    return check_unit_cube(np.asarray(vals))
 
 
 def _interior_grid(m: int, per_axis: int) -> tuple[tuple[float, ...], ...]:
@@ -124,7 +124,7 @@ def _emit(report: dict, args) -> None:
     CSV, each under a `# key` line; for CSV, a report with no matrix is
     refused with ValueError before anything is written."""
     if args.output == "json":
-        text = json.dumps(report) + "\n"
+        text = json.dumps(report, allow_nan=False) + "\n"
     else:
         lines = []
         for key, val in report["result"].items():
@@ -159,49 +159,40 @@ def _cmd_family(args) -> dict:
 
 def _cmd_coeffs(args) -> dict:
     fam, flag = _resolve_family(args)
-    kern = green_kernel(fam)
+    coeffs = compute_coefficients(fam)
     return {"config": {"m": args.m, "family": flag},
-            "result": {"a": kern.coefficients_by_name()}}
+            "result": {"a": {format_subset(u): a for u, a in coeffs.items()}}}
 
 
 def _cmd_green_eval(args) -> dict:
     fam, flag = _resolve_family(args)
     kern = green_kernel(fam)
-    x = _parse_point(args.x, args.m)
-    xi = _parse_point(args.xi, args.m)
+    x = _read_option("--x", _parse_point, args.x, args.m)
+    xi = _read_option("--xi", _parse_point, args.xi, args.m)
     return {"config": {"m": args.m, "family": flag,
                        "x": list(x), "xi": list(xi)},
             "result": {"value": kern.evaluate(x, xi)}}
 
 
-def _cmd_lambda(args) -> dict:
-    fam, flag = _resolve_family(args)
-    kern = green_kernel(fam)
-    measure = measure_from_json(args.measure, args.m)
-    lam = lambda_value(kern, measure, args.method)
-    return {"config": {"m": args.m, "family": flag,
-                       "measure": args.measure, "method": args.method},
-            "result": {"lambda": lam, "inverse_lambda": 1.0 / lam}}
-
-
 def _cmd_solve(args) -> dict:
+    """`solve`, and `lambda`: the same report without the omega samples."""
     fam, flag = _resolve_family(args)
-    measure = measure_from_json(args.measure, args.m)
+    measure = _read_option("--measure", measure_from_json, args.measure, args.m)
+    points = [_read_option("--eval-at", _parse_point, text, args.m)
+              for text in getattr(args, "eval_at", None) or []]
     sol = solve(fam, measure, args.method)
-    samples = []
-    for text in args.eval_at or []:
-        x = _parse_point(text, args.m)
-        samples.append({"x": list(map(float, x)), "omega": sol.omega(x)})
+    result = {"lambda": sol.lam, "inverse_lambda": 1.0 / sol.lam}
+    if args.command == "solve":
+        result["omega"] = [{"x": x.tolist(), "omega": sol.omega(x)} for x in points]
     return {"config": {"m": args.m, "family": flag,
                        "measure": args.measure, "method": args.method},
-            "result": {"lambda": sol.lam, "inverse_lambda": 1.0 / sol.lam,
-                       "omega": samples}}
+            "result": result}
 
 
 def _cmd_efficiency(args) -> dict:
     V = _read_option("--V", parse_subset, args.V, args.m)
     fam = family_for_known_margins(V, args.m)
-    measure = measure_from_json(args.measure, args.m)
+    measure = _read_option("--measure", measure_from_json, args.measure, args.m)
     coeff = efficiency_coefficient(fam, measure)
     return {"config": {"m": args.m, "V": format_subset(V), "measure": args.measure},
             "result": {"efficiency_coefficient": coeff}}
@@ -304,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--grid-n", type=int, default=48)
         sp.set_defaults(handler=handler)
 
-    for name, handler in (("lambda", _cmd_lambda), ("solve", _cmd_solve)):
+    for name in ("lambda", "solve"):
         sp = common(sub.add_parser(name))
         _add_family_args(sp)
         sp.add_argument("--measure", default="lebesgue")
@@ -313,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "solve":
             sp.add_argument("--eval-at", action="append",
                             help="comma-separated point; repeatable")
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=_cmd_solve)
 
     sp = common(sub.add_parser("efficiency"))
     sp.add_argument("--V", default="", help=_SUBSET_HELP)

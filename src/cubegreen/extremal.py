@@ -7,6 +7,12 @@ indexed by a monotone family has the solution
 
 with lam the double kernel integral; 1/lam is both the minimal squared
 norm and the local efficiency coefficient of the matching rank test.
+Every kernel value on I^m is a sum of products of nonnegative factors
+(see :mod:`cubegreen.kernel`), so lam >= 0, and lam = 0 exactly when the
+measure sits where the kernel vanishes (barring underflow below the
+smallest subnormal): `solve` refuses lam = 0 with
+`DegenerateMeasureError` and accepts every positive lam, however small
+(12^-16 for Lebesgue under the pillow at m = 16).
 This module also computes Bahadur slopes, Pitman slopes (multivariate
 Spearman statistic and the tied-down one-degree statistic), Fisher
 information of a dependence direction, the efficiency-bound gap, and the
@@ -54,7 +60,6 @@ from .quadrature import (
     unit_rule,
 )
 
-_MIN_LAMBDA = 1e-14
 _NYSTROM_CAP = 20_000
 
 
@@ -120,7 +125,7 @@ def solve(family: MonotoneFamily, measure: Measure, method: str = "auto") -> Ext
     """Solve the extremal problem for the family and measure."""
     kern = green_kernel(family)
     lam = lambda_value(kern, measure, method)
-    if lam <= _MIN_LAMBDA:
+    if not lam > 0.0:
         raise DegenerateMeasureError(
             f"lambda = {lam:g} is not positive; measure sits where the kernel vanishes"
         )
@@ -260,7 +265,7 @@ def pitman_slope_bhat(m: int, dep: DependenceFunction,
     return 12.0 ** m * integral * integral
 
 
-def fisher_info(dep: DependenceFunction, m: int | None = None, h: float = 1e-3,
+def fisher_info(dep: DependenceFunction, m: int, h: float = 1e-3,
                 nodes: int = 16, delta: float | None = None) -> float:
     """Fisher information at independence: integral of the squared density.
 
@@ -277,8 +282,6 @@ def fisher_info(dep: DependenceFunction, m: int | None = None, h: float = 1e-3,
     density (16^m points) and from m = 5 on with finite differences (16^m
     nodes of 2^m stencil points each); pass a smaller `nodes` there.
     """
-    if m is None:
-        raise ValueError("m is required")
     if dep.density is not None:
         return cube_integral(lambda p: dep.density(p) ** 2, m, nodes)
     if not h > 0.0:

@@ -18,27 +18,29 @@ x_j = 1.  The pillow (all nonempty subsets) is a chain of m gap nodes,
 the sheet (empty family) the product of the mins.
 
 `GreenKernel.values(X, Y)`, G at the pairs of two broadcast (..., m)
-arrays, is the one evaluator; `evaluate`, `cross` and `diagonal` call it,
-`cross` on row blocks within the one block budget (`quadrature.blocks`).
-Every diagram term is a product over axes, so on a tensor grid with the
-same n nodes on each axis `GreenKernel.kron_matvec` applies the kernel
-matrix, a sum of Kronecker products of three n x n matrices (gap, x xi
-and min), to a vector without forming it.
+arrays, is the one evaluator; `evaluate`, `cross` and `diagonal` call it
+or its body, `cross` on row blocks within the one block budget
+(`quadrature.blocks`).  Their one point check, made once per input
+array, refuses a coordinate outside [0, 1] or not finite
+(`check_unit_cube`).  Every diagram term is a product over axes, so on
+a tensor grid with the same n nodes on each axis
+`GreenKernel.kron_matvec` applies the kernel matrix, a sum of Kronecker
+products of three n x n matrices (gap, x xi and min), to a vector
+without forming it.
 
 The signed integer coefficients a_U of the equivalent expansion
 prod min - sum_{U in F} a_U prod_{j not in U} min_j prod_{j in U} k_j are
 the Moebius transform of the indicator of F.  No numeric path reads them:
-they serve only the `coeffs` command.
+they serve only the `coeffs` command, which builds no kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .families import MonotoneFamily, format_subset
+from .families import MonotoneFamily
 from .quadrature import blocks
 
 
@@ -92,6 +94,15 @@ def _diagram(comp: bytes, m: int) -> Diagram:
     return tuple(reversed(levels))
 
 
+def check_unit_cube(P: np.ndarray) -> np.ndarray:
+    """P, a float array, unless it holds a coordinate outside [0, 1] or not
+    finite: then ValueError naming the first such coordinate."""
+    if P.size and not (P.min() >= 0.0 and P.max() <= 1.0):  # NaN fails both
+        bad = P[~((P >= 0.0) & (P <= 1.0))].flat[0]
+        raise ValueError(f"coordinate {float(bad)!r} is not in [0, 1]")
+    return P
+
+
 def _pair_factors(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """min(x, y), x y and the gap min(x, y) (1 - max(x, y)) of two arrays
     broadcast against each other, each a new array in C order, so that a
@@ -125,11 +136,6 @@ class GreenKernel:
     @property
     def m(self) -> int:
         return self.family.m
-
-    @cached_property
-    def coefficients(self) -> dict[int, int]:
-        """Signed integer coefficients a_U (see `compute_coefficients`)."""
-        return compute_coefficients(self.family)
 
     def complement_sizes(self) -> list[int]:
         """counts[w] = number of subsets W not in the family with |W| = w.
@@ -186,12 +192,15 @@ class GreenKernel:
         P = np.asarray(P, dtype=float)
         if P.shape[-1:] != (self.m,):
             raise ValueError(f"points have shape {P.shape}, expected (..., {self.m})")
-        return P
+        return check_unit_cube(P)
 
     def values(self, X, Y) -> np.ndarray:
         """G at the pairs of two (..., m) arrays broadcast against each
         other; returns their broadcast shape without the last axis."""
-        X, Y = self._check_points(X), self._check_points(Y)
+        return self._pair_values(self._check_points(X), self._check_points(Y))
+
+    def _pair_values(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        # the body of `values`, for point arrays the caller has checked
         d = max(X.ndim, Y.ndim)
         Xt, Yt = _axis_first(X, d), _axis_first(Y, d)
         return self.sum_terms(*_pair_factors(Xt, Yt))
@@ -206,16 +215,13 @@ class GreenKernel:
         B = np.atleast_2d(self._check_points(B))
         out = np.empty((len(A), len(B)))
         for rows in blocks(len(A), 8 * len(B) * self.m):
-            out[rows] = self.values(A[rows, None], B)
+            out[rows] = self._pair_values(A[rows, None], B)
         return out
 
     def diagonal(self, points) -> np.ndarray:
         """Kernel values G(p, p) for each row p of an (N, m) array."""
         P = np.atleast_2d(self._check_points(points))
-        return self.values(P, P)
-
-    def coefficients_by_name(self) -> dict[str, int]:
-        return {format_subset(u): a for u, a in self.coefficients.items()}
+        return self._pair_values(P, P)
 
 
 def green_kernel(family: MonotoneFamily) -> GreenKernel:

@@ -1,9 +1,12 @@
 """Finite measures on the unit cube and kernel integrals against them.
 
 A measure is a positively weighted sum of atomic components: Lebesgue
-measure on I^m, the arc-length-normalized diagonal line t -> (t,...,t),
-the anti-diagonal line t -> (1-t, t) (m = 2 only), and finite point
-masses.  The module integrates a Green kernel once against a measure,
+measure on I^m, a line (`LineComponent`, the image of Lebesgue on [0,1]
+under t -> x with x_j = 1 - t on its reversed axes and x_j = t on the
+others: the diagonal reverses none, the anti-diagonal t -> (1-t, t) of
+m = 2 the first), and finite point masses in I^m.  Every weight must be
+positive (NaN is refused), and a point with a coordinate outside [0, 1]
+is refused.  The module integrates a Green kernel once against a measure,
 
     L(x) = integral of G(x, xi) d mu(xi),
 
@@ -16,7 +19,7 @@ points to their N integrals; every pair of components without a closed
 form is one weighted sum of `_once` over the other component's atoms or
 line rule.
 
-Closed forms are used for Lebesgue and diagonal components and are
+Closed forms are used for Lebesgue and unreversed (diagonal) lines and are
 cross-checked by a quadrature path.  The closed forms are exact integer
 sums over the popcount histogram of the complement table, or the
 kernel's diagram (see :mod:`cubegreen.kernel`) on per-axis integrals,
@@ -35,7 +38,7 @@ from math import factorial
 
 import numpy as np
 
-from .kernel import GreenKernel
+from .kernel import GreenKernel, check_unit_cube
 from .quadrature import cube_integral, node_ladder, point_values, segmented_rule, unit_rule
 
 
@@ -45,35 +48,23 @@ class LebesgueComponent:
 
 
 @dataclass(frozen=True)
-class DiagonalComponent:
-    """Image of Lebesgue on [0,1] under t -> (t, ..., t)."""
+class LineComponent:
+    """Image of Lebesgue on [0,1] under t -> x with x_j = 1 - t on the
+    axes j in the bitmask `reversed` and x_j = t on the others."""
 
     m: int
+    reversed: int = 0
+
+    def _flip(self) -> np.ndarray:
+        return (self.reversed >> np.arange(self.m)) & 1 == 1
 
     def points(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.repeat(ts[..., None], self.m, axis=-1)
+        t = np.asarray(ts, dtype=float)[..., None]
+        return np.where(self._flip(), 1.0 - t, t)
 
     def once_breaks(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-
-@dataclass(frozen=True)
-class AntiDiagonalComponent:
-    """Image of Lebesgue on [0,1] under t -> (1-t, t); m = 2 only."""
-
-    m: int = 2
-
-    def __post_init__(self):
-        if self.m != 2:
-            raise ValueError("anti-diagonal measure is defined for m = 2 only")
-
-    def points(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.stack([1.0 - ts, ts], axis=-1)
-
-    def once_breaks(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([x[..., 1], 1.0 - x[..., 0]], axis=-1)
+        """The kinks in t of min(x_j, point_j(t)) for each row x."""
+        return np.where(self._flip(), 1.0 - x, x)
 
 
 @dataclass(frozen=True)
@@ -85,17 +76,18 @@ class PointMassComponent:
     def __post_init__(self):
         if len(self.points_) != len(self.weights):
             raise ValueError("points and weights must have equal length")
-        if any(w <= 0 for w in self.weights):
+        if not all(w > 0 for w in self.weights):
             raise ValueError("point-mass weights must be positive")
         for p in self.points_:
             if len(p) != self.m:
                 raise ValueError("point dimension mismatch")
+        check_unit_cube(self.array())
 
     def array(self) -> np.ndarray:
         return np.asarray(self.points_, dtype=float)
 
 
-Component = LebesgueComponent | DiagonalComponent | AntiDiagonalComponent | PointMassComponent
+Component = LebesgueComponent | LineComponent | PointMassComponent
 
 
 @dataclass(frozen=True)
@@ -109,7 +101,7 @@ class Measure:
         if not self.components:
             raise ValueError("measure must have at least one component")
         for comp, w in self.components:
-            if w <= 0:
+            if not w > 0:
                 raise ValueError("component weights must be positive")
             if comp.m != self.m:
                 raise ValueError("component dimension mismatch")
@@ -120,11 +112,12 @@ def lebesgue(m: int) -> Measure:
 
 
 def diagonal(m: int) -> Measure:
-    return Measure(m, ((DiagonalComponent(m), 1.0),))
+    return Measure(m, ((LineComponent(m), 1.0),))
 
 
 def anti_diagonal() -> Measure:
-    return Measure(2, ((AntiDiagonalComponent(), 1.0),))
+    """The line t -> (1 - t, t) in I^2."""
+    return Measure(2, ((LineComponent(2, reversed=1), 1.0),))
 
 
 def point_masses(points, weights, m: int) -> Measure:
@@ -138,7 +131,7 @@ def weighted_sum(parts) -> Measure:
     comps: list[tuple[Component, float]] = []
     ms = set()
     for measure, w in parts:
-        if w <= 0:
+        if not w > 0:
             raise ValueError("weights must be positive")
         ms.add(measure.m)
         comps.extend((c, w * cw) for c, cw in measure.components)
@@ -184,7 +177,7 @@ def _once(kernel: GreenKernel, comp, X: np.ndarray, method: str) -> np.ndarray:
         return kernel.sum_terms(fmin, fk, gaps)
     if isinstance(comp, PointMassComponent):
         return kernel.cross(X, comp.array()) @ np.asarray(comp.weights)
-    if isinstance(comp, (DiagonalComponent, AntiDiagonalComponent)):
+    if isinstance(comp, LineComponent):
         # split at each row's kinks: every piece is a polynomial of degree <= m
         ts, ws = segmented_rule(comp.once_breaks(X), kernel.m + 2)
         return _rowdot(kernel.values(X[:, None], comp.points(ts)), ws)
@@ -198,6 +191,7 @@ def integrate_once(kernel: GreenKernel, measure: Measure, x, method: str = "auto
     x = np.asarray(x, dtype=float)
     if x.shape != (kernel.m,):
         raise ValueError(f"point has shape {x.shape}, expected ({kernel.m},)")
+    check_unit_cube(x)
     return sum(w * float(_once(kernel, comp, x[None], method)[0])
                for comp, w in measure.components)
 
@@ -238,8 +232,7 @@ def _pair_lambda(kernel: GreenKernel, ca, cb, method: str) -> float:
     leb_a = isinstance(ca, LebesgueComponent)
     if leb_a and isinstance(cb, LebesgueComponent):
         return _lambda_leb_leb(kernel, method)
-    if (method != "quadrature" and isinstance(ca, DiagonalComponent)
-            and isinstance(cb, DiagonalComponent)):
+    if method != "quadrature" and ca == cb == LineComponent(kernel.m):
         return _lambda_diag_diag_closed(kernel)
     if method == "closed" and not isinstance(ca, PointMassComponent):
         raise ValueError(
@@ -287,7 +280,7 @@ def integrate_against(measure: Measure, f) -> float:
     for comp, w in measure.components:
         if isinstance(comp, LebesgueComponent):
             total += w * node_ladder(lambda n: cube_integral(f, comp.m, n), comp.m)
-        elif isinstance(comp, (DiagonalComponent, AntiDiagonalComponent)):
+        elif isinstance(comp, LineComponent):
             ts, ws = segmented_rule(np.arange(1, 40) / 40, 10)
             total += w * float(point_values(f, comp.points(ts)) @ ws)
         elif isinstance(comp, PointMassComponent):
@@ -317,20 +310,20 @@ def measure_from_json(spec, m: int) -> Measure:
             return lebesgue(m)
         if name == "diagonal":
             return diagonal(m)
-        if name == "antidiagonal":
+        if name in ("antidiagonal", "diagonal+antidiagonal", "antidiagonal+diagonal"):
             if m != 2:
                 raise ValueError("the anti-diagonal measure requires m = 2")
-            return anti_diagonal()
-        if name in ("diagonal+antidiagonal", "antidiagonal+diagonal"):
-            if m != 2:
-                raise ValueError("the anti-diagonal measure requires m = 2")
+            if name == "antidiagonal":
+                return anti_diagonal()
             return weighted_sum([(diagonal(2), 1.0), (anti_diagonal(), 1.0)])
         spec = json.loads(spec)
+    if not isinstance(spec, dict):
+        raise ValueError(f"a measure is a shorthand name or a JSON object, not {spec!r}")
     variant = spec.get("variant", "").lower()
     if variant in ("lebesgue", "diagonal", "antidiagonal"):
         return measure_from_json(variant, m)
     if variant == "points":
-        weights = spec.get("weights") or [1.0] * len(spec["points"])
+        weights = spec["weights"] if "weights" in spec else [1.0] * len(spec["points"])
         return point_masses(spec["points"], weights, m)
     if variant == "sum":
         parts = [(measure_from_json(p["measure"], m), float(p.get("weight", 1.0)))

@@ -78,9 +78,6 @@ class SimConfig:
         if self.V is not None and self.V & ~full_mask(self.m):
             raise ValueError("V is not a subset of the coordinate set")
 
-    def grid_array(self) -> np.ndarray:
-        return np.asarray(self.grid, dtype=float)
-
 
 @dataclass(frozen=True)
 class CovarianceReport:
@@ -160,6 +157,11 @@ def _covariance_report(values: np.ndarray, theoretical: np.ndarray) -> Covarianc
     for rows in blocks(G, 8 * R * G):
         prods = values[:, rows, None] * values[:, None, :]
         se[rows] = prods.std(axis=0, ddof=1) / np.sqrt(R)
+    if not np.all(se > 0.0):
+        raise ValueError(f"max_dev_in_se is undefined: {int(np.sum(se == 0.0))} of the "
+                         f"{G * G} standard errors are zero (a product of process values "
+                         f"is the same in every replication, as at n = 1 with no margin "
+                         f"known)")
     dev = np.abs(empirical - theoretical)
     return CovarianceReport(
         empirical=empirical,
@@ -170,29 +172,30 @@ def _covariance_report(values: np.ndarray, theoretical: np.ndarray) -> Covarianc
     )
 
 
+def _simulate_covariance(cfg: SimConfig, family, process) -> CovarianceReport:
+    """Empirical covariance on the grid of process(X, grid), a (B, n, m)
+    block of samples to its (B, G) process values, versus the Green kernel
+    of the family."""
+    if not cfg.grid:
+        raise ValueError("config must include a grid")
+    grid = np.asarray(cfg.grid, dtype=float)
+    theo = green_kernel(family).cross(grid, grid)
+    vals = _replication_values(cfg, lambda X: process(X, grid))
+    return _covariance_report(vals, theo)
+
+
 def simulate_null_covariance(cfg: SimConfig) -> CovarianceReport:
     """Empirical covariance of the known-margins process on the grid versus
     the Green kernel of the matching family."""
     if cfg.V is None:
         raise ValueError("config must specify V")
-    if not cfg.grid:
-        raise ValueError("config must include a grid")
-    grid = cfg.grid_array()
-    kern = green_kernel(family_for_known_margins(cfg.V, cfg.m))
-    theo = kern.cross(grid, grid)
-    vals = _replication_values(cfg, lambda X: rankstats.batch_process_W(X, grid, cfg.V))
-    return _covariance_report(vals, theo)
+    return _simulate_covariance(cfg, family_for_known_margins(cfg.V, cfg.m),
+                                lambda X, grid: rankstats.batch_process_W(X, grid, cfg.V))
 
 
 def simulate_tied_down_covariance(cfg: SimConfig) -> CovarianceReport:
     """Empirical covariance of the tied-down process versus the pillow kernel."""
-    if not cfg.grid:
-        raise ValueError("config must include a grid")
-    grid = cfg.grid_array()
-    kern = green_kernel(all_nonempty_family(cfg.m))
-    theo = kern.cross(grid, grid)
-    vals = _replication_values(cfg, lambda X: rankstats.batch_tied_down(X, grid))
-    return _covariance_report(vals, theo)
+    return _simulate_covariance(cfg, all_nonempty_family(cfg.m), rankstats.batch_tied_down)
 
 
 def sample_gaussian_field(kernel: GreenKernel, grid, count: int, seed: int) -> np.ndarray:

@@ -21,9 +21,8 @@ from cubegreen.families import (
 )
 from cubegreen.kernel import green_kernel
 from cubegreen.measures import (
-    AntiDiagonalComponent,
-    DiagonalComponent,
     LebesgueComponent,
+    LineComponent,
     Measure,
     PointMassComponent,
     _once,
@@ -82,7 +81,7 @@ def ref_once_lebesgue(k, x, method):
 
 
 def ref_line_breaks(comp, x):
-    return list(x) if isinstance(comp, DiagonalComponent) else [x[1], 1.0 - x[0]]
+    return list(x) if comp == LineComponent(comp.m) else [x[1], 1.0 - x[0]]
 
 
 def ref_once_line(k, comp, x, extra_nodes=0):
@@ -142,7 +141,7 @@ def ref_pair_lambda(k, ca, cb, method):
     leb_a, leb_b = isinstance(ca, LebesgueComponent), isinstance(cb, LebesgueComponent)
     if leb_a and leb_b:
         return ref_lambda_leb_leb(k, method)
-    if isinstance(ca, DiagonalComponent) and isinstance(cb, DiagonalComponent):
+    if ca == cb == LineComponent(k.m):
         if method != "quadrature":
             return ref_lambda_diag_diag_closed(k)
         return ref_lambda_line_outer(k, ca, cb, method)
@@ -179,10 +178,10 @@ def points(count, m):
 
 
 def components(m):
-    comps = [LebesgueComponent(m), DiagonalComponent(m),
+    comps = [LebesgueComponent(m), LineComponent(m),
              PointMassComponent(m, tuple(map(tuple, points(6, m).tolist())),
                                 tuple(RNG.uniform(0.5, 2.0, 6).tolist()))]
-    return comps + [AntiDiagonalComponent()] if m == 2 else comps
+    return comps + [LineComponent(2, reversed=1)] if m == 2 else comps
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from cubegreen import cli, montecarlo, quadrature, rankstats
+from cubegreen import cli, kernel, montecarlo, quadrature, rankstats
 from cubegreen.cli import build_parser, main
 from cubegreen.extremal import ConvergenceError
 
@@ -518,3 +519,109 @@ class TestSubsetSyntax:
         assert code == 2 and out == ""
         m = argv[argv.index("--m") + 1]
         assert err == f"error: dimension must be an integer in [2, 16], got {m}\n"
+
+
+class TestOneLambdaHandler:
+    """`lambda` is the `solve` handler without the omega samples, under the
+    one refusal rule lambda = 0."""
+
+    def test_lambda_is_solve_without_omega(self, capsys):
+        argv = ["--m", "3", "--family-known-margins-V", "1", "--measure", "diagonal"]
+        lam = run_json(capsys, "lambda", *argv)
+        sol = run_json(capsys, "solve", *argv)
+        assert lam["config"] == sol["config"]
+        assert list(lam["result"]) == ["lambda", "inverse_lambda"]
+        assert sol["result"] == {**lam["result"], "omega": []}
+
+    @pytest.mark.parametrize("command", ["lambda", "solve"])
+    def test_pillow_m16_lambda(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--m", "16", "--family-all")
+        assert code == 0, err
+        assert '"lambda": 5.408789293239539e-18' in out
+
+    @pytest.mark.parametrize("command", ["lambda", "solve"])
+    def test_mass_on_a_vanishing_face_exits_2(self, capsys, tmp_path, command):
+        out_file = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, command, "--m", "2", "--family-all", "--measure",
+                                 '{"variant": "points", "points": [[1, 0.5]]}',
+                                 "--out-file", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err == ("error: lambda = 0 is not positive; measure sits where the kernel "
+                       "vanishes\n")
+
+    def test_coeffs_builds_no_kernel(self, capsys, monkeypatch):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(cli, "green_kernel", no_kernel)
+        monkeypatch.setattr(kernel, "green_kernel", no_kernel)
+        monkeypatch.setattr(kernel.GreenKernel, "__post_init__", no_kernel)
+        family = "[[1,2],[1,2,3],[1,2,4],[3,4],[1,3,4],[2,3,4],[1,2,3,4]]"
+        rep = run_json(capsys, "coeffs", "--m", "4", "--family", family)
+        assert list(rep["result"]["a"].items()) == [
+            ("{1,2}", 1), ("{3,4}", 1), ("{1,2,3}", 0), ("{1,2,4}", 0), ("{1,3,4}", 0),
+            ("{2,3,4}", 0), ("{1,2,3,4}", -1)]
+
+
+class TestPointOptions:
+    """Every point the CLI reads lies in I^m, or the run exits 2 naming the
+    option and writes nothing."""
+
+    POINT_ARGV = {
+        "--x": ["green-eval", "--m", "2", "--family-all", "--xi", "0.5,0.5", "--x={}"],
+        "--xi": ["green-eval", "--m", "2", "--family-all", "--x", "0.5,0.5", "--xi={}"],
+        "--eval-at": ["solve", "--m", "2", "--family-all", "--eval-at={}"],
+        "--measure": ["lambda", "--m", "2", "--family-all",
+                      '--measure={{"variant": "points", "points": [[{}]]}}'],
+    }
+
+    @pytest.mark.parametrize("option", list(POINT_ARGV))
+    @pytest.mark.parametrize("point", ["2,3", "1.0000000000000002,0.5", "0.5,-5e-324",
+                                       "nan,0.5", "0.5,inf"])
+    def test_outside_exits_2_naming_the_option(self, capsys, tmp_path, option, point):
+        out_file = tmp_path / "report.json"
+        if option == "--measure":  # JSON spells them NaN and Infinity
+            point = point.replace("nan", "NaN").replace("inf", "Infinity")
+        argv = [a.format(point) for a in self.POINT_ARGV[option]]
+        code, out, err = run_cli(capsys, *argv, "--out-file", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith(f"error: {option} ") and "is not in [0, 1]" in err
+
+    @pytest.mark.parametrize("option", ["--x", "--xi", "--eval-at"])
+    def test_faces_accepted(self, capsys, option):
+        argv = [a.format("-0.0,1.0") for a in self.POINT_ARGV[option]]
+        run_json(capsys, *argv)
+
+    @pytest.mark.parametrize("spec", [
+        "[]", "5",
+        '{"variant": "points", "points": [[0.5, 0.5]], "weights": []}',
+        '{"variant": "points", "points": [[0.5, 0.5]], "weights": [NaN]}',
+        '{"variant": "sum", "parts": [{"weight": NaN, "measure": "diagonal"}]}',
+    ])
+    @pytest.mark.parametrize("command", ["lambda", "solve", "efficiency"])
+    def test_bad_measure_spec_exits_2(self, capsys, tmp_path, spec, command):
+        out_file = tmp_path / "report.json"
+        family = [] if command == "efficiency" else ["--family-all"]
+        code, out, err = run_cli(capsys, command, "--m", "2", *family, "--measure", spec,
+                                 "--out-file", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith(f"error: --measure {spec!r}: ")
+
+
+class TestStrictJson:
+    def test_zero_standard_errors_exit_2(self, capsys, tmp_path):
+        out_file = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "simulate", "--mode", "cov", "--m", "2", "--n", "1",
+                                     "--R", "100", "--V", "", "--grid-n", "2",
+                                     "--out-file", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith("error: max_dev_in_se is undefined: 16 of the 16 standard errors "
+                              "are zero")
+
+    def test_non_finite_report_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "compute_coefficients", lambda fam: {1: float("nan")})
+        code, out, err = run_cli(capsys, "coeffs", "--m", "2", "--family-all")
+        assert code == 2 and out == ""
+        assert err.startswith("error: Out of range float values are not JSON compliant")

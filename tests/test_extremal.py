@@ -44,6 +44,7 @@ from cubegreen.measures import (
     anti_diagonal,
     diagonal,
     integrate_against,
+    lambda_value,
     lebesgue,
     point_masses,
     scaled,
@@ -190,6 +191,24 @@ class TestSolve:
         mu = point_masses(np.array([[1.0, 1.0]]), np.array([1.0]), 2)
         with pytest.raises(DegenerateMeasureError):
             solve(upward_closure([full_mask(2)], 2), mu)
+
+    def test_mass_on_a_vanishing_face_has_lambda_exactly_zero(self):
+        # lambda = 0 is the one refusal: on the face x_1 = 1 of the pillow
+        # every term carries a zero factor
+        fam = all_nonempty_family(2)
+        mu = point_masses([[1.0, 0.5]], [1.0], 2)
+        assert lambda_value(green_kernel(fam), mu) == 0.0
+        with pytest.raises(DegenerateMeasureError, match="lambda = 0 is not positive"):
+            solve(fam, mu)
+
+    @pytest.mark.parametrize("m", [13, 14, 15, 16])
+    def test_pillow_lambda_accepted_to_m16(self, m):
+        # 12^-m: once below a fixed floor of 1e-14, now accepted as positive
+        fam = all_nonempty_family(m)
+        want = lambda_value(green_kernel(fam), lebesgue(m), method="closed")
+        assert want == 1 / 12 ** m
+        assert solve(fam, lebesgue(m)).lam == want
+        assert efficiency_coefficient(fam, lebesgue(m)) == 1.0 / want
 
 
 class TestEfficiencyCoefficients:
@@ -473,7 +492,7 @@ class TestFisherInfo:
         assert fd == pytest.approx(1 / 9, rel=1e-3)
 
     def test_requires_dimension(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             fisher_info(DependenceFunction(fn=lambda x: 0.0))
 
     @pytest.mark.parametrize("m, nodes", [(2, 6), (3, 3), (4, 2)])

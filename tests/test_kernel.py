@@ -249,3 +249,29 @@ class TestMatrixOps:
         k = green_kernel(empty_family(2))
         with pytest.raises(ValueError):
             k.evaluate([0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
+
+
+class TestUnitCubePoints:
+    """The one point check refuses a coordinate outside [0, 1] or not finite
+    in every evaluator; the faces themselves are accepted."""
+
+    ACCEPTED = (0.0, -0.0, 1.0)
+    REFUSED = (1.0 + 2.0 ** -52, -5e-324, float("nan"), float("inf"), -float("inf"))
+
+    def evaluators(self):
+        k = green_kernel(all_nonempty_family(2))
+        return (lambda p: k.evaluate(p, [0.5, 0.5]), lambda p: k.evaluate([0.5, 0.5], p),
+                lambda p: k.values(np.array([p, p]), [0.5, 0.5]),
+                lambda p: k.cross([[0.5, 0.5], p], [[0.5, 0.5]]),
+                lambda p: k.cross([[0.5, 0.5]], [p]), lambda p: k.diagonal([p]))
+
+    @pytest.mark.parametrize("v", ACCEPTED)
+    def test_faces_accepted(self, v):
+        for evaluate in self.evaluators():
+            assert np.all(np.asarray(evaluate([v, 0.5])) >= 0.0)
+
+    @pytest.mark.parametrize("v", REFUSED)
+    def test_outside_or_non_finite_refused(self, v):
+        for evaluate in self.evaluators():
+            with pytest.raises(ValueError, match=r"coordinate .* is not in \[0, 1\]"):
+                evaluate([0.5, v])

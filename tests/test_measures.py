@@ -10,8 +10,10 @@ from cubegreen.families import (
     full_mask,
     upward_closure,
 )
-from cubegreen.kernel import green_kernel
+from cubegreen.kernel import compute_coefficients, green_kernel
 from cubegreen.measures import (
+    LineComponent,
+    Measure,
     anti_diagonal,
     diagonal,
     integrate_against,
@@ -102,7 +104,7 @@ class TestLambdaClosedForms:
             k = green_kernel(family_for_known_margins(V, m))
             lam = lambda_value(k, lebesgue(m), method="closed")
             assert lam == pytest.approx(
-                lebesgue_lambda_closed(m, k.coefficients), rel=1e-14)
+                lebesgue_lambda_closed(m, compute_coefficients(k.family)), rel=1e-14)
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_known_margins_empty_V_explicit(self, m):
@@ -246,6 +248,50 @@ class TestMeasureAlgebra:
         assert a == b and len(a) == 400 * (len(parts) - 1) + 5
 
 
+class TestLineComponent:
+    def test_diagonal_and_antidiagonal_are_one_class(self):
+        assert diagonal(3).components == ((LineComponent(3), 1.0),)
+        assert anti_diagonal().components == ((LineComponent(2, reversed=1), 1.0),)
+
+    def test_points_reverse_the_masked_axes(self):
+        ts = np.array([0.0, 0.25, 1.0])
+        assert np.array_equal(LineComponent(3).points(ts), np.repeat(ts[:, None], 3, axis=1))
+        assert np.array_equal(LineComponent(2, reversed=1).points(ts),
+                              np.stack([1.0 - ts, ts], axis=-1))
+        assert np.array_equal(LineComponent(3, reversed=0b101).points(ts),
+                              np.stack([1.0 - ts, ts, 1.0 - ts], axis=-1))
+
+    def test_once_breaks_are_the_kinks(self):
+        # the kink of min(x_j, point_j(t)) lies where point_j(t) = x_j
+        X = RNG.random((5, 3))
+        for line in (LineComponent(3), LineComponent(3, reversed=0b110)):
+            breaks = line.once_breaks(X)
+            for j in range(3):
+                assert np.allclose(line.points(breaks[:, j])[:, j], X[:, j], rtol=0, atol=1e-15)
+
+
+class TestPointsOutsideTheCube:
+    BAD = (1.0 + 2.0 ** -52, -5e-324, float("nan"), float("inf"))
+
+    @pytest.mark.parametrize("v", BAD)
+    def test_point_mass_refused(self, v):
+        with pytest.raises(ValueError, match=r"is not in \[0, 1\]"):
+            point_masses([[0.5, 0.5], [v, 0.5]], [1.0, 1.0], 2)
+
+    @pytest.mark.parametrize("v", BAD)
+    def test_integrate_once_refused(self, v):
+        k = green_kernel(all_nonempty_family(2))
+        for mu in (lebesgue(2), diagonal(2), point_masses([[0.5, 0.5]], [1.0], 2)):
+            with pytest.raises(ValueError, match=r"is not in \[0, 1\]"):
+                integrate_once(k, mu, [0.5, v])
+
+    def test_faces_accepted(self):
+        k = green_kernel(all_nonempty_family(2))
+        mu = point_masses([[1.0, 0.0], [-0.0, 1.0]], [1.0, 1.0], 2)
+        assert lambda_value(k, mu) == 0.0
+        assert integrate_once(k, lebesgue(2), [1.0, -0.0]) == 0.0
+
+
 class TestMeasureJson:
     def test_shorthands(self):
         for name in ("lebesgue", "diagonal", "antidiagonal",
@@ -270,6 +316,43 @@ class TestMeasureJson:
     def test_antidiagonal_requires_m2(self):
         with pytest.raises(ValueError):
             measure_from_json("antidiagonal", 3)
+
+    @pytest.mark.parametrize("spec", ["antidiagonal", "diagonal+antidiagonal",
+                                      '{"variant": "antidiagonal"}'])
+    def test_antidiagonal_m2_message(self, spec):
+        with pytest.raises(ValueError, match="^the anti-diagonal measure requires m = 2$"):
+            measure_from_json(spec, 3)
+
+    @pytest.mark.parametrize("spec", ["[]", "5", '"lebesgue"', "null",
+                                      '{"variant": "sum", "parts": [{"measure": []}]}'])
+    def test_spec_neither_shorthand_nor_object_refused(self, spec):
+        with pytest.raises(ValueError, match="shorthand name or a JSON object"):
+            measure_from_json(spec, 2)
+
+    def test_empty_weights_are_not_unit_weights(self):
+        with pytest.raises(ValueError, match="equal length"):
+            measure_from_json('{"variant": "points", "points": [[0.5, 0.5]], "weights": []}', 2)
+        mu = measure_from_json('{"variant": "points", "points": [[0.5, 0.5]]}', 2)
+        assert mu.components[0][0].weights == (1.0,)
+
+    def test_nan_point_weight_refused(self):
+        with pytest.raises(ValueError, match="point-mass weights must be positive"):
+            measure_from_json(
+                '{"variant": "points", "points": [[0.5, 0.5]], "weights": [NaN]}', 2)
+
+    def test_nan_part_weight_refused(self):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            measure_from_json(
+                '{"variant": "sum", "parts": [{"weight": NaN, "measure": "diagonal"}]}', 2)
+
+    def test_nan_weights_refused_by_constructors(self):
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            point_masses([[0.5, 0.5]], [nan], 2)
+        with pytest.raises(ValueError):
+            Measure(2, ((LineComponent(2), nan),))
+        with pytest.raises(ValueError):
+            weighted_sum([(diagonal(2), nan)])
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

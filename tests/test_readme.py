@@ -1,6 +1,7 @@
 """Every CLI example of the README replays: run twice in process, each run
-writes one line of JSON, and the two lines agree byte for byte up to the
-`timing` key, which comes last (wall times live under it only)."""
+writes one line of strict JSON (no NaN or Infinity), and the two lines
+agree byte for byte up to the `timing` key, which comes last (wall times
+live under it only)."""
 
 import json
 import shlex
@@ -18,6 +19,10 @@ def _examples() -> list[str]:
     text = README.read_text().split("## CLI examples", 1)[1]
     block = text.split("```sh", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("cubegreen ")]
+
+
+def _non_finite(name):
+    raise AssertionError(f"report holds {name}, which strict JSON has no number for")
 
 
 def test_readme_has_examples():
@@ -39,7 +44,7 @@ def test_readme_example_replays(line, capsys, tmp_path, monkeypatch):
         out = capsys.readouterr()
         assert code == 0, out.err
         assert out.out.endswith("\n") and out.out.count("\n") == 1
-        report = json.loads(out.out)
+        report = json.loads(out.out, parse_constant=_non_finite)
         assert list(report)[:2] == ["config", "result"] and list(report)[-1] == "timing"
         runs.append(out.out[:out.out.rindex(', "timing": ')])
     assert runs[0] == runs[1]
