@@ -356,7 +356,7 @@ def main(argv=None) -> int:
         report = args.handler(args)
         report["timing"] = {"seconds": time.perf_counter() - t0}
         _emit(report, args)
-    except (ValueError, KeyError, json.JSONDecodeError, ConvergenceError) as exc:
+    except (ValueError, ConvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

@@ -11,8 +11,9 @@ Every kernel value on I^m is a sum of products of nonnegative factors
 (see :mod:`cubegreen.kernel`), so lam >= 0, and lam = 0 exactly when the
 measure sits where the kernel vanishes (barring underflow below the
 smallest subnormal): `solve` refuses lam = 0 with
-`DegenerateMeasureError` and accepts every positive lam, however small
-(12^-16 for Lebesgue under the pillow at m = 16).
+`DegenerateMeasureError`, and also a lam so small (below about 5.6e-309)
+that 1/lam overflows, and accepts every other positive lam (12^-16 for
+Lebesgue under the pillow at m = 16).
 This module also computes Bahadur slopes, Pitman slopes (multivariate
 Spearman statistic and the tied-down one-degree statistic), Fisher
 information of a dependence direction, the efficiency-bound gap, and the
@@ -129,6 +130,10 @@ def solve(family: MonotoneFamily, measure: Measure, method: str = "auto") -> Ext
         raise DegenerateMeasureError(
             f"lambda = {lam:g} is not positive; measure sits where the kernel vanishes"
         )
+    if not np.isfinite(1.0 / float(lam)):
+        raise DegenerateMeasureError(
+            f"lambda = {lam:g} is so small that 1/lambda overflows; measure sits where "
+            f"the kernel nearly vanishes")
     return ExtremalSolution(kern, measure, lam, method)
 
 

@@ -6,11 +6,13 @@ an upward-closed collection of nonempty subsets: whenever U is a member,
 so is every W with U <= W <= M.  These families index the right-face
 boundary conditions of the kernels in :mod:`cubegreen.kernel`.
 
-A family is its boolean table over all 2^m subsets.  Upward closure is an
-OR-fold of the table over the m bit axes, and a family is upward closed
-when every member's immediate oversets are members, one table lookup.
-Members are listed in (popcount, value) order: one stable sort by
-popcount of the table's indices, which are already in value order.
+A family is its boolean table over all 2^m subsets.  It is built one way:
+the masks, in any order and with repeats, are read into the table, and
+the members are listed from it in (popcount, value) order, one stable
+sort by popcount of the table's indices, which are in value order.
+Upward closure is an OR-fold of the table over the m bit axes, and a
+family is upward closed when every member's immediate oversets are
+members, one table lookup.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ MAX_DIM = 16
 MAX_ENUM_DIM = 5
 
 _BITS = 1 << np.arange(MAX_DIM)
-_NOT_A_FAMILY = "family is not upward-closed or contains the empty subset"
 
 
 def _check_dim(m: int) -> None:
@@ -83,11 +84,6 @@ def format_subset(mask: int) -> str:
     return "{" + ",".join(str(c) for c in coords_from_mask(mask)) + "}"
 
 
-def _by_popcount(masks: np.ndarray) -> np.ndarray:
-    """Value-sorted masks in (popcount, value) order: one stable sort."""
-    return masks[np.argsort(np.bitwise_count(masks), kind="stable")]
-
-
 def _table(masks, m: int) -> np.ndarray | None:
     """The boolean table over the 2^m subsets of a sequence of masks, or
     None unless they form an upward-closed family of nonempty subsets.
@@ -106,15 +102,6 @@ def _table(masks, m: int) -> np.ndarray | None:
     return table if np.count_nonzero(table[over]) == over.size else None
 
 
-def _int64(masks: list, m: int) -> np.ndarray:
-    """The masks as int64; one beyond int64 is refused as by `is_monotone`."""
-    try:
-        return np.array(masks, dtype=np.int64)
-    except OverflowError:
-        _table(masks, m)  # raises for a mask above the full mask
-        raise ValueError(_NOT_A_FAMILY) from None
-
-
 def is_monotone(masks, m: int) -> bool:
     """True iff the masks form an upward-closed family of nonempty subsets.
 
@@ -130,9 +117,10 @@ def is_monotone(masks, m: int) -> bool:
 class MonotoneFamily:
     """An upward-closed family of nonempty subsets of {1..m}.
 
-    Members are sorted by (cardinality, numeric value) so that derived
-    artifacts (coefficients, JSON output) are reproducible.  `table` is
-    the family's read-only boolean table over the 2^m subsets.
+    The masks may come in any order and with repeats.  `table` is the
+    family's read-only boolean table over the 2^m subsets, and `members`
+    lists it by (cardinality, numeric value): one family compares and
+    hashes equal however given, and derived artifacts are reproducible.
     """
 
     m: int
@@ -141,24 +129,14 @@ class MonotoneFamily:
 
     def __post_init__(self):
         _check_dim(self.m)
-        members = list(self.members)
-        ordered = _by_popcount(np.sort(_int64(members, self.m))).tolist()
-        if len(set(members)) < len(members) or ordered != members:
-            raise ValueError("members must be unique and sorted by (popcount, value)")
-        table = _table(members, self.m)
+        table = _table(list(self.members), self.m)
         if table is None:
-            raise ValueError(_NOT_A_FAMILY)
+            raise ValueError("family is not upward-closed or contains the empty subset")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
-
-    @classmethod
-    def from_members(cls, masks, m: int) -> "MonotoneFamily":
-        masks = np.sort(_int64(list(set(masks)), m))
-        return cls(m, tuple(_by_popcount(masks).tolist()))
-
-    @classmethod
-    def _from_table(cls, table: np.ndarray, m: int) -> "MonotoneFamily":
-        return cls(m, tuple(_by_popcount(np.flatnonzero(table)).tolist()))
+        masks = np.flatnonzero(table)
+        order = np.argsort(np.bitwise_count(masks), kind="stable")
+        object.__setattr__(self, "members", tuple(masks[order].tolist()))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -192,7 +170,7 @@ def upward_closure(generators, m: int) -> MonotoneFamily:
     for j in range(m):
         v = table.reshape(-1, 2, 1 << j)
         v[:, 1] |= v[:, 0]
-    return MonotoneFamily._from_table(table, m)
+    return MonotoneFamily(m, np.flatnonzero(table).tolist())
 
 
 def family_for_known_margins(V: int, m: int) -> MonotoneFamily:
@@ -206,17 +184,13 @@ def family_for_known_margins(V: int, m: int) -> MonotoneFamily:
     top = full_mask(m)
     if V & ~top:
         raise ValueError(f"V={V} is not a subset of M for m={m}")
-    members = {top}
-    for j in range(m):
-        if not V >> j & 1:
-            members.add(top & ~(1 << j))
-    return MonotoneFamily.from_members(members, m)
+    return MonotoneFamily(m, [top] + [top & ~(1 << j) for j in range(m) if not V >> j & 1])
 
 
 def all_nonempty_family(m: int) -> MonotoneFamily:
     """The family of all nonempty subsets (Brownian-pillow boundary set)."""
     _check_dim(m)
-    return MonotoneFamily.from_members(range(1, full_mask(m) + 1), m)
+    return MonotoneFamily(m, range(1, full_mask(m) + 1))
 
 
 def empty_family(m: int) -> MonotoneFamily:
@@ -240,7 +214,7 @@ def enumerate_monotone_families(m: int) -> list[MonotoneFamily]:
     for _ in range(m):
         low, high = np.nonzero(~(tables[:, None] & ~tables[None, :]).any(axis=2))
         tables = np.concatenate([tables[low], tables[high]], axis=1)
-    families = [MonotoneFamily._from_table(t, m) for t in tables if not t[0]]
+    families = [MonotoneFamily(m, np.flatnonzero(t).tolist()) for t in tables if not t[0]]
     families.sort(key=lambda f: (len(f), f.members))
     return families
 
@@ -252,7 +226,7 @@ def family_from_json(spec, m: int) -> MonotoneFamily:
     if not isinstance(spec, (list, tuple)) or not all(
             isinstance(item, (list, tuple)) for item in spec):
         raise ValueError(f"a family is an array of arrays of coordinates, got {spec!r}")
-    return MonotoneFamily.from_members([mask_from_coords(item, m) for item in spec], m)
+    return MonotoneFamily(m, [mask_from_coords(item, m) for item in spec])
 
 
 def subsets_of_size(m: int, k: int):

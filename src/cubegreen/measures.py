@@ -295,6 +295,22 @@ def integrate_against(measure: Measure, f) -> float:
 # parsing
 # ---------------------------------------------------------------------------
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _array(val, what: str) -> list:
+    if not isinstance(val, list) or not val:
+        raise ValueError(f"{what} must be a non-empty array, got {val!r}")
+    return val
+
+
+def _numbers(val, what: str) -> list:
+    if not isinstance(val, list) or not all(_is_number(x) for x in val):
+        raise ValueError(f"{what} must be an array of numbers, got {val!r}")
+    return val
+
+
 def measure_from_json(spec, m: int) -> Measure:
     """Measure from a JSON object/string or a shorthand name.
 
@@ -303,6 +319,10 @@ def measure_from_json(spec, m: int) -> Measure:
     {"variant": "diagonal"} | {"variant": "antidiagonal"} |
     {"variant": "points", "points": [[...]], "weights": [...]} |
     {"variant": "sum", "parts": [{"weight": w, "measure": {...}}, ...]}.
+    Every field is type-checked: `points` is a non-empty array of arrays
+    of numbers, `weights` (unit weights when absent) an array of numbers,
+    `parts` a non-empty array of objects with a `measure` and an optional
+    numeric `weight`; bools and strings are not numbers.
     """
     if isinstance(spec, str):
         name = spec.strip().lower()
@@ -319,14 +339,25 @@ def measure_from_json(spec, m: int) -> Measure:
         spec = json.loads(spec)
     if not isinstance(spec, dict):
         raise ValueError(f"a measure is a shorthand name or a JSON object, not {spec!r}")
-    variant = spec.get("variant", "").lower()
+    variant = spec.get("variant", "")
+    if not isinstance(variant, str):
+        raise ValueError(f"variant must be a string, got {variant!r}")
+    variant = variant.lower()
     if variant in ("lebesgue", "diagonal", "antidiagonal"):
         return measure_from_json(variant, m)
     if variant == "points":
-        weights = spec["weights"] if "weights" in spec else [1.0] * len(spec["points"])
-        return point_masses(spec["points"], weights, m)
+        points = [_numbers(p, "a point") for p in _array(spec.get("points"), "points")]
+        weights = (_numbers(spec["weights"], "weights") if "weights" in spec
+                   else [1.0] * len(points))
+        return point_masses(points, weights, m)
     if variant == "sum":
-        parts = [(measure_from_json(p["measure"], m), float(p.get("weight", 1.0)))
-                 for p in spec["parts"]]
+        parts = []
+        for part in _array(spec.get("parts"), "parts"):
+            if not isinstance(part, dict) or "measure" not in part:
+                raise ValueError(f"a part must be an object with a measure, got {part!r}")
+            weight = part.get("weight", 1.0)
+            if not _is_number(weight):
+                raise ValueError(f"a part weight must be a number, got {weight!r}")
+            parts.append((measure_from_json(part["measure"], m), float(weight)))
         return weighted_sum(parts)
     raise ValueError(f"unknown measure variant {variant!r}")

@@ -175,9 +175,16 @@ def _covariance_report(values: np.ndarray, theoretical: np.ndarray) -> Covarianc
 def _simulate_covariance(cfg: SimConfig, family, process) -> CovarianceReport:
     """Empirical covariance on the grid of process(X, grid), a (B, n, m)
     block of samples to its (B, G) process values, versus the Green kernel
-    of the family."""
+    of the family.  The R x G values are all kept: above
+    rankstats._CELL_CAP of them the run is refused before anything is
+    drawn."""
     if not cfg.grid:
         raise ValueError("config must include a grid")
+    values = cfg.replications * len(cfg.grid)
+    if values > rankstats._CELL_CAP:
+        raise ValueError(f"--R {cfg.replications} replications on {len(cfg.grid)} grid points "
+                         f"keep {values} process values, above the cap of "
+                         f"{rankstats._CELL_CAP}; reduce --R or grid_n")
     grid = np.asarray(cfg.grid, dtype=float)
     theo = green_kernel(family).cross(grid, grid)
     vals = _replication_values(cfg, lambda X: process(X, grid))

@@ -331,6 +331,25 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert err == f"error: --grid-n must be an integer >= 1, got {grid_n}\n"
 
+    @pytest.mark.parametrize("mode", ["cov", "tiedcov"])
+    def test_replications_times_grid_refused_before_drawing(self, capsys, monkeypatch, mode):
+        def drawn(*args):
+            raise AssertionError("something was drawn")
+
+        monkeypatch.setattr(montecarlo, "_uniform_block", drawn)
+        monkeypatch.setattr(rankstats, "_CELL_CAP", 100 * 4 - 1)
+        code, out, err = run_cli(capsys, "simulate", "--mode", mode, "--V", "1", "--m", "2",
+                                 "--n", "10", "--R", "100", "--grid-n", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --R 100 replications on 4 grid points keep 400 "
+                              "process values, above the cap of 399")
+
+    def test_replications_times_grid_at_the_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(rankstats, "_CELL_CAP", 100 * 4)
+        rep = run_json(capsys, "simulate", "--mode", "tiedcov", "--m", "2", "--n", "10",
+                       "--R", "100", "--grid-n", "2")
+        assert len(rep["result"]["empirical"]) == 4
+
     def test_field_mode_reads_no_sample_options(self, capsys):
         argv = ["simulate", "--mode", "field", "--m", "2", "--grid-n", "2", "--count", "3",
                 "--seed", "6"]
@@ -523,7 +542,7 @@ class TestSubsetSyntax:
 
 class TestOneLambdaHandler:
     """`lambda` is the `solve` handler without the omega samples, under the
-    one refusal rule lambda = 0."""
+    refusal rule: lambda = 0, or a lambda whose reciprocal overflows."""
 
     def test_lambda_is_solve_without_omega(self, capsys):
         argv = ["--m", "3", "--family-known-margins-V", "1", "--measure", "diagonal"]
@@ -548,6 +567,17 @@ class TestOneLambdaHandler:
         assert code == 2 and out == "" and not out_file.exists()
         assert err == ("error: lambda = 0 is not positive; measure sits where the kernel "
                        "vanishes\n")
+
+    @pytest.mark.parametrize("command", [["lambda", "--family-empty"],
+                                         ["solve", "--family-empty"],
+                                         ["efficiency", "--V", "1"]])
+    def test_lambda_whose_reciprocal_overflows_exits_2(self, capsys, tmp_path, command):
+        out_file = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, *command, "--m", "2", "--measure",
+                                 '{"variant": "points", "points": [[1e-160, 1e-160]]}',
+                                 "--out-file", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith("error: lambda = ") and "1/lambda overflows" in err
 
     def test_coeffs_builds_no_kernel(self, capsys, monkeypatch):
         def no_kernel(*args, **kwargs):
@@ -597,6 +627,19 @@ class TestPointOptions:
         '{"variant": "points", "points": [[0.5, 0.5]], "weights": []}',
         '{"variant": "points", "points": [[0.5, 0.5]], "weights": [NaN]}',
         '{"variant": "sum", "parts": [{"weight": NaN, "measure": "diagonal"}]}',
+        '{"variant": "points", "points": 5}',
+        '{"variant": "points", "points": [[0.5, 0.5]], "weights": 5}',
+        '{"variant": "sum", "parts": 5}',
+        '{"variant": "sum", "parts": [5]}',
+        '{"variant": "sum", "parts": [{"weight": null, "measure": "diagonal"}]}',
+        '{"variant": 5}',
+        '{"variant": "points"}',
+        '{"variant": "sum", "parts": [{"weight": 2}]}',
+        '{"variant": "sum", "parts": [{"weight": "2", "measure": "diagonal"}]}',
+        '{"variant": "points", "points": [[0.5, 0.5]], "weights": [true]}',
+        '{"variant": "points", "points": [[0.5, true]]}',
+        '{"variant": "sum", "parts": []}',
+        '{"variant": "points", "points": []}',
     ])
     @pytest.mark.parametrize("command", ["lambda", "solve", "efficiency"])
     def test_bad_measure_spec_exits_2(self, capsys, tmp_path, spec, command):

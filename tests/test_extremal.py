@@ -193,13 +193,24 @@ class TestSolve:
             solve(upward_closure([full_mask(2)], 2), mu)
 
     def test_mass_on_a_vanishing_face_has_lambda_exactly_zero(self):
-        # lambda = 0 is the one refusal: on the face x_1 = 1 of the pillow
+        # lambda = 0 is refused: on the face x_1 = 1 of the pillow
         # every term carries a zero factor
         fam = all_nonempty_family(2)
         mu = point_masses([[1.0, 0.5]], [1.0], 2)
         assert lambda_value(green_kernel(fam), mu) == 0.0
         with pytest.raises(DegenerateMeasureError, match="lambda = 0 is not positive"):
             solve(fam, mu)
+
+    def test_lambda_whose_reciprocal_overflows_refused(self):
+        # a subnormal lambda is positive, but 1/lambda is not a float
+        fam = empty_family(2)
+        tiny = point_masses([[1e-160, 1e-160]], [1.0], 2)
+        lam = lambda_value(green_kernel(fam), tiny)
+        assert 0.0 < lam and not math.isfinite(1.0 / lam)
+        with pytest.raises(DegenerateMeasureError, match="1/lambda overflows"):
+            efficiency_coefficient(fam, tiny)
+        small = point_masses([[1e-150, 1e-150]], [1.0], 2)
+        assert math.isfinite(efficiency_coefficient(fam, small))
 
     @pytest.mark.parametrize("m", [13, 14, 15, 16])
     def test_pillow_lambda_accepted_to_m16(self, m):

@@ -82,12 +82,20 @@ def set_is_monotone(masks, m):
     return True
 
 
+def canonical(masks):
+    """Distinct masks in (popcount, value) order."""
+    return tuple(sorted(set(masks), key=lambda u: (u.bit_count(), u)))
+
+
 def set_family_check(m, members):
-    if list(members) != sorted(frozenset(members), key=lambda u: (u.bit_count(), u)):
-        raise ValueError("members must be unique and sorted by (popcount, value)")
+    """A range error first, naming the first mask above the full mask in the
+    given order; otherwise the family the set check accepts, canonical."""
+    over = [u for u in members if u > full_mask(m)]
+    if over:
+        raise ValueError(f"mask {over[0]} out of range for m={m}")
     if not set_is_monotone(members, m):
         raise ValueError("family is not upward-closed or contains the empty subset")
-    return True
+    return canonical(members)
 
 
 def outcome(fn, *args):
@@ -97,25 +105,34 @@ def outcome(fn, *args):
         return ("error", str(exc))
 
 
+def table_of(members, m):
+    table = np.zeros(1 << m, dtype=bool)
+    table[list(members)] = True
+    return table
+
+
+def family_outcome(m, masks):
+    """The constructor's members, checked against the table it keeps."""
+    family = MonotoneFamily(m, tuple(masks))
+    assert np.array_equal(family.table, table_of(family.members, m))
+    return family.members
+
+
 def check_against_sets(m, masks):
-    """The array checks decide as the set checks do.  Where the set checks
-    depend on set iteration order (an out-of-range mask beside another
-    defect), the array checks report the first out-of-range mask."""
+    """The array checks decide as the set checks do.  Where the set check
+    depends on set iteration order (an out-of-range mask beside another
+    defect), `is_monotone` reports the first out-of-range mask."""
     top = full_mask(m)
     over = [u for u in masks if u > top]
-    ranged = {f"mask {u} out of range for m={m}" for u in over}
-    rest_closed = set_is_monotone([u for u in masks if u <= top], m)
-    family = outcome(lambda: isinstance(MonotoneFamily(m, tuple(masks)), MonotoneFamily))
-    want_family = outcome(set_family_check, m, tuple(masks))
-    for got, want, false in ((outcome(is_monotone, masks, m), outcome(set_is_monotone, masks, m),
-                              ("ok", False)),
-                             (family, want_family, ("error", "family is not upward-closed "
-                                                             "or contains the empty subset"))):
-        if over and want != ("error", "members must be unique and sorted by (popcount, value)"):
-            assert got == ("error", f"mask {over[0]} out of range for m={m}")
-            assert want[1] in ranged or (want == false and not rest_closed)
-        else:
-            assert got == want
+    assert outcome(family_outcome, m, masks) == outcome(set_family_check, m, tuple(masks))
+    got, want = outcome(is_monotone, masks, m), outcome(set_is_monotone, masks, m)
+    if over:
+        assert got == ("error", f"mask {over[0]} out of range for m={m}")
+        assert (want[1] in {f"mask {u} out of range for m={m}" for u in over}
+                or (want == ("ok", False)
+                    and not set_is_monotone([u for u in masks if u <= top], m)))
+    else:
+        assert got == want
 
 
 @st.composite
@@ -167,12 +184,11 @@ class TestValidationAgainstSets:
             MonotoneFamily(3, (0, 9))
         with pytest.raises(ValueError, match="mask 12 out of range for m=3"):
             is_monotone([1, 12, 9], 3)
-        # the order check still comes first
-        with pytest.raises(ValueError, match="members must be unique and sorted"):
+        with pytest.raises(ValueError, match="mask 9 out of range for m=3"):
             MonotoneFamily(3, (9, 0))
 
     @pytest.mark.parametrize("build", [lambda u: MonotoneFamily(3, (u,)),
-                                       lambda u: MonotoneFamily.from_members([u], 3)])
+                                       lambda u: MonotoneFamily(3, (7, u, 7))])
     @pytest.mark.parametrize("mask", [2**63, 2**70, -2**70])
     def test_masks_beyond_int64_refused_as_by_is_monotone(self, build, mask):
         if mask > 0:
@@ -313,11 +329,52 @@ class TestParsing:
         with pytest.raises(ValueError, match="array of arrays"):
             family_from_json(spec, 2)
 
-    def test_unsorted_members_rejected(self):
-        with pytest.raises(ValueError):
-            MonotoneFamily(2, (0b11, 0b01))
+    def test_unsorted_and_repeated_masks_give_the_sorted_family(self):
+        fam = MonotoneFamily(2, (0b11, 0b01))
+        again = MonotoneFamily(2, [0b01, 0b11, 0b01, 0b11])
+        want = MonotoneFamily(2, (0b01, 0b11))
+        for got in (fam, again):
+            assert got == want and hash(got) == hash(want)
+            assert got.members == want.members == (0b01, 0b11)
+            assert np.array_equal(got.table, want.table)
+        pillow = list(range(full_mask(4), 0, -1)) * 2
+        assert MonotoneFamily(4, pillow) == all_nonempty_family(4)
+        assert family_from_json("[[1,2],[2],[1,2],[1]]", 2).members == (0b01, 0b10, 0b11)
 
 
 def test_all_nonempty_and_empty_families():
     assert len(all_nonempty_family(3)) == 7
     assert len(empty_family(3)) == 0
+
+
+class TestBuildersAgainstSets:
+    """Every builder gives the family the set oracles give, in their order."""
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_enumeration(self, m):
+        fams = enumerate_monotone_families(m)
+        assert len(fams) == [5, 19, 167, 7580][m - 2]
+        assert len(set(fams)) == len(fams)
+        assert [(len(f), f.members) for f in fams] == sorted((len(f), f.members) for f in fams)
+        for f in fams:
+            assert set_is_monotone(f.members, m)
+            assert f.members == canonical(f.members)
+            assert np.array_equal(f.table, table_of(f.members, m))
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_known_margins(self, m):
+        top = full_mask(m)
+        for V in range(top + 1):
+            want = canonical([top] + [top & ~(1 << j) for j in range(m) if not V >> j & 1])
+            fam = family_for_known_margins(V, m)
+            assert set_is_monotone(want, m)
+            assert fam.members == want
+            assert np.array_equal(fam.table, table_of(want, m))
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_pillow_and_sheet(self, m):
+        pillow = all_nonempty_family(m)
+        assert pillow.members == set_upward_closure([1 << j for j in range(m)], m)
+        assert not pillow.table[0] and pillow.table[1:].all()
+        sheet = empty_family(m)
+        assert sheet.members == () and not sheet.table.any() and len(sheet.table) == 1 << m

@@ -354,6 +354,37 @@ class TestMeasureJson:
         with pytest.raises(ValueError):
             weighted_sum([(diagonal(2), nan)])
 
+    @pytest.mark.parametrize("spec,message", [
+        ('{"variant": "points", "points": 5}', "points must be a non-empty array, got 5"),
+        ('{"variant": "points"}', "points must be a non-empty array, got None"),
+        ('{"variant": "points", "points": []}', "points must be a non-empty array, got []"),
+        ('{"variant": "points", "points": [[0.5, "0.5"]]}', "a point must be an array of numbers"),
+        ('{"variant": "points", "points": [[0.5, 0.5]], "weights": 5}',
+         "weights must be an array of numbers, got 5"),
+        ('{"variant": "points", "points": [[0.5, 0.5]], "weights": [true]}',
+         "weights must be an array of numbers, got [True]"),
+        ('{"variant": "sum", "parts": 5}', "parts must be a non-empty array, got 5"),
+        ('{"variant": "sum", "parts": []}', "parts must be a non-empty array, got []"),
+        ('{"variant": "sum", "parts": [5]}', "a part must be an object with a measure, got 5"),
+        ('{"variant": "sum", "parts": [{"weight": 2}]}', "a part must be an object with a measure"),
+        ('{"variant": "sum", "parts": [{"weight": null, "measure": "diagonal"}]}',
+         "a part weight must be a number, got None"),
+        ('{"variant": "sum", "parts": [{"weight": "2", "measure": "diagonal"}]}',
+         "a part weight must be a number, got '2'"),
+        ('{"variant": 5}', "variant must be a string, got 5"),
+    ])
+    def test_malformed_spec_refused_naming_the_field(self, spec, message):
+        with pytest.raises(ValueError) as exc:
+            measure_from_json(spec, 2)
+        assert str(exc.value).startswith(message)
+
+    def test_numbers_are_ints_or_floats(self):
+        mu = measure_from_json('{"variant": "points", "points": [[0, 1]], "weights": [2]}', 2)
+        assert mu.components[0][0].weights == (2.0,)
+        mu = measure_from_json('{"variant": "sum", "parts": [{"weight": 3, "measure": '
+                               '{"variant": "diagonal"}}]}', 2)
+        assert mu.components[0][1] == 3.0
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             measure_from_json("cauchy", 2)
