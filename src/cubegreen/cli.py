@@ -74,12 +74,13 @@ def _add_family_args(p: argparse.ArgumentParser):
 
 
 def _read_option(option: str, read, text: str, m: int):
-    """read(text, m), its ValueError naming the option and its value; m is
-    checked first, so a bad dimension is not reported as the option's."""
+    """read(text, m), its ValueError or RecursionError (JSON nested too
+    deep) a ValueError naming the option and its value; m is checked
+    first, so a bad dimension is not reported as the option's."""
     _check_dim(m)
     try:
         return read(text, m)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{option} {text!r}: {exc}") from None
 
 
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
         report = args.handler(args)
         report["timing"] = {"seconds": time.perf_counter() - t0}
         _emit(report, args)
-    except (ValueError, ConvergenceError) as exc:
+    except (ValueError, ConvergenceError, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

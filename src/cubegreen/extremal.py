@@ -12,8 +12,9 @@ Every kernel value on I^m is a sum of products of nonnegative factors
 measure sits where the kernel vanishes (barring underflow below the
 smallest subnormal): `solve` refuses lam = 0 with
 `DegenerateMeasureError`, and also a lam so small (below about 5.6e-309)
-that 1/lam overflows, and accepts every other positive lam (12^-16 for
-Lebesgue under the pillow at m = 16).
+that 1/lam overflows and an infinite lam (weights so large that it
+overflows), and accepts every other positive lam (12^-16 for Lebesgue
+under the pillow at m = 16).
 This module also computes Bahadur slopes, Pitman slopes (multivariate
 Spearman statistic and the tied-down one-degree statistic), Fisher
 information of a dependence direction, the efficiency-bound gap, and the
@@ -31,12 +32,15 @@ two rungs that agree to 1e-13 relative and are not both zero (exact from
 the 2-point rung on for a direction of degree <= 3 per axis), otherwise
 the table count's value.  An integrand crafted to agree on two rungs
 fools the ladder, as one that vanishes at the table's nodes fools the
-fixed table.  Fisher information keeps its explicit 16 nodes per axis.
+fixed table.  Fisher information with a closed density climbs the same
+ladder.
 The face corrections of the tied-down slope are integrated over their
 free axes only, embedded into the cube a block of nodes at a time.
-Finite-difference Fisher information builds the 2^m-point stencil of a
-whole block of nodes as one array; `mixed_derivative` is the same stencil
-at one point.
+Finite-difference Fisher information integrates the squared stencil
+estimates once at the interior Gauss nodes (`default_nodes(m)` per axis
+by default, a step h above the smallest node refused), the 2^m-point
+stencils of a block of nodes as one array; `mixed_derivative` is the
+same stencil at one point.
 """
 
 from __future__ import annotations
@@ -125,7 +129,8 @@ class EigenEstimate:
 def solve(family: MonotoneFamily, measure: Measure, method: str = "auto") -> ExtremalSolution:
     """Solve the extremal problem for the family and measure."""
     kern = green_kernel(family)
-    lam = lambda_value(kern, measure, method)
+    with np.errstate(over="ignore"):  # an infinite lam is refused below
+        lam = lambda_value(kern, measure, method)
     if not lam > 0.0:
         raise DegenerateMeasureError(
             f"lambda = {lam:g} is not positive; measure sits where the kernel vanishes"
@@ -134,6 +139,9 @@ def solve(family: MonotoneFamily, measure: Measure, method: str = "auto") -> Ext
         raise DegenerateMeasureError(
             f"lambda = {lam:g} is so small that 1/lambda overflows; measure sits where "
             f"the kernel nearly vanishes")
+    if not lam < np.inf:
+        raise DegenerateMeasureError(f"lambda = {lam:g} is not finite; the measure's "
+                                     "weights are too large")
     return ExtremalSolution(kern, measure, lam, method)
 
 
@@ -271,57 +279,43 @@ def pitman_slope_bhat(m: int, dep: DependenceFunction,
 
 
 def fisher_info(dep: DependenceFunction, m: int, h: float = 1e-3,
-                nodes: int = 16, delta: float | None = None) -> float:
+                nodes: int | None = None) -> float:
     """Fisher information at independence: integral of the squared density.
 
-    With a closed-form density the integral is a plain tensor quadrature.
-    Otherwise the density is estimated by nested central differences on a
-    cube shrunk by delta, and the result is Richardson-extrapolated through
-    the shrinks delta, 2*delta, 3*delta toward the full cube (the boundary
-    strip contributes a smooth O(delta) term).  The stencils of a block of
-    nodes are evaluated as one array.  The third shrink has width
-    1 - 6*delta, so delta must lie in [0, 1/6), and h must be positive.
-
-    The default of 16 nodes per axis holds at every m, so the evaluation
-    budget `quadrature.MAX_EVALUATIONS` refuses it from m = 6 on with a
-    density (16^m points) and from m = 5 on with finite differences (16^m
-    nodes of 2^m stencil points each); pass a smaller `nodes` there.
+    With a closed-form density the integral is a tensor quadrature, on
+    `quadrature.node_ladder` by default.  Otherwise the density is
+    estimated at each Gauss node by nested central differences of step h,
+    the stencils of a block of nodes as one array, and the squared
+    estimates are integrated once, with `default_nodes(m)` per axis by
+    default (the stencil's rounding, about 1e-11 relative at m = 2, would
+    keep the ladder from ever stopping early).  Gauss-Legendre nodes are
+    interior, so every stencil stays in the cube when 0 < h <= x0, the
+    smallest node of the rule; any other h is refused before any call.
     """
     if dep.density is not None:
-        return cube_integral(lambda p: dep.density(p) ** 2, m, nodes)
-    if not h > 0.0:
-        raise ValueError(f"difference step h must be positive, got {h!r}")
-    d = delta if delta is not None else max(0.006, 2.0 * m * h)
-    if not 0.0 <= d < 1.0 / 6.0:
-        raise ValueError(f"shrink delta must lie in [0, 1/6), got {d!r}")
+        return node_ladder(lambda n: cube_integral(lambda p: dep.density(p) ** 2, m, n),
+                           m, nodes)
     n = nodes_per_axis(m, nodes, 2 ** m)
-
-    def shrunk_integral(dd: float) -> float:
-        def g(P: np.ndarray) -> np.ndarray:
-            X = dd + (1.0 - 2.0 * dd) * P
-            _check_stencil_room(X, h)
-            # float_power squares with C pow, as the scalar ** 2 of a single
-            # estimate does; x * x differs from it in the last bit at times
-            return np.float_power(_stencil_derivatives(dep.fn, X, h), 2)
-
-        total = block_integral(g, m, n, 2 ** m)
-        if not np.isfinite(total):
-            raise ValueError("non-finite derivative estimates")
-        return total * (1.0 - 2.0 * dd) ** m
-
-    i1 = shrunk_integral(d)
-    i2 = shrunk_integral(2.0 * d)
-    i3 = shrunk_integral(3.0 * d)
-    return 3.0 * i1 - 3.0 * i2 + i3
+    x0 = float(unit_rule(n)[0][0])
+    if not 0.0 < h <= x0:
+        raise ValueError(f"difference step h = {float(h)!r} must be positive and at most the "
+                         f"smallest of {n} nodes per axis, x0 = {x0!r}")
+    # float_power squares with C pow, as the scalar ** 2 of a single
+    # estimate does; x * x differs from it in the last bit at times
+    total = block_integral(lambda X: np.float_power(_stencil_derivatives(dep.fn, X, h), 2),
+                           m, n, 2 ** m)
+    if not np.isfinite(total):
+        raise ValueError("non-finite derivative estimates")
+    return total
 
 
-def optimality_gap(family: MonotoneFamily, measure: Measure, dep: DependenceFunction,
-                   **fisher_kwargs) -> GapReport:
+def optimality_gap(family: MonotoneFamily, measure: Measure,
+                   dep: DependenceFunction) -> GapReport:
     """Efficiency index, Fisher information and their gap (bound slack)."""
     coeff = efficiency_coefficient(family, measure)
     integral = integrate_against(measure, dep.fn)
     index = coeff * integral * integral
-    fisher = fisher_info(dep, m=family.m, **fisher_kwargs)
+    fisher = fisher_info(dep, m=family.m)
     return GapReport(index=index, fisher=fisher, gap=fisher - index)
 
 

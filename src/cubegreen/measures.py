@@ -5,8 +5,9 @@ measure on I^m, a line (`LineComponent`, the image of Lebesgue on [0,1]
 under t -> x with x_j = 1 - t on its reversed axes and x_j = t on the
 others: the diagonal reverses none, the anti-diagonal t -> (1-t, t) of
 m = 2 the first), and finite point masses in I^m.  Every weight must be
-positive (NaN is refused), and a point with a coordinate outside [0, 1]
-is refused.  The module integrates a Green kernel once against a measure,
+positive and finite (NaN and infinity are refused), and a point with a
+coordinate outside [0, 1] is refused.  The module integrates a Green
+kernel once against a measure,
 
     L(x) = integral of G(x, xi) d mu(xi),
 
@@ -76,8 +77,8 @@ class PointMassComponent:
     def __post_init__(self):
         if len(self.points_) != len(self.weights):
             raise ValueError("points and weights must have equal length")
-        if not all(w > 0 for w in self.weights):
-            raise ValueError("point-mass weights must be positive")
+        if not all(0.0 < w < np.inf for w in self.weights):
+            raise ValueError("point-mass weights must be positive and finite")
         for p in self.points_:
             if len(p) != self.m:
                 raise ValueError("point dimension mismatch")
@@ -101,8 +102,8 @@ class Measure:
         if not self.components:
             raise ValueError("measure must have at least one component")
         for comp, w in self.components:
-            if not w > 0:
-                raise ValueError("component weights must be positive")
+            if not 0.0 < w < np.inf:
+                raise ValueError("component weights must be positive and finite")
             if comp.m != self.m:
                 raise ValueError("component dimension mismatch")
 
@@ -127,12 +128,11 @@ def point_masses(points, weights, m: int) -> Measure:
 
 
 def weighted_sum(parts) -> Measure:
-    """Combine (measure, weight) pairs into one measure, flattening."""
+    """Combine (measure, weight) pairs into one measure, flattening; each
+    product of weights must be positive and finite, as `Measure` checks."""
     comps: list[tuple[Component, float]] = []
     ms = set()
     for measure, w in parts:
-        if not w > 0:
-            raise ValueError("weights must be positive")
         ms.add(measure.m)
         comps.extend((c, w * cw) for c, cw in measure.components)
     if len(ms) != 1:

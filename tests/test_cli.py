@@ -402,6 +402,28 @@ class TestErrorHandling:
         assert code == 2 and out == ""
         assert err == "error: power iteration did not converge\n"
 
+    @pytest.mark.parametrize("option, text", [
+        ("--family", "[" * 5000 + "]" * 5000),
+        ("--measure", '{"variant": "sum", "parts": [{"measure": ' * 400 + '"diagonal"'
+         + "}]}" * 400),
+    ], ids=["family", "measure"])
+    def test_deeply_nested_json_exits_2_naming_the_option(self, capsys, tmp_path, option,
+                                                           text):
+        out_file = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "lambda", "--m", "2", option, text,
+                                 *(["--family-all"] if option == "--measure" else []),
+                                 "--out-file", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith(f"error: {option} {text!r}: maximum recursion depth exceeded")
+
+    def test_recursion_error_exits_2(self, capsys, monkeypatch):
+        def deep(fam):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(cli, "compute_coefficients", deep)
+        code, out, err = run_cli(capsys, "coeffs", "--family-all", "--m", "2")
+        assert code == 2 and out == ""
+        assert err == "error: maximum recursion depth exceeded\n"
+
     def test_bad_measure_name(self, capsys):
         code, _, err = run_cli(capsys, "lambda", "--family-empty", "--m", "2",
                                "--measure", "gauss")
@@ -579,6 +601,18 @@ class TestOneLambdaHandler:
         assert code == 2 and out == "" and not out_file.exists()
         assert err.startswith("error: lambda = ") and "1/lambda overflows" in err
 
+    @pytest.mark.parametrize("command", [["lambda", "--family-empty"],
+                                         ["solve", "--family-empty"],
+                                         ["efficiency", "--V", "1"]])
+    def test_infinite_lambda_exits_2(self, capsys, tmp_path, command):
+        # finite weights whose squares overflow
+        out_file = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, *command, "--m", "2", "--measure",
+                                 '{"variant": "points", "points": [[0.5, 0.5]], '
+                                 '"weights": [1e200]}', "--out-file", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err == "error: lambda = inf is not finite; the measure's weights are too large\n"
+
     def test_coeffs_builds_no_kernel(self, capsys, monkeypatch):
         def no_kernel(*args, **kwargs):
             raise AssertionError("a kernel was built")
@@ -627,6 +661,8 @@ class TestPointOptions:
         '{"variant": "points", "points": [[0.5, 0.5]], "weights": []}',
         '{"variant": "points", "points": [[0.5, 0.5]], "weights": [NaN]}',
         '{"variant": "sum", "parts": [{"weight": NaN, "measure": "diagonal"}]}',
+        '{"variant": "points", "points": [[0.5, 0.5]], "weights": [Infinity]}',
+        '{"variant": "sum", "parts": [{"weight": Infinity, "measure": "diagonal"}]}',
         '{"variant": "points", "points": 5}',
         '{"variant": "points", "points": [[0.5, 0.5]], "weights": 5}',
         '{"variant": "sum", "parts": 5}',

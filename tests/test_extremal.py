@@ -96,15 +96,9 @@ def loop_cube_integral(f, m, n):
     return float(np.array([f(p) for p in pts], dtype=float) @ wts)
 
 
-def loop_fisher_fd(fn, m, h=1e-3, nodes=16, delta=None):
-    d = delta if delta is not None else max(0.006, 2.0 * m * h)
-
-    def shrunk(dd):
-        total = loop_cube_integral(
-            lambda p: loop_mixed_derivative(fn, dd + (1.0 - 2.0 * dd) * p, h) ** 2, m, nodes)
-        return total * (1.0 - 2.0 * dd) ** m
-
-    return 3.0 * shrunk(d) - 3.0 * shrunk(2.0 * d) + shrunk(3.0 * d)
+def loop_fisher_fd(fn, m, h=1e-3, nodes=None):
+    n = default_nodes(m) if nodes is None else nodes
+    return loop_cube_integral(lambda p: loop_mixed_derivative(fn, p, h) ** 2, m, n)
 
 
 def loop_face_check(fn, m, tol=1e-6):
@@ -211,6 +205,16 @@ class TestSolve:
             efficiency_coefficient(fam, tiny)
         small = point_masses([[1e-150, 1e-150]], [1.0], 2)
         assert math.isfinite(efficiency_coefficient(fam, small))
+
+    def test_infinite_lambda_refused(self):
+        # finite weights whose squares overflow
+        huge = point_masses([[0.5, 0.5]], [1e308], 2)
+        with np.errstate(over="ignore"):
+            assert lambda_value(green_kernel(empty_family(2)), huge) == math.inf
+        with pytest.raises(DegenerateMeasureError, match="lambda = inf is not finite"):
+            solve(empty_family(2), huge)
+        with pytest.raises(DegenerateMeasureError, match="lambda = inf is not finite"):
+            efficiency_coefficient(empty_family(2), huge)
 
     @pytest.mark.parametrize("m", [13, 14, 15, 16])
     def test_pillow_lambda_accepted_to_m16(self, m):
@@ -502,6 +506,33 @@ class TestFisherInfo:
         fd = fisher_info(DependenceFunction(fn=dep.fn), m=2)
         assert fd == pytest.approx(1 / 9, rel=1e-3)
 
+    @staticmethod
+    def closed_fixtures(m):
+        """The Spearman, bump and skew directions with their closed densities."""
+        rest = pillow_direction(m - 1)
+        skew = lambda x: float(x[0] ** 2 * (1 - x[0]) * rest.fn(x[1:]))
+        skew_density = lambda x: float((2 * x[0] - 3 * x[0] ** 2) * rest.density(x[1:]))
+        return [spearman_optimal_direction(m, normalize=True), pillow_direction(m),
+                DependenceFunction(fn=skew, density=skew_density)]
+
+    @pytest.mark.parametrize("m, nodes, tol", [(2, None, 1e-9), (3, None, 1e-9), (4, 6, 1e-5)])
+    def test_finite_differences_match_closed_densities(self, m, nodes, tol):
+        # one integral of the stencil estimates at the Gauss nodes: the
+        # stencil's O(h^2) error vanishes for these directions of degree <= 3
+        # per axis, and its rounding grows as eps / h^m
+        for dep in self.closed_fixtures(m):
+            closed = fisher_info(dep, m=m)
+            fd = fisher_info(DependenceFunction(fn=dep.fn), m=m, nodes=nodes)
+            assert abs(fd - closed) <= tol * closed
+
+    def test_sine_product_equals_the_stencil_bias(self):
+        # the central difference of sin(pi x) is pi cos(pi x) sin(pi h) / (pi h)
+        m, h = 2, 1e-3
+        fn = lambda x: float(np.prod(np.sin(np.pi * x)))
+        exact = (np.pi ** 2 / 2) ** m * (np.sin(np.pi * h) / (np.pi * h)) ** (2 * m)
+        got = fisher_info(DependenceFunction(fn=fn), m=m, h=h)
+        assert abs(got - exact) <= 1e-12 * exact
+
     def test_requires_dimension(self):
         with pytest.raises(TypeError):
             fisher_info(DependenceFunction(fn=lambda x: 0.0))
@@ -516,39 +547,45 @@ class TestFisherInfo:
             assert got == loop_fisher_fd(recording(fn, b), m, nodes=nodes)
             assert a == b
         fn = fns[1]
-        assert (fisher_info(DependenceFunction(fn=fn), m=m, h=2e-3, nodes=nodes, delta=0.05)
-                == loop_fisher_fd(fn, m, h=2e-3, nodes=nodes, delta=0.05))
+        assert (fisher_info(DependenceFunction(fn=fn), m=m, h=2e-3, nodes=nodes)
+                == loop_fisher_fd(fn, m, h=2e-3, nodes=nodes))
 
     def test_estimates_are_squared_as_single_estimates_are(self):
         # f is v * (2h)^2 on the cells where floor(x_j / 2h) is odd on both
         # axes and 0 elsewhere, so every stencil has one nonzero corner and
-        # every estimate is +-v exactly.  With one node and no shrink the
-        # result is the squared estimate itself; for this v, v * v != v ** 2
+        # every estimate is +-v exactly.  With one node the result is the
+        # squared estimate itself; for this v, v * v != v ** 2
         v, h = 1.6121007653006214, 2.0 ** -10
         if v * v == v ** 2:
             pytest.skip("pow(v, 2) is correctly rounded here")
         fn = lambda x: v * (2 * h) ** 2 * float(np.all(np.floor(x / (2 * h)) % 2 == 1))
         dep = DependenceFunction(fn=fn)
-        assert fisher_info(dep, m=2, h=h, nodes=1, delta=0.0) == v ** 2
+        assert fisher_info(dep, m=2, h=h, nodes=1) == v ** 2
         for nodes in (1, 12):
-            assert (fisher_info(dep, m=2, h=h, nodes=nodes, delta=0.01)
-                    == loop_fisher_fd(fn, 2, h=h, nodes=nodes, delta=0.01))
+            assert (fisher_info(dep, m=2, h=h, nodes=nodes)
+                    == loop_fisher_fd(fn, 2, h=h, nodes=nodes))
 
-    def test_shrink_and_step_bounds(self):
-        dep = DependenceFunction(fn=pillow_direction(2).fn)
-        below = np.nextafter(1.0 / 6.0, 0.0)
-        assert np.isfinite(fisher_info(dep, m=2, nodes=3, delta=below))
-        assert fisher_info(dep, m=2, nodes=3, delta=0.0) == loop_fisher_fd(
-            dep.fn, 2, nodes=3, delta=0.0)
-        for delta in (1.0 / 6.0, 0.2, 0.3, -1e-9, float("nan")):
-            with pytest.raises(ValueError, match="delta"):
-                fisher_info(dep, m=2, delta=delta)
-        # the default shrink 2*m*h reaches 1/6 at h = 1/24 for m = 2
-        with pytest.raises(ValueError, match="delta"):
-            fisher_info(dep, m=2, h=1.0 / 24.0)
+    def test_step_bounds(self):
+        def never(x):
+            raise AssertionError("dependence function called")
+
+        fn = pillow_direction(2).fn
+        x0 = float(quadrature.unit_rule(3)[0][0])
+        # a step equal to the smallest node puts stencil points on the faces
+        assert fisher_info(DependenceFunction(fn=fn), m=2, h=x0, nodes=3) == loop_fisher_fd(
+            fn, 2, h=x0, nodes=3)
+        dep = DependenceFunction(fn=never)
+        above = float(np.nextafter(x0, 1.0))
+        message = rf"h = {above!r} must be positive and at most the smallest of 3 nodes per " \
+                  rf"axis, x0 = {x0!r}$"
+        with pytest.raises(ValueError, match=message):
+            fisher_info(dep, m=2, h=np.nextafter(x0, 1.0), nodes=3)
         for h in (0.0, -1e-3, float("nan")):
             with pytest.raises(ValueError, match="step h"):
-                fisher_info(dep, m=2, h=h, delta=0.01)
+                fisher_info(dep, m=2, h=h, nodes=3)
+        # the default 24 nodes at m = 2 start at 0.0024
+        with pytest.raises(ValueError, match="24 nodes per axis, x0 = 0.0024063900014893"):
+            fisher_info(dep, m=2, h=0.003)
 
     def test_nodes_refused_before_evaluation(self):
         def never(x):
@@ -558,13 +595,16 @@ class TestFisherInfo:
         for nodes in (0, 2.5):
             with pytest.raises(ValueError, match="integer >= 1"):
                 fisher_info(dep, m=2, nodes=nodes)
-        # 16^5 nodes times a 2^5-point stencil is 2^25 evaluations
-        with pytest.raises(ValueError, match=f"needs {2 ** 25} point evaluations"):
-            fisher_info(dep, m=5)
-        # with a density, 16^6 = 2^24 nodes
+        # the table's nodes times a 2^m-point stencil fit the budget up to
+        # m = 6; 5^7 nodes of 2^7 points are 10 000 000 evaluations
+        assert quadrature.nodes_per_axis(6, None, 2 ** 6) == 6
+        with pytest.raises(ValueError, match="needs 10000000 point evaluations"):
+            fisher_info(dep, m=7)
+        # with a density the ladder's top rung, 5^10 nodes at m = 10
         dep = DependenceFunction(fn=never, density=never)
-        with pytest.raises(ValueError, match=f"needs {2 ** 24} point evaluations"):
-            fisher_info(dep, m=6)
+        with pytest.raises(ValueError, match=f"needs {5 ** 10} point evaluations"):
+            fisher_info(dep, m=10)
+        assert fisher_info(pillow_direction(6), m=6) == pytest.approx(3.0 ** -6, rel=1e-12)
 
     def test_stencil_memory_stays_within_blocks(self):
         # the full stencil array would be 10^4 nodes * 16 points * 4 coords * 8 bytes
@@ -596,7 +636,7 @@ class TestOptimalityGap:
             dep = spearman_optimal_direction(m, normalize=True)
             rep = optimality_gap(fam, lebesgue(m),
                                  DependenceFunction(fn=dep.fn))
-            assert abs(rep.gap) <= 1e-3 * rep.fisher
+            assert abs(rep.gap) <= 1e-8 * rep.fisher
 
     def test_suboptimal_direction_has_positive_gap(self):
         fam = family_for_known_margins(0, 2)

@@ -345,6 +345,20 @@ class TestMeasureJson:
             measure_from_json(
                 '{"variant": "sum", "parts": [{"weight": NaN, "measure": "diagonal"}]}', 2)
 
+    def test_infinite_weights_refused(self):
+        inf = float("inf")
+        with pytest.raises(ValueError, match="point-mass weights must be positive and finite"):
+            point_masses([[0.5, 0.5]], [inf], 2)
+        for measure in (lambda: Measure(2, ((LineComponent(2), inf),)),
+                        lambda: weighted_sum([(diagonal(2), inf)]),
+                        lambda: weighted_sum([(scaled(diagonal(2), 1e200), 1e200)])):
+            with pytest.raises(ValueError, match="component weights must be positive and finite"):
+                measure()
+        for spec in ('{"variant": "points", "points": [[0.5, 0.5]], "weights": [Infinity]}',
+                     '{"variant": "sum", "parts": [{"weight": Infinity, "measure": "diagonal"}]}'):
+            with pytest.raises(ValueError, match="weights must be positive and finite"):
+                measure_from_json(spec, 2)
+
     def test_nan_weights_refused_by_constructors(self):
         nan = float("nan")
         with pytest.raises(ValueError):
