@@ -51,6 +51,9 @@ from .montecarlo import (
 from . import rankstats
 
 
+# characters of an option's value echoed in its error message
+_ECHO_CHARS = 60
+
 _SUBSET_HELP = "the known margins V as a subset: 1,2 or {1,2} or [1,2] (empty for none)"
 
 # the mutually exclusive family options: (option, argparse keywords, builder(value, m))
@@ -75,13 +78,16 @@ def _add_family_args(p: argparse.ArgumentParser):
 
 def _read_option(option: str, read, text: str, m: int):
     """read(text, m), its ValueError or RecursionError (JSON nested too
-    deep) a ValueError naming the option and its value; m is checked
-    first, so a bad dimension is not reported as the option's."""
+    deep) a ValueError naming the option and its value, cut to its first
+    `_ECHO_CHARS` characters; m is checked first, so a bad dimension is not
+    reported as the option's."""
     _check_dim(m)
     try:
         return read(text, m)
     except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{option} {text!r}: {exc}") from None
+        shown = repr(text) if len(text) <= _ECHO_CHARS else \
+            f"{text[:_ECHO_CHARS]!r}… ({len(text)} characters)"
+        raise ValueError(f"{option} {shown}: {exc}") from None
 
 
 def _resolve_family(args) -> tuple[MonotoneFamily, list[str]]:

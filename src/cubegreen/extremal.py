@@ -32,36 +32,39 @@ two rungs that agree to 1e-13 relative and are not both zero (exact from
 the 2-point rung on for a direction of degree <= 3 per axis), otherwise
 the table count's value.  An integrand crafted to agree on two rungs
 fools the ladder, as one that vanishes at the table's nodes fools the
-fixed table.  Fisher information with a closed density climbs the same
-ladder.
+fixed table.
 The face corrections of the tied-down slope are integrated over their
 free axes only, embedded into the cube a block of nodes at a time.
-Finite-difference Fisher information integrates the squared stencil
-estimates once at the interior Gauss nodes (`default_nodes(m)` per axis
-by default, a step h above the smallest node refused), the 2^m-point
-stencils of a block of nodes as one array; `mixed_derivative` is the
-same stencil at one point.
+Fisher information integrates the squared density at the tensor Gauss
+nodes on the same ladder.  Without a closed density, the density there is
+the mixed derivative of the tensor interpolant of the dependence function
+through the nodes: one call per node, then `quadrature.diff_matrix`
+contracted along each axis, the reshape-and-multiply cycle of
+`GreenKernel.kron_matvec`, in O(m n^(m+1)).  `mixed_derivative` is the
+separate nested central-difference stencil at one point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Callable
 
 import numpy as np
 
-from .families import MonotoneFamily, family_for_known_margins, subsets_of_size
+from .families import MonotoneFamily, _check_dim, family_for_known_margins, subsets_of_size
 from .kernel import GreenKernel, _pair_factors, green_kernel
 from .measures import Measure, integrate_against, integrate_once, lambda_value, lebesgue
 from .quadrature import (
     _node_count,
     block_integral,
     cube_integral,
+    diff_matrix,
     node_ladder,
+    node_values,
     nodes_per_axis,
     point_values,
+    tensor_weights,
     unit_rule,
 )
 
@@ -94,8 +97,9 @@ class ExtremalSolution:
 class DependenceFunction:
     """A dependence direction: its evaluator fn at a point of the cube, and
     optionally its closed-form m-fold mixed derivative, density, which
-    bypasses finite differences in Fisher-information computations.  A
-    restriction of fn to a face x_U = 1 is fn with x_U pinned to 1.
+    replaces the interpolant's derivative in Fisher-information
+    computations.  A restriction of fn to a face x_U = 1 is fn with x_U
+    pinned to 1.
     """
 
     fn: Callable[[np.ndarray], float]
@@ -156,45 +160,22 @@ def efficiency_coefficient(family: MonotoneFamily, measure: Measure,
     return 1.0 / solve(family, measure, method).lam
 
 
-@lru_cache(maxsize=None)
-def _stencil(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sign table (2^m, m) of the nested central differences, rows in
-    `itertools.product` order, and the product of each row."""
-    signs = np.array(list(product((-1.0, 1.0), repeat=m))).reshape(-1, m)
-    prods = np.prod(signs, axis=1)
-    signs.flags.writeable = False
-    prods.flags.writeable = False
-    return signs, prods
-
-
-def _check_stencil_room(X: np.ndarray, h: float) -> None:
-    if np.any(X < h) or np.any(X > 1.0 - h):
-        raise ValueError("point too close to the boundary for the difference stencil")
-
-
-def _stencil_derivatives(f, X: np.ndarray, h: float) -> np.ndarray:
-    """Mixed-derivative estimates at the rows of X, (B, m) -> (B,).
-
-    f is called at every stencil point of every row, row by row and in
-    sign-table order; each row's signed values are summed in that order."""
-    B, m = X.shape
-    signs, prods = _stencil(m)
-    F = point_values(f, (X[:, None, :] + h * signs).reshape(-1, m)).reshape(B, -1)
-    total = 0.0
-    for k in range(len(prods)):
-        total += prods[k] * F[:, k]
-    return total / (2.0 * h) ** m
-
-
 def mixed_derivative(f, x, h: float = 1e-3) -> float:
     """m-fold mixed partial derivative by nested central differences.
 
     Accuracy O(h^2) for smooth f.  Every stencil point stays inside the
     cube provided each coordinate is at distance >= h from the boundary.
+    f is called at the 2^m stencil points in `itertools.product` sign
+    order, and the signed values are summed in that order.
     """
     x = np.asarray(x, dtype=float)
-    _check_stencil_room(x, h)
-    return _stencil_derivatives(f, x[None, :], h)[0]
+    if np.any(x < h) or np.any(x > 1.0 - h):
+        raise ValueError("point too close to the boundary for the difference stencil")
+    signs = np.array(list(product((-1.0, 1.0), repeat=len(x))))
+    total = 0.0
+    for sign, value in zip(np.prod(signs, axis=1), point_values(f, x + h * signs)):
+        total += sign * value
+    return total / (2.0 * h) ** len(x)
 
 
 def _vanishing_integral(fn, m: int, nodes: int | None, tol: float = 1e-6) -> float:
@@ -231,8 +212,7 @@ def pitman_slope_spearman(m: int, dep: DependenceFunction,
                           nodes: int | None = None) -> SpearmanSlope:
     """Pitman drift, null standard deviation and squared slope of the
     multivariate Spearman statistic."""
-    if m < 2:
-        raise ValueError("m must be at least 2")
+    _check_dim(m)
     integral = _vanishing_integral(dep.fn, m, nodes)
     denom = 2.0 ** m - m - 1.0
     mu_prime = 2.0 ** m * (m + 1.0) / denom * integral
@@ -254,8 +234,7 @@ def pitman_slope_bhat(m: int, dep: DependenceFunction,
     ones array once.  With default nodes, each rung of
     `quadrature.node_ladder` is the whole corrected integral.
     """
-    if m < 2:
-        raise ValueError("m must be at least 2")
+    _check_dim(m)
 
     def restriction(u: int):
         free = [j for j in range(m) if not u >> j & 1]
@@ -278,34 +257,38 @@ def pitman_slope_bhat(m: int, dep: DependenceFunction,
     return 12.0 ** m * integral * integral
 
 
-def fisher_info(dep: DependenceFunction, m: int, h: float = 1e-3,
-                nodes: int | None = None) -> float:
+def fisher_info(dep: DependenceFunction, m: int, nodes: int | None = None) -> float:
     """Fisher information at independence: integral of the squared density.
 
-    With a closed-form density the integral is a tensor quadrature, on
-    `quadrature.node_ladder` by default.  Otherwise the density is
-    estimated at each Gauss node by nested central differences of step h,
-    the stencils of a block of nodes as one array, and the squared
-    estimates are integrated once, with `default_nodes(m)` per axis by
-    default (the stencil's rounding, about 1e-11 relative at m = 2, would
-    keep the ladder from ever stopping early).  Gauss-Legendre nodes are
-    interior, so every stencil stays in the cube when 0 < h <= x0, the
-    smallest node of the rule; any other h is refused before any call.
+    The density at the n^m tensor Gauss nodes is `dep.density` there or,
+    without one, the mixed derivative of the tensor interpolant of
+    `dep.fn` through the nodes: fn once per node, then
+    `quadrature.diff_matrix(n)` contracted along each axis (exact for a
+    direction of degree < n per axis, spectrally convergent for a smooth
+    one).  The squared values are dotted with the tensor weights, on
+    `quadrature.node_ladder` by default.  m, nodes and, without a density,
+    nodes = 1 (a constant interpolant, whose derivative is 0) are refused
+    before any call.
     """
-    if dep.density is not None:
-        return node_ladder(lambda n: cube_integral(lambda p: dep.density(p) ** 2, m, n),
-                           m, nodes)
-    n = nodes_per_axis(m, nodes, 2 ** m)
-    x0 = float(unit_rule(n)[0][0])
-    if not 0.0 < h <= x0:
-        raise ValueError(f"difference step h = {float(h)!r} must be positive and at most the "
-                         f"smallest of {n} nodes per axis, x0 = {x0!r}")
-    # float_power squares with C pow, as the scalar ** 2 of a single
-    # estimate does; x * x differs from it in the last bit at times
-    total = block_integral(lambda X: np.float_power(_stencil_derivatives(dep.fn, X, h), 2),
-                           m, n, 2 ** m)
+    _check_dim(m)
+    if dep.density is None and nodes is not None and nodes_per_axis(m, nodes) == 1:
+        raise ValueError("nodes = 1 without a density: the interpolant through one node "
+                         "per axis is constant, so its derivative says nothing")
+
+    f = dep.fn if dep.density is None else dep.density
+
+    def integral_at(n: int) -> float:
+        d = node_values(lambda X: point_values(f, X), m, n)
+        if dep.density is None:
+            D = diff_matrix(n).T
+            for _ in range(m):
+                d = d.reshape(n, -1).T @ D
+        # float_power squares with C pow, as a scalar ** 2 does
+        return float(np.float_power(d.reshape(-1), 2) @ tensor_weights(m, n))
+
+    total = node_ladder(integral_at, m, nodes)
     if not np.isfinite(total):
-        raise ValueError("non-finite derivative estimates")
+        raise ValueError("non-finite density values at the nodes")
     return total
 
 

@@ -7,17 +7,25 @@ algebraic rate.  `segmented_rule` builds one such rule per row of breaks.
 
 `point_values` is the only loop in the package that calls a point
 callable (a dependence function, a face restriction, a density): it
-applies it to each point of an array in order.  `block_integral`
-integrates every callable over I^m.  It takes a block callable, (B, m)
-nodes to (B,) values, and builds the node blocks lazily from the per-axis
-rule, so a difference stencil of 2^m points per node is never held for
-the whole grid.  Every blocked loop of the package (these node blocks,
-`cross` rows, Monte Carlo blocks, lattice chunks) takes its slices from
-`blocks`, the one block budget.  `cube_integral` is
+applies it to each point of an array in order.  `node_values` fills one
+vector with a block callable's values, (B, m) nodes to (B,) values, at the
+n^m tensor Gauss nodes, building the node blocks lazily from the per-axis
+rule, and `block_integral`, the integrator of every callable over I^m,
+dots that vector with `tensor_weights`.  Every blocked loop of the package
+(these node blocks, `cross` rows, Monte Carlo blocks, lattice chunks)
+takes its slices from `blocks`, the one block budget.  `cube_integral` is
 that integrator with `point_values` inside.  Every node count goes through
-`nodes_per_axis`: an integer >= 1 (default from the one table
-`_CUBE_NODES`), and at most `MAX_EVALUATIONS` point evaluations per
+`nodes_per_axis`: a dimension m >= 1, an integer count >= 1 (default from
+the one table `_CUBE_NODES`), and at most `MAX_EVALUATIONS` nodes per
 integral, refused before any array is built.
+
+`diff_matrix(n)` differentiates the degree n - 1 interpolant through the n
+Gauss nodes on [0, 1], from node values to derivative values at the same
+nodes: the barycentric matrix (Berrut & Trefethen 2004) with the
+closed-form Gauss-Legendre weights (-1)^j sqrt(x_j (1 - x_j) w_j) (Wang,
+Huybrechs & Vandewalle 2014), which stay finite at any n where the
+product of node differences underflows, and the negative row sum on the
+diagonal, so constants differentiate to zero.
 
 `node_ladder` chooses the nodes of an integral given as a function of the
 node count.  With an explicit count it evaluates that count alone.  With
@@ -42,8 +50,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-# point evaluations one integral may ask for (nodes^m, times the stencil
-# size); at the budget the node values and weights take 64 MiB
+# nodes (and point evaluations) one integral may ask for, nodes^m; at the
+# budget the node values and weights take 64 MiB
 MAX_EVALUATIONS = 2 ** 22
 # two consecutive rungs of `node_ladder` agree when they differ by at most
 # this much relative to the larger of the two, and that one is not zero
@@ -86,6 +94,29 @@ def unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _unit_rule_cached(_node_count(n))
 
 
+@lru_cache(maxsize=None)
+def _diff_matrix_cached(n: int) -> np.ndarray:
+    x, w = unit_rule(n)
+    lam = np.sqrt(x * (1.0 - x) * w)
+    lam[1::2] *= -1.0
+    gaps = np.subtract.outer(x, x)
+    np.fill_diagonal(gaps, 1.0)
+    D = lam / lam[:, None] / gaps
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    D.flags.writeable = False
+    return D
+
+
+def diff_matrix(n: int) -> np.ndarray:
+    """n x n matrix D taking the values of a function at the n Gauss nodes
+    of `unit_rule(n)` to the derivative of its interpolant at the same
+    nodes: D_ij = (lam_j / lam_i) / (x_i - x_j) off the diagonal and
+    D_ii = -sum_{j != i} D_ij, with lam_j = (-1)^j sqrt(x_j (1 - x_j) w_j).
+    Exact for polynomials of degree <= n - 1.  Read-only and cached."""
+    return _diff_matrix_cached(_node_count(n))
+
+
 def segmented_rule(breakpoints, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite n-point rules on [0, 1], one per row of (..., k) breaks:
     nodes and weights of shape (..., (k + 1) n), pieces in increasing order.
@@ -120,16 +151,16 @@ def default_nodes(m: int) -> int:
     return _CUBE_NODES.get(m, 5)
 
 
-def nodes_per_axis(m: int, n: int | None = None, per_node: int = 1) -> int:
+def nodes_per_axis(m: int, n: int | None = None) -> int:
     """Validated nodes per axis for one integral over I^m: n, or
     `default_nodes(m)` when n is None.
 
-    Refuses a count that is not an integer >= 1, and an integral that
-    would need more than `MAX_EVALUATIONS` point evaluations (n^m nodes
-    times `per_node` points each, e.g. 2^m for a difference stencil).
+    Refuses a dimension or a count that is not an integer >= 1, and an
+    integral over more than `MAX_EVALUATIONS` nodes, n^m.
     """
+    _node_count(m, "dimension m")
     n = default_nodes(m) if n is None else _node_count(n)
-    count = n ** m * per_node
+    count = n ** m
     if count > MAX_EVALUATIONS:
         raise ValueError(
             f"an integral over I^{m} with {n} nodes per axis needs {count} point "
@@ -170,7 +201,10 @@ def node_ladder(integral_at, m: int, nodes: int | None = None) -> float:
         prev = value
 
 
-def _tensor_weights(w: np.ndarray, m: int) -> np.ndarray:
+def tensor_weights(m: int, n: int) -> np.ndarray:
+    """Weights of the n^m tensor Gauss-Legendre nodes on I^m, in
+    `tensor_rule` order."""
+    w = unit_rule(nodes_per_axis(m, n))[1]
     return reduce(np.multiply.outer, [w] * m, 1.0).ravel()
 
 
@@ -180,30 +214,30 @@ def tensor_rule(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (points, weights) with points of shape (n**m, m), ordered
     lexicographically in the per-axis node index.
     """
-    x, w = unit_rule(nodes_per_axis(m, _node_count(n)))
-    grids = np.meshgrid(*([x] * m), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return pts, _tensor_weights(w, m)
+    w = tensor_weights(m, _node_count(n))
+    grids = np.meshgrid(*([unit_rule(n)[0]] * m), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1), w
 
 
-def block_integral(g, m: int, n: int | None = None, per_node: int = 1) -> float:
-    """Tensor Gauss-Legendre integral over I^m of a block callable g, which
-    maps (B, m) nodes to (B,) values, with n nodes per axis (default
-    `default_nodes(m)`).
-
-    The nodes come in `tensor_rule` order, in `blocks` of evaluation
-    points (`per_node` points per node); the values fill one vector that
-    is dotted with the `tensor_rule` weights, so the result does not
-    depend on the block size.
-    """
-    n = nodes_per_axis(m, n, per_node)
-    x, w = unit_rule(n)
-    wts = _tensor_weights(w, m)
-    vals = np.empty(len(wts))
-    for b in blocks(len(vals), 8 * m * per_node):
+def node_values(g, m: int, n: int) -> np.ndarray:
+    """A block callable g, (B, m) nodes to (B,) values, at the n^m tensor
+    Gauss nodes on I^m: one vector in `tensor_rule` order, filled in
+    `blocks` of nodes, so the values do not depend on the block size."""
+    n = nodes_per_axis(m, _node_count(n))
+    x = unit_rule(n)[0]
+    vals = np.empty(n ** m)
+    for b in blocks(len(vals), 8 * m):
         digits = np.unravel_index(np.arange(b.start, b.stop), (n,) * m)
         vals[b] = g(np.stack([x[d] for d in digits], axis=-1))
-    return float(vals @ wts)
+    return vals
+
+
+def block_integral(g, m: int, n: int | None = None) -> float:
+    """Tensor Gauss-Legendre integral over I^m of a block callable g, which
+    maps (B, m) nodes to (B,) values, with n nodes per axis (default
+    `default_nodes(m)`): `node_values` dotted with `tensor_weights`."""
+    n = nodes_per_axis(m, n)
+    return float(node_values(g, m, n) @ tensor_weights(m, n))
 
 
 def cube_integral(f, m: int, n: int | None = None) -> float:

@@ -172,7 +172,7 @@ def test_05_optimality_gap_at_solution(report):
           and abs(fd.gap) <= 1e-2 * fd.fisher and elapsed < 30.0)
     report(5, "efficiency bound attained", ok,
             f"closed gap {closed.gap / closed.fisher:.1e}, "
-            f"finite-difference gap {fd.gap / fd.fisher:.1e}, {elapsed:.2f}s")
+            f"derived-density gap {fd.gap / fd.fisher:.1e}, {elapsed:.2f}s")
     assert ok
 
 

@@ -79,8 +79,8 @@ def five_fixtures(m):
     return fixtures
 
 
-# the point-by-point formulas of the slopes and of finite-difference Fisher
-# information, kept as the reference for the stencil-array evaluation
+# the point-by-point formulas of the slopes and of the difference stencil,
+# kept as the reference for the array evaluations
 
 def loop_mixed_derivative(f, x, h=1e-3):
     x = np.asarray(x, dtype=float)
@@ -94,11 +94,6 @@ def loop_mixed_derivative(f, x, h=1e-3):
 def loop_cube_integral(f, m, n):
     pts, wts = tensor_rule(m, n)
     return float(np.array([f(p) for p in pts], dtype=float) @ wts)
-
-
-def loop_fisher_fd(fn, m, h=1e-3, nodes=None):
-    n = default_nodes(m) if nodes is None else nodes
-    return loop_cube_integral(lambda p: loop_mixed_derivative(fn, p, h) ** 2, m, n)
 
 
 def loop_face_check(fn, m, tol=1e-6):
@@ -496,15 +491,29 @@ class TestNodeLadder:
         exact = float(math.prod(a(c) for c in quads))
         assert abs(slope.mu_prime0 - coeff * exact) <= 1e-13 * coeff * bound
 
+def legendre_fisher(fn, m, n):
+    """Fisher information from per-axis Legendre fits: the values of fn at
+    the n^m Gauss nodes, each fibre along each axis fitted by the Legendre
+    series of degree n - 1 through its n nodes and differentiated, then the
+    squared derivatives summed with the tensor weights."""
+    leg = np.polynomial.legendre
+    t = 2.0 * quadrature.unit_rule(n)[0] - 1.0
+    pts, wts = tensor_rule(m, n)
+    F = np.array([fn(p) for p in pts], dtype=float).reshape((n,) * m)
+    for axis in range(m):
+        F = np.apply_along_axis(
+            lambda v: 2.0 * leg.legval(t, leg.legder(leg.legfit(t, v, n - 1))), axis, F)
+    return float(F.reshape(-1) ** 2 @ wts)
+
+
 class TestFisherInfo:
     def test_closed_density_product(self):
         assert fisher_info(pillow_direction(2), m=2) == pytest.approx(1 / 9, rel=1e-12)
         assert fisher_info(pillow_direction(3), m=3) == pytest.approx(1 / 27, rel=1e-12)
 
-    def test_finite_difference_matches_closed(self):
+    def test_derived_density_matches_closed(self):
         dep = pillow_direction(2)
-        fd = fisher_info(DependenceFunction(fn=dep.fn), m=2)
-        assert fd == pytest.approx(1 / 9, rel=1e-3)
+        assert fisher_info(DependenceFunction(fn=dep.fn), m=2) == pytest.approx(1 / 9, rel=1e-13)
 
     @staticmethod
     def closed_fixtures(m):
@@ -515,112 +524,118 @@ class TestFisherInfo:
         return [spearman_optimal_direction(m, normalize=True), pillow_direction(m),
                 DependenceFunction(fn=skew, density=skew_density)]
 
-    @pytest.mark.parametrize("m, nodes, tol", [(2, None, 1e-9), (3, None, 1e-9), (4, 6, 1e-5)])
-    def test_finite_differences_match_closed_densities(self, m, nodes, tol):
-        # one integral of the stencil estimates at the Gauss nodes: the
-        # stencil's O(h^2) error vanishes for these directions of degree <= 3
-        # per axis, and its rounding grows as eps / h^m
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_polynomials_match_closed_densities(self, m):
+        # degree <= 3 per axis: the interpolant through 4 or more nodes per
+        # axis is the direction itself, so only rounding is left
         for dep in self.closed_fixtures(m):
             closed = fisher_info(dep, m=m)
-            fd = fisher_info(DependenceFunction(fn=dep.fn), m=m, nodes=nodes)
-            assert abs(fd - closed) <= tol * closed
+            derived = fisher_info(DependenceFunction(fn=dep.fn), m=m)
+            assert abs(derived - closed) <= 1e-12 * closed
 
-    def test_sine_product_equals_the_stencil_bias(self):
-        # the central difference of sin(pi x) is pi cos(pi x) sin(pi h) / (pi h)
-        m, h = 2, 1e-3
+    def test_sine_product_matches_closed_form(self):
+        # the density prod pi cos(pi x) squares to (pi^2 / 2)^m; the
+        # interpolant's derivative converges spectrally on the ladder
+        m = 2
         fn = lambda x: float(np.prod(np.sin(np.pi * x)))
-        exact = (np.pi ** 2 / 2) ** m * (np.sin(np.pi * h) / (np.pi * h)) ** (2 * m)
-        got = fisher_info(DependenceFunction(fn=fn), m=m, h=h)
-        assert abs(got - exact) <= 1e-12 * exact
+        exact = (np.pi ** 2 / 2) ** m
+        assert abs(fisher_info(DependenceFunction(fn=fn), m=m) - exact) <= 1e-12 * exact
 
     def test_requires_dimension(self):
         with pytest.raises(TypeError):
             fisher_info(DependenceFunction(fn=lambda x: 0.0))
 
-    @pytest.mark.parametrize("m, nodes", [(2, 6), (3, 3), (4, 2)])
-    def test_finite_differences_equal_pointwise_formula(self, m, nodes):
+    @pytest.mark.parametrize("m, nodes", [(2, 6), (3, 3), (4, 3), (2, 11)])
+    def test_contraction_equals_legendre_fits(self, m, nodes):
         fns = [pillow_direction(m).fn, spearman_optimal_direction(m, normalize=True).fn,
-               five_fixtures(m)[2].fn]
+               five_fixtures(m)[2].fn,
+               lambda x: float(np.exp(np.sum(x)) * np.sin(3.0 * x[0]))]
+        pts, _ = tensor_rule(m, nodes)
         for fn in fns:
-            a, b = [], []
-            got = fisher_info(DependenceFunction(fn=recording(fn, a)), m=m, nodes=nodes)
-            assert got == loop_fisher_fd(recording(fn, b), m, nodes=nodes)
-            assert a == b
-        fn = fns[1]
-        assert (fisher_info(DependenceFunction(fn=fn), m=m, h=2e-3, nodes=nodes)
-                == loop_fisher_fd(fn, m, h=2e-3, nodes=nodes))
+            seen = []
+            got = fisher_info(DependenceFunction(fn=recording(fn, seen)), m=m, nodes=nodes)
+            want = legendre_fisher(fn, m, nodes)
+            assert abs(got - want) <= 1e-12 * want
+            # fn once per node, in tensor_rule order
+            assert seen == [tuple(p) for p in pts]
 
-    def test_estimates_are_squared_as_single_estimates_are(self):
-        # f is v * (2h)^2 on the cells where floor(x_j / 2h) is odd on both
-        # axes and 0 elsewhere, so every stencil has one nonzero corner and
-        # every estimate is +-v exactly.  With one node the result is the
-        # squared estimate itself; for this v, v * v != v ** 2
-        v, h = 1.6121007653006214, 2.0 ** -10
-        if v * v == v ** 2:
-            pytest.skip("pow(v, 2) is correctly rounded here")
-        fn = lambda x: v * (2 * h) ** 2 * float(np.all(np.floor(x / (2 * h)) % 2 == 1))
-        dep = DependenceFunction(fn=fn)
-        assert fisher_info(dep, m=2, h=h, nodes=1) == v ** 2
-        for nodes in (1, 12):
-            assert (fisher_info(dep, m=2, h=h, nodes=nodes)
-                    == loop_fisher_fd(fn, 2, h=h, nodes=nodes))
-
-    def test_step_bounds(self):
-        def never(x):
-            raise AssertionError("dependence function called")
-
-        fn = pillow_direction(2).fn
-        x0 = float(quadrature.unit_rule(3)[0][0])
-        # a step equal to the smallest node puts stencil points on the faces
-        assert fisher_info(DependenceFunction(fn=fn), m=2, h=x0, nodes=3) == loop_fisher_fd(
-            fn, 2, h=x0, nodes=3)
-        dep = DependenceFunction(fn=never)
-        above = float(np.nextafter(x0, 1.0))
-        message = rf"h = {above!r} must be positive and at most the smallest of 3 nodes per " \
-                  rf"axis, x0 = {x0!r}$"
-        with pytest.raises(ValueError, match=message):
-            fisher_info(dep, m=2, h=np.nextafter(x0, 1.0), nodes=3)
-        for h in (0.0, -1e-3, float("nan")):
-            with pytest.raises(ValueError, match="step h"):
-                fisher_info(dep, m=2, h=h, nodes=3)
-        # the default 24 nodes at m = 2 start at 0.0024
-        with pytest.raises(ValueError, match="24 nodes per axis, x0 = 0.0024063900014893"):
-            fisher_info(dep, m=2, h=0.003)
+    def test_closed_density_is_the_pointwise_squared_sum(self):
+        # the squares are taken as a scalar ** 2 takes them
+        for m, nodes in ((2, 5), (3, 4)):
+            for dep in self.closed_fixtures(m):
+                assert (fisher_info(dep, m=m, nodes=nodes)
+                        == loop_cube_integral(lambda p: dep.density(p) ** 2, m, nodes))
 
     def test_nodes_refused_before_evaluation(self):
         def never(x):
             raise AssertionError("dependence function called")
 
         dep = DependenceFunction(fn=never)
-        for nodes in (0, 2.5):
+        for nodes in (0, 2.5, True):
             with pytest.raises(ValueError, match="integer >= 1"):
                 fisher_info(dep, m=2, nodes=nodes)
-        # the table's nodes times a 2^m-point stencil fit the budget up to
-        # m = 6; 5^7 nodes of 2^7 points are 10 000 000 evaluations
-        assert quadrature.nodes_per_axis(6, None, 2 ** 6) == 6
-        with pytest.raises(ValueError, match="needs 10000000 point evaluations"):
-            fisher_info(dep, m=7)
-        # with a density the ladder's top rung, 5^10 nodes at m = 10
-        dep = DependenceFunction(fn=never, density=never)
-        with pytest.raises(ValueError, match=f"needs {5 ** 10} point evaluations"):
-            fisher_info(dep, m=10)
+        # one node per axis interpolates by a constant: refused without a density
+        for m in (2, 5):
+            with pytest.raises(ValueError, match="^nodes = 1 without a density"):
+                fisher_info(dep, m=m, nodes=1)
+        assert fisher_info(DependenceFunction(fn=never, density=lambda x: 2.0), m=2,
+                           nodes=1) == 4.0
+        # the step of the difference stencil is gone
+        with pytest.raises(TypeError):
+            fisher_info(pillow_direction(2), m=2, h=1e-3)
+        # both branches share the budget: the ladder's top rung, 5^10 nodes at m = 10
+        for dep in (DependenceFunction(fn=never), DependenceFunction(fn=never, density=never)):
+            with pytest.raises(ValueError, match=f"needs {5 ** 10} point evaluations"):
+                fisher_info(dep, m=10)
         assert fisher_info(pillow_direction(6), m=6) == pytest.approx(3.0 ** -6, rel=1e-12)
+        # the derived density runs to m = 9 (here on 3 nodes, exact for the pillow)
+        derived = fisher_info(DependenceFunction(fn=pillow_direction(9).fn), m=9, nodes=3)
+        assert derived == pytest.approx(3.0 ** -9, rel=1e-12)
 
-    def test_stencil_memory_stays_within_blocks(self):
-        # the full stencil array would be 10^4 nodes * 16 points * 4 coords * 8 bytes
+    @pytest.mark.parametrize("m", [0, 1, 17, 2.0, True])
+    def test_dimension_refused_before_any_call(self, m):
+        def never(x):
+            raise AssertionError("dependence function called")
+
+        for dep in (DependenceFunction(fn=never), DependenceFunction(fn=never, density=never)):
+            for call in (lambda: fisher_info(dep, m=m), lambda: fisher_info(dep, m=m, nodes=3),
+                         lambda: pitman_slope_spearman(m, dep),
+                         lambda: pitman_slope_bhat(m, dep, nodes=2)):
+                with pytest.raises(ValueError, match=f"^dimension must be an integer in "
+                                                     f"\\[2, 16\\], got {m!r}$"):
+                    call()
+
+    def test_non_finite_values_refused(self):
+        dep = DependenceFunction(fn=lambda x: float("nan"))
+        with pytest.raises(ValueError, match="non-finite"):
+            fisher_info(dep, m=2, nodes=3)
+        with pytest.raises(ValueError, match="non-finite"):
+            fisher_info(DependenceFunction(fn=dep.fn, density=dep.fn), m=2)
+
+    def test_calls_once_per_node(self):
+        # 2^m fewer calls than a difference stencil at every node
+        fn, calls = counted(pillow_direction(3).fn)
+        assert fisher_info(DependenceFunction(fn=fn), m=3, nodes=8) == pytest.approx(
+            1 / 27, rel=1e-13)
+        assert calls[0] == 8 ** 3 == 512
+        # degree 2 per axis at m = 2: rungs 2, 3 and 6; 3 and 6 are exact and agree
+        fn, calls = counted(spearman_optimal_direction(2, normalize=True).fn)
+        fisher_info(DependenceFunction(fn=fn), m=2)
+        assert calls[0] == 4 + 9 + 36
+
+    def test_derived_density_memory_stays_within_a_few_node_vectors(self):
+        # m = 4 on 10 nodes: the node values, the weights and the contraction
+        # temporaries are 10^4 doubles each; a block of nodes, its per-axis
+        # digits and its coordinates take the block budget each
         dep = DependenceFunction(fn=lambda x: 0.0)
-        full = 10 ** 4 * 16 * 4 * 8
-        fisher_info(dep, m=4, nodes=2)  # fills the rule and stencil caches
+        fisher_info(dep, m=4, nodes=10)  # fills the rule and matrix caches
         tracemalloc.start()
         try:
             assert fisher_info(dep, m=4, nodes=10) == 0.0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the values and weights of all 10^4 nodes take 160 kB; each block of
-        # stencil points takes the block budget, and its values a quarter of that
-        assert full > 5e6
-        assert peak < 4 * quadrature._BLOCK_BYTES < full / 4
+        assert peak < 4 * 8 * 10 ** 4 + 3 * quadrature._BLOCK_BYTES
 
 
 class TestOptimalityGap:
@@ -636,7 +651,7 @@ class TestOptimalityGap:
             dep = spearman_optimal_direction(m, normalize=True)
             rep = optimality_gap(fam, lebesgue(m),
                                  DependenceFunction(fn=dep.fn))
-            assert abs(rep.gap) <= 1e-8 * rep.fisher
+            assert abs(rep.gap) <= 1e-12 * rep.fisher
 
     def test_suboptimal_direction_has_positive_gap(self):
         fam = family_for_known_margins(0, 2)

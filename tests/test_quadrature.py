@@ -8,11 +8,14 @@ from cubegreen.quadrature import (
     block_integral,
     cube_integral,
     default_nodes,
+    diff_matrix,
     ladder_rungs,
     node_ladder,
+    node_values,
     nodes_per_axis,
     point_values,
     tensor_rule,
+    tensor_weights,
     unit_rule,
 )
 
@@ -71,6 +74,8 @@ def test_block_integral_is_tensor_rule_sum_at_any_block_size(monkeypatch, m, n):
     blocks.clear()
     assert block_integral(g, m, n) == want
     assert blocks == [1] * n ** m
+    assert node_values(g, m, n).tolist() == [f(p) for p in pts]
+    assert tensor_weights(m, n).tobytes() == wts.tobytes()
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, True, None, "4"])
@@ -92,17 +97,39 @@ def test_evaluation_budget_edge():
     assert MAX_EVALUATIONS == 2 ** 22
     assert nodes_per_axis(1, 2 ** 22) == 2 ** 22
     assert nodes_per_axis(2, 2 ** 11) == 2 ** 11
-    assert nodes_per_axis(2, 2 ** 10, per_node=4) == 2 ** 10
+    assert nodes_per_axis(11, 4) == 4
     with pytest.raises(ValueError, match=f"needs {2 ** 22 + 1} point evaluations.*{2 ** 22}"):
         nodes_per_axis(1, 2 ** 22 + 1)
     with pytest.raises(ValueError, match=f"needs {2049 ** 2} point evaluations"):
         nodes_per_axis(2, 2049)
-    with pytest.raises(ValueError, match=f"needs {1025 ** 2 * 4} point evaluations"):
-        nodes_per_axis(2, 1025, per_node=4)
+    with pytest.raises(ValueError, match=f"needs {4 ** 12} point evaluations"):
+        nodes_per_axis(12, 4)
     # the defaults: 5 nodes per axis are accepted up to m = 9
     assert nodes_per_axis(9) == 5
     with pytest.raises(ValueError, match=f"needs {5 ** 10} point evaluations"):
         nodes_per_axis(10)
+
+
+@pytest.mark.parametrize("m", [0, 1, 17, 2.0, True])
+def test_dimension_must_be_an_integer_from_one(m):
+    def never(p):
+        raise AssertionError("called")
+
+    if m in (0, 2.0) or m is True:
+        for call in (lambda: nodes_per_axis(m, 3), lambda: nodes_per_axis(m),
+                     lambda: cube_integral(never, m, 3), lambda: block_integral(never, m, 3),
+                     lambda: tensor_rule(m, 3)):
+            with pytest.raises(ValueError, match=f"^dimension m must be an integer >= 1, "
+                                                 f"got {m!r}$"):
+                call()
+    elif m == 1:
+        assert nodes_per_axis(m) == 5
+        assert cube_integral(lambda t: float(t[0]) ** 2, m, 3) == pytest.approx(1 / 3, rel=1e-15)
+    else:
+        # above the dimensions the package builds kernels for, the budget still holds
+        assert nodes_per_axis(m, 2) == 2
+        with pytest.raises(ValueError, match=f"needs {3 ** 17} point evaluations"):
+            cube_integral(never, m, 3)
 
 
 def test_oversized_integrals_refused_before_any_evaluation():
@@ -221,3 +248,33 @@ def test_ladder_refuses_before_any_evaluation():
     for bad in (0, 2.5, True):
         with pytest.raises(ValueError, match="integer >= 1"):
             node_ladder(never, 3, bad)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 24])
+def test_diff_matrix_is_exact_on_monomials_below_n(n):
+    x, _ = unit_rule(n)
+    D = diff_matrix(n)
+    for k in range(n):
+        exact = k * x ** max(k - 1, 0)
+        assert np.abs(D @ x ** k - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+    assert not D.flags.writeable and diff_matrix(np.int64(n)) is D
+
+
+def test_diff_matrix_rows_sum_to_zero_and_stay_finite_at_1000_nodes():
+    n = 1000
+    x, _ = unit_rule(n)
+    D = diff_matrix(n)
+    assert np.isfinite(D).all()
+    assert np.abs(D.sum(axis=1)).max() <= 1e-14 * np.abs(D).max()
+    assert np.abs(D @ (2.0 * x - 1.0) - 2.0).max() <= 1e-14 * np.abs(D).max()
+    # the product form 1 / prod_{k != j} (x_j - x_k) of the same weights
+    # overflows, and normalising it leaves NaN
+    gaps = np.subtract.outer(x, x)
+    np.fill_diagonal(gaps, 1.0)
+    with np.errstate(all="ignore"):
+        product_form = 1.0 / np.prod(gaps, axis=1)
+        assert np.isnan(product_form / product_form[0]).all()
+    assert diff_matrix(1).tolist() == [[0.0]]
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            diff_matrix(bad)
