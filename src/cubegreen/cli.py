@@ -29,11 +29,13 @@ from .families import (
     MonotoneFamily,
     _check_dim,
     all_nonempty_family,
+    echoed,
     empty_family,
     enumerate_monotone_families,
     family_for_known_margins,
     family_from_json,
     format_subset,
+    parse_coordinate,
     parse_subset,
 )
 from .kernel import check_unit_cube, compute_coefficients, green_kernel
@@ -50,9 +52,6 @@ from .montecarlo import (
 )
 from . import rankstats
 
-
-# characters of an option's value echoed in its error message
-_ECHO_CHARS = 60
 
 _SUBSET_HELP = "the known margins V as a subset: 1,2 or {1,2} or [1,2] (empty for none)"
 
@@ -78,16 +77,13 @@ def _add_family_args(p: argparse.ArgumentParser):
 
 def _read_option(option: str, read, text: str, m: int):
     """read(text, m), its ValueError or RecursionError (JSON nested too
-    deep) a ValueError naming the option and its value, cut to its first
-    `_ECHO_CHARS` characters; m is checked first, so a bad dimension is not
-    reported as the option's."""
+    deep) a ValueError naming the option and its value, cut by `echoed`;
+    m is checked first, so a bad dimension is not reported as the option's."""
     _check_dim(m)
     try:
         return read(text, m)
     except (ValueError, RecursionError) as exc:
-        shown = repr(text) if len(text) <= _ECHO_CHARS else \
-            f"{text[:_ECHO_CHARS]!r}… ({len(text)} characters)"
-        raise ValueError(f"{option} {shown}: {exc}") from None
+        raise ValueError(f"{option} {echoed(text)}: {exc}") from None
 
 
 def _resolve_family(args) -> tuple[MonotoneFamily, list[str]]:
@@ -102,7 +98,7 @@ def _resolve_family(args) -> tuple[MonotoneFamily, list[str]]:
 
 
 def _parse_point(text: str, m: int) -> np.ndarray:
-    vals = [float(t) for t in text.split(",") if t.strip()]
+    vals = [parse_coordinate(t, float) for t in text.split(",") if t.strip()]
     if len(vals) != m:
         raise ValueError(f"expected {m} coordinates, got {len(vals)}")
     return check_unit_cube(np.asarray(vals))

@@ -21,10 +21,9 @@ information of a dependence direction, the efficiency-bound gap, and the
 principal eigenvalue of the kernel's integral operator by the Nystrom
 method, with a power iteration that applies the kernel matrix through its
 per-axis Kronecker factors instead of forming it.  Every cube integral of
-a dependence direction goes through `quadrature.block_integral` (or
-`cube_integral`, the same integrator over single points) and its
-evaluation budget, as does `trace_bound`, the integral of the kernel's
-diagonal; every call of a dependence function goes through
+a dependence direction, and `trace_bound`, the integral of the kernel's
+diagonal, is a tensor rule filled by `quadrature.node_values` within its
+evaluation budget; every call of a dependence function goes through
 `quadrature.point_values`.  The slopes take their default nodes from
 `quadrature.node_ladder`: 2 and 3 nodes per axis first, then the
 halvings of the node table up to the table count, stopping at the first
@@ -33,8 +32,8 @@ the 2-point rung on for a direction of degree <= 3 per axis), otherwise
 the table count's value.  An integrand crafted to agree on two rungs
 fools the ladder, as one that vanishes at the table's nodes fools the
 fixed table.
-The face corrections of the tied-down slope are integrated over their
-free axes only, embedded into the cube a block of nodes at a time.
+The tied-down slope's drift is one tensor rule per rung: per axis, the
+Gauss rule and the node 1 with weight -1/2 (L g = integral of g - g(1)/2).
 Fisher information integrates the squared density at the tensor Gauss
 nodes on the same ladder.  Without a closed density, the density there is
 the mixed derivative of the tensor interpolant of the dependence function
@@ -52,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .families import MonotoneFamily, _check_dim, family_for_known_margins, subsets_of_size
+from .families import MonotoneFamily, _check_dim, family_for_known_margins
 from .kernel import GreenKernel, _pair_factors, green_kernel
 from .measures import Measure, integrate_against, integrate_once, lambda_value, lebesgue
 from .quadrature import (
@@ -98,8 +97,7 @@ class DependenceFunction:
     """A dependence direction: its evaluator fn at a point of the cube, and
     optionally its closed-form m-fold mixed derivative, density, which
     replaces the interpolant's derivative in Fisher-information
-    computations.  A restriction of fn to a face x_U = 1 is fn with x_U
-    pinned to 1.
+    computations.
     """
 
     fn: Callable[[np.ndarray], float]
@@ -225,35 +223,22 @@ def pitman_slope_bhat(m: int, dep: DependenceFunction,
                       nodes: int | None = None) -> float:
     """Squared Pitman slope of the tied-down first-order statistic.
 
-    12^m times the squared integral of the dependence function f corrected
-    by its restrictions to the faces x_U = 1 of codimension <= m-2, each f
-    with the coordinates in U pinned to 1.  A correction x_U * f(x with
-    x_U = 1) factorizes: the x_U factor integrates to 2^-|U|, so each
-    restriction is integrated over its m - |U| free axes only, with the
-    same nodes per axis; a block of free-axis nodes is embedded into a
-    ones array once.  With default nodes, each rung of
-    `quadrature.node_ladder` is the whole corrected integral.
+    12^m times the squared drift, the integral of prod_j (1/2 - x_j)
+    against the m-fold mixed derivative of the direction f.  With f = 0
+    wherever some x_j = 0, integration by parts on each axis makes it the
+    tensor product of L g = integral of g - g(1)/2: one rule per rung of
+    `quadrature.node_ladder`, the n Gauss nodes and the node 1 with weight
+    -1/2 on each axis, whose top (n + 1)^m is checked before any call.
     """
     _check_dim(m)
+    nodes_per_axis(m, nodes_per_axis(m, nodes) + 1)  # the top rule, node 1 included
 
-    def restriction(u: int):
-        free = [j for j in range(m) if not u >> j & 1]
+    def drift(n: int) -> float:
+        x, w = unit_rule(n)
+        values = node_values(lambda X: point_values(dep.fn, X), np.append(x, 1.0), m)
+        return float(values @ tensor_weights(np.append(w, -0.5), m))
 
-        def g(Y: np.ndarray) -> np.ndarray:
-            X = np.ones((len(Y), m))
-            X[:, free] = Y
-            return point_values(dep.fn, X)
-
-        return g
-
-    def corrected_integral(n: int) -> float:
-        integral = cube_integral(dep.fn, m, n)
-        for k in range(1, m - 1):
-            for u in subsets_of_size(m, k):
-                integral -= (-1.0) ** (k - 1) * 0.5 ** k * block_integral(restriction(u), m - k, n)
-        return integral
-
-    integral = node_ladder(corrected_integral, m, nodes)
+    integral = node_ladder(drift, m, nodes)
     return 12.0 ** m * integral * integral
 
 
@@ -278,13 +263,14 @@ def fisher_info(dep: DependenceFunction, m: int, nodes: int | None = None) -> fl
     f = dep.fn if dep.density is None else dep.density
 
     def integral_at(n: int) -> float:
-        d = node_values(lambda X: point_values(f, X), m, n)
+        x, w = unit_rule(n)
+        d = node_values(lambda X: point_values(f, X), x, m)
         if dep.density is None:
             D = diff_matrix(n).T
             for _ in range(m):
                 d = d.reshape(n, -1).T @ D
         # float_power squares with C pow, as a scalar ** 2 does
-        return float(np.float_power(d.reshape(-1), 2) @ tensor_weights(m, n))
+        return float(np.float_power(d.reshape(-1), 2) @ tensor_weights(w, m))
 
     total = node_ladder(integral_at, m, nodes)
     if not np.isfinite(total):

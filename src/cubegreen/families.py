@@ -31,6 +31,19 @@ MAX_ENUM_DIM = 5
 _BITS = 1 << np.arange(MAX_DIM)
 
 
+# characters of a value echoed in an error message
+ECHO_CHARS = 60
+
+
+def echoed(value) -> str:
+    """A value as an error message shows it: the repr of a string's first
+    `ECHO_CHARS` characters, or the first `ECHO_CHARS` characters of any
+    other value's repr, followed by the full length when it is longer."""
+    text = value if isinstance(value, str) else repr(value)
+    head = repr(text[:ECHO_CHARS]) if isinstance(value, str) else text[:ECHO_CHARS]
+    return head if len(text) <= ECHO_CHARS else f"{head}… ({len(text)} characters)"
+
+
 def _check_dim(m: int) -> None:
     if not isinstance(m, int) or not MIN_DIM <= m <= MAX_DIM:
         raise ValueError(f"dimension must be an integer in [{MIN_DIM}, {MAX_DIM}], got {m!r}")
@@ -52,9 +65,9 @@ def mask_from_coords(coords, m: int) -> int:
         except TypeError:
             c = None
         if c is None:
-            raise ValueError(f"coordinate {item!r} is not an integer")
+            raise ValueError(f"coordinate {echoed(item)} is not an integer")
         if not 1 <= c <= m:
-            raise ValueError(f"coordinate {c} out of range 1..{m}")
+            raise ValueError(f"coordinate {echoed(c)} out of range 1..{m}")
         mask |= 1 << (c - 1)
     return mask
 
@@ -62,6 +75,15 @@ def mask_from_coords(coords, m: int) -> int:
 def coords_from_mask(mask: int) -> tuple[int, ...]:
     """1-based coordinate indices of a bitmask, ascending."""
     return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def parse_coordinate(token: str, kind=int):
+    """kind(token), kind int or float, naming a refused token as `echoed` cuts it."""
+    try:
+        return kind(token)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"coordinate {echoed(token.strip())} is not {what}") from None
 
 
 def parse_subset(text: str, m: int) -> int:
@@ -73,10 +95,10 @@ def parse_subset(text: str, m: int) -> int:
         return 0
     if text.startswith("{") and text.endswith("}"):
         items = [t for t in text[1:-1].split(",") if t.strip()]
-        return mask_from_coords((int(t) for t in items), m)
+        return mask_from_coords((parse_coordinate(t) for t in items), m)
     if text.startswith("["):
         return mask_from_coords(json.loads(text), m)
-    return mask_from_coords((int(t) for t in text.split(",") if t.strip()), m)
+    return mask_from_coords((parse_coordinate(t) for t in text.split(",") if t.strip()), m)
 
 
 def format_subset(mask: int) -> str:
@@ -225,7 +247,7 @@ def family_from_json(spec, m: int) -> MonotoneFamily:
         spec = json.loads(spec)
     if not isinstance(spec, (list, tuple)) or not all(
             isinstance(item, (list, tuple)) for item in spec):
-        raise ValueError(f"a family is an array of arrays of coordinates, got {spec!r}")
+        raise ValueError(f"a family is an array of arrays of coordinates, got {echoed(spec)}")
     return MonotoneFamily(m, [mask_from_coords(item, m) for item in spec])
 
 

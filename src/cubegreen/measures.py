@@ -39,6 +39,7 @@ from math import factorial
 
 import numpy as np
 
+from .families import echoed
 from .kernel import GreenKernel, check_unit_cube
 from .quadrature import cube_integral, node_ladder, point_values, segmented_rule, unit_rule
 
@@ -301,13 +302,13 @@ def _is_number(x) -> bool:
 
 def _array(val, what: str) -> list:
     if not isinstance(val, list) or not val:
-        raise ValueError(f"{what} must be a non-empty array, got {val!r}")
+        raise ValueError(f"{what} must be a non-empty array, got {echoed(val)}")
     return val
 
 
 def _numbers(val, what: str) -> list:
     if not isinstance(val, list) or not all(_is_number(x) for x in val):
-        raise ValueError(f"{what} must be an array of numbers, got {val!r}")
+        raise ValueError(f"{what} must be an array of numbers, got {echoed(val)}")
     return val
 
 
@@ -338,10 +339,10 @@ def measure_from_json(spec, m: int) -> Measure:
             return weighted_sum([(diagonal(2), 1.0), (anti_diagonal(), 1.0)])
         spec = json.loads(spec)
     if not isinstance(spec, dict):
-        raise ValueError(f"a measure is a shorthand name or a JSON object, not {spec!r}")
+        raise ValueError(f"a measure is a shorthand name or a JSON object, not {echoed(spec)}")
     variant = spec.get("variant", "")
     if not isinstance(variant, str):
-        raise ValueError(f"variant must be a string, got {variant!r}")
+        raise ValueError(f"variant must be a string, got {echoed(variant)}")
     variant = variant.lower()
     if variant in ("lebesgue", "diagonal", "antidiagonal"):
         return measure_from_json(variant, m)
@@ -354,10 +355,10 @@ def measure_from_json(spec, m: int) -> Measure:
         parts = []
         for part in _array(spec.get("parts"), "parts"):
             if not isinstance(part, dict) or "measure" not in part:
-                raise ValueError(f"a part must be an object with a measure, got {part!r}")
+                raise ValueError(f"a part must be an object with a measure, got {echoed(part)}")
             weight = part.get("weight", 1.0)
             if not _is_number(weight):
-                raise ValueError(f"a part weight must be a number, got {weight!r}")
+                raise ValueError(f"a part weight must be a number, got {echoed(weight)}")
             parts.append((measure_from_json(part["measure"], m), float(weight)))
         return weighted_sum(parts)
-    raise ValueError(f"unknown measure variant {variant!r}")
+    raise ValueError(f"unknown measure variant {echoed(variant)}")

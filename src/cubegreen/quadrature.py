@@ -6,18 +6,18 @@ the quadrature exact to machine precision instead of degrading to a slow
 algebraic rate.  `segmented_rule` builds one such rule per row of breaks.
 
 `point_values` is the only loop in the package that calls a point
-callable (a dependence function, a face restriction, a density): it
-applies it to each point of an array in order.  `node_values` fills one
-vector with a block callable's values, (B, m) nodes to (B,) values, at the
-n^m tensor Gauss nodes, building the node blocks lazily from the per-axis
-rule, and `block_integral`, the integrator of every callable over I^m,
-dots that vector with `tensor_weights`.  Every blocked loop of the package
-(these node blocks, `cross` rows, Monte Carlo blocks, lattice chunks)
-takes its slices from `blocks`, the one block budget.  `cube_integral` is
-that integrator with `point_values` inside.  Every node count goes through
-`nodes_per_axis`: a dimension m >= 1, an integer count >= 1 (default from
-the one table `_CUBE_NODES`), and at most `MAX_EVALUATIONS` nodes per
-integral, refused before any array is built.
+callable (a dependence function, a density), on each point of an array in
+order.  A tensor rule on I^m is the product of one per-axis rule, nodes x
+and weights w: `node_values(g, x, m)` fills one vector with a block
+callable's values at its len(x)^m nodes, in `blocks` of (B, m) points
+written axis by axis, and `tensor_weights(w, m)` gives its weights.
+`block_integral`, the integrator of every callable over I^m, dots the two
+on the Gauss rule `unit_rule(n)`, and `cube_integral` is it with
+`point_values` inside.  Every blocked loop of the package takes its slices
+from `blocks`, the one block budget.  Every node count, len(x) included,
+goes through `nodes_per_axis`: a dimension m >= 1, an integer count >= 1
+(default from the one table `_CUBE_NODES`), and at most `MAX_EVALUATIONS`
+nodes per rule, refused before any array is built.
 
 `diff_matrix(n)` differentiates the degree n - 1 interpolant through the n
 Gauss nodes on [0, 1], from node values to derivative values at the same
@@ -201,10 +201,10 @@ def node_ladder(integral_at, m: int, nodes: int | None = None) -> float:
         prev = value
 
 
-def tensor_weights(m: int, n: int) -> np.ndarray:
-    """Weights of the n^m tensor Gauss-Legendre nodes on I^m, in
-    `tensor_rule` order."""
-    w = unit_rule(nodes_per_axis(m, n))[1]
+def tensor_weights(w, m: int) -> np.ndarray:
+    """Weights of the tensor rule on I^m of the per-axis weights w, the
+    len(w)^m products in `tensor_rule` order."""
+    nodes_per_axis(m, len(w))
     return reduce(np.multiply.outer, [w] * m, 1.0).ravel()
 
 
@@ -214,21 +214,25 @@ def tensor_rule(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (points, weights) with points of shape (n**m, m), ordered
     lexicographically in the per-axis node index.
     """
-    w = tensor_weights(m, _node_count(n))
-    grids = np.meshgrid(*([unit_rule(n)[0]] * m), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1), w
+    x, w = unit_rule(nodes_per_axis(m, _node_count(n)))
+    grids = np.meshgrid(*([x] * m), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1), tensor_weights(w, m)
 
 
-def node_values(g, m: int, n: int) -> np.ndarray:
-    """A block callable g, (B, m) nodes to (B,) values, at the n^m tensor
-    Gauss nodes on I^m: one vector in `tensor_rule` order, filled in
-    `blocks` of nodes, so the values do not depend on the block size."""
-    n = nodes_per_axis(m, _node_count(n))
-    x = unit_rule(n)[0]
-    vals = np.empty(n ** m)
-    for b in blocks(len(vals), 8 * m):
-        digits = np.unravel_index(np.arange(b.start, b.stop), (n,) * m)
-        vals[b] = g(np.stack([x[d] for d in digits], axis=-1))
+def node_values(g, x, m: int) -> np.ndarray:
+    """A block callable g, (B, m) nodes to (B,) values, at the len(x)^m
+    tensor nodes on I^m of the per-axis node array x: one vector in
+    `tensor_rule` order, filled in `blocks` of nodes, so the values do not
+    depend on the block size."""
+    k = nodes_per_axis(m, len(x))
+    vals = np.empty(k ** m)
+    # per node: m coordinates, the index, a quotient, a digit, its coordinate
+    for b in blocks(len(vals), 8 * (m + 4)):
+        index = np.arange(b.start, b.stop)
+        P = np.empty((len(index), m))
+        for j in range(m):
+            P[:, j] = x[index // k ** (m - 1 - j) % k]
+        vals[b] = g(P)
     return vals
 
 
@@ -236,8 +240,8 @@ def block_integral(g, m: int, n: int | None = None) -> float:
     """Tensor Gauss-Legendre integral over I^m of a block callable g, which
     maps (B, m) nodes to (B,) values, with n nodes per axis (default
     `default_nodes(m)`): `node_values` dotted with `tensor_weights`."""
-    n = nodes_per_axis(m, n)
-    return float(node_values(g, m, n) @ tensor_weights(m, n))
+    x, w = unit_rule(nodes_per_axis(m, n))
+    return float(node_values(g, x, m) @ tensor_weights(w, m))
 
 
 def cube_integral(f, m: int, n: int | None = None) -> float:

@@ -173,9 +173,9 @@ def lattice_cells(name: str, n: int, m: int, V: int, p: int, grid_n: int | None)
     """Cells of the lattice that the statistic builds for one dataset of n
     points in m dimensions: B and B-hat at p >= 2 build one, the others
     none (0).  Checks p and grid_n as the statistic does."""
+    g = _check_args(p, grid_n, m)
     if name not in ("B", "Bhat") or p == 1:
         return 0
-    g = _check_args(p, grid_n, m)
     if name == "Bhat":
         return (g + 1) ** m
     known = V.bit_count()
@@ -322,9 +322,9 @@ def _batch_Bhatp(X: np.ndarray, p: int, g: int) -> np.ndarray:
 
 
 def _check_args(p: int, grid_n: int | None, m: int) -> int:
-    """Check p >= 1 and grid_n, which every statistic takes, read or not;
-    returns the midpoint nodes per axis (grid_n, or the default for m)."""
-    if p < 1:
+    """Check p (an integer >= 1, not a bool) and grid_n, which every statistic
+    takes, read or not; returns grid_n, or the default midpoints per axis."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
         raise ValueError("p must be a positive integer")
     return _DEFAULT_GRID.get(m, 12) if grid_n is None else _node_count(grid_n, "grid_n")
 

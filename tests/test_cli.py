@@ -425,6 +425,37 @@ class TestErrorHandling:
                               "maximum recursion depth exceeded")
         assert err.count("\n") == 1 and len(err) < 200
 
+    @pytest.mark.parametrize("command, option, text", [
+        ("lambda", "--family", "[" + ",".join(map(str, range(1, 3001))) + "]"),
+        ("lambda", "--family", "[[" + ",".join(map(str, range(1, 3001))) + "]]"),
+        ("lambda", "--family", '[["' + "a" * 2000 + '"]]'),
+        ("lambda", "--family", "[[1" + "0" * 3000 + "]]"),
+        ("lambda", "--family-known-margins-V", "{" + "a" * 2000 + "}"),
+        ("lambda", "--family-known-margins-V", "a" * 2000),
+        ("lambda", "--measure", '{"variant": "points", "points": [[0.1, 0.2]], "weights": ['
+         + ",".join(f'"{k}"' for k in range(2000)) + "]}"),
+        ("lambda", "--measure",
+         '{"variant": "sum", "parts": [[' + ",".join(map(str, range(3000))) + "]]}"),
+        ("lambda", "--measure", '{"variant": "' + "a" * 2000 + '"}'),
+        ("lambda", "--measure", "[" + ",".join(map(str, range(3000))) + "]"),
+        ("solve", "--eval-at", "a" * 2000),
+        ("green-eval", "--x", "a" * 2000),
+    ], ids=["family-flat", "family-range", "family-string", "family-long-int", "V-braces",
+            "V-plain", "points-weights", "sum-parts", "variant", "measure-array",
+            "eval-at", "x"])
+    def test_long_values_are_cut_in_the_reason_too(self, capsys, tmp_path, command, option,
+                                                    text):
+        # the value the reason names is cut by the same 60-character rule
+        # as the option's text, so the line stays short
+        family = [] if option.startswith("--family") else ["--family-all"]
+        point = ["--xi", "0.1,0.2"] if option == "--x" else []
+        out_file = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, command, "--m", "2", *family, *point, option, text,
+                                 "--out-file", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith(f"error: {option} {echoed(text)}: ")
+        assert err.count("\n") == 1 and len(err) < 300
+
     def test_recursion_error_exits_2(self, capsys, monkeypatch):
         def deep(fam):
             raise RecursionError("maximum recursion depth exceeded")

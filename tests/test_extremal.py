@@ -36,7 +36,6 @@ from cubegreen.families import (
     enumerate_monotone_families,
     family_for_known_margins,
     full_mask,
-    subsets_of_size,
     upward_closure,
 )
 from cubegreen.kernel import GreenKernel, green_kernel
@@ -106,20 +105,16 @@ def loop_face_check(fn, m, tol=1e-6):
 
 
 def loop_pitman_bhat(m, dep, n):
-    def restriction(u):
-        free = [j for j in range(m) if not u >> j & 1]
-
-        def f(y):
-            x = np.ones(m)
-            x[free] = y
-            return dep.fn(x)
-
-        return f
-
-    integral = loop_cube_integral(dep.fn, m, n)
-    for k in range(1, m - 1):
-        for u in subsets_of_size(m, k):
-            integral -= (-1.0) ** (k - 1) * 0.5 ** k * loop_cube_integral(restriction(u), m - k, n)
+    """The tied-down slope as one loop over the (n + 1)^m grid of the
+    per-axis rule: the n Gauss nodes and 1, with the Gauss weights and -1/2,
+    in `tensor_rule` order (lexicographic in the per-axis index)."""
+    gx, gw = quadrature.unit_rule(n)
+    x, w = [*gx, 1.0], [*gw, -0.5]
+    vals, wts = [], []
+    for idx in product(range(n + 1), repeat=m):
+        vals.append(dep.fn(np.array([x[i] for i in idx])))
+        wts.append(math.prod(w[i] for i in idx))
+    integral = float(np.array(vals, dtype=float) @ np.array(wts))
     return 12.0 ** m * integral * integral
 
 
@@ -360,30 +355,52 @@ class TestSlopes:
 
     @pytest.mark.parametrize("m", [3, 4, 5], ids=["False-3", "False-4", "False-5"])
     def test_bhat_slope_nonvanishing_faces_closed_form(self, m):
-        # g(t) = t + t^2 does not vanish at t = 1, so every face correction
-        # counts; each x_U * f(x_U = 1) integrates to prod_U g(1)/2 prod a
+        # g(t) = t + t^2 does not vanish at t = 1, so every face x_U = 1
+        # counts, the edges and the corner too: the drift is
+        # prod (a - g(1)/2) = (5/6 - 1)^m, and the slope 12^m 6^(-2m)
         g = lambda t: t + t * t
-        a, g1 = 5.0 / 6.0, g(1.0)
-        masks = [u for u in range(1, full_mask(m)) if u.bit_count() <= m - 2]
-        integral = math.fsum([a ** m] + [
-            -(-1.0) ** (u.bit_count() - 1) * (g1 / 2.0) ** u.bit_count()
-            * a ** (m - u.bit_count()) for u in masks])
+        integral = (5.0 / 6.0 - g(1.0) / 2.0) ** m
         dep = DependenceFunction(fn=lambda x: float(np.prod([g(t) for t in x])))
         got = pitman_slope_bhat(m, dep, nodes=4)
         assert got == pytest.approx(12.0 ** m * integral * integral, rel=1e-12)
+        assert got == pytest.approx(12.0 ** m * 6.0 ** (-2 * m), rel=1e-12)
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    def test_bhat_slope_of_the_spearman_direction(self, m):
+        # its faces x_U = 1 with |U| <= m - 2 are nonzero; L(x(2 - x)) = 1/6,
+        # L(x) = 0 and L(x^2) = -1/6 make the drift C 6^-m, the slope C^2 / 3^m
+        dep = spearman_optimal_direction(m, normalize=True)
+        lam = lambda_value(green_kernel(family_for_known_margins(0, m)), lebesgue(m),
+                           method="closed")
+        C = 1.0 / (2.0 ** m * lam)
+        assert dep.fn(np.r_[0.3, 0.6, np.ones(m - 2)]) != 0.0
+        assert pitman_slope_bhat(m, dep) == pytest.approx(C * C / 3.0 ** m, rel=2e-12)
+
+    def test_bhat_slope_budget_counts_the_appended_node(self):
+        # each rule has n + 1 nodes per axis: refused before any call where
+        # n^m fits the budget and (n + 1)^m does not (the default 5 nodes at
+        # m = 9, 8 nodes at m = 7, 12 at m = 6)
+        def never(x):
+            raise AssertionError("dependence function called")
+
+        for m, nodes, n in ((9, None, 5), (7, 8, 8), (6, 12, 12)):
+            assert n ** m <= quadrature.MAX_EVALUATIONS < (n + 1) ** m
+            with pytest.raises(ValueError, match=f"needs {(n + 1) ** m} point evaluations"):
+                pitman_slope_bhat(m, DependenceFunction(fn=never), nodes=nodes)
+        # at m = 8 the default rule's 6^8 fits; the pillow stops at rungs 2, 3
+        fn, calls = counted(pillow_direction(8).fn)
+        got = pitman_slope_bhat(8, DependenceFunction(fn=fn))
+        assert got == pytest.approx(12.0 ** 8 / 6.0 ** 16, rel=1e-12)
+        assert calls[0] == 3 ** 8 + 4 ** 8
 
 
 def bhat_closed_form_integral(values_at_one, integrals, add=sum):
-    """The face-corrected integral of a product direction prod_j p_j(x_j):
-    prod_j a_j minus, over the faces U with 1 <= |U| <= m-2, the signed
-    (-1)^(|U|-1) 2^-|U| prod_U p_j(1) prod_(not U) a_j, a_j = integral of p_j."""
+    """The tied-down functional of a product direction prod_j p_j(x_j):
+    prod_j (a_j - p_j(1)/2), a_j = integral of p_j, and the 2^m terms of
+    its expansion over the faces x_U = 1, prod_U (-p_j(1)/2) prod_(not U) a_j."""
     m = len(integrals)
-    terms = [math.prod(integrals)]
-    for u in range(1, full_mask(m)):
-        k = u.bit_count()
-        if k <= m - 2:
-            terms.append(-(-1) ** (k - 1) * math.prod(
-                values_at_one[j] / 2 if u >> j & 1 else integrals[j] for j in range(m)))
+    terms = [math.prod(-values_at_one[j] / 2 if u >> j & 1 else integrals[j]
+                       for j in range(m)) for u in range(full_mask(m) + 1)]
     return add(terms), terms
 
 
@@ -450,19 +467,23 @@ class TestNodeLadder:
         assert calls[0] == 9 * m + n ** m
         calls[0] = 0
         pitman_slope_bhat(m, dep, nodes=n)
-        faces = sum(math.comb(m, k) * n ** (m - k) for k in range(1, m - 1))
-        assert calls[0] == n ** m + faces
+        # one rule of n + 1 nodes per axis, the node 1 appended
+        assert calls[0] == (n + 1) ** m
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_bhat_slope_default_nodes_closed_form(self, m):
         g = lambda t: t + t * t
         integral, _ = bhat_closed_form_integral([g(1.0)] * m, [5.0 / 6.0] * m, math.fsum)
-        fn, calls = counted(lambda x: float(np.prod([g(t) for t in x])))
-        got = pitman_slope_bhat(m, DependenceFunction(fn=fn))
+        dep = DependenceFunction(fn=lambda x: float(np.prod([g(t) for t in x])))
+        got = pitman_slope_bhat(m, dep)
         assert got == pytest.approx(12.0 ** m * integral * integral, rel=1e-12)
-        # one rung is the cube and every face; g has degree 2, so rungs 2 and 3
-        faces = lambda n: sum(math.comb(m, k) * n ** (m - k) for k in range(1, m - 1))
-        assert calls[0] == 2 ** m + faces(2) + 3 ** m + faces(3)
+        # a rung of n Gauss nodes is one rule of (n + 1)^m nodes; the pillow
+        # has degree 2, so rungs 2 and 3 agree (g's drift (-1/6)^m cancels
+        # terms 11^m times larger, and from m = 5 its rungs differ in
+        # rounding by more than LADDER_RTOL, so it climbs on)
+        fn, calls = counted(pillow_direction(m).fn)
+        pitman_slope_bhat(m, DependenceFunction(fn=fn))
+        assert calls[0] == 3 ** m + 4 ** m
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.data())
@@ -490,6 +511,47 @@ class TestNodeLadder:
         bound = float(math.prod(a(list(map(abs, c))) for c in quads))
         exact = float(math.prod(a(c) for c in quads))
         assert abs(slope.mu_prime0 - coeff * exact) <= 1e-13 * coeff * bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.data())
+    def test_cubics_vanishing_on_the_edges_match_exact_rationals(self, m, data):
+        # f = P - sum_k P|edge k + (m - 1) P(1, ..., 1), for P a product of
+        # cubics, vanishes on every edge x_(M - {k}) = 1 but not on its faces
+        # x_U = 1 with |U| <= m - 2; each term of f is a product of
+        # polynomials (coefficient lists), so its functional is exact in
+        # Fractions
+        horner = lambda c, t: sum(ck * t ** k for k, ck in enumerate(c))
+        cubics = [data.draw(st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+                  for _ in range(m)]
+        at_one = [sum(c) for c in cubics]
+        terms = [(1, cubics)]
+        for k in range(m):
+            rest = math.prod(v for j, v in enumerate(at_one) if j != k)
+            terms.append((-rest, [c if j == k else [1] for j, c in enumerate(cubics)]))
+        terms.append(((m - 1) * math.prod(at_one), [[1]] * m))
+
+        def fn(x):
+            return math.fsum(coef * math.prod(horner(c, t) for c, t in zip(polys, x))
+                             for coef, polys in terms)
+
+        a = lambda c: sum(Fraction(ck, k + 1) for k, ck in enumerate(c))
+        expansions = [(coef, bhat_closed_form_integral([Fraction(sum(c)) for c in polys],
+                                                       [a(c) for c in polys])[1])
+                      for coef, polys in terms]
+        exact = sum(coef * sum(face) for coef, face in expansions)
+        # the edge and corner terms cancel: the faces |U| <= m - 2 alone agree
+        assert exact == sum(coef * sum(t for u, t in enumerate(face) if u.bit_count() <= m - 2)
+                            for coef, face in expansions)
+        bound = sum(abs(coef) * sum(map(abs, bhat_closed_form_integral(
+            [sum(map(abs, c)) for c in polys], [a(list(map(abs, c))) for c in polys])[1]))
+            for coef, polys in terms)
+        for k in range(m):
+            edge = np.ones(m)
+            edge[k] = 0.37
+            assert abs(fn(edge)) <= 1e-13 * float(bound)
+        got = math.sqrt(pitman_slope_bhat(m, DependenceFunction(fn=fn)) / 12.0 ** m)
+        assert abs(got - abs(float(exact))) <= 1e-13 * float(bound)
+
 
 def legendre_fisher(fn, m, n):
     """Fisher information from per-axis Legendre fits: the values of fn at
@@ -625,8 +687,8 @@ class TestFisherInfo:
 
     def test_derived_density_memory_stays_within_a_few_node_vectors(self):
         # m = 4 on 10 nodes: the node values, the weights and the contraction
-        # temporaries are 10^4 doubles each; a block of nodes, its per-axis
-        # digits and its coordinates take the block budget each
+        # temporaries are 10^4 doubles each, never all at once; a block of
+        # nodes and its index arrays take the block budget
         dep = DependenceFunction(fn=lambda x: 0.0)
         fisher_info(dep, m=4, nodes=10)  # fills the rule and matrix caches
         tracemalloc.start()
@@ -635,7 +697,7 @@ class TestFisherInfo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 8 * 10 ** 4 + 3 * quadrature._BLOCK_BYTES
+        assert peak < 8 * 10 ** 4 + 1.5 * quadrature._BLOCK_BYTES
 
 
 class TestOptimalityGap:

@@ -6,6 +6,7 @@ from cubegreen.families import (
     MonotoneFamily,
     all_nonempty_family,
     empty_family,
+    echoed,
     enumerate_monotone_families,
     family_for_known_margins,
     family_from_json,
@@ -317,6 +318,18 @@ class TestParsing:
         with pytest.raises(ValueError, match="is not an integer"):
             family_from_json([[1, 2], [bad]], 3)
         assert mask_from_coords([np.int64(2), 3], 3) == 0b110
+
+    def test_echoed_values_are_cut_at_60_characters(self):
+        assert echoed("ab") == "'ab'" and echoed([1, "2"]) == "[1, '2']"
+        assert echoed("x" * 60) == repr("x" * 60)
+        assert echoed("x" * 61) == f"{'x' * 60!r}… (61 characters)"
+        long = list(range(100))
+        assert echoed(long) == f"{repr(long)[:60]}… ({len(repr(long))} characters)"
+        assert echoed(10 ** 60) == f"{'1' + '0' * 59}… (61 characters)"
+        with pytest.raises(ValueError, match=r"^coordinate '1\.5' is not an integer$"):
+            parse_subset("{1.5}", 3)
+        with pytest.raises(ValueError, match=r"^coordinate 'aaa.*… \(1000 characters\) is not"):
+            parse_subset("a" * 1000, 3)
 
     def test_json_subsets_are_not_truncated(self):
         with pytest.raises(ValueError, match="coordinate 1.9 is not an integer"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,8 +76,58 @@ def test_block_integral_is_tensor_rule_sum_at_any_block_size(monkeypatch, m, n):
     blocks.clear()
     assert block_integral(g, m, n) == want
     assert blocks == [1] * n ** m
-    assert node_values(g, m, n).tolist() == [f(p) for p in pts]
-    assert tensor_weights(m, n).tobytes() == wts.tobytes()
+    x, w = unit_rule(n)
+    assert node_values(g, x, m).tolist() == [f(p) for p in pts]
+    assert tensor_weights(w, m).tobytes() == wts.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_node_values_take_any_per_axis_rule(monkeypatch, m):
+    # nodes in no order, one repeated, and weights of any sign: the grid is
+    # the per-axis rule's, lexicographic in the per-axis index
+    x = np.array([0.9, 0.0, 1.0, 0.25, 0.25])
+    w = np.array([0.5, -0.5, 2.0, 1.5, -3.0])
+    f = lambda p: float(np.sum(p * np.arange(1, m + 1)) + np.prod(p))
+    grid = [np.array(p) for p in np.ndindex(*(len(x),) * m)]
+    want = [f(x[i]) for i in grid]
+    # whole grids, one node per block, and blocks of a few nodes that do not
+    # divide the grid
+    for block_bytes in (quadrature._BLOCK_BYTES, 1, 500):
+        monkeypatch.setattr(quadrature, "_BLOCK_BYTES", block_bytes)
+        assert node_values(lambda P: point_values(f, P), x, m).tolist() == want
+    assert tensor_weights(w, m).tolist() == [float(np.prod(w[i])) for i in grid]
+
+
+def test_node_values_refuse_a_grid_over_the_budget_before_any_call():
+    def never(P):
+        raise AssertionError("called")
+
+    # len(x)^m is what is counted, whatever the nodes are
+    x = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(ValueError, match=f"needs {9 ** 7} point evaluations"):
+        node_values(never, x, 7)
+    with pytest.raises(ValueError, match=f"needs {9 ** 7} point evaluations"):
+        tensor_weights(x, 7)
+    with pytest.raises(ValueError, match=f"needs {2049 ** 2} point evaluations"):
+        node_values(never, np.zeros(2049), 2)
+    for bad in (0, 2.0, True):
+        with pytest.raises(ValueError, match="dimension m must be an integer >= 1"):
+            node_values(never, x, bad)
+        with pytest.raises(ValueError, match="dimension m must be an integer >= 1"):
+            tensor_weights(x, bad)
+
+
+def test_node_block_memory_stays_within_the_block_budget():
+    # a block holds its (B, m) points and a few (B,) arrays, not m digit
+    # arrays and m gathered coordinates besides
+    x = unit_rule(10)[0]
+    g = lambda P: point_values(lambda p: 1.0, P)
+    node_values(g, x, 4)
+    tracemalloc.start()
+    vals = node_values(g, x, 4)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < vals.nbytes + 1.5 * quadrature._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, True, None, "4"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubegreen import rankstats
+from cubegreen import montecarlo, rankstats
 from cubegreen.quadrature import midpoint_grid
 from cubegreen.rankstats import (
     STATISTICS,
@@ -342,6 +342,27 @@ class TestGridECDF:
                 batch_statistic(name, X, 0, 1, grid_n)
             with pytest.raises(ValueError, match="grid_n"):
                 statistic(name, X[0], 0, 1, grid_n)
+
+    @pytest.mark.parametrize("p", [2.5, 1.5, 2.0, True, False, "2", None])
+    @pytest.mark.parametrize("name", STATISTICS)
+    def test_p_must_be_an_integer(self, monkeypatch, name, p):
+        # 2.5 and 1.5 used to give NaN with a RuntimeWarning, True to run as 1
+        X = RNG.random((2, 5, 2))
+        calls = [lambda: batch_statistic(name, X, 0, p), lambda: statistic(name, X[0], 0, p, None)]
+        if name in ("B", "Bhat"):
+            calls.append(lambda: stat_B(X[0], 0b01, p) if name == "B" else stat_Bhat(X[0], p))
+
+        def never(*args, **kwargs):
+            raise AssertionError("replications drawn")
+
+        monkeypatch.setattr(montecarlo, "_replication_values", never)
+        cfg = montecarlo.SimConfig(seed=1, n=5, replications=100, m=2,
+                                   V=0b01 if name == "B" else None)
+        calls.append(lambda: montecarlo.null_distribution(cfg, name, p))
+        for call in calls:
+            with pytest.raises(ValueError, match="^p must be a positive integer$"):
+                call()
+        assert batch_statistic(name, X, 0, np.int64(2)).shape == (2,)
 
     @pytest.mark.parametrize("grid_n", [2.5, True, "4"])
     def test_grid_n_not_an_integer(self, grid_n):
