@@ -8,10 +8,11 @@ option that gave it, not member by member.  Matrices are written with
 `ndarray.tolist()`, and floats with shortest round-trip precision
 (lossless).  `--output csv` writes the result's numeric matrices instead,
 and refuses a report that has none.
-Wall-clock time lives only under the "timing" key; how a number was
-computed (such as power-iteration counts) under "diagnostics".  Exit codes:
-0 ok, 2 validation error or a computation that did not converge, 1 I/O
-error.
+Wall-clock time lives only under the "timing" key, the last one (with
+`replications_per_second` for `simulate` cov, tiedcov and nulldist); how
+a number was computed (such as power-iteration counts) under
+"diagnostics".  Exit codes: 0 ok, 2 validation error or a computation
+that did not converge, 1 I/O error.
 """
 
 from __future__ import annotations
@@ -55,9 +56,19 @@ from . import rankstats
 
 _SUBSET_HELP = "the known margins V as a subset: 1,2 or {1,2} or [1,2] (empty for none)"
 
+
+def _family_json(text: str, m: int) -> MonotoneFamily:
+    """The family of `--family`: its JSON, or @PATH, the file holding it."""
+    if text.startswith("@"):
+        with open(text[1:]) as fh:
+            text = fh.read()
+    return family_from_json(text, m)
+
+
 # the mutually exclusive family options: (option, argparse keywords, builder(value, m))
 _FAMILY_OPTIONS = (
-    ("--family", {"help": "JSON array-of-arrays of 1-based coordinates"}, family_from_json),
+    ("--family", {"help": "JSON array-of-arrays of 1-based coordinates, or @PATH of a "
+                          "file holding it"}, _family_json),
     ("--family-known-margins-V", {"help": _SUBSET_HELP},
      lambda text, m: family_for_known_margins(parse_subset(text, m), m)),
     ("--family-all", {"action": "store_true", "help": "all nonempty subsets (pillow)"},
@@ -253,6 +264,7 @@ def _cmd_simulate(args) -> dict:
     config = {"mode": args.mode, "m": args.m, "n": args.n, "R": args.R,
               "seed": args.seed, "grid_n": grid_n, "threads": args.threads,
               "V": V_text}
+    t0 = time.perf_counter()
     if args.mode in ("cov", "tiedcov"):
         rep = (simulate_null_covariance(cfg) if args.mode == "cov"
                else simulate_tied_down_covariance(cfg))
@@ -268,7 +280,9 @@ def _cmd_simulate(args) -> dict:
         result = {"mean": dist.mean, "variance": dist.variance,
                   "variance_se": dist.variance_se,
                   "quantiles": {str(k): v for k, v in dist.quantiles.items()}}
-    return {"config": config, "result": result}
+    rate = args.R / (time.perf_counter() - t0)
+    return {"config": config, "result": result,
+            "timing": {"replications_per_second": rate}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,7 +371,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         report = args.handler(args)
-        report["timing"] = {"seconds": time.perf_counter() - t0}
+        # timing, with any rate the handler measured, goes last
+        report["timing"] = {"seconds": time.perf_counter() - t0, **report.pop("timing", {})}
         _emit(report, args)
     except (ValueError, ConvergenceError, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,16 +1,20 @@
 """Seeded simulation harness for the limiting-covariance claims.
 
-Every replication draws its uniforms from a counter-based Philox stream
-keyed by (seed, replication index), the stream `substream` returns.
-Replications run in fixed-size blocks: one Philox generator per block
-has its key set to [r, seed] and its counter and buffer zeroed for each
-replication r, and the block's (B, n, m) sample goes through the batch
-forms of `rankstats` in one call, B and B-hat at p >= 2 included.  The
-blocks are the slices of `quadrature.blocks`, the one block budget; a
-p >= 2 statistic splits its block again into lattice chunks of the same
-budget.  Up to MAX_THREADS worker threads take whole blocks, and blocks
-are merged in block order, so results are bit-identical whether
-replications run serially or across any number of threads.
+Every simulation reads one counter-based Philox stream, the stream of
+`substream(seed, 0)`.  A Philox block is one counter value and gives four
+64-bit outputs, one per uniform; replication r of an n x m sample owns
+K = ceil(n·m/4) blocks, the counters r·K+1 … (r+1)·K, and reads its n·m
+uniforms from them in order.  So a replication's uniforms depend on
+(seed, r, n, m) alone, and replication 0 is the first n·m uniforms of
+the stream.  Replications run in fixed-size blocks: one generator per
+block is advanced to the block's first counter and draws the whole block
+in one call, and the (B, n, m) sample goes through the batch forms of
+`rankstats` in one call, B and B-hat at p >= 2 included.  The blocks are
+the slices of `quadrature.blocks`, the one block budget; a p >= 2
+statistic splits its block again into lattice chunks of the same budget.
+Up to MAX_THREADS worker threads take whole blocks, and blocks are
+merged in block order, so results are bit-identical whether replications
+run serially or across any number of threads.
 """
 
 from __future__ import annotations
@@ -97,29 +101,27 @@ class NullDistribution:
 
 
 def substream(seed: int, replication: int) -> np.random.Generator:
-    """Independent generator for one replication, derived from (seed, r)."""
+    """The Philox generator keyed by (seed, replication), at counter 0.
+
+    Keys of distinct (seed, replication) pairs give independent streams.
+    The simulators read the stream of replication 0 only: `field` draws
+    from its start, and replication r of a sample reads its counters
+    r·K+1 … (r+1)·K (see `_uniform_block`)."""
     key = ((seed & _MASK64) << 64) | (replication & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _uniform_block(seed: int, lo: int, hi: int, n: int, m: int) -> np.ndarray:
-    """The (hi - lo, n, m) uniforms of replications lo..hi-1: row r - lo is
-    substream(seed, r).random((n, m)), drawn by one reset generator."""
-    bitgen = np.random.Philox()
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    state["state"]["counter"][:] = 0
-    state["buffer"][:] = 0
-    state["buffer_pos"] = len(state["buffer"])  # empty
-    state["has_uint32"] = state["uinteger"] = 0
-    key = state["state"]["key"]
-    key[1] = seed & _MASK64
-    out = np.empty((hi - lo, n, m))
-    for r in range(lo, hi):
-        key[0] = r & _MASK64
-        bitgen.state = state
-        gen.random(out=out[r - lo])
-    return out
+    """The (hi - lo, n, m) uniforms of replications lo..hi-1 in one draw.
+
+    Replication r reads the outputs of counters r·K+1 … (r+1)·K of the
+    stream of substream(seed, 0), K = ceil(n·m/4), and keeps the first
+    n·m of its 4K uniforms, so replication 0 is
+    substream(seed, 0).random((n, m))."""
+    K = -(-n * m // 4)
+    gen = substream(seed, 0)
+    gen.bit_generator.advance(lo * K)
+    return gen.random((hi - lo, 4 * K))[:, :n * m].reshape(hi - lo, n, m)
 
 
 def _replication_values(cfg: SimConfig, fn, cells: int = 0) -> np.ndarray:

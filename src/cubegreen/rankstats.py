@@ -458,13 +458,24 @@ def statistic(name: str, X, V: int, p: int, grid_n: int | None) -> float:
 
 
 def load_csv(path) -> np.ndarray:
-    """Load an n x m dataset from CSV; a non-numeric first row is a header."""
+    """Load an n x m dataset from CSV.
+
+    A `#` starts a comment, as in np.loadtxt.  A line with nothing but
+    whitespace once its comment is stripped is blank, and the first line
+    that is not blank is a header when it is not all numbers.  A file with
+    no data row after that is refused with ValueError before numpy reads
+    it."""
     with open(path) as fh:
-        first = fh.readline()
-    skip = 0
-    try:
-        [float(tok) for tok in first.strip().split(",") if tok]
-    except ValueError:
-        skip = 1
+        rows = ((i, row) for i, line in enumerate(fh)
+                if (row := line.split("#", 1)[0].strip()))
+        i, first = next(rows, (0, None))
+        skip = 0
+        try:
+            [float(tok) for tok in (first or "").split(",") if tok]
+        except ValueError:  # a header
+            skip = i + 1
+            first = next(rows, (0, None))[1]
+    if first is None:
+        raise ValueError(f"the input {str(path)!r} has no data rows")
     X = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     return as_dataset(X)

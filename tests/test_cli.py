@@ -8,6 +8,7 @@ import pytest
 from cubegreen import cli, kernel, montecarlo, quadrature, rankstats
 from cubegreen.cli import build_parser, main
 from cubegreen.extremal import ConvergenceError
+from cubegreen.families import subsets_of_size, upward_closure
 
 
 def echoed(text):
@@ -73,6 +74,35 @@ class TestBasicCommands:
             assert rep["config"]["family"] == flag
             replay = run_json(capsys, *argv, *rep["config"]["family"])
             assert replay["result"] == rep["result"]
+
+    def test_family_read_from_a_file(self, capsys, tmp_path):
+        # the m = 16 closure of the 8-subsets: 39 203 members, about 1.2 MB of JSON
+        fam = upward_closure(subsets_of_size(16, 8), 16)
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(fam.to_coord_lists()))
+        assert len(fam) == 39203 and path.stat().st_size > 10**6
+        x, xi = np.linspace(0.2, 0.95, 16), np.linspace(0.9, 0.3, 16)
+        flag = ["--family", f"@{path}"]
+        rep = run_json(capsys, "green-eval", "--m", "16", *flag,
+                       "--x", ",".join(map(repr, x.tolist())),
+                       "--xi", ",".join(map(repr, xi.tolist())))
+        assert rep["config"]["family"] == flag
+        assert rep["result"]["value"] == kernel.green_kernel(fam).evaluate(x, xi)
+
+    def test_family_file_missing_is_io_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "lambda", "--m", "2",
+                                 "--family", f"@{tmp_path / 'absent.json'}")
+        assert code == 1 and out == ""
+        assert err.startswith("io-error:") and "absent.json" in err
+
+    def test_family_file_with_bad_json_names_the_option(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text("[[1,2],")
+        code, out, err = run_cli(capsys, "lambda", "--m", "2", "--family", f"@{path}")
+        assert code == 2 and out == ""
+        # the reason is the parser's, on the file's text
+        assert err == (f"error: --family {echoed('@' + str(path))}: "
+                       f"Expecting value: line 1 column 8 (char 7)\n")
 
     def test_family_command_shares_family_group(self, capsys):
         rep = run_json(capsys, "family", "--family-all", "--m", "2")
@@ -205,6 +235,22 @@ class TestStatCommand:
         code, out, err = run_cli(capsys, "stat", "--name", "gini", "--input", str(path))
         assert code == 2 and out == ""
         assert "two observations" in err
+
+    def test_first_row_with_a_comment_is_counted(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("0.1,0.2 # first\n0.3,0.4\n0.5,0.6\n")
+        rep = run_json(capsys, "stat", "--name", "rho", "--input", str(path))
+        assert rep["result"]["n"] == rep["config"]["n"] == 3
+
+    @pytest.mark.parametrize("text", ["", "x,y\n"])
+    def test_no_data_rows_is_one_error_line(self, capsys, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the test
+            code, out, err = run_cli(capsys, "stat", "--name", "rho", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: the input {str(path)!r} has no data rows\n"
 
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "stat", "--name", "rho",
@@ -476,6 +522,23 @@ class TestErrorHandling:
 
 
 class TestOutputFormats:
+    @pytest.mark.parametrize("mode", ["cov", "tiedcov", "nulldist"])
+    def test_replication_rate_under_timing_only(self, capsys, mode):
+        argv = ["simulate", "--mode", mode, "--V", "", "--stat", "rho", "--m", "2",
+                "--n", "20", "--R", "200", "--seed", "3", "--grid-n", "2"]
+        outs = [run_cli(capsys, *argv)[1] for _ in range(2)]
+        reps = [json.loads(out) for out in outs]
+        assert list(reps[0]) == ["config", "result", "timing"]
+        assert list(reps[0]["timing"]) == ["seconds", "replications_per_second"]
+        assert reps[0]["timing"]["replications_per_second"] >= 200 / reps[0]["timing"]["seconds"]
+        # config and result replay byte for byte
+        assert len({out[:out.rindex(', "timing": ')] for out in outs}) == 1
+
+    def test_field_reports_no_replication_rate(self, capsys):
+        rep = run_json(capsys, "simulate", "--mode", "field", "--m", "2", "--grid-n", "2",
+                       "--count", "3")
+        assert list(rep["timing"]) == ["seconds"]
+
     def test_report_is_one_json_line(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--mode", "tiedcov", "--m", "2", "--n", "20",
                                "--R", "100", "--seed", "1", "--grid-n", "2")

@@ -89,12 +89,32 @@ class TestSubstreams:
         assert np.abs(off).max() < 4.0 / np.sqrt(4000)
 
 
+def _replication_by_hand(seed, r, n, m):
+    """Replication r of an n x m sample from a fresh Philox keyed by the seed
+    in the high word: advanced r·K blocks, K = ceil(n·m/4), its next n·m
+    raw outputs made doubles as (x >> 11)·2^-53, and the counter left at
+    (r + 1)·K, the last block read."""
+    K = -(-n * m // 4)
+    bitgen = np.random.Philox(key=(seed % 2**64) << 64)
+    bitgen.advance(r * K)
+    raw = bitgen.random_raw(n * m)
+    counter = bitgen.state["state"]["counter"]
+    assert int(counter[0]) + (int(counter[1]) << 64) == (r + 1) * K
+    return ((raw >> np.uint64(11)) * 2.0**-53).reshape(n, m)
+
+
 class TestReplicationBlocks:
-    def test_block_rows_are_the_substreams(self):
+    def test_block_rows_read_their_counter_ranges(self):
+        # n·m = 18 is not a multiple of 4: each replication skips 2 outputs
         for seed, lo, hi in ((3, 0, 4), (2**63, 2**40 - 2, 2**40 + 2), (-1, 5, 6)):
             block = montecarlo._uniform_block(seed, lo, hi, 6, 3)
             for r in range(lo, hi):
-                assert np.array_equal(block[r - lo], substream(seed, r).random((6, 3)))
+                assert np.array_equal(block[r - lo], _replication_by_hand(seed, r, 6, 3))
+
+    @pytest.mark.parametrize("seed", [3, 2**63, -1])
+    def test_replication_zero_is_the_start_of_substream_zero(self, seed):
+        block = montecarlo._uniform_block(seed, 0, 3, 6, 3)
+        assert np.array_equal(block[0], substream(seed, 0).random((6, 3)))
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_values_across_block_boundaries(self, monkeypatch, threads):
@@ -102,8 +122,22 @@ class TestReplicationBlocks:
         monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 7 * 8 * 5 * 2)
         cfg = SimConfig(seed=2**63, n=5, replications=100, m=2, threads=threads)
         vals = montecarlo._replication_values(cfg, lambda X: X.reshape(len(X), -1))
-        want = [substream(2**63, r).random((5, 2)).ravel() for r in range(100)]
+        want = [_replication_by_hand(2**63, r, 5, 2).ravel() for r in range(100)]
         assert np.array_equal(vals, want)
+
+    def test_a_block_builds_one_generator(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(kwargs["key"])
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 7 * 8 * 5 * 2)
+        cfg = SimConfig(seed=6, n=5, replications=100, m=2)
+        montecarlo._replication_values(cfg, lambda X: X.reshape(len(X), -1))
+        assert built == [6 << 64] * 15
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         cfg = SimConfig(seed=8, n=30, replications=150, m=3, grid=GRID3)

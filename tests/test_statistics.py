@@ -587,3 +587,21 @@ class TestCsv:
         path = tmp_path / "data.csv"
         path.write_text("0.1,0.9\n0.4,0.2\n")
         assert load_csv(path).shape == (2, 2)
+
+    def test_first_row_with_a_comment_is_data(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("0.1,0.2 # first\n0.3,0.4\n0.5,0.6\n")
+        assert load_csv(path).tolist() == [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]
+
+    def test_header_found_past_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("# drawn by hand\n\nu,v # names\n0.1,0.9\n# end\n0.4,0.2\n")
+        assert load_csv(path).tolist() == [[0.1, 0.9], [0.4, 0.2]]
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n", "u,v\n",
+                                      "u,v\n# no rows\n\n"])
+    def test_no_data_rows_refused(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="has no data rows"):
+            load_csv(path)
