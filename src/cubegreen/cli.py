@@ -45,7 +45,7 @@ from .extremal import ConvergenceError, efficiency_coefficient, principal_eigenv
 from .quadrature import _node_count
 from .montecarlo import (
     SimConfig,
-    check_grid_size,
+    interior_lattice,
     null_distribution,
     sample_gaussian_field,
     simulate_null_covariance,
@@ -113,15 +113,6 @@ def _parse_point(text: str, m: int) -> np.ndarray:
     if len(vals) != m:
         raise ValueError(f"expected {m} coordinates, got {len(vals)}")
     return check_unit_cube(np.asarray(vals))
-
-
-def _interior_grid(m: int, per_axis: int) -> tuple[tuple[float, ...], ...]:
-    """The per_axis^m interior lattice points, the last axis varying fastest;
-    a grid too large for its kernel matrices is refused before it is built."""
-    check_grid_size(per_axis ** m)
-    axis = (np.arange(per_axis) + 1.0) / (per_axis + 1.0)
-    pts = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)
-    return tuple(map(tuple, pts.tolist()))
 
 
 def _is_matrix(val) -> bool:
@@ -249,18 +240,18 @@ def _cmd_simulate(args) -> dict:
     nulldist = args.mode == "nulldist"
     grid_n = 4 if args.grid_n is None and not nulldist else args.grid_n
     grid_n = None if grid_n is None else _node_count(grid_n, "--grid-n")
-    grid = () if nulldist else _interior_grid(args.m, grid_n)
     V = _read_option("--V", parse_subset, args.V, args.m) if args.V is not None else None
     V_text = format_subset(V) if V is not None else None
     if args.mode == "field":
+        _, points = interior_lattice(args.m, grid_n)
         fam = all_nonempty_family(args.m) if V is None \
             else family_for_known_margins(V, args.m)
-        draws = sample_gaussian_field(green_kernel(fam), grid, args.count, args.seed)
+        draws = sample_gaussian_field(green_kernel(fam), points, args.count, args.seed)
         return {"config": {"mode": args.mode, "m": args.m, "seed": args.seed,
                            "grid_n": grid_n, "V": V_text, "count": args.count},
                 "result": {"draws": draws.tolist()}}
     cfg = SimConfig(seed=args.seed, n=args.n, replications=args.R, m=args.m,
-                    grid=grid, V=V, threads=args.threads)
+                    grid_n=None if nulldist else grid_n, V=V, threads=args.threads)
     config = {"mode": args.mode, "m": args.m, "n": args.n, "R": args.R,
               "seed": args.seed, "grid_n": grid_n, "threads": args.threads,
               "V": V_text}

@@ -27,11 +27,11 @@ evaluation budget; every call of a dependence function goes through
 `quadrature.point_values`.  The slopes take their default nodes from
 `quadrature.node_ladder`: 2 and 3 nodes per axis first, then the
 halvings of the node table up to the table count, stopping at the first
-two rungs that agree to 1e-13 relative and are not both zero (exact from
-the 2-point rung on for a direction of degree <= 3 per axis), otherwise
-the table count's value.  An integrand crafted to agree on two rungs
-fools the ladder, as one that vanishes at the table's nodes fools the
-fixed table.
+two rungs that agree to 1e-13 of their absolute sums sum |w_i v_i| and are
+not both zero (exact from the 2-point rung on for a direction of degree
+<= 3 per axis), otherwise the table count's value.  An integrand crafted
+to agree on two rungs fools the ladder, as one that vanishes at the
+table's nodes fools the fixed table.
 The tied-down slope's drift is one tensor rule per rung: per axis, the
 Gauss rule and the node 1 with weight -1/2 (L g = integral of g - g(1)/2).
 Fisher information integrates the squared density at the tensor Gauss
@@ -57,7 +57,7 @@ from .measures import Measure, integrate_against, integrate_once, lambda_value, 
 from .quadrature import (
     _node_count,
     block_integral,
-    cube_integral,
+    cube_rule,
     diff_matrix,
     node_ladder,
     node_values,
@@ -191,7 +191,7 @@ def _vanishing_integral(fn, m: int, nodes: int | None, tol: float = 1e-6) -> flo
             f"dependence function does not vanish on the face opposite axis "
             f"{bad[0] // len(probes) + 1}"
         )
-    return node_ladder(lambda n: cube_integral(fn, m, n), m, nodes)
+    return node_ladder(lambda n: cube_rule(fn, m, n), m, nodes)
 
 
 def bahadur_slope_B1(V: int, m: int, dep: DependenceFunction,
@@ -233,10 +233,10 @@ def pitman_slope_bhat(m: int, dep: DependenceFunction,
     _check_dim(m)
     nodes_per_axis(m, nodes_per_axis(m, nodes) + 1)  # the top rule, node 1 included
 
-    def drift(n: int) -> float:
+    def drift(n: int) -> tuple[np.ndarray, np.ndarray]:
         x, w = unit_rule(n)
         values = node_values(lambda X: point_values(dep.fn, X), np.append(x, 1.0), m)
-        return float(values @ tensor_weights(np.append(w, -0.5), m))
+        return values, tensor_weights(np.append(w, -0.5), m)
 
     integral = node_ladder(drift, m, nodes)
     return 12.0 ** m * integral * integral
@@ -262,7 +262,7 @@ def fisher_info(dep: DependenceFunction, m: int, nodes: int | None = None) -> fl
 
     f = dep.fn if dep.density is None else dep.density
 
-    def integral_at(n: int) -> float:
+    def rule_at(n: int) -> tuple[np.ndarray, np.ndarray]:
         x, w = unit_rule(n)
         d = node_values(lambda X: point_values(f, X), x, m)
         if dep.density is None:
@@ -270,9 +270,9 @@ def fisher_info(dep: DependenceFunction, m: int, nodes: int | None = None) -> fl
             for _ in range(m):
                 d = d.reshape(n, -1).T @ D
         # float_power squares with C pow, as a scalar ** 2 does
-        return float(np.float_power(d.reshape(-1), 2) @ tensor_weights(w, m))
+        return np.float_power(d.reshape(-1), 2), tensor_weights(w, m)
 
-    total = node_ladder(integral_at, m, nodes)
+    total = node_ladder(rule_at, m, nodes)
     if not np.isfinite(total):
         raise ValueError("non-finite density values at the nodes")
     return total
@@ -357,7 +357,10 @@ def spearman_optimal_direction(m: int, normalize: bool = False) -> DependenceFun
 
     C * prod x_j * (prod (2 - x_j) + sum x_j - (m+1)), with its closed-form
     mixed derivative.  With normalize=True, C is chosen so the cube
-    integral equals 1.
+    integral equals 1.  With y_j = 1 - x_j the bracket is the sum over
+    |S| >= 2 of prod_{j in S} y_j, which is evaluated term by nonnegative
+    term: the bracket as written cancels to far below its terms near the
+    corner 1, where the tied-down drift weighs it most.
     """
     C = 1.0
     if normalize:
@@ -369,7 +372,12 @@ def spearman_optimal_direction(m: int, normalize: bool = False) -> DependenceFun
 
     def fn(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        return C * float(np.prod(x) * (np.prod(2.0 - x) + np.sum(x) - (m + 1)))
+        # pairs: sum over |S| >= 2 of prod y_S, ones: sum of y_j, axis by axis
+        pairs = ones = 0.0
+        for y in (1.0 - x).tolist():
+            pairs += (pairs + ones) * y
+            ones += y
+        return C * float(np.prod(x)) * pairs
 
     def density(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)

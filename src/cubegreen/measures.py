@@ -41,7 +41,7 @@ import numpy as np
 
 from .families import echoed
 from .kernel import GreenKernel, check_unit_cube
-from .quadrature import cube_integral, node_ladder, point_values, segmented_rule, unit_rule
+from .quadrature import cube_rule, node_ladder, point_values, segmented_rule, unit_rule
 
 
 @dataclass(frozen=True)
@@ -270,17 +270,17 @@ def lambda_value(kernel: GreenKernel, measure: Measure, method: str = "auto") ->
 def integrate_against(measure: Measure, f) -> float:
     """Integral of a scalar point callable against the measure; every
     component evaluates f through `quadrature.point_values`.  Lebesgue
-    components are `cube_integral` on the default-node ladder of
+    components are `cube_rule` on the default-node ladder of
     `quadrature.node_ladder` (2 and 3 nodes per axis, then the halvings of
     the node table up to the table count, stopping at the first two rungs
-    that agree to 1e-13 relative and are not both zero, else the table
-    count's value; an integrand crafted to agree on two rungs fools it, as
-    one vanishing at the table's nodes fools the table), lines 40 equal
-    pieces of 10 nodes each."""
+    that agree to 1e-13 of their absolute sums and are not both zero, else
+    the table count's value; an integrand crafted to agree on two rungs
+    fools it, as one vanishing at the table's nodes fools the table), lines
+    40 equal pieces of 10 nodes each."""
     total = 0.0
     for comp, w in measure.components:
         if isinstance(comp, LebesgueComponent):
-            total += w * node_ladder(lambda n: cube_integral(f, comp.m, n), comp.m)
+            total += w * node_ladder(lambda n: cube_rule(f, comp.m, n), comp.m)
         elif isinstance(comp, LineComponent):
             ts, ws = segmented_rule(np.arange(1, 40) / 40, 10)
             total += w * float(point_values(f, comp.points(ts)) @ ws)

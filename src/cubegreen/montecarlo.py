@@ -26,7 +26,7 @@ import numpy as np
 
 from .families import all_nonempty_family, family_for_known_margins, full_mask
 from .kernel import GreenKernel, green_kernel
-from .quadrature import blocks
+from .quadrature import _node_count, blocks
 from . import rankstats
 
 _MASK64 = (1 << 64) - 1
@@ -53,13 +53,26 @@ def check_field_size(count: int, points: int) -> None:
                          f"or grid_n")
 
 
+def interior_lattice(m: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The interior lattice of grid_n nodes (k+1)/(grid_n+1) on each of m
+    axes: the (m, grid_n) nodes per axis and the (grid_n^m, m) points, the
+    last axis varying fastest.  A lattice too large for its kernel
+    matrices is refused before it is built."""
+    check_grid_size(grid_n ** m)
+    axis = (np.arange(grid_n) + 1.0) / (grid_n + 1.0)
+    points = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)
+    return np.tile(axis, (m, 1)), points
+
+
 @dataclass(frozen=True)
 class SimConfig:
+    """A simulation: `grid_n` nodes per axis of the interior lattice on
+    which `cov` and `tiedcov` compare covariances (None for `nulldist`)."""
     seed: int
     n: int
     replications: int
     m: int
-    grid: tuple[tuple[float, ...], ...] = ()
+    grid_n: int | None = None
     V: int | None = None
     threads: int = 1
 
@@ -70,15 +83,8 @@ class SimConfig:
             raise ValueError("sample size must be positive")
         if not 1 <= self.threads <= MAX_THREADS:
             raise ValueError(f"threads must be between 1 and {MAX_THREADS}")
-        check_grid_size(len(self.grid))
-        if self.grid:
-            g = np.asarray(self.grid, dtype=float)
-            if g.ndim != 2 or g.shape[1] != self.m:
-                raise ValueError("grid must be a list of m-dimensional points")
-            if np.any(g <= 0.0) or np.any(g >= 1.0):
-                raise ValueError("grid points must be strictly interior")
-            if len({tuple(p) for p in self.grid}) != len(self.grid):
-                raise ValueError("grid points must be distinct")
+        if self.grid_n is not None:
+            check_grid_size(_node_count(self.grid_n, "grid_n") ** self.m)
         if self.V is not None and self.V & ~full_mask(self.m):
             raise ValueError("V is not a subset of the coordinate set")
 
@@ -124,15 +130,15 @@ def _uniform_block(seed: int, lo: int, hi: int, n: int, m: int) -> np.ndarray:
     return gen.random((hi - lo, 4 * K))[:, :n * m].reshape(hi - lo, n, m)
 
 
-def _replication_values(cfg: SimConfig, fn, cells: int = 0) -> np.ndarray:
+def _replication_values(cfg: SimConfig, fn, cells: int = 0, width: int = 0) -> np.ndarray:
     """fn of the uniform sample of every replication, in index order.
 
     fn maps a (B, n, m) block to B rows of values.  Its largest temporary
-    is taken to be B·n·max(m, G) floats, G the number of grid points.
-    Threads whose lattices of `cells` cells per dataset together pass
-    rankstats._CELL_CAP are refused before the pool starts.
+    is taken to be B·n·max(m, width) floats.  Threads whose lattices of
+    `cells` cells per dataset together pass rankstats._CELL_CAP are
+    refused before the pool starts.
     """
-    slices = blocks(cfg.replications, 8 * cfg.n * max(cfg.m, len(cfg.grid)))
+    slices = blocks(cfg.replications, 8 * cfg.n * max(cfg.m, width))
     workers = min(cfg.threads, len(slices))
     if cells <= rankstats._CELL_CAP < workers * cells:
         raise ValueError(f"--threads {cfg.threads} builds {workers} lattices of {cells} "
@@ -174,37 +180,50 @@ def _covariance_report(values: np.ndarray, theoretical: np.ndarray) -> Covarianc
     )
 
 
-def _simulate_covariance(cfg: SimConfig, family, process) -> CovarianceReport:
-    """Empirical covariance on the grid of process(X, grid), a (B, n, m)
-    block of samples to its (B, G) process values, versus the Green kernel
-    of the family.  The R x G values are all kept: above
+def _simulate_covariance(cfg: SimConfig, family, points: np.ndarray, process,
+                         width: int) -> CovarianceReport:
+    """Empirical covariance at the lattice points of process, a (B, n, m)
+    block of samples to its (B, G) values there, versus the Green kernel
+    of the family; process's largest temporary is `width` floats per
+    observation.  The R x G values are all kept: above
     rankstats._CELL_CAP of them the run is refused before anything is
     drawn."""
-    if not cfg.grid:
-        raise ValueError("config must include a grid")
-    values = cfg.replications * len(cfg.grid)
+    values = cfg.replications * len(points)
     if values > rankstats._CELL_CAP:
-        raise ValueError(f"--R {cfg.replications} replications on {len(cfg.grid)} grid points "
+        raise ValueError(f"--R {cfg.replications} replications on {len(points)} grid points "
                          f"keep {values} process values, above the cap of "
                          f"{rankstats._CELL_CAP}; reduce --R or grid_n")
-    grid = np.asarray(cfg.grid, dtype=float)
-    theo = green_kernel(family).cross(grid, grid)
-    vals = _replication_values(cfg, lambda X: process(X, grid))
-    return _covariance_report(vals, theo)
+    theo = green_kernel(family).cross(points, points)
+    return _covariance_report(_replication_values(cfg, process, width=width), theo)
+
+
+def _lattice(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    if cfg.grid_n is None:
+        raise ValueError("config must include grid_n, the lattice nodes per axis")
+    return interior_lattice(cfg.m, cfg.grid_n)
 
 
 def simulate_null_covariance(cfg: SimConfig) -> CovarianceReport:
-    """Empirical covariance of the known-margins process on the grid versus
-    the Green kernel of the matching family."""
+    """Empirical covariance of the known-margins process on the lattice
+    versus the Green kernel of the matching family; the process is
+    counted point by point, from (B, G, n) comparisons."""
     if cfg.V is None:
         raise ValueError("config must specify V")
-    return _simulate_covariance(cfg, family_for_known_margins(cfg.V, cfg.m),
-                                lambda X, grid: rankstats.batch_process_W(X, grid, cfg.V))
+    _, points = _lattice(cfg)
+    return _simulate_covariance(cfg, family_for_known_margins(cfg.V, cfg.m), points,
+                                lambda X: rankstats.batch_process_W(X, points, cfg.V),
+                                len(points))
 
 
 def simulate_tied_down_covariance(cfg: SimConfig) -> CovarianceReport:
-    """Empirical covariance of the tied-down process versus the pillow kernel."""
-    return _simulate_covariance(cfg, all_nonempty_family(cfg.m), rankstats.batch_tied_down)
+    """Empirical covariance of the tied-down process on the lattice versus
+    the pillow kernel; the process is built from per-axis factors, whose
+    Kronecker product over m - 1 axes is the largest temporary."""
+    axes, points = _lattice(cfg)
+    g = cfg.grid_n
+    return _simulate_covariance(cfg, all_nonempty_family(cfg.m), points,
+                                lambda X: rankstats.batch_tied_down(X, axes),
+                                g ** (cfg.m - 1) + g)
 
 
 def sample_gaussian_field(kernel: GreenKernel, grid, count: int, seed: int) -> np.ndarray:

@@ -27,17 +27,19 @@ Huybrechs & Vandewalle 2014), which stay finite at any n where the
 product of node differences underflows, and the negative row sum on the
 diagonal, so constants differentiate to zero.
 
-`node_ladder` chooses the nodes of an integral given as a function of the
-node count.  With an explicit count it evaluates that count alone.  With
-none it climbs the rungs of `ladder_rungs(m)`: 2 and 3 nodes per axis,
-then the halvings of the table count above 3, up to the table count, and
-stops at the first two consecutive rungs that agree to `LADDER_RTOL`
-relative and are not both exactly zero (Gauss-Legendre with n nodes is
+`node_ladder` chooses the nodes of an integral given as its rule, node
+values and weights, as a function of the node count.  With an explicit
+count it evaluates that count alone.  With none it climbs the rungs of
+`ladder_rungs(m)`: 2 and 3 nodes per axis, then the halvings of the table
+count above 3, up to the table count, and stops at the first two
+consecutive rungs that agree to `LADDER_RTOL` of the larger absolute sum
+sum |w_i v_i|, the scale of their rounding, and whose absolute sums are
+not both exactly zero (Gauss-Legendre with n nodes is
 exact for degree 2n - 1 per axis, so a direction of degree <= 3 per axis
-with a nonzero integral stops at the 3-point rung); without agreement it
-returns the table count's value.  Two zero rungs are not agreement: a
+stops at the 3-point rung); without agreement it returns the table
+count's value.  Two rungs with no nonzero term are not agreement: a
 direction supported between the nodes of both, such as a bump on
-[0.55, 0.75]^m, is zero on each and climbs on.  Agreement of two rungs is
+[0.55, 0.75]^m, is zero at each node and climbs on.  Agreement of two rungs is
 evidence, not proof: an integrand crafted to agree on them fools the
 ladder, as any integrand that vanishes at the table's nodes fools the
 table alone.
@@ -54,11 +56,13 @@ import numpy as np
 # budget the node values and weights take 64 MiB
 MAX_EVALUATIONS = 2 ** 22
 # two consecutive rungs of `node_ladder` agree when they differ by at most
-# this much relative to the larger of the two, and that one is not zero
+# this much relative to the larger of their absolute sums, which is not zero
 LADDER_RTOL = 1e-13
 # bytes of the largest temporary of one block, read by `blocks` alone: a
-# block's few temporaries then stay within a core's L2 cache (at 1 MiB the
-# tied-down process cost up to twice as much per replication)
+# block's few temporaries then stay within a core's L2 cache (`tiedcov` at
+# n = 100, R = 1000 and grid_n = 4 at m = 2 or 3 at m = 3, on a 2-CPU
+# x86-64 box: 1 MiB blocks within 10% of this speed, 64 KiB ones 1.3-1.4x
+# slower)
 _BLOCK_BYTES = 1 << 18
 
 
@@ -177,28 +181,35 @@ def ladder_rungs(m: int) -> tuple[int, ...]:
     return tuple(sorted({2, 3} | {top >> k for k in range(top.bit_length()) if top >> k > 3}))
 
 
-def node_ladder(integral_at, m: int, nodes: int | None = None) -> float:
-    """An integral over I^m given as `integral_at(n)`, a function of the
-    nodes per axis.
+def node_ladder(rule_at, m: int, nodes: int | None = None) -> float:
+    """An integral over I^m given as `rule_at(n)`, the node values and the
+    weights of its rule with n nodes per axis, whose dot product it is.
 
     With `nodes` given, that count is validated and evaluated alone.  With
     `nodes` None, `default_nodes(m)` is validated before any evaluation,
     then the rungs of `ladder_rungs(m)` are evaluated in increasing order up
-    to the first consecutive pair a, b with
-    |I_b - I_a| <= LADDER_RTOL * max(|I_a|, |I_b|) and max(|I_a|, |I_b|) > 0,
-    and I_b is returned; if no pair agrees, the top rung's value is.
+    to the first consecutive pair a, b with |I_b - I_a| <= LADDER_RTOL *
+    max(S_a, S_b) and max(S_a, S_b) > 0, S = sum |w_i v_i| the rung's
+    absolute sum, and I_b is returned; if no pair agrees, the top rung's
+    value is.  S bounds the rounding of I, so terms that cancel do not make
+    two rungs that agree in every digit they hold look apart.
     """
     top = nodes_per_axis(m, nodes)
     if nodes is not None:
-        return integral_at(top)
+        return _rung(*rule_at(top))[0]
     rungs = ladder_rungs(m)
-    prev = integral_at(rungs[0])
+    prev, prev_abs = _rung(*rule_at(rungs[0]))
     for n in rungs[1:]:
-        value = integral_at(n)
-        scale = max(abs(prev), abs(value))
+        value, total_abs = _rung(*rule_at(n))
+        scale = max(prev_abs, total_abs)
         if n == top or 0.0 < scale and abs(value - prev) <= LADDER_RTOL * scale:
             return value
-        prev = value
+        prev, prev_abs = value, total_abs
+
+
+def _rung(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """A rule's integral and its absolute sum."""
+    return float(values @ weights), float(np.abs(values) @ np.abs(weights))
 
 
 def tensor_weights(w, m: int) -> np.ndarray:
@@ -242,6 +253,13 @@ def block_integral(g, m: int, n: int | None = None) -> float:
     `default_nodes(m)`): `node_values` dotted with `tensor_weights`."""
     x, w = unit_rule(nodes_per_axis(m, n))
     return float(node_values(g, x, m) @ tensor_weights(w, m))
+
+
+def cube_rule(f, m: int, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A scalar point callable's values at the tensor Gauss-Legendre nodes on
+    I^m, n per axis (default `default_nodes(m)`), and the rule's weights."""
+    x, w = unit_rule(nodes_per_axis(m, n))
+    return node_values(lambda P: point_values(f, P), x, m), tensor_weights(w, m)
 
 
 def cube_integral(f, m: int, n: int | None = None) -> float:

@@ -56,28 +56,30 @@ def as_batch(data) -> np.ndarray:
 def batch_ranks(data) -> np.ndarray:
     """Column-wise ranks of every dataset of a (B, n, m) batch, as (B, n, m).
 
-    One argsort along the observations of all B·m columns.  Ties and NaN
-    are refused for the first dataset that has either, with the message
-    `ranks` gives for that dataset alone.
+    One argsort of the B·m columns made rows, and one flat index of their
+    sorted order: a take of the sorted values, which the tie and NaN
+    checks read, and a scatter of 1..n.  Ties and NaN are refused for the
+    first dataset that has either, with the message `ranks` gives for that
+    dataset alone.
     """
     X = as_batch(data)
     B, n, m = X.shape
-    # every column made contiguous as a row; ties are refused below, so
-    # the order among equal values never matters
-    Xt = np.ascontiguousarray(X.transpose(0, 2, 1))
-    order = np.argsort(Xt, axis=2)
-    batch, cols = np.arange(B)[:, None, None], np.arange(m)[:, None]
-    S = Xt[batch, cols, order]
-    nan = np.isnan(S[:, :, -1:]).any(axis=2)  # argsort puts NaN last
+    # ties are refused below, so the order among equal values never matters
+    rows = np.ascontiguousarray(X.transpose(0, 2, 1)).reshape(-1)
+    flat = np.argsort(rows.reshape(B * m, n), axis=1)
+    flat += np.arange(0, B * m * n, n)[:, None]
+    flat = flat.reshape(-1)
+    S = rows.take(flat).reshape(B, m, n)
+    nan = np.isnan(S[:, :, -1])  # argsort puts NaN last
     tied = (S[:, :, 1:] == S[:, :, :-1]).any(axis=2)
     if nan.any() or tied.any():
         b = int(np.argmax((nan | tied).any(axis=1)))
         if nan[b].any():
             raise ValueError("dataset contains NaN")
         raise ValueError(f"ties detected in column {int(np.argmax(tied[b])) + 1}")
-    R = np.empty((B, n, m), dtype=np.int64)
-    R.transpose(0, 2, 1)[batch, cols, order] = np.arange(1, n + 1)
-    return R
+    R = np.empty((B, m, n), dtype=np.int64)
+    R.reshape(-1)[flat] = np.tile(np.arange(1, n + 1), B * m)
+    return np.ascontiguousarray(R.transpose(0, 2, 1))
 
 
 def ranks(data) -> np.ndarray:
@@ -119,18 +121,27 @@ def batch_process_W(X: np.ndarray, grid: np.ndarray, V: int) -> np.ndarray:
     return np.sqrt(n) * (np.count_nonzero(joint, axis=2) / n - prod)
 
 
-def batch_tied_down(X: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """The tied-down process at every point of a (G, m) grid, for every
-    dataset of a (B, n, m) batch in the unit cube, as (B, G).
+def batch_tied_down(X: np.ndarray, axes) -> np.ndarray:
+    """The tied-down process at every point of the tensor lattice of the
+    per-axis nodes `axes` (m ascending 1-D arrays), for every dataset of a
+    (B, n, m) batch in the unit cube, as (B, G) in lattice order, the last
+    axis fastest.
 
-    The factors 1{X_ij <= x_j} - x_j are multiplied in axis order and the
-    products summed in observation order.
+    The factors 1{X_ij <= c} - c of axis j are a (B, n, g_j) array, built
+    when they are used: their row-wise Kronecker product over the first
+    m - 1 axes is contracted with the last axis's factors over the
+    observations in one batched matmul, O(n·G) per dataset.
     """
     n, m = X.shape[1:]
-    terms = (X[:, :, None, 0] <= grid[:, 0]) - grid[:, 0]
-    for j in range(1, m):
-        terms *= (X[:, :, None, j] <= grid[:, j]) - grid[:, j]
-    return terms.sum(axis=1) / np.sqrt(n)
+
+    def factors(j: int) -> np.ndarray:
+        return (X[:, :, j, None] <= axes[j]) - axes[j]
+
+    K = factors(0)
+    for j in range(1, m - 1):
+        K = (K[:, :, :, None] * factors(j)[:, :, None, :]).reshape(len(X), n, -1)
+    T = np.matmul(K.transpose(0, 2, 1), factors(m - 1))
+    return T.reshape(len(X), -1) / np.sqrt(n)
 
 
 def _one_point(data, x) -> tuple[np.ndarray, np.ndarray]:
@@ -151,8 +162,10 @@ def empirical_process_W(data, V: int, x) -> float:
 
 
 def tied_down_process(data, x) -> float:
-    """n^{-1/2} sum_i prod_j (1{X_ij <= x_j} - x_j)."""
-    return float(batch_tied_down(*_one_point(data, x))[0, 0])
+    """n^{-1/2} sum_i prod_j (1{X_ij <= x_j} - x_j): `batch_tied_down` on
+    the one-node lattice ([x_1], ..., [x_m])."""
+    X, point = _one_point(data, x)
+    return float(batch_tied_down(X, point.T)[0, 0])
 
 
 def _split_V(V: int, m: int):
@@ -460,12 +473,13 @@ def statistic(name: str, X, V: int, p: int, grid_n: int | None) -> float:
 def load_csv(path) -> np.ndarray:
     """Load an n x m dataset from CSV.
 
-    A `#` starts a comment, as in np.loadtxt.  A line with nothing but
-    whitespace once its comment is stripped is blank, and the first line
-    that is not blank is a header when it is not all numbers.  A file with
-    no data row after that is refused with ValueError before numpy reads
-    it."""
-    with open(path) as fh:
+    The file is read as UTF-8, a leading byte-order mark dropped.  A `#`
+    starts a comment, as in np.loadtxt.  A line with nothing but
+    whitespace once its comment is stripped is blank, wherever it is, and
+    the first line that is not blank is a header when it is not all
+    numbers.  A file with no data row after that is refused with
+    ValueError before numpy reads it."""
+    with open(path, encoding="utf-8-sig") as fh:
         rows = ((i, row) for i, line in enumerate(fh)
                 if (row := line.split("#", 1)[0].strip()))
         i, first = next(rows, (0, None))
@@ -477,5 +491,12 @@ def load_csv(path) -> np.ndarray:
             first = next(rows, (0, None))[1]
     if first is None:
         raise ValueError(f"the input {str(path)!r} has no data rows")
-    X = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    try:
+        X = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, encoding="utf-8-sig")
+    except ValueError:
+        # np.loadtxt skips empty lines but refuses whitespace-only ones: read
+        # again with every blank line emptied (an error of the data stays)
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = [line if line.split("#", 1)[0].strip() else "" for line in fh]
+        X = np.loadtxt(lines, delimiter=",", skiprows=skip, ndmin=2)
     return as_dataset(X)

@@ -211,17 +211,14 @@ def test_06_slope_equivalence(report):
 
 def test_07_covariance_at_desk_scale(report):
     t0 = time.perf_counter()
-    axis = (0.2, 0.4, 0.6, 0.8)
-    grid2 = tuple((a, b) for a in axis for b in axis)
+    # the interior lattices (0.2, 0.4, 0.6, 0.8)^2 and (0.25, 0.5, 0.75)^3
     devs = {}
     for label, V in (("W V=M", 0b11), ("W V=empty", 0)):
-        cfg = SimConfig(seed=SEED, n=400, replications=5000, m=2, V=V, grid=grid2)
+        cfg = SimConfig(seed=SEED, n=400, replications=5000, m=2, V=V, grid_n=4)
         devs[label] = simulate_null_covariance(cfg).max_dev_in_se
-    cfg = SimConfig(seed=SEED, n=400, replications=5000, m=2, grid=grid2)
+    cfg = SimConfig(seed=SEED, n=400, replications=5000, m=2, grid_n=4)
     devs["tied m=2"] = simulate_tied_down_covariance(cfg).max_dev_in_se
-    axis3 = (0.25, 0.5, 0.75)
-    grid3 = tuple((a, b, c) for a in axis3 for b in axis3 for c in axis3)
-    cfg = SimConfig(seed=SEED, n=400, replications=5000, m=3, grid=grid3)
+    cfg = SimConfig(seed=SEED, n=400, replications=5000, m=3, grid_n=3)
     devs["tied m=3"] = simulate_tied_down_covariance(cfg).max_dev_in_se
     elapsed = time.perf_counter() - t0
     ok = max(devs.values()) <= 4.0 and elapsed < 480.0
@@ -338,14 +335,13 @@ def test_10_exact_statistic_oracles(report):
 
 def test_11_thread_determinism(report):
     t0 = time.perf_counter()
-    grid = ((0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75))
     ok = True
     covs = [simulate_null_covariance(SimConfig(
-        seed=SEED, n=100, replications=400, m=2, V=0, grid=grid, threads=t))
+        seed=SEED, n=100, replications=400, m=2, V=0, grid_n=2, threads=t))
         for t in (1, 4, 8)]
     ok &= all(np.array_equal(covs[0].empirical, c.empirical) for c in covs[1:])
     tieds = [simulate_tied_down_covariance(SimConfig(
-        seed=SEED, n=100, replications=400, m=2, grid=grid, threads=t))
+        seed=SEED, n=100, replications=400, m=2, grid_n=2, threads=t))
         for t in (1, 4, 8)]
     ok &= all(np.array_equal(tieds[0].empirical, c.empirical) for c in tieds[1:])
     dists = [null_distribution(SimConfig(

@@ -320,7 +320,8 @@ class TestSimulateCommand:
         def no_grid(*args):
             raise AssertionError("nulldist built an interior grid")
 
-        monkeypatch.setattr(cli, "_interior_grid", no_grid)
+        monkeypatch.setattr(cli, "interior_lattice", no_grid)
+        monkeypatch.setattr(montecarlo, "interior_lattice", no_grid)
         argv = ["simulate", "--mode", "nulldist", "--stat", "Bhat", "--p", "2", "--m", "2",
                 "--n", "30", "--R", "100", "--seed", "5"]
         rep = run_json(capsys, *argv, "--grid-n", "8")
@@ -347,17 +348,6 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", *argv)
         assert code == 2 and out == ""
         assert "reduce grid_n" in err
-
-    def test_interior_grid_at_the_cap(self):
-        # 2^12 points: 2^24 kernel entries are accepted, 2^13 points are not
-        pts = cli._interior_grid(12, 2)
-        assert len(pts) == 4096 and pts[0] == (1 / 3,) * 12 and pts[1][-1] == 2 / 3
-        with pytest.raises(ValueError, match="kernel entries"):
-            cli._interior_grid(13, 2)
-
-    def test_interior_grid_order(self):
-        assert cli._interior_grid(2, 2) == ((1 / 3, 1 / 3), (1 / 3, 2 / 3),
-                                            (2 / 3, 1 / 3), (2 / 3, 2 / 3))
 
     @pytest.mark.parametrize("threads", ["0", "-1", str(10**6)])
     def test_threads_out_of_range(self, capsys, monkeypatch, threads):

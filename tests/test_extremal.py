@@ -376,6 +376,17 @@ class TestSlopes:
         assert dep.fn(np.r_[0.3, 0.6, np.ones(m - 2)]) != 0.0
         assert pitman_slope_bhat(m, dep) == pytest.approx(C * C / 3.0 ** m, rel=2e-12)
 
+    def test_bhat_slope_of_the_spearman_direction_stops_at_three_nodes(self):
+        # the drift cancels terms 24 337 times larger at m = 6: rungs 2 and 3
+        # agree relative to sum |w v|, though not relative to the drift
+        dep = spearman_optimal_direction(6, normalize=True)
+        fn, calls = counted(dep.fn)
+        got = pitman_slope_bhat(6, DependenceFunction(fn=fn))
+        assert calls[0] <= 3 ** 6 + 4 ** 6 == 4825
+        # the 6-node table rule's value with the bracket evaluated as written,
+        # prod (2 - x_j) + sum x_j - (m + 1)
+        assert got == pytest.approx(0.8193616244204626, rel=1e-11)
+
     def test_bhat_slope_budget_counts_the_appended_node(self):
         # each rule has n + 1 nodes per axis: refused before any call where
         # n^m fits the budget and (n + 1)^m does not (the default 5 nodes at

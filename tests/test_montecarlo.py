@@ -11,6 +11,7 @@ from cubegreen.montecarlo import (
     MAX_THREADS,
     SimConfig,
     check_grid_size,
+    interior_lattice,
     null_distribution,
     sample_gaussian_field,
     simulate_null_covariance,
@@ -18,23 +19,16 @@ from cubegreen.montecarlo import (
     substream,
 )
 
-GRID2 = ((0.25, 0.5), (0.5, 0.25), (0.75, 0.75))
-GRID3 = ((0.25, 0.5, 0.75), (0.5, 0.5, 0.5), (0.75, 0.25, 0.5))
-
 
 class TestConfig:
     def test_rejects_few_replications(self):
         with pytest.raises(ValueError):
             SimConfig(seed=1, n=10, replications=50, m=2)
 
-    def test_rejects_boundary_grid(self):
-        with pytest.raises(ValueError):
-            SimConfig(seed=1, n=10, replications=100, m=2, grid=((0.0, 0.5),))
-
-    def test_rejects_duplicate_grid(self):
-        with pytest.raises(ValueError):
-            SimConfig(seed=1, n=10, replications=100, m=2,
-                      grid=((0.5, 0.5), (0.5, 0.5)))
+    @pytest.mark.parametrize("grid_n", [0, 2.5, True])
+    def test_rejects_grid_n_not_a_count(self, grid_n):
+        with pytest.raises(ValueError, match="grid_n must be an integer >= 1"):
+            SimConfig(seed=1, n=10, replications=100, m=2, grid_n=grid_n)
 
     def test_rejects_bad_V(self):
         with pytest.raises(ValueError):
@@ -60,9 +54,30 @@ class TestConfig:
         check_grid_size(5792)
         with pytest.raises(ValueError, match="5793 points"):
             check_grid_size(5793)
-        grid = tuple((0.5, (i + 1) / 5794) for i in range(5793))
-        with pytest.raises(ValueError, match="reduce grid_n"):
-            SimConfig(seed=1, n=10, replications=100, m=2, grid=grid)
+        # at m = 2, 76^2 = 5776 points are within the cap and 77^2 = 5929 are not
+        assert SimConfig(seed=1, n=10, replications=100, m=2, grid_n=76).grid_n == 76
+        with pytest.raises(ValueError, match="5929 points.*reduce grid_n"):
+            SimConfig(seed=1, n=10, replications=100, m=2, grid_n=77)
+
+    def test_interior_lattice(self):
+        axes, points = interior_lattice(2, 2)
+        assert np.array_equal(axes, [[1 / 3, 2 / 3]] * 2)
+        assert points.tolist() == [[1 / 3, 1 / 3], [1 / 3, 2 / 3],
+                                   [2 / 3, 1 / 3], [2 / 3, 2 / 3]]
+        # the same floats as the lattices written out by hand
+        axis = (0.2, 0.4, 0.6, 0.8)
+        assert interior_lattice(2, 4)[1].tolist() == [[a, b] for a in axis for b in axis]
+        axis = (0.25, 0.5, 0.75)
+        assert interior_lattice(3, 3)[1].tolist() == [
+            [a, b, c] for a in axis for b in axis for c in axis]
+
+    def test_interior_lattice_at_the_cap(self):
+        # 2^12 points: 2^24 kernel entries are accepted, 2^13 points are not
+        axes, points = interior_lattice(12, 2)
+        assert axes.shape == (12, 2) and points.shape == (4096, 12)
+        assert points[0].tolist() == [1 / 3] * 12 and points[1, -1] == 2 / 3
+        with pytest.raises(ValueError, match="kernel entries"):
+            interior_lattice(13, 2)
 
     def test_covariance_requires_grid(self):
         cfg = SimConfig(seed=1, n=10, replications=100, m=2, V=0)
@@ -140,7 +155,7 @@ class TestReplicationBlocks:
         assert built == [6 << 64] * 15
 
     def test_block_size_does_not_change_results(self, monkeypatch):
-        cfg = SimConfig(seed=8, n=30, replications=150, m=3, grid=GRID3)
+        cfg = SimConfig(seed=8, n=30, replications=150, m=3, grid_n=2)
         reps = [simulate_tied_down_covariance(cfg)]
         monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 1)
         reps.append(simulate_tied_down_covariance(cfg))
@@ -170,19 +185,18 @@ class TestStandardErrors:
 
 class TestCovarianceSimulations:
     def test_known_margins_covariance_within_bands(self):
-        cfg = SimConfig(seed=11, n=300, replications=2000, m=2, V=0b11,
-                        grid=GRID2)
+        cfg = SimConfig(seed=11, n=300, replications=2000, m=2, V=0b11, grid_n=2)
         rep = simulate_null_covariance(cfg)
         assert rep.max_dev_in_se < 4.0
         assert np.allclose(rep.theoretical, rep.theoretical.T)
 
     def test_tied_down_covariance_within_bands(self):
-        cfg = SimConfig(seed=12, n=300, replications=2000, m=2, grid=GRID2)
+        cfg = SimConfig(seed=12, n=300, replications=2000, m=2, grid_n=2)
         rep = simulate_tied_down_covariance(cfg)
         assert rep.max_dev_in_se < 4.0
         pillow = green_kernel(all_nonempty_family(2))
-        assert np.allclose(rep.theoretical,
-                           pillow.cross(GRID2, GRID2))
+        points = interior_lattice(2, 2)[1]
+        assert np.allclose(rep.theoretical, pillow.cross(points, points))
 
     def test_deviation_shrinks_with_sample_size(self):
         # at n = 8 the O(1/n) bias of the estimated-margins process
@@ -190,21 +204,21 @@ class TestCovarianceSimulations:
         wins = 0
         for seed in range(10):
             small = simulate_null_covariance(SimConfig(
-                seed=seed, n=8, replications=1500, m=2, V=0, grid=GRID2))
+                seed=seed, n=8, replications=1500, m=2, V=0, grid_n=2))
             large = simulate_null_covariance(SimConfig(
-                seed=seed, n=1000, replications=1500, m=2, V=0, grid=GRID2))
+                seed=seed, n=1000, replications=1500, m=2, V=0, grid_n=2))
             wins += large.max_abs_dev <= small.max_abs_dev
         assert wins >= 8
 
     def test_bit_identical_across_threads(self):
         reps = [simulate_null_covariance(SimConfig(
-            seed=5, n=80, replications=400, m=2, V=0b01, grid=GRID2,
+            seed=5, n=80, replications=400, m=2, V=0b01, grid_n=2,
             threads=t)) for t in (1, 4)]
         assert np.array_equal(reps[0].empirical, reps[1].empirical)
         assert reps[0].max_dev_in_se == reps[1].max_dev_in_se
 
     def test_empirical_covariance_psd(self):
-        cfg = SimConfig(seed=3, n=100, replications=500, m=2, V=0, grid=GRID2)
+        cfg = SimConfig(seed=3, n=100, replications=500, m=2, V=0, grid_n=2)
         rep = simulate_null_covariance(cfg)
         assert np.linalg.eigvalsh(rep.empirical).min() >= -1e-10
 

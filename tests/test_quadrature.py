@@ -9,6 +9,7 @@ from cubegreen.quadrature import (
     MAX_EVALUATIONS,
     block_integral,
     cube_integral,
+    cube_rule,
     default_nodes,
     diff_matrix,
     ladder_rungs,
@@ -218,7 +219,7 @@ def test_ladder_stops_at_the_first_agreeing_rungs(m):
     # degree 3 per axis: the 2- and 3-point rules are both exact
     h = lambda p: float(np.prod(p ** 3 - p + 0.5))
     f, calls = counting(h)
-    value = node_ladder(lambda k: cube_integral(f, m, k), m)
+    value = node_ladder(lambda k: cube_rule(f, m, k), m)
     assert len(calls) == 2 ** m + 3 ** m
     assert value == cube_integral(h, m, 3)
     assert abs(value - cube_integral(h, m, 2)) <= LADDER_RTOL * abs(value)
@@ -228,7 +229,7 @@ def test_ladder_stops_at_the_first_agreeing_rungs(m):
 @pytest.mark.parametrize("m", range(2, 6))
 def test_ladder_without_agreement_is_the_table_rule(m):
     f, calls = counting(lambda p: float(np.prod(np.sin(7.0 * p))))
-    value = node_ladder(lambda k: cube_integral(f, m, k), m)
+    value = node_ladder(lambda k: cube_rule(f, m, k), m)
     top = default_nodes(m)
     assert value == cube_integral(f, m, top)
     assert len(calls) == sum(k ** m for k in ladder_rungs(m)) + top ** m
@@ -245,50 +246,69 @@ def test_ladder_climbs_past_two_zero_rungs(m):
     f = lambda p: float(np.prod(bump(p)))
     assert cube_integral(f, m, 2) == cube_integral(f, m, 3) == 0.0
     top = default_nodes(m)
-    value = node_ladder(lambda k: cube_integral(f, m, k), m)
+    value = node_ladder(lambda k: cube_rule(f, m, k), m)
     assert value == cube_integral(f, m, top) > 0.0
 
 
 def test_ladder_agreement_edge():
-    # scripted rung values: each rung returns the next one
+    # scripted rungs: each rung is the next value, as a rule of one node
     def scripted(values):
         seen = []
 
-        def integral_at(n):
+        def rule_at(n):
             seen.append(n)
-            return values[len(seen) - 1]
+            return np.array([values[len(seen) - 1]]), np.ones(1)
 
-        return integral_at, seen
+        return rule_at, seen
 
     one = 1.0
     at_tol = one + LADDER_RTOL  # |I_b - I_a| <= tol * max(|I_a|, |I_b|)
     assert at_tol - one <= LADDER_RTOL * at_tol
-    integral_at, seen = scripted([5.0, one, at_tol, 7.0, 8.0])
-    assert node_ladder(integral_at, 4) == at_tol
+    rule_at, seen = scripted([5.0, one, at_tol, 7.0, 8.0])
+    assert node_ladder(rule_at, 4) == at_tol
     assert seen == [2, 3, 6]
     above = one + 4.0 * LADDER_RTOL
     # two zero rungs are not agreement: the ladder climbs to the top
-    integral_at, seen = scripted([one, above, 0.0, 0.0, 5.0])
-    assert node_ladder(integral_at, 2) == 5.0
+    rule_at, seen = scripted([one, above, 0.0, 0.0, 5.0])
+    assert node_ladder(rule_at, 2) == 5.0
     assert seen == [2, 3, 6, 12, 24]
-    integral_at, seen = scripted([0.0, 0.0, 5.0, 5.0, 7.0])
-    assert node_ladder(integral_at, 2) == 5.0
+    rule_at, seen = scripted([0.0, 0.0, 5.0, 5.0, 7.0])
+    assert node_ladder(rule_at, 2) == 5.0
     assert seen == [2, 3, 6, 12]
-    integral_at, seen = scripted([one, above, 3.0, 4.0])
-    assert node_ladder(integral_at, 4) == 4.0
+    rule_at, seen = scripted([one, above, 3.0, 4.0])
+    assert node_ladder(rule_at, 4) == 4.0
     assert seen == [2, 3, 6, 12]
-    integral_at, seen = scripted([float("nan")] * 5)
-    assert np.isnan(node_ladder(integral_at, 2)) and seen == [2, 3, 6, 12, 24]
+    rule_at, seen = scripted([float("nan")] * 5)
+    assert np.isnan(node_ladder(rule_at, 2)) and seen == [2, 3, 6, 12, 24]
+
+
+def test_ladder_agreement_is_relative_to_the_absolute_sum():
+    # I = 1 + d from the terms 1000, 1 + d and -1000: sum |w v| is about 2001
+    def scripted(*ds):
+        seen = []
+
+        def rule_at(n):
+            seen.append(n)
+            return np.array([1000.0, 1.0 + ds[len(seen) - 1], -1000.0]), np.ones(3)
+
+        return rule_at, seen
+
+    # 2e-11 apart: within 1e-13 of the absolute sum, though not of |I|
+    rule_at, seen = scripted(0.0, 2e-11, 1.0, 1.0, 1.0)
+    assert abs(node_ladder(rule_at, 2) - 1.0) < 1e-10 and seen == [2, 3]
+    # 1e-9 apart: beyond it, so the ladder climbs to the top
+    rule_at, seen = scripted(0.0, 1e-9, 2e-9, 3e-9, 4e-9)
+    assert abs(node_ladder(rule_at, 2) - 1.0) < 1e-8 and seen == [2, 3, 6, 12, 24]
 
 
 @pytest.mark.parametrize("m, n", [(2, 5), (3, 2), (4, 3), (5, 4)])
 def test_explicit_nodes_evaluate_that_rule_alone(m, n):
     h = lambda p: float(np.prod(p ** 3 - p + 0.5))
     f, calls = counting(h)
-    value = node_ladder(lambda k: cube_integral(f, m, k), m, n)
+    value = node_ladder(lambda k: cube_rule(f, m, k), m, n)
     assert len(calls) == n ** m
     assert value == cube_integral(h, m, n)
-    assert node_ladder(lambda k: float(k), m, np.int64(n)) == float(n)
+    assert node_ladder(lambda k: (np.array([float(k)]), np.ones(1)), m, np.int64(n)) == float(n)
 
 
 def test_ladder_refuses_before_any_evaluation():

@@ -500,16 +500,21 @@ class TestBatchForms:
             assert np.array_equal(R[b], loop_ranks(X[b]))
             assert np.array_equal(ranks(X[b]), R[b])
 
-    @pytest.mark.parametrize("G", [1, 2, 9])
-    def test_processes_equal_pointwise_loops(self, G):
-        for n, m in ((1, 2), (40, 2), (300, 3)):
-            X = RNG.random((4, n, m))
-            grid = RNG.random((G, m))
-            T = batch_tied_down(X, grid)
+    @pytest.mark.parametrize("most", [1, 2, 4])
+    def test_processes_equal_pointwise_loops(self, most):
+        for n, m in ((1, 2), (40, 2), (300, 3), (25, 4)):
+            # data and nodes are multiples of 2^-8, data on the nodes included:
+            # every product and sum below is exact, in any order
+            X = RNG.integers(0, 257, size=(4, n, m)) / 256.0
+            axes = [np.sort(RNG.choice(np.arange(1, 256), size=RNG.integers(1, most + 1),
+                                       replace=False)) / 256.0 for _ in range(m)]
+            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+            T = batch_tied_down(X, axes)
+            assert T.shape == (4, len(grid))
             for V in (0, 1, (1 << m) - 1):
                 W = batch_process_W(X, grid, V)
                 for b in range(4):
-                    for g in range(G):
+                    for g in range(len(grid)):
                         x = grid[g]
                         below = X[b] <= x
                         prod = 1.0
@@ -518,11 +523,23 @@ class TestBatchForms:
                         want = np.sqrt(n) * (below.all(axis=1).mean() - prod)
                         assert W[b, g] == want == empirical_process_W(X[b], V, x)
             for b in range(4):
-                # products over the axes, summed over the observations
-                terms = ((X[b][:, None, :] <= grid).astype(float) - grid).prod(axis=2)
-                assert np.array_equal(T[b], terms.sum(axis=0) / np.sqrt(n))
-                assert T[b] == pytest.approx([tied_down_process(X[b], x) for x in grid],
-                                             rel=1e-12, abs=1e-12)
+                # products over the axes, summed in observation order
+                total = np.zeros(len(grid))
+                for i in range(n):
+                    total += ((X[b, i] <= grid) - grid).prod(axis=1)
+                assert np.array_equal(T[b], total / np.sqrt(n))
+                assert T[b].tolist() == [tied_down_process(X[b], x) for x in grid]
+
+    def test_tied_down_process_is_not_the_lattice_code(self, monkeypatch):
+        # perfbench's oracle checks stat_Bhat against tied_down_process as a
+        # separate code path
+        def never(*args, **kwargs):
+            raise AssertionError("the lattice code was called")
+
+        monkeypatch.setattr(rankstats, "_cumcounts", never)
+        monkeypatch.setattr(rankstats, "_tied_down_grid", never)
+        X = RNG.random((15, 3))
+        assert np.isfinite(tied_down_process(X, [0.2, 0.5, 0.9]))
 
     def test_tie_in_one_replication(self):
         X = RNG.random((4, 10, 3))
@@ -597,6 +614,47 @@ class TestCsv:
         path = tmp_path / "data.csv"
         path.write_text("# drawn by hand\n\nu,v # names\n0.1,0.9\n# end\n0.4,0.2\n")
         assert load_csv(path).tolist() == [[0.1, 0.9], [0.4, 0.2]]
+
+    def test_byte_order_mark_with_a_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbfu,v\n0.1,0.9\n0.4,0.2\n")
+        assert load_csv(path).tolist() == [[0.1, 0.9], [0.4, 0.2]]
+
+    def test_byte_order_mark_without_a_header(self, tmp_path):
+        # the mark once made the first data row look like a header
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf0.1,0.2\n0.3,0.4\n0.5,0.7\n0.6,0.8\n")
+        assert load_csv(path).tolist() == [[0.1, 0.2], [0.3, 0.4], [0.5, 0.7], [0.6, 0.8]]
+
+    @pytest.mark.parametrize("text", [
+        "0.1,0.2\n0.3,0.4\n0.5,0.7\n   \n",
+        "  \n0.1,0.2\n0.3,0.4\n0.5,0.7\n",
+        "u,v\n\t\n0.1,0.2\n  # note\n0.3,0.4\r\n \r\n0.5,0.7\n",
+    ])
+    def test_whitespace_only_lines_are_blank(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        assert load_csv(path).tolist() == [[0.1, 0.2], [0.3, 0.4], [0.5, 0.7]]
+
+    def test_a_bad_value_is_still_refused_past_a_blank_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("0.1,0.2\n   \n0.3,x\n")
+        with pytest.raises(ValueError, match="could not convert string 'x'"):
+            load_csv(path)
+
+    def test_one_read_without_whitespace_only_lines(self, tmp_path, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        path = tmp_path / "data.csv"
+        path.write_text("u,v\n0.1,0.2\n\n0.3,0.4 # c\n")
+        assert load_csv(path).tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        assert calls == [path]
 
     @pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n", "u,v\n",
                                       "u,v\n# no rows\n\n"])
