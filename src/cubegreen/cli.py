@@ -13,6 +13,8 @@ Wall-clock time lives only under the "timing" key, the last one (with
 a number was computed (such as power-iteration counts) under
 "diagnostics".  Exit codes: 0 ok, 2 validation error or a computation
 that did not converge, 1 I/O error.
+Every call is a fresh process, so `extremal` and `measures` are imported
+only by the handlers that solve (`lambda`, `solve`, `efficiency`, `eigen`).
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from .families import (
     parse_subset,
 )
 from .kernel import check_unit_cube, compute_coefficients, green_kernel
-from .measures import measure_from_json
-from .extremal import ConvergenceError, efficiency_coefficient, principal_eigenvalue, solve
 from .quadrature import _node_count
 from .montecarlo import (
     SimConfig,
@@ -181,6 +181,9 @@ def _cmd_green_eval(args) -> dict:
 
 def _cmd_solve(args) -> dict:
     """`solve`, and `lambda`: the same report without the omega samples."""
+    from .extremal import solve
+    from .measures import measure_from_json
+
     fam, flag = _resolve_family(args)
     measure = _read_option("--measure", measure_from_json, args.measure, args.m)
     points = [_read_option("--eval-at", _parse_point, text, args.m)
@@ -195,6 +198,9 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_efficiency(args) -> dict:
+    from .extremal import efficiency_coefficient
+    from .measures import measure_from_json
+
     V = _read_option("--V", parse_subset, args.V, args.m)
     fam = family_for_known_margins(V, args.m)
     measure = _read_option("--measure", measure_from_json, args.measure, args.m)
@@ -204,8 +210,14 @@ def _cmd_efficiency(args) -> dict:
 
 
 def _cmd_eigen(args) -> dict:
+    from .extremal import ConvergenceError, principal_eigenvalue
+
     fam, flag = _resolve_family(args)
-    est = principal_eigenvalue(green_kernel(fam), args.grid_n)
+    kern = green_kernel(fam)
+    try:
+        est = principal_eigenvalue(kern, args.grid_n)
+    except ConvergenceError as exc:  # reported like a validation error, exit 2
+        raise ValueError(str(exc)) from None
     return {"config": {"m": args.m, "family": flag,
                        "grid_n": args.grid_n},
             "result": {"value": est.value, "error": est.error,
@@ -234,6 +246,10 @@ def _cmd_stat(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
+    try:
+        _check_dim(args.m)
+    except ValueError as exc:
+        raise ValueError(f"--m: {exc}") from None
     if args.mode == "cov" and args.V is None:
         raise ValueError('--mode cov needs --V, the known margins (--V "" for none)')
     # nulldist hands grid_n to the statistic and builds no interior grid
@@ -365,7 +381,7 @@ def main(argv=None) -> int:
         # timing, with any rate the handler measured, goes last
         report["timing"] = {"seconds": time.perf_counter() - t0, **report.pop("timing", {})}
         _emit(report, args)
-    except (ValueError, ConvergenceError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

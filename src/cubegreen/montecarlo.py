@@ -19,7 +19,6 @@ run serially or across any number of threads.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +149,8 @@ def _replication_values(cfg: SimConfig, fn, cells: int = 0, width: int = 0) -> n
 
     if workers == 1:
         return np.concatenate([run(b) for b in slices])
+    from concurrent.futures import ThreadPoolExecutor  # loaded only by a threaded run
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(run, slices)))
 

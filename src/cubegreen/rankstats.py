@@ -54,7 +54,9 @@ def as_batch(data) -> np.ndarray:
 
 
 def batch_ranks(data) -> np.ndarray:
-    """Column-wise ranks of every dataset of a (B, n, m) batch, as (B, n, m).
+    """Column-wise ranks of every dataset of a (B, n, m) batch, as the
+    (B, n, m) view of a C-ordered (B, m, n) array: each column's ranks are
+    contiguous, and no transposed copy is made.
 
     One argsort of the B·m columns made rows, and one flat index of their
     sorted order: a take of the sorted values, which the tie and NaN
@@ -79,7 +81,7 @@ def batch_ranks(data) -> np.ndarray:
         raise ValueError(f"ties detected in column {int(np.argmax(tied[b])) + 1}")
     R = np.empty((B, m, n), dtype=np.int64)
     R.reshape(-1)[flat] = np.tile(np.arange(1, n + 1), B * m)
-    return np.ascontiguousarray(R.transpose(0, 2, 1))
+    return R.transpose(0, 2, 1)
 
 
 def ranks(data) -> np.ndarray:

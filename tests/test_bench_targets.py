@@ -5,13 +5,18 @@ as (module, attribute, ...), and `perfbench/worker.py`, `deps.py` and
 `oracle.py` call cubegreen directly.  A rename or deletion there would
 only fail the benchmark run, so this test resolves every target and
 every use here, and checks that each keyword the benchmark passes is a
-parameter (or a dataclass field) of its callee.  The files are read, not
-imported, so nothing is written next to them.
+parameter (or a dataclass field) of its callee.  The tracer looks each
+target's module up in sys.modules and imports none, so the modules that
+`worker.py` imports must load every one of them.  The files are read,
+not imported, so nothing is written next to them.
 """
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +92,29 @@ def test_benchmark_use_resolves(where, path, keywords):
         if not any(p.kind is p.VAR_KEYWORD for p in params.values()):
             assert set(keywords) <= set(params), \
                 f"{where}: {path} takes no {sorted(set(keywords) - set(params))}"
+
+
+def _worker_modules() -> list[str]:
+    """The cubegreen modules `perfbench/worker.py` imports, read with ast."""
+    mods = []
+    for node in ast.walk(ast.parse((BENCH / "worker.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "cubegreen":
+            mods += [f"cubegreen.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cubegreen."):
+            mods.append(node.module)
+        elif isinstance(node, ast.Import):
+            mods += [alias.name for alias in node.names if alias.name.startswith("cubegreen")]
+    return mods
+
+
+def test_worker_imports_load_every_traced_module():
+    mods = _worker_modules()
+    assert mods, "worker.py no longer imports cubegreen"
+    code = (f"import importlib, sys\nfor m in {mods!r}: importlib.import_module(m)\n"
+            "sys.stdout.write(' '.join(sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(BENCH.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    loaded = subprocess.run([sys.executable, "-B", "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    targets = {"cubegreen." + mod for mod, _attr in _targets()}
+    assert targets - set(loaded) == set()

@@ -1,11 +1,12 @@
 import argparse
+import concurrent.futures
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from cubegreen import cli, kernel, montecarlo, quadrature, rankstats
+from cubegreen import cli, extremal, kernel, montecarlo, quadrature, rankstats
 from cubegreen.cli import build_parser, main
 from cubegreen.extremal import ConvergenceError
 from cubegreen.families import subsets_of_size, upward_closure
@@ -285,7 +286,7 @@ class TestSimulateCommand:
         # builds (4 + 1)^2 = 25 cells per dataset, and two threads 50
         monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 50 * 8 * 20 * 2)
         monkeypatch.setattr(rankstats, "_CELL_CAP", 40)
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         argv = ["simulate", "--mode", "nulldist", "--stat", "Bhat", "--p", "2", "--grid-n", "4",
                 "--m", "2", "--n", "20", "--R", "100", "--seed", "2"]
         code, out, err = run_cli(capsys, *argv, "--threads", "2")
@@ -354,7 +355,7 @@ class TestSimulateCommand:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         code, out, err = run_cli(capsys, "simulate", "--mode", "nulldist", "--stat", "rho",
                                  "--n", "20", "--R", "100", "--threads", threads)
         assert code == 2 and out == ""
@@ -372,6 +373,23 @@ class TestSimulateCommand:
                                  "--stat", "rho", "--grid-n", grid_n)
         assert code == 2 and out == ""
         assert err == f"error: --grid-n must be an integer >= 1, got {grid_n}\n"
+
+    @pytest.mark.parametrize("mode", ["cov", "tiedcov", "field", "nulldist"])
+    @pytest.mark.parametrize("m", ["1", "17", "100000"])
+    def test_m_out_of_range_refused_naming_it(self, capsys, monkeypatch, mode, m):
+        def built(*args, **kwargs):
+            raise AssertionError("something was built or drawn")
+
+        for name in ("_uniform_block", "substream", "interior_lattice"):
+            monkeypatch.setattr(montecarlo, name, built)
+        monkeypatch.setattr(cli, "interior_lattice", built)
+        monkeypatch.setattr(cli, "SimConfig", built)
+        # cov needs --V; an m out of range is not blamed on it
+        V = ["--V", "{1}"] if mode == "cov" else []
+        code, out, err = run_cli(capsys, "simulate", "--mode", mode, "--m", m, *V,
+                                 "--stat", "rho", "--n", "20", "--R", "100")
+        assert code == 2 and out == ""
+        assert err == f"error: --m: dimension must be an integer in [2, 16], got {m}\n"
 
     @pytest.mark.parametrize("mode", ["cov", "tiedcov"])
     def test_replications_times_grid_refused_before_drawing(self, capsys, monkeypatch, mode):
@@ -439,7 +457,7 @@ class TestErrorHandling:
     def test_power_iteration_failure(self, capsys, monkeypatch):
         def fail(kernel, grid_n):
             raise ConvergenceError("power iteration did not converge")
-        monkeypatch.setattr(cli, "principal_eigenvalue", fail)
+        monkeypatch.setattr(extremal, "principal_eigenvalue", fail)
         code, out, err = run_cli(capsys, "eigen", "--family-all", "--m", "2")
         assert code == 2 and out == ""
         assert err == "error: power iteration did not converge\n"
@@ -644,8 +662,6 @@ class TestSubsetSyntax:
         ["lambda", "--m", "20", "--family-known-margins-V", "{1}"],
         ["efficiency", "--m", "20", "--V", "{1}"],
         ["efficiency", "--m", "20"],
-        ["simulate", "--mode", "cov", "--m", "1", "--n", "20", "--R", "100", "--grid-n", "2",
-         "--V", "{1}"],
     ])
     def test_bad_dimension_is_not_blamed_on_the_option(self, capsys, argv):
         # only an error in the option's own text carries the option's name

@@ -1,3 +1,4 @@
+import concurrent.futures
 import threading
 import tracemalloc
 
@@ -39,7 +40,7 @@ class TestConfig:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         before = threading.active_count()
         with pytest.raises(ValueError, match="threads must be between 1 and 64"):
             SimConfig(seed=1, n=10, replications=100, m=2, threads=threads)

@@ -495,7 +495,7 @@ class TestBatchForms:
     def test_batch_ranks(self):
         X = RNG.random((4, 30, 3))
         R = batch_ranks(X)
-        assert R.shape == (4, 30, 3) and R.flags.c_contiguous
+        assert R.shape == (4, 30, 3) and R.transpose(0, 2, 1).flags.c_contiguous
         for b in range(4):
             assert np.array_equal(R[b], loop_ranks(X[b]))
             assert np.array_equal(ranks(X[b]), R[b])
