@@ -86,6 +86,14 @@ def _add_family_args(p: argparse.ArgumentParser):
     return g
 
 
+def _check_option_dim(option: str, m: int) -> None:
+    """`_check_dim(m)`, its ValueError naming the option that gave m."""
+    try:
+        _check_dim(m)
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
 def _read_option(option: str, read, text: str, m: int):
     """read(text, m), its ValueError or RecursionError (JSON nested too
     deep) a ValueError naming the option and its value, cut by `echoed`;
@@ -228,17 +236,16 @@ def _cmd_eigen(args) -> dict:
 
 def _cmd_stat(args) -> dict:
     X = rankstats.load_csv(args.input)
+    m = X.shape[1]
+    _check_option_dim(f"--input {echoed(args.input)} ({m} columns)", m)
     if args.rank_pit:
         X = rankstats.to_copula_scale(X)
-    m = X.shape[1]
     V = _read_option("--V", parse_subset, args.V, m)
     value = rankstats.statistic(args.name, X, V, args.p, args.grid_n)
-    # echo only what the statistic reads: V for B, p and grid_n for B and Bhat
+    # echo only the options the statistic reads, in its registry order
+    given = {"V": format_subset(V), "p": args.p, "grid_n": args.grid_n}
     config = {"name": args.name, "input": args.input, "n": int(X.shape[0]), "m": int(m)}
-    if args.name == "B":
-        config["V"] = format_subset(V)
-    if args.name in ("B", "Bhat"):
-        config.update(p=args.p, grid_n=args.grid_n)
+    config.update((o, given[o]) for o in rankstats.REGISTRY[args.name].options)
     config["rank_pit"] = bool(args.rank_pit)
     return {"config": config,
             "result": {"name": args.name, "n": int(X.shape[0]), "m": int(m),
@@ -246,10 +253,7 @@ def _cmd_stat(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
-    try:
-        _check_dim(args.m)
-    except ValueError as exc:
-        raise ValueError(f"--m: {exc}") from None
+    _check_option_dim("--m", args.m)
     if args.mode == "cov" and args.V is None:
         raise ValueError('--mode cov needs --V, the known margins (--V "" for none)')
     # nulldist hands grid_n to the statistic and builds no interior grid

@@ -12,9 +12,11 @@ Every kernel value on I^m is a sum of products of nonnegative factors
 measure sits where the kernel vanishes (barring underflow below the
 smallest subnormal): `solve` refuses lam = 0 with
 `DegenerateMeasureError`, and also a lam so small (below about 5.6e-309)
-that 1/lam overflows and an infinite lam (weights so large that it
-overflows), and accepts every other positive lam (12^-16 for Lebesgue
-under the pillow at m = 16).
+that 1/lam overflows and an infinite or NaN lam (weights so large that
+it overflows), and accepts every other positive lam (12^-16 for Lebesgue
+under the pillow at m = 16).  A lam of 0 or too small to invert is
+blamed on the weights when lam with every weight divided by the largest
+is invertible, and on where the measure sits otherwise.
 This module also computes Bahadur slopes, Pitman slopes (multivariate
 Spearman statistic and the tied-down one-degree statistic), Fisher
 information of a dependence direction, the efficiency-bound gap, and the
@@ -53,7 +55,14 @@ import numpy as np
 
 from .families import MonotoneFamily, _check_dim, family_for_known_margins
 from .kernel import GreenKernel, _pair_factors, green_kernel
-from .measures import Measure, integrate_against, integrate_once, lambda_value, lebesgue
+from .measures import (
+    Measure,
+    PointMassComponent,
+    integrate_against,
+    integrate_once,
+    lambda_value,
+    lebesgue,
+)
 from .quadrature import (
     _node_count,
     block_integral,
@@ -71,7 +80,8 @@ _NYSTROM_CAP = 20_000
 
 
 class DegenerateMeasureError(ValueError):
-    """The measure is concentrated where the kernel vanishes."""
+    """lam is not a positive finite number with a finite inverse: the measure
+    sits where the kernel vanishes, or its weights are too small or too large."""
 
 
 class ConvergenceError(RuntimeError):
@@ -131,20 +141,46 @@ class EigenEstimate:
 def solve(family: MonotoneFamily, measure: Measure, method: str = "auto") -> ExtremalSolution:
     """Solve the extremal problem for the family and measure."""
     kern = green_kernel(family)
-    with np.errstate(over="ignore"):  # an infinite lam is refused below
+    with np.errstate(over="ignore"):  # an infinite lam is refused next
         lam = lambda_value(kern, measure, method)
-    if not lam > 0.0:
-        raise DegenerateMeasureError(
-            f"lambda = {lam:g} is not positive; measure sits where the kernel vanishes"
-        )
-    if not np.isfinite(1.0 / float(lam)):
-        raise DegenerateMeasureError(
-            f"lambda = {lam:g} is so small that 1/lambda overflows; measure sits where "
-            f"the kernel nearly vanishes")
-    if not lam < np.inf:
+    if not lam < np.inf:  # NaN too: an overflowed weight times a vanishing pair
         raise DegenerateMeasureError(f"lambda = {lam:g} is not finite; the measure's "
                                      "weights are too large")
+    if not _invertible(lam):
+        small = lam > 0.0
+        problem = "is so small that 1/lambda overflows" if small else "is not positive"
+        if _invertible(lambda_value(kern, _unit_weights(measure), method)):
+            cause = "the measure's weights are too small"
+        else:
+            cause = f"measure sits where the kernel {'nearly ' if small else ''}vanishes"
+        raise DegenerateMeasureError(f"lambda = {lam:g} {problem}; {cause}")
     return ExtremalSolution(kern, measure, lam, method)
+
+
+def _invertible(lam: float) -> bool:
+    """lam > 0 with 1/lam finite."""
+    return lam > 0.0 and bool(np.isfinite(1.0 / lam))
+
+
+def _unit_weights(measure: Measure) -> Measure:
+    """The measure with the weight of each atom (a point's weight times its
+    component's) divided by the largest, by their logarithms, so that a
+    subnormal weight scales too; an atom whose weight underflows is dropped.
+    lam is quadratic in the weights, so its sign does not change."""
+    logs = [np.log(w) + np.log(c.weights if isinstance(c, PointMassComponent) else 1.0)
+            for c, w in measure.components]
+    top = max(float(np.max(a)) for a in logs)
+    parts = []
+    for (comp, _), a in zip(measure.components, logs):
+        w = np.exp(np.atleast_1d(a) - top)
+        if isinstance(comp, PointMassComponent):
+            keep = np.flatnonzero(w > 0.0)
+            if keep.size:
+                parts.append((PointMassComponent(comp.m, tuple(comp.points_[i] for i in keep),
+                                                 tuple(w[keep].tolist())), 1.0))
+        elif w[0] > 0.0:
+            parts.append((comp, float(w[0])))
+    return Measure(measure.m, tuple(parts))
 
 
 def minimal_norm_squared(sol: ExtremalSolution) -> float:
@@ -209,14 +245,13 @@ def bahadur_slope_B1(V: int, m: int, dep: DependenceFunction,
 def pitman_slope_spearman(m: int, dep: DependenceFunction,
                           nodes: int | None = None) -> SpearmanSlope:
     """Pitman drift, null standard deviation and squared slope of the
-    multivariate Spearman statistic."""
-    _check_dim(m)
+    multivariate Spearman statistic: the drift's factor times the integral
+    and sqrt(lam) (V empty), so the slope is `bahadur_slope_B1(0, m, dep)`."""
+    lam = lambda_value(green_kernel(family_for_known_margins(0, m)), lebesgue(m), method="closed")
     integral = _vanishing_integral(dep.fn, m, nodes)
-    denom = 2.0 ** m - m - 1.0
-    mu_prime = 2.0 ** m * (m + 1.0) / denom * integral
-    sigma_sq = (m + 1.0) ** 2 * ((4.0 / 3.0) ** m - m / 3.0 - 1.0) / denom ** 2
-    sigma0 = float(np.sqrt(sigma_sq))
-    return SpearmanSlope(mu_prime, sigma0, (mu_prime / sigma0) ** 2)
+    factor = 2.0 ** m * (m + 1.0) / (2.0 ** m - m - 1.0)
+    return SpearmanSlope(factor * integral, factor * float(np.sqrt(lam)),
+                         integral * integral / lam)
 
 
 def pitman_slope_bhat(m: int, dep: DependenceFunction,

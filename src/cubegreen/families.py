@@ -54,6 +54,12 @@ def full_mask(m: int) -> int:
     return (1 << m) - 1
 
 
+def check_subset(V: int, m: int) -> None:
+    """Refuse a bitmask V that is not a subset of M = {1..m}."""
+    if V & ~full_mask(m):
+        raise ValueError(f"V={V} is not a subset of M for m={m}")
+
+
 def mask_from_coords(coords, m: int) -> int:
     """Build a bitmask from 1-based coordinate indices: integers, that is
     what `operator.index` accepts, bools excepted."""
@@ -203,9 +209,8 @@ def family_for_known_margins(V: int, m: int) -> MonotoneFamily:
     {M} plus all subsets of size m-1.
     """
     _check_dim(m)
+    check_subset(V, m)
     top = full_mask(m)
-    if V & ~top:
-        raise ValueError(f"V={V} is not a subset of M for m={m}")
     return MonotoneFamily(m, [top] + [top & ~(1 << j) for j in range(m) if not V >> j & 1])
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import all_nonempty_family, family_for_known_margins, full_mask
+from .families import all_nonempty_family, check_subset, family_for_known_margins
 from .kernel import GreenKernel, green_kernel
 from .quadrature import _node_count, blocks
 from . import rankstats
@@ -34,22 +34,18 @@ _BASE_RIDGE = 1e-12
 
 
 def check_grid_size(points: int) -> None:
-    """Refuse a grid whose G x G kernel and covariance matrices would hold
-    more than rankstats._CELL_CAP entries, before anything is built."""
-    if points * points > rankstats._CELL_CAP:
-        raise ValueError(f"a grid of {points} points needs {points}^2 kernel entries, above "
-                         f"the cap of {rankstats._CELL_CAP}; reduce grid_n or m")
+    """Refuse, before it is built, a grid whose G x G matrices pass `rankstats.check_cap`."""
+    rankstats.check_cap(points * points, f"a grid of {points} points needs {points}^2 "
+                        f"kernel entries", "grid_n or m")
 
 
 def check_field_size(count: int, points: int) -> None:
     """Refuse `count` field draws on a grid of `points` points before anything
-    is drawn: fewer than one draw, or more than rankstats._CELL_CAP values."""
+    is drawn: fewer than one draw, or more values than `rankstats.check_cap` allows."""
     if count < 1:
         raise ValueError(f"--count must be at least 1, got {count}")
-    if count * points > rankstats._CELL_CAP:
-        raise ValueError(f"--count {count} draws of {points} points need {count * points} "
-                         f"values, above the cap of {rankstats._CELL_CAP}; reduce --count "
-                         f"or grid_n")
+    rankstats.check_cap(count * points, f"--count {count} draws of {points} points need "
+                        f"{count * points} values", "--count or grid_n")
 
 
 def interior_lattice(m: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -84,8 +80,8 @@ class SimConfig:
             raise ValueError(f"threads must be between 1 and {MAX_THREADS}")
         if self.grid_n is not None:
             check_grid_size(_node_count(self.grid_n, "grid_n") ** self.m)
-        if self.V is not None and self.V & ~full_mask(self.m):
-            raise ValueError("V is not a subset of the coordinate set")
+        if self.V is not None:
+            check_subset(self.V, self.m)
 
 
 @dataclass(frozen=True)
@@ -134,15 +130,13 @@ def _replication_values(cfg: SimConfig, fn, cells: int = 0, width: int = 0) -> n
 
     fn maps a (B, n, m) block to B rows of values.  Its largest temporary
     is taken to be B·n·max(m, width) floats.  Threads whose lattices of
-    `cells` cells per dataset together pass rankstats._CELL_CAP are
-    refused before the pool starts.
+    `cells` cells per dataset together pass the cap of
+    `rankstats.check_cap` are refused before the pool starts.
     """
     slices = blocks(cfg.replications, 8 * cfg.n * max(cfg.m, width))
     workers = min(cfg.threads, len(slices))
-    if cells <= rankstats._CELL_CAP < workers * cells:
-        raise ValueError(f"--threads {cfg.threads} builds {workers} lattices of {cells} "
-                         f"cells at once, above the cap of {rankstats._CELL_CAP}; reduce "
-                         f"--threads")
+    rankstats.check_cap(workers * cells, f"--threads {cfg.threads} builds {workers} lattices "
+                        f"of {cells} cells at once", "--threads", each=cells)
 
     def run(block: slice) -> np.ndarray:
         return fn(_uniform_block(cfg.seed, block.start, block.stop, cfg.n, cfg.m))
@@ -186,14 +180,11 @@ def _simulate_covariance(cfg: SimConfig, family, points: np.ndarray, process,
     """Empirical covariance at the lattice points of process, a (B, n, m)
     block of samples to its (B, G) values there, versus the Green kernel
     of the family; process's largest temporary is `width` floats per
-    observation.  The R x G values are all kept: above
-    rankstats._CELL_CAP of them the run is refused before anything is
-    drawn."""
+    observation.  The R x G values are all kept: past the cap of
+    `rankstats.check_cap` the run is refused before anything is drawn."""
     values = cfg.replications * len(points)
-    if values > rankstats._CELL_CAP:
-        raise ValueError(f"--R {cfg.replications} replications on {len(points)} grid points "
-                         f"keep {values} process values, above the cap of "
-                         f"{rankstats._CELL_CAP}; reduce --R or grid_n")
+    rankstats.check_cap(values, f"--R {cfg.replications} replications on {len(points)} "
+                        f"grid points keep {values} process values", "--R or grid_n")
     theo = green_kernel(family).cross(points, points)
     return _covariance_report(_replication_values(cfg, process, width=width), theo)
 

@@ -20,17 +20,19 @@ time: one bincount with each dataset offset by its own lattice, then a
 cumulative sum per axis, in O(n·m·log g + cells) per dataset.  A chunk
 holds as many datasets as keep its lattice within the one block budget
 (`quadrature.blocks`).  A lattice above _CELL_CAP cells is refused
-with ValueError before anything is allocated.
+with ValueError before anything is allocated, by `check_cap`, which the
+simulators' arrays share.  `REGISTRY` is the one table of statistics.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .families import full_mask
+from .families import check_subset
 from .quadrature import _node_count, blocks, midpoint_grid
 
 _DEFAULT_GRID = {2: 64, 3: 24}
@@ -100,11 +102,6 @@ def _check_unit_cube(X: np.ndarray) -> None:
         raise ValueError("data must lie in the unit cube for this statistic")
 
 
-def _check_V(V: int, m: int) -> None:
-    if V & ~full_mask(m):
-        raise ValueError("V is not a subset of the coordinate set")
-
-
 def batch_process_W(X: np.ndarray, grid: np.ndarray, V: int) -> np.ndarray:
     """The known-margins empirical process at every point of a (G, m) grid,
     for every dataset of a (B, n, m) batch in the unit cube, as (B, G).
@@ -159,7 +156,7 @@ def _one_point(data, x) -> tuple[np.ndarray, np.ndarray]:
 def empirical_process_W(data, V: int, x) -> float:
     """sqrt(n) (F_n(x) - prod_{j in V} x_j * prod_{j not in V} F_{j,n}(x_j))."""
     X, grid = _one_point(data, x)
-    _check_V(V, X.shape[2])
+    check_subset(V, X.shape[2])
     return float(batch_process_W(X, grid, V)[0, 0])
 
 
@@ -176,20 +173,26 @@ def _split_V(V: int, m: int):
     return in_v, out_v
 
 
+def check_cap(count: int, what: str, remedy: str, each: int = 0) -> None:
+    """Refuse `count` cells, entries or values above _CELL_CAP: "<what>, above
+    the cap of <_CELL_CAP>; reduce <remedy>".  When `count` sums arrays of
+    `each`, an array above the cap alone is left to its own check."""
+    if each <= _CELL_CAP < count:
+        raise ValueError(f"{what}, above the cap of {_CELL_CAP}; reduce {remedy}")
+
+
 def _check_cells(shape: tuple[int, ...]) -> None:
-    """Refuse a lattice above _CELL_CAP cells before anything is allocated."""
     cells = math.prod(shape)
-    if cells > _CELL_CAP:
-        raise ValueError(f"the statistic needs a lattice of {cells} cells, above the "
-                         f"cap of {_CELL_CAP}; reduce grid_n, n or m, or choose larger V")
+    check_cap(cells, f"the statistic needs a lattice of {cells} cells",
+              "grid_n, n or m, or choose larger V")
 
 
 def lattice_cells(name: str, n: int, m: int, V: int, p: int, grid_n: int | None) -> int:
     """Cells of the lattice that the statistic builds for one dataset of n
-    points in m dimensions: B and B-hat at p >= 2 build one, the others
-    none (0).  Checks p and grid_n as the statistic does."""
+    points in m dimensions: those reading grid_n (B, B-hat) at p >= 2 build
+    one, the others none (0).  Checks the name, p and grid_n as it does."""
     g = _check_args(p, grid_n, m)
-    if name not in ("B", "Bhat") or p == 1:
+    if "grid_n" not in _lookup(name).options or p == 1:
         return 0
     if name == "Bhat":
         return (g + 1) ** m
@@ -344,15 +347,13 @@ def _check_args(p: int, grid_n: int | None, m: int) -> int:
     return _DEFAULT_GRID.get(m, 12) if grid_n is None else _node_count(grid_n, "grid_n")
 
 
-def _check_integral(X: np.ndarray, V: int) -> None:
-    """Validate the data and V of B or B-hat on (..., n, m) data."""
+def _batch_B(X: np.ndarray, V: int, p: int, g: int) -> np.ndarray:
+    """B of a (B, n, m) batch; at p = 1 exactly: the Lebesgue part integrates in
+    closed form, the product atoms factorize, #(t: X_tj >= X_ij) = n - R_ij + 1."""
     _check_unit_cube(X)
-    _check_V(V, X.shape[-1])
-
-
-def _batch_B1(X: np.ndarray, V: int) -> np.ndarray:
-    """B at p = 1, exactly: the Lebesgue part integrates in closed form and
-    the sum over product atoms factorizes, #(t: X_tj >= X_ij) = n - R_ij + 1."""
+    check_subset(V, X.shape[2])
+    if p != 1:
+        return _batch_Bp(X, V, p, g)
     n, m = X.shape[1:]
     in_v, out_v = _split_V(V, m)
     R = batch_ranks(X)
@@ -365,12 +366,20 @@ def _batch_B1(X: np.ndarray, V: int) -> np.ndarray:
     return term1.mean(axis=1) - t2
 
 
+def _batch_Bhat(X: np.ndarray, V: int, p: int, g: int) -> np.ndarray:
+    """B-hat of a (B, n, m) batch; at p = 1 exactly n^{-1} sum_i prod_j (1/2 - X_ij)."""
+    _check_unit_cube(X)
+    if p != 1:
+        return _batch_Bhatp(X, p, g)
+    return np.prod(0.5 - X, axis=2).mean(axis=1)
+
+
 def _check_two(n: int) -> None:
     if n < 2:
         raise ValueError("need at least two observations")
 
 
-def _batch_rho(X: np.ndarray) -> np.ndarray:
+def _batch_rho(X: np.ndarray, *_) -> np.ndarray:
     n, m = X.shape[1:]
     _check_two(n)
     R = batch_ranks(X)
@@ -386,7 +395,7 @@ def _bivariate_ranks(X: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return R[:, :, 0], R[:, :, 1]
 
 
-def _batch_gini(X: np.ndarray) -> np.ndarray:
+def _batch_gini(X: np.ndarray, *_) -> np.ndarray:
     n = X.shape[1]
     R1, R2 = _bivariate_ranks(X, "Gini coefficient")
     _check_two(n)  # d_n = 0 at n = 1
@@ -395,9 +404,34 @@ def _batch_gini(X: np.ndarray) -> np.ndarray:
     return 2.0 / d_n * s.sum(axis=1)
 
 
-def _batch_footrule(X: np.ndarray) -> np.ndarray:
+def _batch_footrule(X: np.ndarray, *_) -> np.ndarray:
     R1, R2 = _bivariate_ranks(X, "footrule")
     return np.abs(R1 - R2).sum(axis=1).astype(float)
+
+
+class Statistic(NamedTuple):
+    """`batch(X, V, p, g)` of a (B, n, m) batch, g midpoints per axis; the
+    name of the function of one dataset here, called as single(X, *options);
+    the options of V, p and grid_n that it reads, in that function's order."""
+    batch: Callable[[np.ndarray, int, int, int], np.ndarray]
+    single: str
+    options: tuple[str, ...]
+
+
+REGISTRY = {
+    "B": Statistic(_batch_B, "stat_B", ("V", "p", "grid_n")),
+    "Bhat": Statistic(_batch_Bhat, "stat_Bhat", ("p", "grid_n")),
+    "rho": Statistic(_batch_rho, "spearman_rho", ()),
+    "gini": Statistic(_batch_gini, "gini_coefficient", ()),
+    "footrule": Statistic(_batch_footrule, "footrule", ()),
+}
+STATISTICS = tuple(REGISTRY)
+
+
+def _lookup(name: str) -> Statistic:
+    if name not in STATISTICS:
+        raise ValueError(f"unknown statistic {name!r}; choose from {STATISTICS}")
+    return REGISTRY[name]
 
 
 def batch_statistic(name: str, data, V: int = 0, p: int = 1,
@@ -409,22 +443,7 @@ def batch_statistic(name: str, data, V: int = 0, p: int = 1,
     """
     X = as_batch(data)
     g = _check_args(p, grid_n, X.shape[-1])
-    if name == "B":
-        _check_integral(X, V)
-        return _batch_B1(X, V) if p == 1 else _batch_Bp(X, V, p, g)
-    if name == "Bhat":
-        _check_integral(X, 0)
-        if p != 1:
-            return _batch_Bhatp(X, p, g)
-        # the exact closed form n^{-1} sum_i prod_j (1/2 - X_ij)
-        return np.prod(0.5 - X, axis=2).mean(axis=1)
-    if name == "rho":
-        return _batch_rho(X)
-    if name == "gini":
-        return _batch_gini(X)
-    if name == "footrule":
-        return _batch_footrule(X)
-    raise ValueError(f"unknown statistic {name!r}; choose from {STATISTICS}")
+    return _lookup(name).batch(X, V, p, g)
 
 
 def _single(name: str, X: np.ndarray, V: int = 0, p: int = 1,
@@ -448,28 +467,16 @@ def footrule(data) -> int:
     return int(_single("footrule", as_dataset(data)))
 
 
-STATISTICS = ("B", "Bhat", "rho", "gini", "footrule")
-
-
 def statistic(name: str, X, V: int, p: int, grid_n: int | None) -> float:
-    """The statistic of one (n, m) dataset named by one of STATISTICS;
-    `batch_statistic` is the same for a (B, n, m) batch.
-
-    V is read by B only, p and grid_n by B and Bhat only (checked by all).
-    """
-    if name == "B":
-        return stat_B(X, V, p, grid_n)
-    if name == "Bhat":
-        return stat_Bhat(X, p, grid_n)
+    """The statistic of one (n, m) dataset named by one of STATISTICS: its
+    function of one dataset, looked up when called, given the options it
+    reads; `batch_statistic` is the same for a (B, n, m) batch.  Every
+    statistic checks p and grid_n."""
     X = as_dataset(X)
     _check_args(p, grid_n, X.shape[1])
-    if name == "rho":
-        return spearman_rho(X)
-    if name == "gini":
-        return gini_coefficient(X)
-    if name == "footrule":
-        return float(footrule(X))
-    raise ValueError(f"unknown statistic {name!r}; choose from {STATISTICS}")
+    stat = _lookup(name)
+    given = {"V": V, "p": p, "grid_n": grid_n}
+    return float(globals()[stat.single](X, *(given[o] for o in stat.options)))
 
 
 def load_csv(path) -> np.ndarray:

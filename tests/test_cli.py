@@ -200,6 +200,12 @@ class TestStatCommand:
         cfg = run_json(capsys, "stat", "--name", "B", *argv)["config"]
         assert (cfg["V"], cfg["p"], cfg["grid_n"]) == ("{1}", 3, 5)
 
+    @pytest.mark.parametrize("name", rankstats.STATISTICS)
+    def test_config_echoes_the_options_in_registry_order(self, capsys, csv_path, name):
+        cfg = run_json(capsys, "stat", "--name", name, "--input", csv_path)["config"]
+        assert list(cfg) == ["name", "input", "n", "m", *rankstats.REGISTRY[name].options,
+                             "rank_pit"]
+
     @pytest.mark.parametrize("grid_n", ["0", "-3"])
     def test_grid_n_out_of_range(self, capsys, csv_path, grid_n):
         for name in ("Bhat", "B", "rho", "gini", "footrule"):
@@ -252,6 +258,16 @@ class TestStatCommand:
             code, out, err = run_cli(capsys, "stat", "--name", "rho", "--input", str(path))
         assert code == 2 and out == ""
         assert err == f"error: the input {str(path)!r} has no data rows\n"
+
+    @pytest.mark.parametrize("name", ["rho", "B"])
+    def test_too_many_columns_named_by_the_input(self, capsys, tmp_path, name):
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, np.random.default_rng(1).random((5, 17)), delimiter=",")
+        code, out, err = run_cli(capsys, "stat", "--name", name, "--input", str(path),
+                                 "--V", "1")
+        assert code == 2 and out == ""
+        assert err == (f"error: --input {echoed(str(path))} (17 columns): dimension must be "
+                       f"an integer in [2, 16], got 17\n")
 
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "stat", "--name", "rho",
@@ -721,6 +737,37 @@ class TestOneLambdaHandler:
                                  '"weights": [1e200]}', "--out-file", str(out_file))
         assert code == 2 and out == "" and not out_file.exists()
         assert err == "error: lambda = inf is not finite; the measure's weights are too large\n"
+
+    @pytest.mark.parametrize("weight, problem", [
+        ("1e-320", "lambda = 0 is not positive"),
+        ("1e-160", "lambda = 1.24999e-321 is so small that 1/lambda overflows")])
+    @pytest.mark.parametrize("command", ["lambda", "solve"])
+    def test_tiny_weights_are_blamed_not_the_place(self, capsys, command, weight, problem):
+        # G(x, x) = 1/8 at the centre under the sheet: only the weight is small
+        code, out, err = run_cli(capsys, command, "--family-empty", "--m", "3", "--measure",
+                                 '{"variant": "points", "points": [[0.5, 0.5, 0.5]], '
+                                 f'"weights": [{weight}]}}')
+        assert code == 2 and out == ""
+        assert err == f"error: {problem}; the measure's weights are too small\n"
+
+    @pytest.mark.parametrize("command", [["lambda", "--family-empty"],
+                                         ["efficiency", "--V", "1"]])
+    def test_unit_mass_near_a_vanishing_face_is_blamed_on_its_place(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--m", "2", "--measure",
+                                 '{"variant": "points", "points": [[1e-160, 1e-160]]}')
+        assert code == 2 and out == ""
+        assert err == ("error: lambda = 9.99989e-321 is so small that 1/lambda overflows; "
+                       "measure sits where the kernel nearly vanishes\n")
+
+    def test_overflowed_weights_on_a_vanishing_face_are_too_large(self, capsys):
+        # 1e200 * 1e200 overflows, and times the pair on the face x_1 = 1 it is NaN
+        measure = ('{"variant": "sum", "parts": ['
+                   '{"weight": 1e200, "measure": {"variant": "points", "points": [[0.5, 0.5]]}}, '
+                   '{"weight": 1e200, "measure": {"variant": "points", "points": [[1, 0.5]]}}]}')
+        code, out, err = run_cli(capsys, "lambda", "--family-all", "--m", "2",
+                                 "--measure", measure)
+        assert code == 2 and out == ""
+        assert err == "error: lambda = nan is not finite; the measure's weights are too large\n"
 
     def test_coeffs_builds_no_kernel(self, capsys, monkeypatch):
         def no_kernel(*args, **kwargs):

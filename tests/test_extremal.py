@@ -284,6 +284,11 @@ class TestSlopes:
             p = pitman_slope_spearman(m, dep).slope_sq
             assert abs(b - p) <= 1e-12 * max(abs(b), abs(p), 1e-300)
 
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_spearman_slope_is_the_bahadur_slope_exactly(self, m):
+        for dep in five_fixtures(m):
+            assert pitman_slope_spearman(m, dep).slope_sq == bahadur_slope_B1(0, m, dep)
+
     def test_bhat_slope_m2(self):
         dep = spearman_optimal_direction(2, normalize=True)
         # no faces of codimension <= 0 exist, so the slope is 144 * 1^2

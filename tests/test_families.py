@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubegreen.families import (
     MonotoneFamily,
+    check_subset,
     all_nonempty_family,
     empty_family,
     echoed,
@@ -262,6 +263,21 @@ class TestKnownMarginsFamily:
             fam = family_for_known_margins(V, m)
             assert full_mask(m) in fam.members
             assert is_monotone(fam.members, m)
+
+
+    def test_V_outside_M_is_one_message_everywhere(self):
+        from cubegreen.montecarlo import SimConfig
+        from cubegreen.rankstats import empirical_process_W, stat_B
+
+        X = np.array([[0.1, 0.2], [0.6, 0.4]])
+        for call in (lambda: check_subset(0b100, 2),
+                     lambda: family_for_known_margins(0b100, 2),
+                     lambda: SimConfig(seed=1, n=10, replications=100, m=2, V=0b100),
+                     lambda: empirical_process_W(X, 0b100, [0.5, 0.5]),
+                     lambda: stat_B(X, 0b100)):
+            with pytest.raises(ValueError, match=r"^V=4 is not a subset of M for m=2$"):
+                call()
+        check_subset(0b11, 2)
 
 
 class TestEnumeration:

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cubegreen import montecarlo, rankstats
 from cubegreen.quadrature import midpoint_grid
 from cubegreen.rankstats import (
+    REGISTRY,
     STATISTICS,
     _cumcounts,
     _tied_down_grid,
@@ -590,6 +592,40 @@ class TestStatisticDispatch:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             statistic("tau", RNG.random((5, 2)), 0, 1, None)
+
+
+class TestRegistry:
+    def test_names(self):
+        assert STATISTICS == tuple(REGISTRY) == ("B", "Bhat", "rho", "gini", "footrule")
+
+    @pytest.mark.parametrize("name", STATISTICS)
+    def test_single_function_takes_the_data_then_the_options_read(self, name):
+        entry = REGISTRY[name]
+        params = inspect.signature(getattr(rankstats, entry.single)).parameters
+        assert list(params) == ["data", *entry.options]
+
+    def test_statistic_calls_the_module_function_at_call_time(self, monkeypatch):
+        calls = []
+
+        def recorder(*args, **kwargs):
+            calls.append((args, kwargs))
+            return 0.25
+
+        monkeypatch.setattr(rankstats, "stat_B", recorder)
+        X = RNG.random((6, 2))
+        assert statistic("B", X, 0b01, 2, 8) == 0.25
+        [(args, kwargs)] = calls
+        assert kwargs == {} and args[1:] == (0b01, 2, 8)
+        assert np.array_equal(args[0], X)
+
+    @pytest.mark.parametrize("call", [
+        lambda X: statistic("tau", X, 0, 1, None),
+        lambda X: batch_statistic("tau", X[None]),
+        lambda X: rankstats.lattice_cells("tau", 6, 2, 0, 2, None)])
+    def test_unknown_name(self, call):
+        with pytest.raises(ValueError, match=r"^unknown statistic 'tau'; choose from "
+                                             r"\('B', 'Bhat', 'rho', 'gini', 'footrule'\)$"):
+            call(RNG.random((6, 2)))
 
 
 class TestCsv:
