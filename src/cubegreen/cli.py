@@ -45,6 +45,7 @@ from .kernel import check_unit_cube, compute_coefficients, green_kernel
 from .quadrature import _node_count
 from .montecarlo import (
     SimConfig,
+    check_seed,
     interior_lattice,
     null_distribution,
     sample_gaussian_field,
@@ -114,6 +115,15 @@ def _resolve_family(args) -> tuple[MonotoneFamily, list[str]]:
             return build(value, args.m), [option]
         if value is not None and value is not False:
             return _read_option(option, build, value, args.m), [option, value]
+
+
+def _statistic_options(name: str, args, m: int) -> tuple[int, dict]:
+    """The V the statistic reads (0, --V unparsed, if it reads none) and the
+    options its `rankstats.REGISTRY` entry lists, in that order, as echoed."""
+    options = rankstats.REGISTRY[name].options
+    V = _read_option("--V", parse_subset, args.V or "", m) if "V" in options else 0
+    given = {"V": format_subset(V), "p": args.p, "grid_n": args.grid_n}
+    return V, {o: given[o] for o in options}
 
 
 def _parse_point(text: str, m: int) -> np.ndarray:
@@ -240,13 +250,10 @@ def _cmd_stat(args) -> dict:
     _check_option_dim(f"--input {echoed(args.input)} ({m} columns)", m)
     if args.rank_pit:
         X = rankstats.to_copula_scale(X)
-    V = _read_option("--V", parse_subset, args.V, m)
+    V, options = _statistic_options(args.name, args, m)
     value = rankstats.statistic(args.name, X, V, args.p, args.grid_n)
-    # echo only the options the statistic reads, in its registry order
-    given = {"V": format_subset(V), "p": args.p, "grid_n": args.grid_n}
-    config = {"name": args.name, "input": args.input, "n": int(X.shape[0]), "m": int(m)}
-    config.update((o, given[o]) for o in rankstats.REGISTRY[args.name].options)
-    config["rank_pit"] = bool(args.rank_pit)
+    config = {"name": args.name, "input": args.input, "n": int(X.shape[0]), "m": int(m),
+              **options, "rank_pit": bool(args.rank_pit)}
     return {"config": config,
             "result": {"name": args.name, "n": int(X.shape[0]), "m": int(m),
                        "value": float(value)}}
@@ -254,13 +261,18 @@ def _cmd_stat(args) -> dict:
 
 def _cmd_simulate(args) -> dict:
     _check_option_dim("--m", args.m)
+    check_seed(args.seed, "--seed")
     if args.mode == "cov" and args.V is None:
         raise ValueError('--mode cov needs --V, the known margins (--V "" for none)')
     # nulldist hands grid_n to the statistic and builds no interior grid
     nulldist = args.mode == "nulldist"
     grid_n = 4 if args.grid_n is None and not nulldist else args.grid_n
     grid_n = None if grid_n is None else _node_count(grid_n, "--grid-n")
-    V = _read_option("--V", parse_subset, args.V, args.m) if args.V is not None else None
+    if nulldist:
+        V, options = _statistic_options(args.stat, args, args.m)
+    else:  # the known margins of cov and field; tiedcov has none
+        V = (None if args.V is None or args.mode == "tiedcov"
+             else _read_option("--V", parse_subset, args.V, args.m))
     V_text = format_subset(V) if V is not None else None
     if args.mode == "field":
         _, points = interior_lattice(args.m, grid_n)
@@ -272,11 +284,12 @@ def _cmd_simulate(args) -> dict:
                 "result": {"draws": draws.tolist()}}
     cfg = SimConfig(seed=args.seed, n=args.n, replications=args.R, m=args.m,
                     grid_n=None if nulldist else grid_n, V=V, threads=args.threads)
-    config = {"mode": args.mode, "m": args.m, "n": args.n, "R": args.R,
-              "seed": args.seed, "grid_n": grid_n, "threads": args.threads,
-              "V": V_text}
+    config = {"mode": args.mode, "m": args.m, "n": args.n, "R": args.R, "seed": args.seed}
     t0 = time.perf_counter()
     if args.mode in ("cov", "tiedcov"):
+        config.update(grid_n=grid_n, threads=args.threads)
+        if args.mode == "cov":
+            config["V"] = V_text
         rep = (simulate_null_covariance(cfg) if args.mode == "cov"
                else simulate_tied_down_covariance(cfg))
         result = {"empirical": rep.empirical.tolist(),
@@ -284,10 +297,10 @@ def _cmd_simulate(args) -> dict:
                   "max_abs_dev": rep.max_abs_dev,
                   "max_dev_in_se": rep.max_dev_in_se}
     else:  # nulldist
+        config.update(threads=args.threads, stat=args.stat, **options,
+                      scale_sqrt_n=args.scale_sqrt_n)
         dist = null_distribution(cfg, args.stat, p=args.p, grid_n=grid_n,
                                  scale_sqrt_n=args.scale_sqrt_n)
-        config.update({"stat": args.stat, "p": args.p,
-                       "scale_sqrt_n": args.scale_sqrt_n})
         result = {"mean": dist.mean, "variance": dist.variance,
                   "variance_se": dist.variance_se,
                   "quantiles": {str(k): v for k, v in dist.quantiles.items()}}

@@ -15,8 +15,9 @@ smallest subnormal): `solve` refuses lam = 0 with
 that 1/lam overflows and an infinite or NaN lam (weights so large that
 it overflows), and accepts every other positive lam (12^-16 for Lebesgue
 under the pillow at m = 16).  A lam of 0 or too small to invert is
-blamed on the weights when lam with every weight divided by the largest
-is invertible, and on where the measure sits otherwise.
+blamed on the weights when lam with every weight set to 1 is invertible
+(it is positive exactly where the measure's is), and on where the
+measure sits otherwise.
 This module also computes Bahadur slopes, Pitman slopes (multivariate
 Spearman statistic and the tied-down one-degree statistic), Fisher
 information of a dependence direction, the efficiency-bound gap, and the
@@ -66,6 +67,7 @@ from .measures import (
 from .quadrature import (
     _node_count,
     block_integral,
+    count_text,
     cube_rule,
     diff_matrix,
     node_ladder,
@@ -149,7 +151,11 @@ def solve(family: MonotoneFamily, measure: Measure, method: str = "auto") -> Ext
     if not _invertible(lam):
         small = lam > 0.0
         problem = "is so small that 1/lambda overflows" if small else "is not positive"
-        if _invertible(lambda_value(kern, _unit_weights(measure), method)):
+        # lam with every weight set to 1 is positive exactly where lam is
+        unit = Measure(measure.m, tuple(
+            (PointMassComponent(c.m, c.points_, (1.0,) * len(c.points_))
+             if isinstance(c, PointMassComponent) else c, 1.0) for c, _ in measure.components))
+        if _invertible(lambda_value(kern, unit, method)):
             cause = "the measure's weights are too small"
         else:
             cause = f"measure sits where the kernel {'nearly ' if small else ''}vanishes"
@@ -160,27 +166,6 @@ def solve(family: MonotoneFamily, measure: Measure, method: str = "auto") -> Ext
 def _invertible(lam: float) -> bool:
     """lam > 0 with 1/lam finite."""
     return lam > 0.0 and bool(np.isfinite(1.0 / lam))
-
-
-def _unit_weights(measure: Measure) -> Measure:
-    """The measure with the weight of each atom (a point's weight times its
-    component's) divided by the largest, by their logarithms, so that a
-    subnormal weight scales too; an atom whose weight underflows is dropped.
-    lam is quadratic in the weights, so its sign does not change."""
-    logs = [np.log(w) + np.log(c.weights if isinstance(c, PointMassComponent) else 1.0)
-            for c, w in measure.components]
-    top = max(float(np.max(a)) for a in logs)
-    parts = []
-    for (comp, _), a in zip(measure.components, logs):
-        w = np.exp(np.atleast_1d(a) - top)
-        if isinstance(comp, PointMassComponent):
-            keep = np.flatnonzero(w > 0.0)
-            if keep.size:
-                parts.append((PointMassComponent(comp.m, tuple(comp.points_[i] for i in keep),
-                                                 tuple(w[keep].tolist())), 1.0))
-        elif w[0] > 0.0:
-            parts.append((comp, float(w[0])))
-    return Measure(measure.m, tuple(parts))
 
 
 def minimal_norm_squared(sol: ExtremalSolution) -> float:
@@ -230,6 +215,11 @@ def _vanishing_integral(fn, m: int, nodes: int | None, tol: float = 1e-6) -> flo
     return node_ladder(lambda n: cube_rule(fn, m, n), m, nodes)
 
 
+def _lebesgue_lambda(V: int, m: int) -> float:
+    """lam of the known-margins family of V under Lebesgue measure, closed."""
+    return lambda_value(green_kernel(family_for_known_margins(V, m)), lebesgue(m), "closed")
+
+
 def bahadur_slope_B1(V: int, m: int, dep: DependenceFunction,
                      nodes: int | None = None) -> float:
     """Small-theta coefficient of the Bahadur slope of the first-order statistic.
@@ -237,7 +227,7 @@ def bahadur_slope_B1(V: int, m: int, dep: DependenceFunction,
     Equals (1/lam) * (integral of the dependence function)^2 with lam taken
     for the known-margins family of V under Lebesgue measure.
     """
-    lam = lambda_value(green_kernel(family_for_known_margins(V, m)), lebesgue(m), method="closed")
+    lam = _lebesgue_lambda(V, m)
     integral = _vanishing_integral(dep.fn, m, nodes)
     return integral * integral / lam
 
@@ -247,7 +237,7 @@ def pitman_slope_spearman(m: int, dep: DependenceFunction,
     """Pitman drift, null standard deviation and squared slope of the
     multivariate Spearman statistic: the drift's factor times the integral
     and sqrt(lam) (V empty), so the slope is `bahadur_slope_B1(0, m, dep)`."""
-    lam = lambda_value(green_kernel(family_for_known_margins(0, m)), lebesgue(m), method="closed")
+    lam = _lebesgue_lambda(0, m)
     integral = _vanishing_integral(dep.fn, m, nodes)
     factor = 2.0 ** m * (m + 1.0) / (2.0 ** m - m - 1.0)
     return SpearmanSlope(factor * integral, factor * float(np.sqrt(lam)),
@@ -369,7 +359,7 @@ def principal_eigenvalue(kernel: GreenKernel, grid_n: int) -> EigenEstimate:
         raise ValueError("grid_n must be at least 8")
     if grid_n ** kernel.m > _NYSTROM_CAP:
         raise ValueError(
-            f"grid_n**m = {grid_n ** kernel.m} exceeds the Nystrom cap {_NYSTROM_CAP}"
+            f"grid_n**m = {count_text(grid_n ** kernel.m)} exceeds the Nystrom cap {_NYSTROM_CAP}"
         )
     coarse, coarse_it = _nystrom_principal(kernel, max(4, grid_n // 2))
     fine, fine_it = _nystrom_principal(kernel, grid_n)
@@ -399,11 +389,9 @@ def spearman_optimal_direction(m: int, normalize: bool = False) -> DependenceFun
     """
     C = 1.0
     if normalize:
-        kern = green_kernel(family_for_known_margins(0, m))
-        lam = lambda_value(kern, lebesgue(m), method="closed")
         # the raw polynomial is 2^m times the Lebesgue once-integral of the
         # kernel, so its cube integral is 2^m * lam
-        C = 1.0 / (2.0 ** m * lam)
+        C = 1.0 / (2.0 ** m * _lebesgue_lambda(0, m))
 
     def fn(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)

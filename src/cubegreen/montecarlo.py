@@ -19,24 +19,24 @@ run serially or across any number of threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .families import all_nonempty_family, check_subset, family_for_known_margins
 from .kernel import GreenKernel, green_kernel
-from .quadrature import _node_count, blocks
+from .quadrature import _node_count, blocks, count_text, tensor_points
 from . import rankstats
 
-_MASK64 = (1 << 64) - 1
 MAX_THREADS = 64
 _BASE_RIDGE = 1e-12
 
 
 def check_grid_size(points: int) -> None:
     """Refuse, before it is built, a grid whose G x G matrices pass `rankstats.check_cap`."""
-    rankstats.check_cap(points * points, f"a grid of {points} points needs {points}^2 "
-                        f"kernel entries", "grid_n or m")
+    rankstats.check_cap(points * points, f"a grid of {count_text(points)} points needs "
+                        f"{count_text(points)}^2 kernel entries", "grid_n or m")
 
 
 def check_field_size(count: int, points: int) -> None:
@@ -45,7 +45,7 @@ def check_field_size(count: int, points: int) -> None:
     if count < 1:
         raise ValueError(f"--count must be at least 1, got {count}")
     rankstats.check_cap(count * points, f"--count {count} draws of {points} points need "
-                        f"{count * points} values", "--count or grid_n")
+                        f"{count_text(count * points)} values", "--count or grid_n")
 
 
 def interior_lattice(m: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -55,8 +55,7 @@ def interior_lattice(m: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     matrices is refused before it is built."""
     check_grid_size(grid_n ** m)
     axis = (np.arange(grid_n) + 1.0) / (grid_n + 1.0)
-    points = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)
-    return np.tile(axis, (m, 1)), points
+    return np.tile(axis, (m, 1)), tensor_points(axis, m)
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,7 @@ class SimConfig:
             check_grid_size(_node_count(self.grid_n, "grid_n") ** self.m)
         if self.V is not None:
             check_subset(self.V, self.m)
+        check_seed(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,24 @@ class NullDistribution:
     quantiles: dict[float, float]
 
 
+def check_seed(seed: int, name: str) -> int:
+    """The seed as an int, refused outside [0, 2^64), where the 64 bits it
+    takes of a Philox key would alias it to another."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"{name} must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def substream(seed: int, replication: int) -> np.random.Generator:
     """The Philox generator keyed by (seed, replication), at counter 0.
 
-    Keys of distinct (seed, replication) pairs give independent streams.
-    The simulators read the stream of replication 0 only: `field` draws
-    from its start, and replication r of a sample reads its counters
+    Keys of distinct (seed, replication) pairs, each in [0, 2^64), give
+    independent streams; one outside that range is refused.  The
+    simulators read the stream of replication 0 only: `field` draws from
+    its start, and replication r of a sample reads its counters
     r·K+1 … (r+1)·K (see `_uniform_block`)."""
-    key = ((seed & _MASK64) << 64) | (replication & _MASK64)
+    key = check_seed(seed, "seed") << 64 | check_seed(replication, "replication")
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -129,14 +139,18 @@ def _replication_values(cfg: SimConfig, fn, cells: int = 0, width: int = 0) -> n
     """fn of the uniform sample of every replication, in index order.
 
     fn maps a (B, n, m) block to B rows of values.  Its largest temporary
-    is taken to be B·n·max(m, width) floats.  Threads whose lattices of
-    `cells` cells per dataset together pass the cap of
-    `rankstats.check_cap` are refused before the pool starts.
+    is taken to be B·n·max(m, width) floats.  A replication whose
+    n·max(m, width) values, or threads whose lattices of `cells` cells per
+    dataset together, pass the cap of `rankstats.check_cap` are refused
+    before anything is drawn.
     """
-    slices = blocks(cfg.replications, 8 * cfg.n * max(cfg.m, width))
+    each = cfg.n * max(cfg.m, width)
+    rankstats.check_cap(each, f"--n {cfg.n} observations need {count_text(each)} values "
+                        f"per replication", "--n")
+    slices = blocks(cfg.replications, 8 * each)
     workers = min(cfg.threads, len(slices))
     rankstats.check_cap(workers * cells, f"--threads {cfg.threads} builds {workers} lattices "
-                        f"of {cells} cells at once", "--threads", each=cells)
+                        f"of {count_text(cells)} cells at once", "--threads", each=cells)
 
     def run(block: slice) -> np.ndarray:
         return fn(_uniform_block(cfg.seed, block.start, block.stop, cfg.n, cfg.m))
@@ -184,7 +198,7 @@ def _simulate_covariance(cfg: SimConfig, family, points: np.ndarray, process,
     `rankstats.check_cap` the run is refused before anything is drawn."""
     values = cfg.replications * len(points)
     rankstats.check_cap(values, f"--R {cfg.replications} replications on {len(points)} "
-                        f"grid points keep {values} process values", "--R or grid_n")
+                        f"grid points keep {count_text(values)} process values", "--R or grid_n")
     theo = green_kernel(family).cross(points, points)
     return _covariance_report(_replication_values(cfg, process, width=width), theo)
 
@@ -255,6 +269,8 @@ def null_distribution(cfg: SimConfig, statistic: str, p: int = 1,
         return np.sqrt(cfg.n) * v if scale_sqrt_n else v
 
     cells = rankstats.lattice_cells(statistic, cfg.n, cfg.m, V, p, grid_n)
+    rankstats.check_cap(cfg.replications, f"--R {cfg.replications} replications keep "
+                        f"{cfg.replications} statistic values", "--R")
     vals = _replication_values(cfg, stat, cells)
     R = len(vals)
     var = float(vals.var(ddof=1))

@@ -64,6 +64,8 @@ LADDER_RTOL = 1e-13
 # x86-64 box: 1 MiB blocks within 10% of this speed, 64 KiB ones 1.3-1.4x
 # slower)
 _BLOCK_BYTES = 1 << 18
+# `count_text` prints a count in decimal below this
+_DECIMAL_BELOW = 10 ** 300
 
 
 def _node_count(n, name: str = "node count") -> int:
@@ -74,6 +76,18 @@ def _node_count(n, name: str = "node count") -> int:
     if count < 1 or isinstance(n, bool):
         raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     return count
+
+
+def count_text(count: int) -> str:
+    """A count as a message prints it: in decimal below 10^300, and in
+    scientific notation from there on, three digits cut, not rounded
+    (Python converts no int of more than 4300 digits to decimal)."""
+    if count < _DECIMAL_BELOW:
+        return str(count)
+    k = (count.bit_length() - 1) * 30102 // 100000  # 10^k <= count, as 0.30102 < log10 2
+    while 10 ** (k + 1) <= count:
+        k += 1
+    return f"{count // 10 ** (k - 2) / 100:.2f}e{k}"
 
 
 def blocks(count: int, item_bytes: int) -> list[slice]:
@@ -167,7 +181,7 @@ def nodes_per_axis(m: int, n: int | None = None) -> int:
     count = n ** m
     if count > MAX_EVALUATIONS:
         raise ValueError(
-            f"an integral over I^{m} with {n} nodes per axis needs {count} point "
+            f"an integral over I^{m} with {n} nodes per axis needs {count_text(count)} point "
             f"evaluations, above the budget of {MAX_EVALUATIONS}"
         )
     return n
@@ -226,8 +240,13 @@ def tensor_rule(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     lexicographically in the per-axis node index.
     """
     x, w = unit_rule(nodes_per_axis(m, _node_count(n)))
-    grids = np.meshgrid(*([x] * m), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1), tensor_weights(w, m)
+    return tensor_points(x, m), tensor_weights(w, m)
+
+
+def tensor_points(x, m: int) -> np.ndarray:
+    """The (len(x)^m, m) points of the tensor lattice on I^m of the per-axis
+    node array x, in `tensor_rule` order: the last axis varies fastest."""
+    return np.stack(np.meshgrid(*[x] * m, indexing="ij"), axis=-1).reshape(-1, m)
 
 
 def node_values(g, x, m: int) -> np.ndarray:
@@ -270,7 +289,4 @@ def cube_integral(f, m: int, n: int | None = None) -> float:
 
 def midpoint_grid(m: int, n: int) -> tuple[np.ndarray, float]:
     """Midpoint tensor grid on I^m: (points, common cell weight)."""
-    x = (np.arange(n) + 0.5) / n
-    grids = np.meshgrid(*([x] * m), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return pts, float(n) ** (-m)
+    return tensor_points((np.arange(n) + 0.5) / n, m), float(n) ** (-m)

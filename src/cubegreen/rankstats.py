@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .families import check_subset
-from .quadrature import _node_count, blocks, midpoint_grid
+from .quadrature import _node_count, blocks, count_text, midpoint_grid
 
 _DEFAULT_GRID = {2: 64, 3: 24}
 # lattice cells of a p >= 2 integral statistic: 256 MB per float64 array
@@ -183,7 +183,7 @@ def check_cap(count: int, what: str, remedy: str, each: int = 0) -> None:
 
 def _check_cells(shape: tuple[int, ...]) -> None:
     cells = math.prod(shape)
-    check_cap(cells, f"the statistic needs a lattice of {cells} cells",
+    check_cap(cells, f"the statistic needs a lattice of {count_text(cells)} cells",
               "grid_n, n or m, or choose larger V")
 
 

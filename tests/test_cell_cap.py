@@ -65,23 +65,23 @@ def test_field_size(capsys, monkeypatch):
     assert len(runs(capsys, monkeypatch, 20, argv)["result"]["draws"]) == 5
 
 
-# Bhat at p = 2 on 4 midpoints per axis, two threads
-THREADED = ["simulate", "--mode", "nulldist", "--stat", "Bhat", "--p", "2", "--grid-n", "4",
+# Bhat at p = 2 on 10 midpoints per axis, two threads
+THREADED = ["simulate", "--mode", "nulldist", "--stat", "Bhat", "--p", "2", "--grid-n", "10",
             "--m", "2", "--n", "20", "--R", "100", "--seed", "2", "--threads", "2"]
 
 
 def test_threads_times_lattice(capsys, monkeypatch):
-    # 2 blocks of 50 replications, two threads: two lattices of (4 + 1)^2 cells
+    # 2 blocks of 50 replications, two threads: two lattices of (10 + 1)^2 cells
     monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 50 * 8 * 20 * 2)
-    err = refused(capsys, monkeypatch, 49, THREADED)
-    assert err == ("error: --threads 2 builds 2 lattices of 25 cells at once, above the cap "
-                   "of 49; reduce --threads\n")
-    assert runs(capsys, monkeypatch, 50, THREADED)["config"]["threads"] == 2
+    err = refused(capsys, monkeypatch, 241, THREADED)
+    assert err == ("error: --threads 2 builds 2 lattices of 121 cells at once, above the cap "
+                   "of 241; reduce --threads\n")
+    assert runs(capsys, monkeypatch, 242, THREADED)["config"]["threads"] == 2
 
 
 def test_threads_leave_a_lattice_above_the_cap_to_the_statistic(capsys, monkeypatch):
-    # one lattice of 25 cells is already above the cap: reducing --threads cannot help
+    # one lattice of 121 cells is already above the cap: reducing --threads cannot help
     monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 50 * 8 * 20 * 2)
-    err = refused(capsys, monkeypatch, 24, THREADED)
-    assert err == ("error: the statistic needs a lattice of 25 cells, above the cap of 24; "
+    err = refused(capsys, monkeypatch, 120, THREADED)
+    assert err == ("error: the statistic needs a lattice of 121 cells, above the cap of 120; "
                    "reduce grid_n, n or m, or choose larger V\n")

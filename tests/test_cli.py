@@ -298,12 +298,12 @@ class TestSimulateCommand:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        # 2 blocks of 50 replications; Bhat at p = 2 on 4 midpoints per axis
-        # builds (4 + 1)^2 = 25 cells per dataset, and two threads 50
+        # 2 blocks of 50 replications; Bhat at p = 2 on 7 midpoints per axis
+        # builds (7 + 1)^2 = 64 cells per dataset, and two threads 128
         monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 50 * 8 * 20 * 2)
-        monkeypatch.setattr(rankstats, "_CELL_CAP", 40)
+        monkeypatch.setattr(rankstats, "_CELL_CAP", 100)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        argv = ["simulate", "--mode", "nulldist", "--stat", "Bhat", "--p", "2", "--grid-n", "4",
+        argv = ["simulate", "--mode", "nulldist", "--stat", "Bhat", "--p", "2", "--grid-n", "7",
                 "--m", "2", "--n", "20", "--R", "100", "--seed", "2"]
         code, out, err = run_cli(capsys, *argv, "--threads", "2")
         assert code == 2 and out == ""

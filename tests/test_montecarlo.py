@@ -122,12 +122,12 @@ def _replication_by_hand(seed, r, n, m):
 class TestReplicationBlocks:
     def test_block_rows_read_their_counter_ranges(self):
         # n·m = 18 is not a multiple of 4: each replication skips 2 outputs
-        for seed, lo, hi in ((3, 0, 4), (2**63, 2**40 - 2, 2**40 + 2), (-1, 5, 6)):
+        for seed, lo, hi in ((3, 0, 4), (2**63, 2**40 - 2, 2**40 + 2), (2**64 - 1, 5, 6)):
             block = montecarlo._uniform_block(seed, lo, hi, 6, 3)
             for r in range(lo, hi):
                 assert np.array_equal(block[r - lo], _replication_by_hand(seed, r, 6, 3))
 
-    @pytest.mark.parametrize("seed", [3, 2**63, -1])
+    @pytest.mark.parametrize("seed", [3, 2**63, 2**64 - 1])
     def test_replication_zero_is_the_start_of_substream_zero(self, seed):
         block = montecarlo._uniform_block(seed, 0, 3, 6, 3)
         assert np.array_equal(block[0], substream(seed, 0).random((6, 3)))
