@@ -35,8 +35,14 @@ not both zero (exact from the 2-point rung on for a direction of degree
 <= 3 per axis), otherwise the table count's value.  An integrand crafted
 to agree on two rungs fools the ladder, as one that vanishes at the
 table's nodes fools the fixed table.
-The tied-down slope's drift is one tensor rule per rung: per axis, the
-Gauss rule and the node 1 with weight -1/2 (L g = integral of g - g(1)/2).
+The tied-down slope's drift is one tensor rule per rung, chosen by the
+input: with a closed density, the n^m Gauss nodes of the density with the
+weights w (1/2 - x) per axis; without one, the (n + 1)^m nodes of the
+dependence function, per axis the Gauss rule and the node 1 with weight
+-1/2 (L g = integral of g - g(1)/2).  Each rule's top rung is checked
+against the budget, so with a density the default nodes reach m = 9 and
+without one m = 8.  A slope or Fisher information that is not finite is
+refused.
 Fisher information integrates the squared density at the tensor Gauss
 nodes on the same ladder.  Without a closed density, the density there is
 the mixed derivative of the tensor interpolant of the dependence function
@@ -108,8 +114,8 @@ class ExtremalSolution:
 class DependenceFunction:
     """A dependence direction: its evaluator fn at a point of the cube, and
     optionally its closed-form m-fold mixed derivative, density, which
-    replaces the interpolant's derivative in Fisher-information
-    computations.
+    Fisher information takes in place of the interpolant's derivative and
+    the tied-down slope integrates in place of fn.
     """
 
     fn: Callable[[np.ndarray], float]
@@ -206,13 +212,22 @@ def _vanishing_integral(fn, m: int, nodes: int | None, tol: float = 1e-6) -> flo
     X = np.ones((m, len(probes), m))
     axes = np.arange(m)
     X[axes, :, axes] = probes
-    bad = np.flatnonzero(np.abs(point_values(fn, X.reshape(-1, m))) > tol)
+    values = point_values(fn, X.reshape(-1, m))
+    bad = np.flatnonzero(~(np.abs(values) <= tol))  # NaN too
     if bad.size:
+        what = "does not vanish" if np.isfinite(values[bad[0]]) else "is non-finite"
         raise ValueError(
-            f"dependence function does not vanish on the face opposite axis "
+            f"dependence function {what} on the face opposite axis "
             f"{bad[0] // len(probes) + 1}"
         )
-    return node_ladder(lambda n: cube_rule(fn, m, n), m, nodes)
+    return _finite(node_ladder(lambda n: cube_rule(fn, m, n), m, nodes), "dependence function")
+
+
+def _finite(total: float, what: str) -> float:
+    """A slope's integral, refused when it is not finite."""
+    if not np.isfinite(total):
+        raise ValueError(f"non-finite {what} values at the nodes")
+    return total
 
 
 def _lebesgue_lambda(V: int, m: int) -> float:
@@ -249,21 +264,34 @@ def pitman_slope_bhat(m: int, dep: DependenceFunction,
     """Squared Pitman slope of the tied-down first-order statistic.
 
     12^m times the squared drift, the integral of prod_j (1/2 - x_j)
-    against the m-fold mixed derivative of the direction f.  With f = 0
-    wherever some x_j = 0, integration by parts on each axis makes it the
-    tensor product of L g = integral of g - g(1)/2: one rule per rung of
-    `quadrature.node_ladder`, the n Gauss nodes and the node 1 with weight
-    -1/2 on each axis, whose top (n + 1)^m is checked before any call.
+    against the m-fold mixed derivative of the direction f, on
+    `quadrature.node_ladder` by default.  With `dep.density`, each rung is
+    the tensor Gauss rule of that product: the density at the n^m Gauss
+    nodes, with the weights w (1/2 - x) per axis.  Without one, f = 0
+    wherever some x_j = 0, so integration by parts on each axis makes it
+    the tensor product of L g = integral of g - g(1)/2: f at the n Gauss
+    nodes and the node 1 on each axis, with the weights w and -1/2.  The
+    top rung's n^m or (n + 1)^m is checked against the budget before any
+    call, and so is nodes = 1 with a density (the one Gauss node is 1/2,
+    where the weight vanishes).
     """
     _check_dim(m)
-    nodes_per_axis(m, nodes_per_axis(m, nodes) + 1)  # the top rule, node 1 included
+    if dep.density is None:
+        nodes_per_axis(m, nodes_per_axis(m, nodes) + 1)  # the top rule, node 1 included
+    elif nodes is not None and nodes_per_axis(m, nodes) == 1:
+        raise ValueError("nodes = 1 with a density: the one Gauss node is 1/2, where "
+                         "the weight 1/2 - x vanishes, so the drift would be 0")
 
     def drift(n: int) -> tuple[np.ndarray, np.ndarray]:
         x, w = unit_rule(n)
-        values = node_values(lambda X: point_values(dep.fn, X), np.append(x, 1.0), m)
-        return values, tensor_weights(np.append(w, -0.5), m)
+        if dep.density is None:
+            f, x, w = dep.fn, np.append(x, 1.0), np.append(w, -0.5)
+        else:
+            f, w = dep.density, w * (0.5 - x)
+        return node_values(lambda X: point_values(f, X), x, m), tensor_weights(w, m)
 
-    integral = node_ladder(drift, m, nodes)
+    what = "dependence function" if dep.density is None else "density"
+    integral = _finite(node_ladder(drift, m, nodes), what)
     return 12.0 ** m * integral * integral
 
 
@@ -297,10 +325,7 @@ def fisher_info(dep: DependenceFunction, m: int, nodes: int | None = None) -> fl
         # float_power squares with C pow, as a scalar ** 2 does
         return np.float_power(d.reshape(-1), 2), tensor_weights(w, m)
 
-    total = node_ladder(rule_at, m, nodes)
-    if not np.isfinite(total):
-        raise ValueError("non-finite density values at the nodes")
-    return total
+    return _finite(node_ladder(rule_at, m, nodes), "density")
 
 
 def optimality_gap(family: MonotoneFamily, measure: Measure,

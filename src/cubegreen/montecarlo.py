@@ -141,8 +141,8 @@ def _replication_values(cfg: SimConfig, fn, cells: int = 0, width: int = 0) -> n
     fn maps a (B, n, m) block to B rows of values.  Its largest temporary
     is taken to be B·n·max(m, width) floats.  A replication whose
     n·max(m, width) values, or threads whose lattices of `cells` cells per
-    dataset together, pass the cap of `rankstats.check_cap` are refused
-    before anything is drawn.
+    dataset (each within the cap) together, pass the cap of
+    `rankstats.check_cap` are refused before anything is drawn.
     """
     each = cfg.n * max(cfg.m, width)
     rankstats.check_cap(each, f"--n {cfg.n} observations need {count_text(each)} values "
@@ -150,7 +150,7 @@ def _replication_values(cfg: SimConfig, fn, cells: int = 0, width: int = 0) -> n
     slices = blocks(cfg.replications, 8 * each)
     workers = min(cfg.threads, len(slices))
     rankstats.check_cap(workers * cells, f"--threads {cfg.threads} builds {workers} lattices "
-                        f"of {count_text(cells)} cells at once", "--threads", each=cells)
+                        f"of {count_text(cells)} cells at once", "--threads")
 
     def run(block: slice) -> np.ndarray:
         return fn(_uniform_block(cfg.seed, block.start, block.stop, cfg.n, cfg.m))

@@ -173,16 +173,14 @@ def _split_V(V: int, m: int):
     return in_v, out_v
 
 
-def check_cap(count: int, what: str, remedy: str, each: int = 0) -> None:
+def check_cap(count: int, what: str, remedy: str) -> None:
     """Refuse `count` cells, entries or values above _CELL_CAP: "<what>, above
-    the cap of <_CELL_CAP>; reduce <remedy>".  When `count` sums arrays of
-    `each`, an array above the cap alone is left to its own check."""
-    if each <= _CELL_CAP < count:
+    the cap of <_CELL_CAP>; reduce <remedy>"."""
+    if count > _CELL_CAP:
         raise ValueError(f"{what}, above the cap of {_CELL_CAP}; reduce {remedy}")
 
 
-def _check_cells(shape: tuple[int, ...]) -> None:
-    cells = math.prod(shape)
+def _check_cells(cells: int) -> None:
     check_cap(cells, f"the statistic needs a lattice of {count_text(cells)} cells",
               "grid_n, n or m, or choose larger V")
 
@@ -190,14 +188,15 @@ def _check_cells(shape: tuple[int, ...]) -> None:
 def lattice_cells(name: str, n: int, m: int, V: int, p: int, grid_n: int | None) -> int:
     """Cells of the lattice that the statistic builds for one dataset of n
     points in m dimensions: those reading grid_n (B, B-hat) at p >= 2 build
-    one, the others none (0).  Checks the name, p and grid_n as it does."""
+    one, the others none (0).  Checks the name, p, grid_n and the lattice
+    against the cap as it does."""
     g = _check_args(p, grid_n, m)
     if "grid_n" not in _lookup(name).options or p == 1:
         return 0
-    if name == "Bhat":
-        return (g + 1) ** m
     known = V.bit_count()
-    return g ** known * n ** (m - known)
+    cells = (g + 1) ** m if name == "Bhat" else g ** known * n ** (m - known)
+    _check_cells(cells)
+    return cells
 
 
 def _cumcounts(idx: np.ndarray, shape: tuple[int, ...],
@@ -265,7 +264,7 @@ def _batch_Bp(X: np.ndarray, V: int, p: int, g: int) -> np.ndarray:
     n, m = X.shape[1:]
     in_v, out_v = _split_V(V, m)
     shape = tuple(g if V >> j & 1 else n for j in range(m))
-    _check_cells(shape)
+    _check_cells(math.prod(shape))
     # lattice coordinates: the midpoint bin on a V-axis (1{X <= c_k} =
     # 1{b <= k}; b = g is above every midpoint, the overflow bin), rank - 1
     # elsewhere (1{X <= X_(a)} = 1{R <= a+1})
@@ -303,7 +302,7 @@ def _tied_down_grid(X: np.ndarray, g: int) -> np.ndarray:
     """
     lead, m = X.ndim - 2, X.shape[-1]
     shape = (g + 1,) * m
-    _check_cells(shape)
+    _check_cells(math.prod(shape))
     c = midpoint_grid(1, g)[0].ravel()
     # 1{X_ij <= c_k} = 1{b_ij <= k}; b = g for no midpoint
     T = _cumcounts(np.searchsorted(c, X, side="left"), shape)
@@ -487,7 +486,9 @@ def load_csv(path) -> np.ndarray:
     whitespace once its comment is stripped is blank, wherever it is, and
     the first line that is not blank is a header when it is not all
     numbers.  A file with no data row after that is refused with
-    ValueError before numpy reads it."""
+    ValueError before numpy reads it.  numpy parses the path; a
+    whitespace-only line makes it fail, and the lines are then read again
+    from the handle the header was sniffed on."""
     with open(path, encoding="utf-8-sig") as fh:
         rows = ((i, row) for i, line in enumerate(fh)
                 if (row := line.split("#", 1)[0].strip()))
@@ -498,14 +499,16 @@ def load_csv(path) -> np.ndarray:
         except ValueError:  # a header
             skip = i + 1
             first = next(rows, (0, None))[1]
-    if first is None:
-        raise ValueError(f"the input {str(path)!r} has no data rows")
-    try:
-        X = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, encoding="utf-8-sig")
-    except ValueError:
-        # np.loadtxt skips empty lines but refuses whitespace-only ones: read
-        # again with every blank line emptied (an error of the data stays)
-        with open(path, encoding="utf-8-sig") as fh:
+        if first is None:
+            raise ValueError(f"the input {str(path)!r} has no data rows")
+        try:
+            # by path, numpy parses in chunks; a handle it iterates line by
+            # line, which is slower from a few hundred rows on
+            X = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, encoding="utf-8-sig")
+        except ValueError:
+            # np.loadtxt skips empty lines but refuses whitespace-only ones:
+            # read again with every blank line emptied (an error of the data stays)
+            fh.seek(0)
             lines = [line if line.split("#", 1)[0].strip() else "" for line in fh]
-        X = np.loadtxt(lines, delimiter=",", skiprows=skip, ndmin=2)
+            X = np.loadtxt(lines, delimiter=",", skiprows=skip, ndmin=2)
     return as_dataset(X)

@@ -409,6 +409,58 @@ class TestSlopes:
         assert got == pytest.approx(12.0 ** 8 / 6.0 ** 16, rel=1e-12)
         assert calls[0] == 3 ** 8 + 4 ** 8
 
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_bhat_density_rule_equals_the_by_parts_rule(self, m):
+        # the pillow, the normalized Spearman direction and the skew product,
+        # each with its closed density, against the rule on fn alone
+        for dep in TestFisherInfo.closed_fixtures(m):
+            closed = pitman_slope_bhat(m, dep)
+            by_parts = pitman_slope_bhat(m, DependenceFunction(fn=dep.fn))
+            assert abs(closed - by_parts) <= 1e-12 * by_parts
+
+    @pytest.mark.parametrize("m, n", [(2, 7), (3, 5), (4, 4), (5, 3)])
+    def test_bhat_density_slope_equals_pointwise_formula(self, m, n):
+        # explicit nodes: the density once per tensor Gauss node, fn never
+        def never(x):
+            raise AssertionError("dependence function called")
+
+        seen = []
+        density = pillow_direction(m).density
+        got = pitman_slope_bhat(m, DependenceFunction(fn=never,
+                                                      density=recording(density, seen)), n)
+        assert got == loop_pitman_bhat_density(m, density, n)
+        assert seen == [tuple(p) for p in tensor_rule(m, n)[0]]
+
+    def test_bhat_density_budget_counts_the_gauss_nodes(self):
+        def never(x):
+            raise AssertionError("dependence function called")
+
+        # the default 5 nodes at m = 9: 5^9 fits, 6^9 of the by-parts rule does not
+        with pytest.raises(ValueError, match=f"needs {6 ** 9} point evaluations"):
+            pitman_slope_bhat(9, DependenceFunction(fn=never))
+        density, calls = counted(pillow_direction(9).density)
+        got = pitman_slope_bhat(9, DependenceFunction(fn=never, density=density))
+        assert got == pytest.approx(12.0 ** 9 * 6.0 ** -18, rel=1e-12)
+        assert calls[0] == 2 ** 9 + 3 ** 9
+        with pytest.raises(ValueError, match=f"needs {13 ** 6} point evaluations"):
+            pitman_slope_bhat(6, DependenceFunction(fn=never, density=never), nodes=13)
+        # one Gauss node per axis sits at 1/2, where the weight 1/2 - x is 0
+        for m in (2, 9):
+            with pytest.raises(ValueError, match="^nodes = 1 with a density"):
+                pitman_slope_bhat(m, DependenceFunction(fn=never, density=never), nodes=1)
+
+
+def loop_pitman_bhat_density(m, density, n):
+    """The tied-down slope as one loop over the n^m tensor Gauss nodes of
+    the density, with the weights w (1/2 - x) per axis."""
+    x, w = quadrature.unit_rule(n)
+    vals, wts = [], []
+    for idx in product(range(n), repeat=m):
+        vals.append(density(np.array([x[i] for i in idx])))
+        wts.append(math.prod(w[i] * (0.5 - x[i]) for i in idx))
+    integral = float(np.array(vals, dtype=float) @ np.array(wts))
+    return 12.0 ** m * integral * integral
+
 
 def bhat_closed_form_integral(values_at_one, integrals, add=sum):
     """The tied-down functional of a product direction prod_j p_j(x_j):
@@ -683,12 +735,26 @@ class TestFisherInfo:
                                                      f"\\[2, 16\\], got {m!r}$"):
                     call()
 
+    # inf - inf in a rule's dot product warns before the result is refused
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_non_finite_values_refused(self):
         dep = DependenceFunction(fn=lambda x: float("nan"))
         with pytest.raises(ValueError, match="non-finite"):
             fisher_info(dep, m=2, nodes=3)
         with pytest.raises(ValueError, match="non-finite"):
             fisher_info(DependenceFunction(fn=dep.fn, density=dep.fn), m=2)
+        # NaN or inf on a face, where the probe looks, or only inside
+        inside = lambda x: float("inf") if max(x) < 0.95 else 0.0
+        pillow = pillow_direction(2)
+        for bad in (dep, DependenceFunction(fn=lambda x: -float("inf")),
+                    DependenceFunction(fn=inside)):
+            for call in (lambda: pitman_slope_bhat(2, bad), lambda: pitman_slope_bhat(2, bad, 3),
+                         lambda: bahadur_slope_B1(0, 2, bad),
+                         lambda: pitman_slope_spearman(2, bad, nodes=3)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    call()
+        with pytest.raises(ValueError, match="^non-finite density values"):
+            pitman_slope_bhat(2, DependenceFunction(fn=pillow.fn, density=dep.fn))
 
     def test_calls_once_per_node(self):
         # 2^m fewer calls than a difference stencil at every node

@@ -271,6 +271,20 @@ class TestNullDistribution:
         with pytest.raises(ValueError):
             null_distribution(cfg, "tau")
 
+    @pytest.mark.parametrize("name, m, V, cells", [("Bhat", 16, None, 11 ** 16),
+                                                   ("B", 5, 1, 10 * 100 ** 4)])
+    def test_lattice_above_the_cap_refused_before_any_draw(self, monkeypatch, name, m, V,
+                                                           cells):
+        def never(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(montecarlo, "_uniform_block", never)
+        cfg = SimConfig(seed=1, n=100, replications=100, m=m, V=V)
+        with pytest.raises(ValueError, match=f"^the statistic needs a lattice of {cells} "
+                                             f"cells, above the cap of {2 ** 25}; reduce "
+                                             f"grid_n, n or m, or choose larger V$"):
+            null_distribution(cfg, name, p=2, grid_n=10)
+
     def test_bit_identical_across_threads(self):
         cfgs = [SimConfig(seed=4, n=50, replications=300, m=2, threads=t)
                 for t in (1, 8)]

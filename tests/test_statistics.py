@@ -1,3 +1,4 @@
+import builtins
 import inspect
 import itertools
 
@@ -691,6 +692,26 @@ class TestCsv:
         path.write_text("u,v\n0.1,0.2\n\n0.3,0.4 # c\n")
         assert load_csv(path).tolist() == [[0.1, 0.2], [0.3, 0.4]]
         assert calls == [path]
+
+    @pytest.mark.parametrize("text", ["u,v\n0.1,0.2\n0.3,0.4\n", "0.1,0.2\n0.3,0.4\n",
+                                      "\ufeffu,v\n  \n0.1,0.2\n0.3,0.4\n"])
+    def test_file_opened_twice(self, tmp_path, monkeypatch, text):
+        # once to sniff the header and once by numpy's datasource layer; the
+        # whitespace-only fallback (the last text) reads the sniffing handle
+        opened = []
+
+        def counting(real):
+            def open_(file, *args, **kwargs):
+                opened.append(str(file))
+                return real(file, *args, **kwargs)
+            return open_
+
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(builtins, "open", counting(builtins.open))
+        monkeypatch.setattr(np.lib._datasource, "open", counting(np.lib._datasource.open))
+        assert load_csv(path).tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        assert opened == [str(path)] * 2
 
     @pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n", "u,v\n",
                                       "u,v\n# no rows\n\n"])
