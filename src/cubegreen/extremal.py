@@ -23,11 +23,11 @@ Spearman statistic and the tied-down one-degree statistic), Fisher
 information of a dependence direction, the efficiency-bound gap, and the
 principal eigenvalue of the kernel's integral operator by the Nystrom
 method, with a power iteration that applies the kernel matrix through its
-per-axis Kronecker factors instead of forming it.  Every cube integral of
-a dependence direction, and `trace_bound`, the integral of the kernel's
-diagonal, is a tensor rule filled by `quadrature.node_values` within its
-evaluation budget; every call of a dependence function goes through
-`quadrature.point_values`.  The slopes take their default nodes from
+per-axis Kronecker factors instead of forming it.  `trace_bound` is the
+closed trace over the complement table.  Every cube integral of a
+dependence direction is a tensor rule filled by `quadrature.node_values`
+within its evaluation budget; every call of a dependence function goes
+through `quadrature.point_values`.  The slopes take their default nodes from
 `quadrature.node_ladder`: 2 and 3 nodes per axis first, then the
 halvings of the node table up to the table count, stopping at the first
 two rungs that agree to 1e-13 of their absolute sums sum |w_i v_i| and are
@@ -42,7 +42,10 @@ dependence function, per axis the Gauss rule and the node 1 with weight
 -1/2 (L g = integral of g - g(1)/2).  Each rule's top rung is checked
 against the budget, so with a density the default nodes reach m = 9 and
 without one m = 8.  A slope or Fisher information that is not finite is
-refused.
+refused.  A direction is refused unless it vanishes on the faces x_U = 1
+its index assumes (`_check_faces`): `bahadur_slope_B1` and
+`pitman_slope_spearman` probe the (m-1)-faces, and `optimality_gap` the
+faces of its family's minimal members.
 Fisher information integrates the squared density at the tensor Gauss
 nodes on the same ladder.  Without a closed density, the density there is
 the mixed derivative of the tensor interpolant of the dependence function
@@ -60,7 +63,13 @@ from typing import Callable
 
 import numpy as np
 
-from .families import MonotoneFamily, _check_dim, family_for_known_margins
+from .families import (
+    MonotoneFamily,
+    _check_dim,
+    family_for_known_margins,
+    format_subset,
+    full_mask,
+)
 from .kernel import GreenKernel, _pair_factors, green_kernel
 from .measures import (
     Measure,
@@ -72,7 +81,6 @@ from .measures import (
 )
 from .quadrature import (
     _node_count,
-    block_integral,
     count_text,
     cube_rule,
     diff_matrix,
@@ -203,23 +211,49 @@ def mixed_derivative(f, x, h: float = 1e-3) -> float:
     return total / (2.0 * h) ** len(x)
 
 
-def _vanishing_integral(fn, m: int, nodes: int | None, tol: float = 1e-6) -> float:
-    """Cube integral of fn, which must vanish on the faces x_U = 1: the node
-    count is checked, then each face with |U| = m-1 is probed at interior
-    values of its free axis, and then fn is integrated on `node_ladder`."""
-    nodes_per_axis(m, nodes)
-    probes = np.linspace(0.1, 0.9, 9)
-    X = np.ones((m, len(probes), m))
-    axes = np.arange(m)
-    X[axes, :, axes] = probes
-    values = point_values(fn, X.reshape(-1, m))
+_PROBES = np.linspace(0.1, 0.9, 9)
+
+
+def _face_points(U: int, m: int) -> np.ndarray:
+    """Probe points of the face x_U = 1: every free axis sweeps `_PROBES`
+    while the other free axes sit at 1/2; a face with no free axis is its
+    one corner."""
+    on = np.array([U >> j & 1 for j in range(m)], dtype=bool)
+    free = np.flatnonzero(~on)
+    if not free.size:
+        return np.ones((1, m))
+    X = np.tile(np.where(on, 1.0, 0.5), (len(free), len(_PROBES), 1))
+    X[np.arange(len(free)), :, free] = _PROBES
+    return X.reshape(-1, m)
+
+
+def _check_faces(fn, faces, m: int, tol: float = 1e-6) -> None:
+    """Refuse fn unless it vanishes to tol on each face x_U = 1, U in faces:
+    the faces in the order of their free sets M - U, their probe points
+    (`_face_points`) in one `point_values` call, and the first face with a
+    value above tol or not finite named."""
+    if not faces:
+        return
+    full = full_mask(m)
+    faces = sorted(faces, key=lambda U: full ^ U)
+    points = [_face_points(U, m) for U in faces]
+    values = point_values(fn, np.concatenate(points))
     bad = np.flatnonzero(~(np.abs(values) <= tol))  # NaN too
     if bad.size:
+        U = int(np.repeat(faces, [len(X) for X in points])[bad[0]])
+        free = full ^ U
+        where = (f"opposite axis {free.bit_length()}" if free.bit_count() == 1
+                 else f"where coordinates {format_subset(U)} are 1")
         what = "does not vanish" if np.isfinite(values[bad[0]]) else "is non-finite"
-        raise ValueError(
-            f"dependence function {what} on the face opposite axis "
-            f"{bad[0] // len(probes) + 1}"
-        )
+        raise ValueError(f"dependence function {what} on the face {where}")
+
+
+def _vanishing_integral(fn, m: int, nodes: int | None) -> float:
+    """Cube integral of fn, which must vanish on the faces x_U = 1: the node
+    count is checked, then each face with |U| = m-1 is probed
+    (`_check_faces`), and then fn is integrated on `node_ladder`."""
+    nodes_per_axis(m, nodes)
+    _check_faces(fn, [full_mask(m) ^ (1 << j) for j in range(m)], m)
     return _finite(node_ladder(lambda n: cube_rule(fn, m, n), m, nodes), "dependence function")
 
 
@@ -330,7 +364,17 @@ def fisher_info(dep: DependenceFunction, m: int, nodes: int | None = None) -> fl
 
 def optimality_gap(family: MonotoneFamily, measure: Measure,
                    dep: DependenceFunction) -> GapReport:
-    """Efficiency index, Fisher information and their gap (bound slack)."""
+    """Efficiency index, Fisher information and their gap (bound slack).
+
+    The index, (integral of f d mu)^2 / lam, is the squared slope only when
+    f vanishes on every face x_U = 1 with U in the family.  Every such face
+    lies in the face of a minimal member (a U in the family with no U - {j}
+    in it), so `dep.fn` is probed on those faces (`_check_faces`) before
+    anything is solved; the sheet has none.
+    """
+    minimal = [U for U in family.members
+               if not any(U >> j & 1 and U ^ (1 << j) in family for j in range(family.m))]
+    _check_faces(dep.fn, minimal, family.m)
     coeff = efficiency_coefficient(family, measure)
     integral = integrate_against(measure, dep.fn)
     index = coeff * integral * integral
@@ -380,6 +424,7 @@ def principal_eigenvalue(kernel: GreenKernel, grid_n: int) -> EigenEstimate:
     N x N matrix is built.
     Raises ConvergenceError if a power iteration does not converge.
     """
+    grid_n = _node_count(grid_n, "grid_n")
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
     if grid_n ** kernel.m > _NYSTROM_CAP:
@@ -395,9 +440,12 @@ def principal_eigenvalue(kernel: GreenKernel, grid_n: int) -> EigenEstimate:
 
 
 def trace_bound(kernel: GreenKernel, grid_n: int) -> float:
-    """Quadrature trace of the operator (of G(x, x), grid_n nodes per axis,
-    required), an upper bound for the principal eigenvalue."""
-    return block_integral(kernel.diagonal, kernel.m, _node_count(grid_n, "grid_n"))
+    """Trace of the operator, the integral of G(x, x), an upper bound for the
+    principal eigenvalue.  A term with |W| = w integrates on the diagonal to
+    3^-w 6^-(m-w) = 2^w / 6^m: one correctly rounded division of integers.
+    grid_n is checked as a node count; nothing is evaluated."""
+    _node_count(grid_n, "grid_n")
+    return sum(c * 2 ** w for w, c in enumerate(kernel.complement_sizes())) / 6 ** kernel.m
 
 
 # closed-form reference fixtures -------------------------------------------

@@ -18,8 +18,8 @@ x_j = 1.  The pillow (all nonempty subsets) is a chain of m gap nodes,
 the sheet (empty family) the product of the mins.
 
 `GreenKernel.values(X, Y)`, G at the pairs of two broadcast (..., m)
-arrays, is the one evaluator; `evaluate`, `cross` and `diagonal` call it
-or its body, `cross` on row blocks within the one block budget
+arrays, is the one evaluator; `evaluate` and `cross` call it or its
+body, `cross` on row blocks within the one block budget
 (`quadrature.blocks`).  Their one point check, made once per input
 array, refuses a coordinate outside [0, 1] or not finite
 (`check_unit_cube`).  Every diagram term is a product over axes, so on
@@ -217,11 +217,6 @@ class GreenKernel:
         for rows in blocks(len(A), 8 * len(B) * self.m):
             out[rows] = self._pair_values(A[rows, None], B)
         return out
-
-    def diagonal(self, points) -> np.ndarray:
-        """Kernel values G(p, p) for each row p of an (N, m) array."""
-        P = np.atleast_2d(self._check_points(points))
-        return self._pair_values(P, P)
 
 
 def green_kernel(family: MonotoneFamily) -> GreenKernel:

@@ -11,13 +11,13 @@ order.  A tensor rule on I^m is the product of one per-axis rule, nodes x
 and weights w: `node_values(g, x, m)` fills one vector with a block
 callable's values at its len(x)^m nodes, in `blocks` of (B, m) points
 written axis by axis, and `tensor_weights(w, m)` gives its weights.
-`block_integral`, the integrator of every callable over I^m, dots the two
-on the Gauss rule `unit_rule(n)`, and `cube_integral` is it with
-`point_values` inside.  Every blocked loop of the package takes its slices
-from `blocks`, the one block budget.  Every node count, len(x) included,
-goes through `nodes_per_axis`: a dimension m >= 1, an integer count >= 1
-(default from the one table `_CUBE_NODES`), and at most `MAX_EVALUATIONS`
-nodes per rule, refused before any array is built.
+`cube_rule` is the two for a point callable on the Gauss rule
+`unit_rule(n)`, and `cube_integral` their dot product.  Every blocked
+loop of the package takes its slices from `blocks`, the one block budget.
+Every node count, len(x) included, goes through `nodes_per_axis`: a
+dimension m >= 1, an integer count >= 1 (default from the one table
+`_CUBE_NODES`), and at most `MAX_EVALUATIONS` nodes per rule, refused
+before any array is built.
 
 `diff_matrix(n)` differentiates the degree n - 1 interpolant through the n
 Gauss nodes on [0, 1], from node values to derivative values at the same
@@ -37,9 +37,11 @@ sum |w_i v_i|, the scale of their rounding, and whose absolute sums are
 not both exactly zero (Gauss-Legendre with n nodes is
 exact for degree 2n - 1 per axis, so a direction of degree <= 3 per axis
 stops at the 3-point rung); without agreement it returns the table
-count's value.  Two rungs with no nonzero term are not agreement: a
-direction supported between the nodes of both, such as a bump on
-[0.55, 0.75]^m, is zero at each node and climbs on.  Agreement of two rungs is
+count's value.  A rung whose value is not finite stops the climb at once
+and is returned, so its callers refuse it after that rung.  Two rungs
+with no nonzero term are not agreement: a direction supported between
+the nodes of both, such as a bump on [0.55, 0.75]^m, is zero at each node
+and climbs on.  Agreement of two rungs is
 evidence, not proof: an integrand crafted to agree on them fools the
 ladder, as any integrand that vanishes at the table's nodes fools the
 table alone.
@@ -47,6 +49,7 @@ table alone.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import lru_cache, reduce
 
@@ -206,17 +209,18 @@ def node_ladder(rule_at, m: int, nodes: int | None = None) -> float:
     max(S_a, S_b) and max(S_a, S_b) > 0, S = sum |w_i v_i| the rung's
     absolute sum, and I_b is returned; if no pair agrees, the top rung's
     value is.  S bounds the rounding of I, so terms that cancel do not make
-    two rungs that agree in every digit they hold look apart.
+    two rungs that agree in every digit they hold look apart.  A rung whose
+    value is NaN or infinite ends the climb, and its value is returned.
     """
     top = nodes_per_axis(m, nodes)
     if nodes is not None:
         return _rung(*rule_at(top))[0]
-    rungs = ladder_rungs(m)
-    prev, prev_abs = _rung(*rule_at(rungs[0]))
-    for n in rungs[1:]:
+    prev, prev_abs = math.nan, 0.0  # agrees with no rung
+    for n in ladder_rungs(m):
         value, total_abs = _rung(*rule_at(n))
         scale = max(prev_abs, total_abs)
-        if n == top or 0.0 < scale and abs(value - prev) <= LADDER_RTOL * scale:
+        if (n == top or not math.isfinite(value)
+                or 0.0 < scale and abs(value - prev) <= LADDER_RTOL * scale):
             return value
         prev, prev_abs = value, total_abs
 
@@ -266,14 +270,6 @@ def node_values(g, x, m: int) -> np.ndarray:
     return vals
 
 
-def block_integral(g, m: int, n: int | None = None) -> float:
-    """Tensor Gauss-Legendre integral over I^m of a block callable g, which
-    maps (B, m) nodes to (B,) values, with n nodes per axis (default
-    `default_nodes(m)`): `node_values` dotted with `tensor_weights`."""
-    x, w = unit_rule(nodes_per_axis(m, n))
-    return float(node_values(g, x, m) @ tensor_weights(w, m))
-
-
 def cube_rule(f, m: int, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """A scalar point callable's values at the tensor Gauss-Legendre nodes on
     I^m, n per axis (default `default_nodes(m)`), and the rule's weights."""
@@ -284,7 +280,8 @@ def cube_rule(f, m: int, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
 def cube_integral(f, m: int, n: int | None = None) -> float:
     """Tensor Gauss-Legendre integral of a scalar point callable over I^m,
     with n nodes per axis (default `default_nodes(m)`)."""
-    return block_integral(lambda P: point_values(f, P), m, n)
+    values, weights = cube_rule(f, m, n)
+    return float(values @ weights)
 
 
 def midpoint_grid(m: int, n: int) -> tuple[np.ndarray, float]:

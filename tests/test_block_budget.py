@@ -1,6 +1,5 @@
-"""The one block budget: `quadrature.blocks`, the row blocks of
-`GreenKernel.cross`, and `trace_bound` integrated a block of nodes at a
-time."""
+"""The one block budget: `quadrature.blocks` and the row blocks of
+`GreenKernel.cross`."""
 
 import tracemalloc
 
@@ -8,15 +7,13 @@ import numpy as np
 import pytest
 
 from cubegreen import quadrature
-from cubegreen.extremal import trace_bound
 from cubegreen.families import (
     all_nonempty_family,
     empty_family,
-    enumerate_monotone_families,
     family_for_known_margins,
 )
 from cubegreen.kernel import green_kernel
-from cubegreen.quadrature import blocks, tensor_rule
+from cubegreen.quadrature import blocks
 
 RNG = np.random.default_rng(20261018)
 
@@ -83,35 +80,3 @@ def test_cross_peak_memory_is_its_output_and_a_block():
     # a row block's factor arrays take about 256 KiB; the rest is slack
     assert peak - out.nbytes <= 4 * 2 ** 20
 
-
-# ---------------------------------------------------------------------------
-# trace_bound
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("grid_n", [2, 5, 8, 13])
-def test_trace_bound_equals_the_tensor_rule_sum(m, grid_n):
-    pts, wts = tensor_rule(m, grid_n)
-    for fam in enumerate_monotone_families(m):
-        k = green_kernel(fam)
-        assert trace_bound(k, grid_n) == float(k.diagonal(pts) @ wts)
-
-
-@pytest.mark.parametrize("grid_n", [None, 0, -2, 2.5])
-def test_trace_bound_needs_a_node_count(grid_n):
-    with pytest.raises(ValueError, match="grid_n must be an integer >= 1"):
-        trace_bound(green_kernel(all_nonempty_family(2)), grid_n)
-
-
-def test_trace_bound_peak_memory_at_a_million_nodes():
-    k = green_kernel(all_nonempty_family(2))
-    trace_bound(k, 8)  # warm up
-    tracemalloc.start()
-    try:
-        value = trace_bound(k, 1024)  # 2^20 nodes
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the node values and weights take 16 MiB; a node block about 256 KiB
-    assert peak < 25 * 2 ** 20
-    assert value == pytest.approx(1 / 36, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubegreen import quadrature
+from cubegreen import extremal, quadrature
 from cubegreen.extremal import (
     ConvergenceError,
     DegenerateMeasureError,
@@ -36,6 +37,7 @@ from cubegreen.families import (
     enumerate_monotone_families,
     family_for_known_margins,
     full_mask,
+    subsets_of_size,
     upward_closure,
 )
 from cubegreen.kernel import GreenKernel, green_kernel
@@ -524,6 +526,19 @@ class TestNodeLadder:
         assert pitman_slope_spearman(m, dep) == pitman_slope_spearman(m, dep, nodes=top)
         assert pitman_slope_bhat(m, dep) == pitman_slope_bhat(m, dep, nodes=top) > 0.0
 
+    def test_a_non_finite_rung_stops_the_climb(self):
+        fn, calls = counted(lambda x: float("nan"))
+        dep = DependenceFunction(fn=fn)
+        # the 2-point rung alone: (2 + 1)^6 by-parts nodes, 2^6 Gauss nodes,
+        # not the 3-, 4- and 7- or 2-, 3- and 6-point rungs after it
+        with pytest.raises(ValueError, match="^non-finite dependence function values"):
+            pitman_slope_bhat(6, dep)
+        assert calls[0] == 3 ** 6 == 729
+        calls[0] = 0
+        with pytest.raises(ValueError, match="^non-finite density values"):
+            fisher_info(dep, m=6)
+        assert calls[0] == 2 ** 6 == 64
+
     @pytest.mark.parametrize("m, n", [(2, 5), (3, 4), (4, 2), (5, 3)])
     def test_explicit_nodes_evaluate_one_rule(self, m, n):
         fn, calls = counted(pillow_direction(m).fn)
@@ -805,6 +820,74 @@ class TestOptimalityGap:
         rep = optimality_gap(fam, lebesgue(2), skew)
         assert rep.gap > 1e-3 * rep.fisher
 
+    @staticmethod
+    def pair_only():
+        # a(x_1) a(x_2) x_3, a(t) = t (1 - t): uniform margins, dependence
+        # between coordinates 1 and 2 only, nonzero on the face x_3 = 1
+        a = lambda t: t * (1.0 - t)
+        return DependenceFunction(fn=lambda x: float(a(x[0]) * a(x[1]) * x[2]),
+                                  density=lambda x: float((1 - 2 * x[0]) * (1 - 2 * x[1])))
+
+    def test_refuses_a_direction_off_a_face_of_the_family(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved")
+        monkeypatch.setattr(extremal, "efficiency_coefficient", refuse)
+        # the pillow's index here would be 1/3, above Fisher's 1/9
+        with pytest.raises(ValueError, match=r"^dependence function does not vanish on the "
+                                             r"face where coordinates \{3\} are 1$"):
+            optimality_gap(all_nonempty_family(3), lebesgue(3), self.pair_only())
+
+    def test_accepts_it_where_the_family_needs_no_such_face(self):
+        # known margins V = {}: the minimal members are the pairs, and a(1) = 0
+        rep = optimality_gap(family_for_known_margins(0, 3), lebesgue(3), self.pair_only())
+        assert rep.index == pytest.approx(1 / 30, rel=1e-12)
+        assert rep.fisher == pytest.approx(1 / 9, rel=1e-12)
+        assert rep.index <= rep.fisher
+
+    def test_the_sheet_probes_nothing(self):
+        dep = self.pair_only()
+        a, b = [], []
+        optimality_gap(empty_family(3), lebesgue(3),
+                       DependenceFunction(fn=recording(dep.fn, a), density=dep.density))
+        integrate_against(lebesgue(3), recording(dep.fn, b))
+        assert a == b
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_probes_the_minimal_faces_first(self, m):
+        # the pillow's minimal members are the singletons; at m = 2 their
+        # faces are the slopes' (m - 1)-faces, probed the same way
+        fn = pillow_direction(m).fn
+        a = []
+        optimality_gap(all_nonempty_family(m), lebesgue(m),
+                       DependenceFunction(fn=recording(fn, a), density=pillow_direction(m).density))
+        want = []
+        # the face x_j = 1 has the free set M - {j}: in increasing order of
+        # free sets, j runs down from m; each free axis k sweeps in turn
+        for j in reversed(range(m)):
+            for k in (i for i in range(m) if i != j):
+                for t in np.linspace(0.1, 0.9, 9):
+                    x = np.full(m, 0.5)
+                    x[j], x[k] = 1.0, t
+                    want.append(tuple(x))
+        assert a[:len(want)] == want
+        if m == 2:
+            b = []
+            loop_face_check(recording(fn, b), m)
+            assert a[:18] == b
+
+    def test_a_corner_face_is_one_point(self):
+        # known margins V = M: the family {M}, whose face is the corner 1
+        fn, calls = counted(lambda x: float(np.prod(x)))
+        with pytest.raises(ValueError, match=r"on the face where coordinates \{1,2,3\} are 1$"):
+            optimality_gap(family_for_known_margins(full_mask(3), 3), lebesgue(3),
+                           DependenceFunction(fn=fn))
+        assert calls[0] == 1
+
+    def test_non_finite_on_a_face_is_named(self):
+        with pytest.raises(ValueError, match="is non-finite on the face opposite axis 1$"):
+            optimality_gap(all_nonempty_family(2), lebesgue(2),
+                           DependenceFunction(fn=lambda x: float("nan")))
+
 
 class TestPrincipalEigenvalue:
     @staticmethod
@@ -844,6 +927,12 @@ class TestPrincipalEigenvalue:
             k = green_kernel(fam)
             est = principal_eigenvalue(k, 32)
             assert est.value <= trace_bound(k, 32) + 1e-12
+
+    @pytest.mark.parametrize("grid_n", [10.0, 9.5, True, "12"])
+    def test_grid_n_must_be_an_integer(self, grid_n):
+        with pytest.raises(ValueError, match=f"^grid_n must be an integer >= 1, got "
+                                             f"{re.escape(repr(grid_n))}$"):
+            principal_eigenvalue(green_kernel(all_nonempty_family(2)), grid_n)
 
     def test_grid_cap(self):
         with pytest.raises(ValueError):
@@ -887,6 +976,58 @@ class TestPrincipalEigenvalue:
         with pytest.raises(ConvergenceError, match="did not converge"):
             _nystrom_principal(green_kernel(empty_family(2)), 8, max_iter=1)
         assert issubclass(ConvergenceError, RuntimeError)
+
+
+def exact_trace(fam) -> Fraction:
+    """The integral of G(x, x) from the family's table: a subset W outside
+    the family contributes 3^-|W| 6^-(m-|W|) = 2^|W| / 6^m."""
+    return Fraction(sum(2 ** W.bit_count() for W in range(1 << fam.m) if not fam.table[W]),
+                    6 ** fam.m)
+
+
+class TestTraceBound:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("grid_n", [1, 8, 1024])
+    def test_every_family_is_the_exact_trace(self, m, grid_n):
+        for fam in enumerate_monotone_families(m):
+            assert trace_bound(green_kernel(fam), grid_n) == float(exact_trace(fam)), fam
+
+    @pytest.mark.parametrize("m", [8, 12, 16])
+    def test_large_families_are_the_exact_trace(self, m):
+        for fam in (all_nonempty_family(m), empty_family(m),
+                    upward_closure(list(subsets_of_size(m, m // 2)), m)):
+            for grid_n in (1, 8, 1024):
+                assert trace_bound(green_kernel(fam), grid_n) == float(exact_trace(fam))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("grid_n", [2, 5, 8, 13, 32])
+    def test_matches_the_tensor_rule_sum(self, m, grid_n):
+        # the diagonal has degree 2 per axis, so Gauss rules of 2 or more
+        # nodes per axis are exact up to rounding
+        pts, wts = tensor_rule(m, grid_n)
+        for fam in enumerate_monotone_families(m):
+            k = green_kernel(fam)
+            assert abs(trace_bound(k, grid_n) - float(k.values(pts, pts) @ wts)) <= 1e-14
+
+    @pytest.mark.parametrize("grid_n", [None, 0, -2, 2.5, True, "8"])
+    def test_needs_a_node_count(self, grid_n):
+        with pytest.raises(ValueError, match="grid_n must be an integer >= 1"):
+            trace_bound(green_kernel(all_nonempty_family(2)), grid_n)
+
+    def test_evaluates_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel evaluated")
+        monkeypatch.setattr(GreenKernel, "values", refuse)
+        monkeypatch.setattr(GreenKernel, "_pair_values", refuse)
+        k = green_kernel(all_nonempty_family(2))
+        tracemalloc.start()
+        try:
+            value = trace_bound(k, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+        assert value == 1 / 36
 
 
 class TestReferenceDirections:

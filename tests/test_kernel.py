@@ -243,7 +243,7 @@ class TestMatrixOps:
                 k = green_kernel(fam)
                 P = RNG.random((9, m))
                 want = [k.evaluate(p, p) for p in P]
-                assert np.allclose(k.diagonal(P), want, rtol=1e-14, atol=0.0)
+                assert np.allclose(k.values(P, P), want, rtol=1e-14, atol=0.0)
 
     def test_dimension_mismatch(self):
         k = green_kernel(empty_family(2))
@@ -263,7 +263,7 @@ class TestUnitCubePoints:
         return (lambda p: k.evaluate(p, [0.5, 0.5]), lambda p: k.evaluate([0.5, 0.5], p),
                 lambda p: k.values(np.array([p, p]), [0.5, 0.5]),
                 lambda p: k.cross([[0.5, 0.5], p], [[0.5, 0.5]]),
-                lambda p: k.cross([[0.5, 0.5]], [p]), lambda p: k.diagonal([p]))
+                lambda p: k.cross([[0.5, 0.5]], [p]), lambda p: k.values([p], [p]))
 
     @pytest.mark.parametrize("v", ACCEPTED)
     def test_faces_accepted(self, v):

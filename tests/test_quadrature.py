@@ -7,7 +7,6 @@ from cubegreen import quadrature
 from cubegreen.quadrature import (
     LADDER_RTOL,
     MAX_EVALUATIONS,
-    block_integral,
     cube_integral,
     cube_rule,
     default_nodes,
@@ -60,7 +59,7 @@ def test_point_values_visits_rows_then_scalars_in_order():
 
 
 @pytest.mark.parametrize("m, n", [(1, 7), (2, 5), (3, 4), (5, 3)])
-def test_block_integral_is_tensor_rule_sum_at_any_block_size(monkeypatch, m, n):
+def test_cube_integral_is_tensor_rule_sum_at_any_block_size(monkeypatch, m, n):
     f = lambda p: float(np.exp(p.sum()) * np.cos(3.0 * p[0]))
     pts, wts = tensor_rule(m, n)
     want = float(np.array([f(p) for p in pts], dtype=float) @ wts)
@@ -70,15 +69,13 @@ def test_block_integral_is_tensor_rule_sum_at_any_block_size(monkeypatch, m, n):
         blocks.append(len(P))
         return point_values(f, P)
 
-    assert block_integral(g, m, n) == want
     assert cube_integral(f, m, n) == want
     # one node per block: same nodes in the same order, same sum
     monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 1)
-    blocks.clear()
-    assert block_integral(g, m, n) == want
-    assert blocks == [1] * n ** m
+    assert cube_integral(f, m, n) == want
     x, w = unit_rule(n)
     assert node_values(g, x, m).tolist() == [f(p) for p in pts]
+    assert blocks == [1] * n ** m
     assert tensor_weights(w, m).tobytes() == wts.tobytes()
 
 
@@ -170,7 +167,7 @@ def test_dimension_must_be_an_integer_from_one(m):
 
     if m in (0, 2.0) or m is True:
         for call in (lambda: nodes_per_axis(m, 3), lambda: nodes_per_axis(m),
-                     lambda: cube_integral(never, m, 3), lambda: block_integral(never, m, 3),
+                     lambda: cube_integral(never, m, 3), lambda: cube_rule(never, m, 3),
                      lambda: tensor_rule(m, 3)):
             with pytest.raises(ValueError, match=f"^dimension m must be an integer >= 1, "
                                                  f"got {m!r}$"):
@@ -192,7 +189,7 @@ def test_oversized_integrals_refused_before_any_evaluation():
     with pytest.raises(ValueError, match="budget"):
         cube_integral(never, 12)
     with pytest.raises(ValueError, match="budget"):
-        block_integral(never, 3, 200)
+        cube_integral(never, 3, 200)
     with pytest.raises(ValueError, match="budget"):
         tensor_rule(12, 5)
 
@@ -278,8 +275,14 @@ def test_ladder_agreement_edge():
     rule_at, seen = scripted([one, above, 3.0, 4.0])
     assert node_ladder(rule_at, 4) == 4.0
     assert seen == [2, 3, 6, 12]
+    # a rung that is not finite agrees with none: the climb stops there
     rule_at, seen = scripted([float("nan")] * 5)
-    assert np.isnan(node_ladder(rule_at, 2)) and seen == [2, 3, 6, 12, 24]
+    assert np.isnan(node_ladder(rule_at, 2)) and seen == [2]
+    rule_at, seen = scripted([one, -float("inf"), 5.0, 5.0, 5.0])
+    assert node_ladder(rule_at, 2) == -float("inf") and seen == [2, 3]
+    # inf and a finite rung after it are not agreement (inf <= tol * inf)
+    rule_at, seen = scripted([float("inf"), one, one, one, one])
+    assert node_ladder(rule_at, 2) == float("inf") and seen == [2]
 
 
 def test_ladder_agreement_is_relative_to_the_absolute_sum():
