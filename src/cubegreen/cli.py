@@ -10,7 +10,8 @@ option that gave it, not member by member.  Matrices are written with
 and refuses a report that has none.
 Wall-clock time lives only under the "timing" key, the last one (with
 `replications_per_second` for `simulate` cov, tiedcov and nulldist); how
-a number was computed (such as power-iteration counts) under
+a number was computed (such as `eigen`'s power-iteration counts, 0 for a
+product kernel, whose eigenvalue is a product of per-axis ones) under
 "diagnostics".  Exit codes: 0 ok, 2 validation error or a computation
 that did not converge, 1 I/O error.
 Every call is a fresh process, so `extremal` and `measures` are imported

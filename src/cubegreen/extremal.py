@@ -22,8 +22,10 @@ This module also computes Bahadur slopes, Pitman slopes (multivariate
 Spearman statistic and the tied-down one-degree statistic), Fisher
 information of a dependence direction, the efficiency-bound gap, and the
 principal eigenvalue of the kernel's integral operator by the Nystrom
-method, with a power iteration that applies the kernel matrix through its
-per-axis Kronecker factors instead of forming it.  `trace_bound` is the
+method: for a product kernel (the pillow, the sheet, gap times min) the
+product of per-axis n x n eigenvalues, otherwise a power iteration that
+applies the kernel matrix through its per-axis Kronecker factors instead
+of forming it.  `trace_bound` is the
 closed trace over the complement table.  Every cube integral of a
 dependence direction is a tensor rule filled by `quadrature.node_values`
 within its evaluation budget; every call of a dependence function goes
@@ -57,6 +59,7 @@ separate nested central-difference stencil at one point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
@@ -370,13 +373,14 @@ def optimality_gap(family: MonotoneFamily, measure: Measure,
     f vanishes on every face x_U = 1 with U in the family.  Every such face
     lies in the face of a minimal member (a U in the family with no U - {j}
     in it), so `dep.fn` is probed on those faces (`_check_faces`) before
-    anything is solved; the sheet has none.
+    anything is solved; the sheet has none.  An integral of f d mu that is
+    not finite is refused, as the slopes refuse theirs.
     """
     minimal = [U for U in family.members
                if not any(U >> j & 1 and U ^ (1 << j) in family for j in range(family.m))]
     _check_faces(dep.fn, minimal, family.m)
     coeff = efficiency_coefficient(family, measure)
-    integral = integrate_against(measure, dep.fn)
+    integral = _finite(integrate_against(measure, dep.fn), "dependence function")
     index = coeff * integral * integral
     fisher = fisher_info(dep, m=family.m)
     return GapReport(index=index, fisher=fisher, gap=fisher - index)
@@ -385,18 +389,26 @@ def optimality_gap(family: MonotoneFamily, measure: Measure,
 def _nystrom_principal(kernel: GreenKernel, n: int, tol: float = 1e-12,
                        max_iter: int = 100_000) -> tuple[float, int]:
     """Principal eigenvalue of the symmetrized Nystrom matrix on the tensor
-    Gauss grid with n nodes per axis, by power iteration from the all-ones
-    vector; returns (eigenvalue, iterations).
+    Gauss grid with n nodes per axis; returns (eigenvalue, iterations).
 
     The matrix S K S, with K the kernel on the n**m nodes and S = diag of
     the square-rooted weights, is never formed: both K and S factor by
-    axis, so `GreenKernel.kron_matvec` applies it from three scaled n x n
-    matrices in O(D n**(m+1)) per iteration for a diagram of D node terms.
+    axis into three scaled n x n matrices, each positive semidefinite.
+    A product diagram (one node of one term per level: the pillow, the
+    sheet, gap times min) makes S K S the Kronecker product of one of
+    them per axis, so its top eigenvalue is the product of theirs, one
+    `eigvalsh` per distinct factor and 0 iterations.  Any other diagram
+    is power-iterated from the all-ones vector, `GreenKernel.kron_matvec`
+    applying S K S in O(D n**(m+1)) per iteration for D node terms.
     """
     x, w = unit_rule(n)
     s = np.sqrt(w)
     scale = np.outer(s, s)
     mins, ks, gaps = (a * scale for a in _pair_factors(x[:, None], x[None, :]))
+    if all(len(level) == 1 and len(level[0]) == 1 for level in kernel.levels):
+        slots = [level[0][0][0] for level in kernel.levels]
+        top = {f: float(np.linalg.eigvalsh((gaps, ks, mins)[f])[-1]) for f in set(slots)}
+        return math.prod(top[f] for f in slots), 0
     v = np.ones(n ** kernel.m)
     v /= np.linalg.norm(v)
     lam_prev = 0.0
@@ -418,10 +430,11 @@ def principal_eigenvalue(kernel: GreenKernel, grid_n: int) -> EigenEstimate:
     Nystrom discretization on tensor Gauss-Legendre grids at grid_n and
     grid_n // 2 points per axis, Richardson-extrapolated assuming
     second-order convergence.  The reported error is the (conservative)
-    difference between the two grids.  Each grid's power iteration is
-    matrix-free (see `_nystrom_principal`): O(D n**(m+1)) time per
-    iteration, three n x n matrices and a few vectors of n**m, so no
-    N x N matrix is built.
+    difference between the two grids.  Each grid is matrix-free (see
+    `_nystrom_principal`): a product kernel takes one n x n eigensolve per
+    distinct axis factor and reports 0 iterations; any other is
+    power-iterated in O(D n**(m+1)) time per iteration, with three n x n
+    matrices and a few vectors of n**m, so no N x N matrix is built.
     Raises ConvergenceError if a power iteration does not converge.
     """
     grid_n = _node_count(grid_n, "grid_n")

@@ -33,6 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .families import check_subset
+from .kernel import check_unit_cube
 from .quadrature import _node_count, blocks, count_text, midpoint_grid
 
 _DEFAULT_GRID = {2: 64, 3: 24}
@@ -144,13 +145,14 @@ def batch_tied_down(X: np.ndarray, axes) -> np.ndarray:
 
 
 def _one_point(data, x) -> tuple[np.ndarray, np.ndarray]:
-    """A validated dataset as a batch of one, and x as a one-point grid."""
+    """A validated dataset as a batch of one, and x, a point of the cube
+    (`check_unit_cube`), as a one-point grid."""
     X = as_dataset(data)
     _check_unit_cube(X)
     x = np.asarray(x, dtype=float)
     if x.shape != (X.shape[1],):
         raise ValueError("evaluation point dimension mismatch")
-    return X[None], x[None]
+    return X[None], check_unit_cube(x)[None]
 
 
 def empirical_process_W(data, V: int, x) -> float:

@@ -153,6 +153,10 @@ class TestBasicCommands:
         assert set(rep["result"]) == {"value", "error", "coarse", "fine"}
         assert rep["result"]["value"] == pytest.approx(np.pi**-6, rel=1e-3)
         diag = rep["diagnostics"]
+        assert diag == {"coarse_iterations": 0, "fine_iterations": 0}  # a product kernel
+        rep = run_json(capsys, "eigen", "--family-known-margins-V", "1,2", "--m", "3",
+                       "--grid-n", "8")
+        diag = rep["diagnostics"]
         assert set(diag) == {"coarse_iterations", "fine_iterations"}
         assert all(isinstance(v, int) and v >= 1 for v in diag.values())
 

@@ -888,6 +888,18 @@ class TestOptimalityGap:
             optimality_gap(all_nonempty_family(2), lebesgue(2),
                            DependenceFunction(fn=lambda x: float("nan")))
 
+    def test_non_finite_integral_is_refused(self):
+        # finite on every face, NaN inside: the integral of f d mu is NaN
+        pillow = pillow_direction(2)
+
+        def fn(x):
+            return float("nan") if np.all((0.2 < x) & (x < 0.8)) else pillow.fn(x)
+
+        with pytest.raises(ValueError, match="^non-finite dependence function values "
+                                             "at the nodes$"):
+            optimality_gap(family_for_known_margins(0, 2), lebesgue(2),
+                           DependenceFunction(fn=fn, density=pillow.density))
+
 
 class TestPrincipalEigenvalue:
     @staticmethod
@@ -951,6 +963,28 @@ class TestPrincipalEigenvalue:
         assert est.coarse == pytest.approx(
             self.oracle_1d(bridge, grid_n // 2) ** m, rel=1e-10)
 
+    @pytest.mark.parametrize("m, grid_n", [(2, 8), (2, 141), (3, 8), (3, 27),
+                                           (4, 8), (4, 11)])
+    @pytest.mark.parametrize("bridge", [True, False], ids=["pillow", "sheet"])
+    def test_tensor_kernels_are_exact_products(self, m, grid_n, bridge):
+        """Both grids of the pillow and the sheet are the m-th power of the
+        1-D top eigenvalue to rounding, not to a power iteration's stop."""
+        fam = all_nonempty_family(m) if bridge else empty_family(m)
+        est = principal_eigenvalue(green_kernel(fam), grid_n)
+        assert est.fine == pytest.approx(self.oracle_1d(bridge, grid_n) ** m, rel=1e-13)
+        assert est.coarse == pytest.approx(
+            self.oracle_1d(bridge, grid_n // 2) ** m, rel=1e-13)
+        assert est.coarse_iterations == est.fine_iterations == 0
+
+    @pytest.mark.parametrize("grid_n", [8, 141])
+    @pytest.mark.parametrize("V", [0b01, 0b10])
+    def test_gap_times_min_is_an_exact_product(self, V, grid_n):
+        est = principal_eigenvalue(green_kernel(family_for_known_margins(V, 2)), grid_n)
+        for got, n in ((est.fine, grid_n), (est.coarse, grid_n // 2)):
+            want = self.oracle_1d(True, n) * self.oracle_1d(False, n)
+            assert got == pytest.approx(want, rel=1e-13)
+        assert est.coarse_iterations == est.fine_iterations == 0
+
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("n", [4, 6, 9])
     def test_every_family_matches_dense_eigensolve(self, m, n):
@@ -961,7 +995,9 @@ class TestPrincipalEigenvalue:
             dense = np.linalg.eigvalsh(kern.cross(pts, pts) * np.outer(s, s)).max()
             lam, iterations = _nystrom_principal(kern, n)
             assert lam == pytest.approx(dense, rel=1e-9), fam
-            assert iterations >= 1
+            product_diagram = all(len(level) == 1 and len(level[0]) == 1
+                                  for level in kern.levels)
+            assert iterations == 0 if product_diagram else iterations >= 1
 
     def test_no_dense_kernel_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -971,10 +1007,15 @@ class TestPrincipalEigenvalue:
         est = principal_eigenvalue(kern, 10)
         assert 0.0 < est.value < trace_bound(kern, 10)
         assert est.coarse_iterations >= 1 and est.fine_iterations >= 1
+        kern = green_kernel(all_nonempty_family(3))  # a product kernel
+        est = principal_eigenvalue(kern, 10)
+        assert 0.0 < est.value < trace_bound(kern, 10)
+        assert est.coarse_iterations == est.fine_iterations == 0
 
     def test_nonconvergence_raises(self):
         with pytest.raises(ConvergenceError, match="did not converge"):
-            _nystrom_principal(green_kernel(empty_family(2)), 8, max_iter=1)
+            _nystrom_principal(green_kernel(family_for_known_margins(0b11, 2)), 8,
+                               max_iter=1)
         assert issubclass(ConvergenceError, RuntimeError)
 
 

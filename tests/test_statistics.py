@@ -1,6 +1,7 @@
 import builtins
 import inspect
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,15 @@ class TestProcesses:
     def test_rejects_data_outside_cube(self):
         with pytest.raises(ValueError):
             tied_down_process(np.array([[1.5, 0.2]]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, float("nan")])
+    def test_rejects_a_point_outside_cube(self, bad):
+        X = np.array([[0.2, 0.6], [0.7, 0.3]])
+        message = f"^coordinate {re.escape(repr(bad))} is not in \\[0, 1\\]$"
+        with pytest.raises(ValueError, match=message):
+            empirical_process_W(X, 1, [bad, 0.5])
+        with pytest.raises(ValueError, match=message):
+            tied_down_process(X, [0.5, bad])
 
     def test_rejects_bad_V(self):
         with pytest.raises(ValueError):
