@@ -15,7 +15,10 @@ product kernel, whose eigenvalue is a product of per-axis ones) under
 "diagnostics".  Exit codes: 0 ok, 2 validation error or a computation
 that did not converge, 1 I/O error.
 Every call is a fresh process, so `extremal` and `measures` are imported
-only by the handlers that solve (`lambda`, `solve`, `efficiency`, `eigen`).
+only by the handlers that solve (`lambda`, `solve`, `efficiency`, `eigen`),
+and parses its argv once: with the named command's own parser, and with
+the full one only when no command comes first or an argument is left
+over, so usage lines, messages and exit codes are the full parser's.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .families import (
     family_for_known_margins,
     family_from_json,
     format_subset,
-    parse_coordinate,
+    parse_coordinates,
     parse_subset,
 )
 from .kernel import check_unit_cube, compute_coefficients, green_kernel
@@ -128,7 +131,7 @@ def _statistic_options(name: str, args, m: int) -> tuple[int, dict]:
 
 
 def _parse_point(text: str, m: int) -> np.ndarray:
-    vals = [parse_coordinate(t, float) for t in text.split(",") if t.strip()]
+    vals = parse_coordinates(text, float)
     if len(vals) != m:
         raise ValueError(f"expected {m} coordinates, got {len(vals)}")
     return check_unit_cube(np.asarray(vals))
@@ -310,7 +313,9 @@ def _cmd_simulate(args) -> dict:
             "timing": {"replications_per_second": rate}}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser, and its command parsers by name: the `choices` map
+    of the action `add_subparsers` returns."""
     p = argparse.ArgumentParser(prog="cubegreen")
     p.add_argument("--version", action="version", version=f"cubegreen {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -381,18 +386,46 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scale-sqrt-n", action="store_true")
     sp.set_defaults(handler=_cmd_simulate)
 
-    return p
+    return p, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on its first call: parsing leaves no
-    state in it, and building it costs far more than a parse."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser `main` uses and its command parsers, built on the first
+    call: parsing leaves no state in them, and building them costs far
+    more than a parse."""
+    return _build()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The namespace `build_parser().parse_args(argv)` gives, each token
+    read once.
+
+    The full parser classifies every token, then hands those after the
+    command to the command's parser, which reads them all again; so when
+    argv[0] names a command, its parser alone reads the rest.  Every
+    other argv goes to the full parser, whose usage line, message and
+    exit code the user then sees: no command first (no argument, an
+    option, an unknown command), arguments the command's parser leaves
+    over ("unrecognized arguments" is the full parser's error), or a
+    token starting "--=", which the full parser refuses as an ambiguous
+    option of its own (--help or --version)."""
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None and not any(t.startswith("--=") for t in argv):
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     t0 = time.perf_counter()
     try:
         report = args.handler(args)

@@ -441,9 +441,13 @@ def principal_eigenvalue(kernel: GreenKernel, grid_n: int) -> EigenEstimate:
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
     if grid_n ** kernel.m > _NYSTROM_CAP:
-        raise ValueError(
-            f"grid_n**m = {count_text(grid_n ** kernel.m)} exceeds the Nystrom cap {_NYSTROM_CAP}"
-        )
+        fits = 7  # the largest grid_n with grid_n**m within the cap, if >= 8
+        while (fits + 1) ** kernel.m <= _NYSTROM_CAP:
+            fits += 1
+        hint = (f"the largest grid_n that fits at m = {kernel.m} is {fits}" if fits >= 8
+                else f"no grid_n >= 8 fits at m >= 5 (8**5 = {8 ** 5})")
+        raise ValueError(f"grid_n**m = {count_text(grid_n ** kernel.m)} exceeds the Nystrom "
+                         f"cap {_NYSTROM_CAP}; {hint}")
     coarse, coarse_it = _nystrom_principal(kernel, max(4, grid_n // 2))
     fine, fine_it = _nystrom_principal(kernel, grid_n)
     value = fine + (fine - coarse) / 3.0

@@ -92,19 +92,29 @@ def parse_coordinate(token: str, kind=int):
         raise ValueError(f"coordinate {echoed(token.strip())} is not {what}") from None
 
 
+def parse_coordinates(text: str, kind=int) -> list:
+    """The items of a comma list, each read by `parse_coordinate`: none in
+    blank text, and an empty or blank item is refused."""
+    if not text.strip():
+        return []
+    items = text.split(",")
+    if not all(t.strip() for t in items):
+        raise ValueError("empty item in the comma list")
+    return [parse_coordinate(t, kind) for t in items]
+
+
 def parse_subset(text: str, m: int) -> int:
     """Parse a subset of 1-based coordinates given as '1,3', in brace
     notation '{1,3}' or as a JSON list '[1,3]'; '', '{}' and '[]' are
-    the empty set."""
+    the empty set, and an empty item ('1,,3', '1,') is refused."""
     text = text.strip()
     if text in ("{}", "[]", ""):
         return 0
     if text.startswith("{") and text.endswith("}"):
-        items = [t for t in text[1:-1].split(",") if t.strip()]
-        return mask_from_coords((parse_coordinate(t) for t in items), m)
+        return mask_from_coords(parse_coordinates(text[1:-1]), m)
     if text.startswith("["):
         return mask_from_coords(json.loads(text), m)
-    return mask_from_coords((parse_coordinate(t) for t in text.split(",") if t.strip()), m)
+    return mask_from_coords(parse_coordinates(text), m)
 
 
 def format_subset(mask: int) -> str:

@@ -1,7 +1,11 @@
 import argparse
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -653,13 +657,13 @@ class TestSubsetSyntax:
                 assert rep["config"]["V"] == "{1,2}"
 
     @pytest.mark.parametrize("command", ["efficiency", "stat", "simulate", "known-margins"])
-    @pytest.mark.parametrize("text", ["{1,x}", "[1,", "0"])
+    @pytest.mark.parametrize("text", ["{1,x}", "[1,", "0", ",", "1,,2", "{1,,2}", "1,"])
     def test_bad_subset_exits_2(self, capsys, tmp_path, commands, command, text):
         out_file = tmp_path / "report.json"
         code, out, err = run_cli(capsys, *commands[command], text,
                                  "--out-file", str(out_file))
         assert code == 2 and out == "" and not out_file.exists()
-        assert err.startswith("error:")
+        assert err.startswith(f"error: {commands[command][-1]} {echoed(text)}: ")
 
     @pytest.mark.parametrize("command", ["efficiency", "stat", "simulate", "known-margins",
                                          "family"])
@@ -812,6 +816,15 @@ class TestPointOptions:
         assert err.startswith(f"error: {option} ") and "is not in [0, 1]" in err
 
     @pytest.mark.parametrize("option", ["--x", "--xi", "--eval-at"])
+    @pytest.mark.parametrize("point", ["0.5,,0.5", "0.5,0.5,", " ,0.5,0.5"])
+    def test_empty_item_exits_2_naming_the_option(self, capsys, option, point):
+        # once skipped: "0.5,,0.5" read as (0.5, 0.5)
+        argv = [a.format(point) for a in self.POINT_ARGV[option]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {option} {echoed(point)}: empty item in the comma list\n"
+
+    @pytest.mark.parametrize("option", ["--x", "--xi", "--eval-at"])
     def test_faces_accepted(self, capsys, option):
         argv = [a.format("-0.0,1.0") for a in self.POINT_ARGV[option]]
         run_json(capsys, *argv)
@@ -864,3 +877,115 @@ class TestStrictJson:
         code, out, err = run_cli(capsys, "coeffs", "--m", "2", "--family-all")
         assert code == 2 and out == ""
         assert err.startswith("error: Out of range float values are not JSON compliant")
+
+
+class TestParseOnce:
+    """`main` parses a command's argv with that command's parser alone;
+    every outcome (namespace, stdout, stderr, exit code) is the full
+    parser's."""
+
+    # per command: an accepted argv, and one missing a required option
+    # (efficiency has none: its --V misses its value)
+    ACCEPTED = {
+        "family": ["--family-all", "--m", "3"],
+        "coeffs": ["--family-empty", "--output", "csv"],
+        "green-eval": ["--family-all", "--x", "0.5,0.5", "--xi=0.2,0.7"],
+        "eigen": ["--family-known-margins-V", "1", "--grid-n", "8", "--out-file", "r.json"],
+        "lambda": ["--family", "[[1,2]]", "--measure", "diagonal", "--method", "closed"],
+        "solve": ["--family-all", "--eval-at", "0.5,0.5", "--eval-at", "0.1,0.2"],
+        "efficiency": ["--V", "1,2", "--m", "3"],
+        "stat": ["--name", "B", "--input", "data.csv", "--V", "1", "--rank-pit"],
+        "simulate": ["--mode", "nulldist", "--stat", "B", "--R", "10", "--scale-sqrt-n"],
+    }
+    MISSING = {
+        "family": ["--m", "3"],
+        "coeffs": [],
+        "green-eval": ["--family-all", "--x", "0.5,0.5"],
+        "eigen": ["--grid-n", "8"],
+        "lambda": ["--measure", "diagonal"],
+        "solve": ["--eval-at", "0.5,0.5"],
+        "efficiency": ["--V"],
+        "stat": ["--name", "rho"],
+        "simulate": ["--R", "10"],
+    }
+
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = f"exit {exc.code}"
+        out = capsys.readouterr()
+        return result, out.out, out.err
+
+    def check(self, capsys, argv):
+        fast = self.outcome(capsys, cli._parse_args, argv)
+        assert fast == self.outcome(capsys, build_parser().parse_args, argv)
+        return fast
+
+    @pytest.mark.parametrize("case", ["accepted", "help", "bad type", "missing", "unrecognized",
+                                      "extra positional", "version after", "ambiguous"])
+    @pytest.mark.parametrize("command", list(ACCEPTED))
+    def test_outcome_is_the_full_parsers(self, capsys, monkeypatch, command, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        accepted = self.ACCEPTED[command]
+        bad_type = ["--p", "x"] if command == "stat" else ["--m", "x"]
+        argv = [command, *{"accepted": accepted, "help": [*accepted, "-h"],
+                           "bad type": [*accepted, *bad_type],
+                           "missing": self.MISSING[command],
+                           "unrecognized": [*accepted, "--bogus", "1"],
+                           "extra positional": [*accepted, "extra"],
+                           "version after": [*accepted, "--version"],
+                           "ambiguous": [*accepted, "--=1"]}[case]]
+        result, out, err = self.check(capsys, argv)
+        if case == "accepted":
+            assert isinstance(result, argparse.Namespace) and result.command == command
+        elif case == "help":
+            assert result == "exit 0" and out.startswith(f"usage: cubegreen {command} ")
+        else:
+            assert result == "exit 2" and out == ""
+            # leftover arguments are reported by the full parser, in its usage
+            prog = "cubegreen" if case in ("unrecognized", "extra positional", "version after",
+                                           "ambiguous") else f"cubegreen {command}"
+            assert f"\n{prog}: error: " in err
+
+    @pytest.mark.parametrize("argv", [[], ["wat"], ["--version"], ["-h"], ["-h", "eigen"],
+                                      ["--bogus", "eigen"], ["Eigen", "--family-all"],
+                                      ["eig", "--family-all"]])
+    def test_no_command_first_goes_to_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        result, _, _ = self.check(capsys, argv)
+        assert result == ("exit 0" if argv[:1] in (["--version"], ["-h"]) else "exit 2")
+
+    def test_command_argv_skips_the_full_parser(self, capsys, monkeypatch):
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def only_commands(parser, *args, **kwargs):
+            if parser.prog == "cubegreen":
+                raise AssertionError("the full parser read a command's argv")
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", only_commands)
+        rep = run_json(capsys, "eigen", "--family-all", "--m", "2", "--grid-n", "8")
+        assert rep["config"] == {"m": 2, "family": ["--family-all"], "grid_n": 8}
+
+    def test_module_entry_point_reads_sys_argv(self, capsys, monkeypatch):
+        """`python -m cubegreen.cli`, main(None), writes what main(argv) does."""
+        monkeypatch.setenv("COLUMNS", "80")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        for argv in (["eigen", "--family-all", "--m", "2", "--grid-n", "8"],
+                     ["eigen", "--family-all", "--bogus"]):
+            proc = subprocess.run([sys.executable, "-m", "cubegreen.cli", *argv], env=env,
+                                  capture_output=True, text=True)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            assert out.out.startswith('{"config": ') if code == 0 else out.out == ""
+            assert (proc.returncode, proc.stderr) == (code, out.err)
+            cut = ', "timing": '
+            assert proc.stdout[:proc.stdout.find(cut)] == out.out[:out.out.find(cut)]
+        assert code == 2 and "cubegreen: error: unrecognized arguments: --bogus" in out.err

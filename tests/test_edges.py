@@ -140,7 +140,8 @@ class TestHugeCounts:
         code, out, err = run_cli(capsys, "eigen", "--family-all", "--m", "16",
                                  "--grid-n", HUGE)
         assert code == 2 and out == ""
-        assert err == "error: grid_n**m = 1.00e4800 exceeds the Nystrom cap 20000\n"
+        assert err == ("error: grid_n**m = 1.00e4800 exceeds the Nystrom cap 20000; "
+                       "no grid_n >= 8 fits at m >= 5 (8**5 = 32768)\n")
 
     @pytest.mark.parametrize("mode", [["--mode", "tiedcov"], ["--mode", "field"]])
     def test_simulate(self, capsys, mode):

@@ -950,6 +950,21 @@ class TestPrincipalEigenvalue:
         with pytest.raises(ValueError):
             principal_eigenvalue(green_kernel(empty_family(3)), 48)
 
+    @pytest.mark.parametrize("m, grid_n, fits", [(2, 142, 141), (3, 28, 27), (4, 12, 11)])
+    def test_grid_cap_names_the_largest_grid(self, m, grid_n, fits):
+        # fits**m is within the cap (the grid runs in test_tensor_kernels_are_powers_of_1d)
+        assert fits ** m <= 20_000 < grid_n ** m
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid_n**m = {grid_n ** m} exceeds the Nystrom cap 20000; the largest "
+                f"grid_n that fits at m = {m} is {fits}") + "$"):
+            principal_eigenvalue(green_kernel(empty_family(m)), grid_n)
+
+    def test_grid_cap_refuses_every_m_from_5(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "grid_n**m = 32768 exceeds the Nystrom cap 20000; no grid_n >= 8 fits at "
+                "m >= 5 (8**5 = 32768)") + "$"):
+            principal_eigenvalue(green_kernel(all_nonempty_family(5)), 8)
+
     @pytest.mark.parametrize("m, grid_n", [(2, 48), (2, 141), (3, 16), (3, 27),
                                            (4, 8), (4, 11)])
     @pytest.mark.parametrize("bridge", [True, False], ids=["pillow", "sheet"])

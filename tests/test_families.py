@@ -347,6 +347,15 @@ class TestParsing:
         with pytest.raises(ValueError, match=r"^coordinate 'aaa.*… \(1000 characters\) is not"):
             parse_subset("a" * 1000, 3)
 
+    @pytest.mark.parametrize("text", [",", "1,,2", "{1,,2}", "1,", ",1", "{1, }", "1, ,2"])
+    def test_empty_items_refused(self, text):
+        with pytest.raises(ValueError, match="^empty item in the comma list$"):
+            parse_subset(text, 3)
+
+    @pytest.mark.parametrize("text", ["", " ", "{}", "{ }", "[]"])
+    def test_blank_subsets_are_empty(self, text):
+        assert parse_subset(text, 3) == 0
+
     def test_json_subsets_are_not_truncated(self):
         with pytest.raises(ValueError, match="coordinate 1.9 is not an integer"):
             parse_subset("[1.9, true]", 3)
