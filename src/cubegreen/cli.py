@@ -249,7 +249,7 @@ def _cmd_eigen(args) -> dict:
 
 
 def _cmd_stat(args) -> dict:
-    X = rankstats.load_csv(args.input)
+    X = rankstats.load_csv(args.input, "--input")
     m = X.shape[1]
     _check_option_dim(f"--input {echoed(args.input)} ({m} columns)", m)
     if args.rank_pit:

@@ -72,11 +72,11 @@ class SimConfig:
 
     def __post_init__(self):
         if self.replications < 100:
-            raise ValueError("at least 100 replications are required")
+            raise ValueError(f"--R must be at least 100, got {self.replications}")
         if self.n < 1:
-            raise ValueError("sample size must be positive")
+            raise ValueError(f"--n must be at least 1, got {self.n}")
         if not 1 <= self.threads <= MAX_THREADS:
-            raise ValueError(f"threads must be between 1 and {MAX_THREADS}")
+            raise ValueError(f"--threads must be between 1 and {MAX_THREADS}, got {self.threads}")
         if self.grid_n is not None:
             check_grid_size(_node_count(self.grid_n, "grid_n") ** self.m)
         if self.V is not None:
@@ -138,10 +138,14 @@ def _uniform_block(seed: int, lo: int, hi: int, n: int, m: int) -> np.ndarray:
 def _replication_values(cfg: SimConfig, fn, cells: int = 0, width: int = 0) -> np.ndarray:
     """fn of the uniform sample of every replication, in index order.
 
-    fn maps a (B, n, m) block to B rows of values.  Its largest temporary
-    is taken to be B·n·max(m, width) floats.  A replication whose
-    n·max(m, width) values, or threads whose lattices of `cells` cells per
-    dataset (each within the cap) together, pass the cap of
+    fn maps a (B, n, m) block to B rows of values.  `width` is the floats
+    per observation of its largest temporary: g^(m-1) + g for a process
+    on a lattice of g nodes per axis (its factors' Kronecker product over
+    m - 1 axes, and the last axis's factors), 0 for a statistic, whose
+    lattice is counted in `cells`.  A block holds as many replications as
+    keep B·n·max(m, width) floats within the block budget.  A replication
+    whose n·max(m, width) values, or threads whose lattices of `cells`
+    cells per dataset (each within the cap) together, pass the cap of
     `rankstats.check_cap` are refused before anything is drawn.
     """
     each = cfg.n * max(cfg.m, width)
@@ -189,47 +193,42 @@ def _covariance_report(values: np.ndarray, theoretical: np.ndarray) -> Covarianc
     )
 
 
-def _simulate_covariance(cfg: SimConfig, family, points: np.ndarray, process,
-                         width: int) -> CovarianceReport:
+def _simulate_covariance(cfg: SimConfig, family, process) -> CovarianceReport:
     """Empirical covariance at the lattice points of process, a (B, n, m)
-    block of samples to its (B, G) values there, versus the Green kernel
-    of the family; process's largest temporary is `width` floats per
-    observation.  The R x G values are all kept: past the cap of
-    `rankstats.check_cap` the run is refused before anything is drawn."""
+    block of samples and the lattice's per-axis nodes to the (B, G)
+    values there (`rankstats.batch_tied_down` or `batch_process_W`),
+    versus the Green kernel of the family.  Its largest temporaries are
+    the Kronecker product of m - 1 axes' factors and the last axis's,
+    g^(m-1) + g floats per observation.  The R x G values are all kept:
+    past the cap of `rankstats.check_cap` the run is refused before
+    anything is drawn."""
+    if cfg.grid_n is None:
+        raise ValueError("config must include grid_n, the lattice nodes per axis")
+    axes, points = interior_lattice(cfg.m, cfg.grid_n)
     values = cfg.replications * len(points)
     rankstats.check_cap(values, f"--R {cfg.replications} replications on {len(points)} "
                         f"grid points keep {count_text(values)} process values", "--R or grid_n")
     theo = green_kernel(family).cross(points, points)
-    return _covariance_report(_replication_values(cfg, process, width=width), theo)
-
-
-def _lattice(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    if cfg.grid_n is None:
-        raise ValueError("config must include grid_n, the lattice nodes per axis")
-    return interior_lattice(cfg.m, cfg.grid_n)
+    g = cfg.grid_n
+    return _covariance_report(_replication_values(cfg, lambda X: process(X, axes),
+                                                  width=g ** (cfg.m - 1) + g), theo)
 
 
 def simulate_null_covariance(cfg: SimConfig) -> CovarianceReport:
     """Empirical covariance of the known-margins process on the lattice
-    versus the Green kernel of the matching family; the process is
-    counted point by point, from (B, G, n) comparisons."""
+    versus the Green kernel of the matching family; the process is built
+    as the tied-down process is, from per-axis indicators
+    (`rankstats.batch_process_W`)."""
     if cfg.V is None:
         raise ValueError("config must specify V")
-    _, points = _lattice(cfg)
-    return _simulate_covariance(cfg, family_for_known_margins(cfg.V, cfg.m), points,
-                                lambda X: rankstats.batch_process_W(X, points, cfg.V),
-                                len(points))
+    return _simulate_covariance(cfg, family_for_known_margins(cfg.V, cfg.m),
+                                lambda X, axes: rankstats.batch_process_W(X, axes, cfg.V))
 
 
 def simulate_tied_down_covariance(cfg: SimConfig) -> CovarianceReport:
     """Empirical covariance of the tied-down process on the lattice versus
-    the pillow kernel; the process is built from per-axis factors, whose
-    Kronecker product over m - 1 axes is the largest temporary."""
-    axes, points = _lattice(cfg)
-    g = cfg.grid_n
-    return _simulate_covariance(cfg, all_nonempty_family(cfg.m), points,
-                                lambda X: rankstats.batch_tied_down(X, axes),
-                                g ** (cfg.m - 1) + g)
+    the pillow kernel."""
+    return _simulate_covariance(cfg, all_nonempty_family(cfg.m), rankstats.batch_tied_down)
 
 
 def sample_gaussian_field(kernel: GreenKernel, grid, count: int, seed: int) -> np.ndarray:

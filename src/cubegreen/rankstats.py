@@ -11,7 +11,10 @@ processes have one batch implementation over a (B, n, m) stack of
 datasets, which returns one value per dataset (`batch_ranks`,
 `batch_statistic`, `batch_process_W`, `batch_tied_down`).  The functions
 of one (n, m) dataset are those forms applied to X[None], so a value does
-not depend on the batch it is computed in.
+not depend on the batch it is computed in.  The two processes are both
+`_lattice_sums` of per-axis factors, the observations innermost: their
+row-wise Kronecker product over m - 1 axes contracted with the last
+axis's in one batched matmul.
 
 B and B-hat at p >= 2 are sums over a lattice of midpoint-grid nodes and
 empirical product atoms.  Every lattice value comes from one cumulative
@@ -32,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .families import check_subset
+from .families import check_subset, echoed
 from .kernel import check_unit_cube
 from .quadrature import _node_count, blocks, count_text, midpoint_grid
 
@@ -68,22 +71,29 @@ def batch_ranks(data) -> np.ndarray:
     dataset alone.
     """
     X = as_batch(data)
-    B, n, m = X.shape
+    return _column_ranks(X, range(X.shape[2]))
+
+
+def _column_ranks(X: np.ndarray, columns) -> np.ndarray:
+    """`batch_ranks` of the listed columns of a (B, n, m) batch alone, as
+    (B, n, len(columns)); a tie names its column's number in the data."""
+    columns = list(columns)
+    B, n, k = X.shape[0], X.shape[1], len(columns)
     # ties are refused below, so the order among equal values never matters
-    rows = np.ascontiguousarray(X.transpose(0, 2, 1)).reshape(-1)
-    flat = np.argsort(rows.reshape(B * m, n), axis=1)
-    flat += np.arange(0, B * m * n, n)[:, None]
+    rows = np.ascontiguousarray(X.transpose(0, 2, 1)[:, columns]).reshape(-1)
+    flat = np.argsort(rows.reshape(B * k, n), axis=1)
+    flat += np.arange(0, B * k * n, n)[:, None]
     flat = flat.reshape(-1)
-    S = rows.take(flat).reshape(B, m, n)
+    S = rows.take(flat).reshape(B, k, n)
     nan = np.isnan(S[:, :, -1])  # argsort puts NaN last
     tied = (S[:, :, 1:] == S[:, :, :-1]).any(axis=2)
     if nan.any() or tied.any():
         b = int(np.argmax((nan | tied).any(axis=1)))
         if nan[b].any():
             raise ValueError("dataset contains NaN")
-        raise ValueError(f"ties detected in column {int(np.argmax(tied[b])) + 1}")
-    R = np.empty((B, m, n), dtype=np.int64)
-    R.reshape(-1)[flat] = np.tile(np.arange(1, n + 1), B * m)
+        raise ValueError(f"ties detected in column {columns[int(np.argmax(tied[b]))] + 1}")
+    R = np.empty((B, k, n), dtype=np.int64)
+    R.reshape(-1)[flat] = np.tile(np.arange(1, n + 1), B * k)
     return R.transpose(0, 2, 1)
 
 
@@ -103,45 +113,44 @@ def _check_unit_cube(X: np.ndarray) -> None:
         raise ValueError("data must lie in the unit cube for this statistic")
 
 
-def batch_process_W(X: np.ndarray, grid: np.ndarray, V: int) -> np.ndarray:
-    """The known-margins empirical process at every point of a (G, m) grid,
-    for every dataset of a (B, n, m) batch in the unit cube, as (B, G).
+def _kron(F) -> np.ndarray:
+    """The row-wise Kronecker product (prod g_j, ...) of (g_j, ...) arrays."""
+    K = F[0]
+    for Fj in F[1:]:
+        K = K[:, None] * Fj[None]
+        K = K.reshape(-1, *K.shape[2:])
+    return K
 
-    The ECDFs are exact counts, built one axis at a time from (B, G, n)
-    comparisons, each column of observations contiguous.
-    """
-    n, m = X.shape[1:]
-    Xt = np.ascontiguousarray(X.transpose(0, 2, 1))
-    joint = None
-    prod = np.ones((X.shape[0], len(grid)))
-    for j in range(m):
-        below = Xt[:, None, j, :] <= grid[:, j, None]
-        joint = below if joint is None else joint & below
-        prod *= grid[:, j] if V >> j & 1 else np.count_nonzero(below, axis=2) / n
-    return np.sqrt(n) * (np.count_nonzero(joint, axis=2) / n - prod)
+
+def _lattice_sums(F) -> np.ndarray:
+    """sum_i prod_j F_j[k_j, b, i] on the lattice, as (B, G), the last axis
+    fastest, of one (g_j, B, n) factor array per axis: the `_kron` of the
+    first m - 1 contracted with the last over i in one batched matmul."""
+    T = np.matmul(_kron(F[:-1]).transpose(1, 0, 2), F[-1].transpose(1, 2, 0))
+    return T.reshape(len(T), -1)
+
+
+def batch_process_W(X: np.ndarray, axes, V: int) -> np.ndarray:
+    """The known-margins empirical process at every point of the tensor
+    lattice of the per-axis nodes `axes` (m ascending 1-D arrays), for
+    every dataset of a (B, n, m) batch in the unit cube, as (B, G) in
+    lattice order, the last axis fastest.  The counts, joint and marginal,
+    are exact sums of the indicators 1{X_ij <= c}."""
+    n = X.shape[1]
+    F = [(Xj <= c[:, None, None]).astype(float) for Xj, c in zip(X.transpose(2, 0, 1), axes)]
+    ref = _kron([c[:, None] if V >> j & 1 else F[j].sum(axis=2) / n
+                 for j, c in enumerate(axes)])
+    return np.sqrt(n) * (_lattice_sums(F) / n - ref.T)
 
 
 def batch_tied_down(X: np.ndarray, axes) -> np.ndarray:
     """The tied-down process at every point of the tensor lattice of the
-    per-axis nodes `axes` (m ascending 1-D arrays), for every dataset of a
-    (B, n, m) batch in the unit cube, as (B, G) in lattice order, the last
-    axis fastest.
-
-    The factors 1{X_ij <= c} - c of axis j are a (B, n, g_j) array, built
-    when they are used: their row-wise Kronecker product over the first
-    m - 1 axes is contracted with the last axis's factors over the
-    observations in one batched matmul, O(n·G) per dataset.
-    """
-    n, m = X.shape[1:]
-
-    def factors(j: int) -> np.ndarray:
-        return (X[:, :, j, None] <= axes[j]) - axes[j]
-
-    K = factors(0)
-    for j in range(1, m - 1):
-        K = (K[:, :, :, None] * factors(j)[:, :, None, :]).reshape(len(X), n, -1)
-    T = np.matmul(K.transpose(0, 2, 1), factors(m - 1))
-    return T.reshape(len(X), -1) / np.sqrt(n)
+    per-axis nodes `axes`, for every dataset of a (B, n, m) batch in the
+    unit cube, as `batch_process_W` lays it out: `_lattice_sums` of the
+    factors 1{X_ij <= c} - c."""
+    nodes = (c[:, None, None] for c in axes)
+    F = [(Xj <= c) - c for Xj, c in zip(X.transpose(2, 0, 1), nodes)]
+    return _lattice_sums(F) / np.sqrt(X.shape[1])
 
 
 def _one_point(data, x) -> tuple[np.ndarray, np.ndarray]:
@@ -157,9 +166,9 @@ def _one_point(data, x) -> tuple[np.ndarray, np.ndarray]:
 
 def empirical_process_W(data, V: int, x) -> float:
     """sqrt(n) (F_n(x) - prod_{j in V} x_j * prod_{j not in V} F_{j,n}(x_j))."""
-    X, grid = _one_point(data, x)
+    X, point = _one_point(data, x)
     check_subset(V, X.shape[2])
-    return float(batch_process_W(X, grid, V)[0, 0])
+    return float(batch_process_W(X, point.T, V)[0, 0])
 
 
 def tied_down_process(data, x) -> float:
@@ -270,7 +279,8 @@ def _batch_Bp(X: np.ndarray, V: int, p: int, g: int) -> np.ndarray:
     # lattice coordinates: the midpoint bin on a V-axis (1{X <= c_k} =
     # 1{b <= k}; b = g is above every midpoint, the overflow bin), rank - 1
     # elsewhere (1{X <= X_(a)} = 1{R <= a+1})
-    idx = batch_ranks(X) - 1
+    idx = np.empty((len(X), m, n), dtype=np.int64).transpose(0, 2, 1)
+    idx[:, :, out_v] = _column_ranks(X, out_v) - 1
     # the reference product per axis: x_j on a V-axis, F_{j,n}(X_(a)) = (a+1)/n
     ref = [np.arange(1, n + 1) / n] * m
     drop = None
@@ -357,12 +367,12 @@ def _batch_B(X: np.ndarray, V: int, p: int, g: int) -> np.ndarray:
         return _batch_Bp(X, V, p, g)
     n, m = X.shape[1:]
     in_v, out_v = _split_V(V, m)
-    R = batch_ranks(X)
+    R = _column_ranks(X, out_v)
     term1 = np.ones(X.shape[:2])
     for j in in_v:
         term1 *= 1.0 - X[:, :, j]
-    for j in out_v:
-        term1 *= (n - R[:, :, j] + 1.0) / n
+    for k in range(len(out_v)):
+        term1 *= (n - R[:, :, k] + 1.0) / n
     t2 = 0.5 ** len(in_v) * ((n + 1.0) / (2.0 * n)) ** len(out_v)
     return term1.mean(axis=1) - t2
 
@@ -372,7 +382,7 @@ def _batch_Bhat(X: np.ndarray, V: int, p: int, g: int) -> np.ndarray:
     _check_unit_cube(X)
     if p != 1:
         return _batch_Bhatp(X, p, g)
-    return np.prod(0.5 - X, axis=2).mean(axis=1)
+    return reduce(np.multiply, (0.5 - X).transpose(2, 0, 1)).mean(axis=1)
 
 
 def _check_two(n: int) -> None:
@@ -385,7 +395,8 @@ def _batch_rho(X: np.ndarray, *_) -> np.ndarray:
     _check_two(n)
     R = batch_ranks(X)
     c_m = float(np.mean(np.arange(1, n + 1, dtype=float) ** m) - ((n + 1.0) / 2.0) ** m)
-    s = np.prod(n + 1.0 - R, axis=2).mean(axis=1) - ((n + 1.0) / 2.0) ** m
+    s = reduce(np.multiply, (n + 1.0 - R).transpose(2, 0, 1)).mean(axis=1)
+    s -= ((n + 1.0) / 2.0) ** m
     return s / c_m
 
 
@@ -480,7 +491,37 @@ def statistic(name: str, X, V: int, p: int, grid_n: int | None) -> float:
     return float(globals()[stat.single](X, *(given[o] for o in stat.options)))
 
 
-def load_csv(path) -> np.ndarray:
+def _parses(tok: str) -> bool:
+    """Whether np.loadtxt reads tok as a float: as float() does, but without
+    underscores or non-ASCII digits."""
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return tok.isascii() and "_" not in tok
+
+
+def _bad_row(lines, skip: int) -> str | None:
+    """Why np.loadtxt refuses `lines` past the first `skip`: the 1-based
+    line of the first data row whose value count differs from the first
+    data row's, or that holds a value that is not a number."""
+    first = None
+    for k, line in enumerate(lines[skip:], skip + 1):
+        row = line.split("#", 1)[0]
+        if not row.strip():
+            continue
+        toks = row.split(",")
+        first = first or (k, len(toks))
+        if len(toks) != first[1]:
+            return (f"line {k}: found {len(toks)}, expected {first[1]} values as on "
+                    f"line {first[0]}, the first data row")
+        bad = next((tok.strip() for tok in toks if not _parses(tok)), None)
+        if bad is not None:
+            return f"line {k}: {bad!r} is not a number"
+    return None
+
+
+def load_csv(path, name: str = "the input") -> np.ndarray:
     """Load an n x m dataset from CSV.
 
     The file is read as UTF-8, a leading byte-order mark dropped.  A `#`
@@ -490,7 +531,9 @@ def load_csv(path) -> np.ndarray:
     numbers.  A file with no data row after that is refused with
     ValueError before numpy reads it.  numpy parses the path; a
     whitespace-only line makes it fail, and the lines are then read again
-    from the handle the header was sniffed on."""
+    from the handle the header was sniffed on.  Data numpy cannot read is
+    refused naming `name`, the file, its first bad line (counting every
+    line of the file) and the value that does not parse, or its count."""
     with open(path, encoding="utf-8-sig") as fh:
         rows = ((i, row) for i, line in enumerate(fh)
                 if (row := line.split("#", 1)[0].strip()))
@@ -512,5 +555,11 @@ def load_csv(path) -> np.ndarray:
             # read again with every blank line emptied (an error of the data stays)
             fh.seek(0)
             lines = [line if line.split("#", 1)[0].strip() else "" for line in fh]
-            X = np.loadtxt(lines, delimiter=",", skiprows=skip, ndmin=2)
+            try:
+                X = np.loadtxt(lines, delimiter=",", skiprows=skip, ndmin=2)
+            except ValueError:
+                why = _bad_row(lines, skip)
+                if why is None:
+                    raise
+                raise ValueError(f"{name} {echoed(str(path))}: {why}") from None
     return as_dataset(X)

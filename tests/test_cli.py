@@ -277,6 +277,23 @@ class TestStatCommand:
         assert err == (f"error: --input {echoed(str(path))} (17 columns): dimension must be "
                        f"an integer in [2, 16], got 17\n")
 
+    @pytest.mark.parametrize("text, why", [
+        ("a,b\n0.1,0.2\n0.3,x\n", "line 3: 'x' is not a number"),
+        ("# note\n0.1,0.2\n\n0.3,0.4\n0.5,zz\n", "line 5: 'zz' is not a number"),
+        ("u,v\n0.1,0.2\n \n0.3\n", "line 4: found 1, expected 2 values as on line 2, "
+                                      "the first data row"),
+        ("0.1,0.2\n0.3,0.4,0.5\n", "line 2: found 3, expected 2 values as on line 1, "
+                                    "the first data row"),
+        # quoted numbers: line 1 reads as a header
+        ('"0.1","0.2"\n"0.3","0.4"\n', "line 2: '\"0.3\"' is not a number"),
+    ])
+    def test_bad_csv_names_its_line_in_the_file(self, capsys, tmp_path, text, why):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "stat", "--name", "rho", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: --input {echoed(str(path))}: {why}\n"
+
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "stat", "--name", "rho",
                                "--input", "/nonexistent/x.csv")
@@ -384,6 +401,18 @@ class TestSimulateCommand:
                                  "--n", "20", "--R", "100", "--threads", threads)
         assert code == 2 and out == ""
         assert "threads must be between 1 and 64" in err
+
+    @pytest.mark.parametrize("mode", [["cov", "--V", ""], ["tiedcov"], ["nulldist", "--stat", "rho"]])
+    @pytest.mark.parametrize("option, value, message", [
+        ("--n", "0", "--n must be at least 1, got 0"),
+        ("--R", "99", "--R must be at least 100, got 99"),
+        ("--threads", "0", "--threads must be between 1 and 64, got 0"),
+        ("--threads", "65", "--threads must be between 1 and 64, got 65"),
+    ])
+    def test_sample_options_refused_naming_them(self, capsys, mode, option, value, message):
+        code, out, err = run_cli(capsys, "simulate", "--mode", *mode, option, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("mode", ["cov", "tiedcov", "field", "nulldist"])
     @pytest.mark.parametrize("grid_n", ["0", "-2"])

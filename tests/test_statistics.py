@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubegreen import montecarlo, rankstats
+from cubegreen.families import echoed
 from cubegreen.quadrature import midpoint_grid
 from cubegreen.rankstats import (
     REGISTRY,
@@ -525,7 +526,7 @@ class TestBatchForms:
             T = batch_tied_down(X, axes)
             assert T.shape == (4, len(grid))
             for V in (0, 1, (1 << m) - 1):
-                W = batch_process_W(X, grid, V)
+                W = batch_process_W(X, axes, V)
                 for b in range(4):
                     for g in range(len(grid)):
                         x = grid[g]
@@ -590,6 +591,47 @@ class TestBatchForms:
             batch_statistic("rho", RNG.random((10, 2)))
         with pytest.raises(ValueError, match="unknown statistic"):
             batch_statistic("tau", RNG.random((1, 10, 2)))
+
+
+class TestBRanksOutsideV:
+    """B reads ranks only outside V: the V columns enter by value (p = 1)
+    or by their midpoint bin (p >= 2)."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_only_columns_outside_V_are_sorted(self, monkeypatch, p):
+        rows = []
+        argsort = np.argsort
+
+        def counted(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        X = RNG.random((5, 6, 4))
+        for V in range(16):
+            rows.clear()
+            batch_statistic("B", X, V, p, 3)
+            assert sum(rows) == 5 * (4 - V.bit_count())
+
+    def test_a_tie_inside_V_is_not_refused(self):
+        X = RNG.random((8, 3))
+        X[5, 1] = X[2, 1]
+        for V in (0b010, 0b111):
+            assert stat_B(X, V) == loop_p1("B", X, V)
+            value, scale = loop_B(X, V, 4, (2,))[2]
+            assert abs(stat_B(X, V, 2, 4) - value) <= 1e-12 * scale
+        assert stat_Bhat(X) == loop_p1("Bhat", X, 0)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_a_tie_outside_V_names_its_column_in_the_data(self, p):
+        X = RNG.random((8, 3))
+        X[6, 2] = X[1, 2]
+        X[4, 0] = X[3, 0]  # a tie in the known column 1 is not reported
+        with pytest.raises(ValueError, match="^ties detected in column 3$"):
+            stat_B(X, 0b001, p, 4)
+        X[7, 1] = X[0, 1]
+        with pytest.raises(ValueError, match="^ties detected in column 2$"):
+            stat_B(X, 0b001, p, 4)
 
 
 class TestStatisticDispatch:
@@ -686,8 +728,21 @@ class TestCsv:
     def test_a_bad_value_is_still_refused_past_a_blank_line(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("0.1,0.2\n   \n0.3,x\n")
-        with pytest.raises(ValueError, match="could not convert string 'x'"):
+        with pytest.raises(ValueError, match=r": line 3: 'x' is not a number$"):
             load_csv(path)
+
+    @pytest.mark.parametrize("text, line, token", [
+        ("0.1,0.2\n0.3,1_0\n", 2, "1_0"),  # Python's float() reads these two, numpy not
+        ("0.1,0.2\n0.3,\u0661\n", 2, "\u0661"),
+        ("0.1,0.2\n0.3, \n", 2, ""),
+        ("0.1,0.2 # c\n# 0.3,x\n0.5,y # z\n", 3, "y"),
+    ])
+    def test_a_bad_value_names_its_line_and_token(self, tmp_path, text, line, token):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"the input {echoed(str(path))}: line {line}: {token!r} is not a number"
 
     def test_one_read_without_whitespace_only_lines(self, tmp_path, monkeypatch):
         calls = []
