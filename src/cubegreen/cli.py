@@ -268,13 +268,12 @@ def _cmd_simulate(args) -> dict:
     check_seed(args.seed, "--seed")
     if args.mode == "cov" and args.V is None:
         raise ValueError('--mode cov needs --V, the known margins (--V "" for none)')
-    # nulldist hands grid_n to the statistic and builds no interior grid
-    nulldist = args.mode == "nulldist"
-    grid_n = 4 if args.grid_n is None and not nulldist else args.grid_n
-    grid_n = None if grid_n is None else _node_count(grid_n, "--grid-n")
-    if nulldist:
+    if args.grid_n is not None:
+        _node_count(args.grid_n, "--grid-n")
+    if args.mode == "nulldist":  # grid_n is the statistic's, None for its default
         V, options = _statistic_options(args.stat, args, args.m)
-    else:  # the known margins of cov and field; tiedcov has none
+    else:  # the interior lattice's, 4 by default; the known margins of cov and field
+        grid_n = 4 if args.grid_n is None else args.grid_n
         V = (None if args.V is None or args.mode == "tiedcov"
              else _read_option("--V", parse_subset, args.V, args.m))
     V_text = format_subset(V) if V is not None else None
@@ -286,16 +285,15 @@ def _cmd_simulate(args) -> dict:
         return {"config": {"mode": args.mode, "m": args.m, "seed": args.seed,
                            "grid_n": grid_n, "V": V_text, "count": args.count},
                 "result": {"draws": draws.tolist()}}
-    cfg = SimConfig(seed=args.seed, n=args.n, replications=args.R, m=args.m,
-                    grid_n=None if nulldist else grid_n, V=V, threads=args.threads)
+    cfg = SimConfig(seed=args.seed, n=args.n, replications=args.R, m=args.m, threads=args.threads)
     config = {"mode": args.mode, "m": args.m, "n": args.n, "R": args.R, "seed": args.seed}
     t0 = time.perf_counter()
     if args.mode in ("cov", "tiedcov"):
         config.update(grid_n=grid_n, threads=args.threads)
         if args.mode == "cov":
             config["V"] = V_text
-        rep = (simulate_null_covariance(cfg) if args.mode == "cov"
-               else simulate_tied_down_covariance(cfg))
+        rep = (simulate_null_covariance(cfg, V, grid_n) if args.mode == "cov"
+               else simulate_tied_down_covariance(cfg, grid_n))
         result = {"empirical": rep.empirical.tolist(),
                   "theoretical": rep.theoretical.tolist(),
                   "max_abs_dev": rep.max_abs_dev,
@@ -303,8 +301,7 @@ def _cmd_simulate(args) -> dict:
     else:  # nulldist
         config.update(threads=args.threads, stat=args.stat, **options,
                       scale_sqrt_n=args.scale_sqrt_n)
-        dist = null_distribution(cfg, args.stat, p=args.p, grid_n=grid_n,
-                                 scale_sqrt_n=args.scale_sqrt_n)
+        dist = null_distribution(cfg, args.stat, args.p, args.grid_n, args.scale_sqrt_n, V=V)
         result = {"mean": dist.mean, "variance": dist.variance,
                   "variance_se": dist.variance_se,
                   "quantiles": {str(k): v for k, v in dist.quantiles.items()}}

@@ -405,8 +405,8 @@ def _nystrom_principal(kernel: GreenKernel, n: int, tol: float = 1e-12,
     s = np.sqrt(w)
     scale = np.outer(s, s)
     mins, ks, gaps = (a * scale for a in _pair_factors(x[:, None], x[None, :]))
-    if all(len(level) == 1 and len(level[0]) == 1 for level in kernel.levels):
-        slots = [level[0][0][0] for level in kernel.levels]
+    slots = kernel.product_factors()
+    if slots is not None:
         top = {f: float(np.linalg.eigvalsh((gaps, ks, mins)[f])[-1]) for f in set(slots)}
         return math.prod(top[f] for f in slots), 0
     v = np.ones(n ** kernel.m)

@@ -146,6 +146,14 @@ class GreenKernel:
         sizes = np.bitwise_count(np.flatnonzero(~self.family.table))
         return np.bincount(sizes, minlength=self.m + 1).tolist()
 
+    def product_factors(self) -> tuple[int, ...] | None:
+        """The factor (_GAP, _K or _MIN) on each axis, axis 0 first, of a
+        product diagram, one node of one term per level (the pillow, the
+        sheet, gap times min); None for any other diagram."""
+        if all(len(level) == 1 and len(level[0]) == 1 for level in self.levels):
+            return tuple(level[0][0][0] for level in self.levels)
+        return None
+
     def sum_terms(self, mins: np.ndarray, ks: np.ndarray, gaps: np.ndarray) -> np.ndarray:
         """The kernel from per-axis factors of shape (m, n, ...): mins[j],
         ks[j] and gaps[j] stand for min(x_j, xi_j), x_j xi_j and the gap,

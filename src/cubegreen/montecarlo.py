@@ -1,5 +1,11 @@
 """Seeded simulation harness for the limiting-covariance claims.
 
+A `SimConfig` is the sample alone, what every simulation draws.  Each
+simulator takes the other options it reads and checks each once, before
+anything is drawn: `simulate_null_covariance` the known margins V and
+the lattice's grid_n, `simulate_tied_down_covariance` the grid_n alone,
+and `null_distribution` the statistic, its p and grid_n, and V.
+
 Every simulation reads one counter-based Philox stream, the stream of
 `substream(seed, 0)`.  A Philox block is one counter value and gives four
 64-bit outputs, one per uniform; replication r of an n x m sample owns
@@ -51,8 +57,10 @@ def check_field_size(count: int, points: int) -> None:
 def interior_lattice(m: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     """The interior lattice of grid_n nodes (k+1)/(grid_n+1) on each of m
     axes: the (m, grid_n) nodes per axis and the (grid_n^m, m) points, the
-    last axis varying fastest.  A lattice too large for its kernel
-    matrices is refused before it is built."""
+    last axis varying fastest.  It is the one check of a lattice's
+    grid_n: an integer >= 1, a bool refused, and a lattice too large for
+    its kernel matrices refused before it is built."""
+    grid_n = _node_count(grid_n, "grid_n")
     check_grid_size(grid_n ** m)
     axis = (np.arange(grid_n) + 1.0) / (grid_n + 1.0)
     return np.tile(axis, (m, 1)), tensor_points(axis, m)
@@ -60,14 +68,13 @@ def interior_lattice(m: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A simulation: `grid_n` nodes per axis of the interior lattice on
-    which `cov` and `tiedcov` compare covariances (None for `nulldist`)."""
+    """The sample of a simulation, all that every simulator draws:
+    `replications` (at least 100) samples of n >= 1 observations in m
+    dimensions from `seed`, on 1 to MAX_THREADS worker `threads`."""
     seed: int
     n: int
     replications: int
     m: int
-    grid_n: int | None = None
-    V: int | None = None
     threads: int = 1
 
     def __post_init__(self):
@@ -77,10 +84,6 @@ class SimConfig:
             raise ValueError(f"--n must be at least 1, got {self.n}")
         if not 1 <= self.threads <= MAX_THREADS:
             raise ValueError(f"--threads must be between 1 and {MAX_THREADS}, got {self.threads}")
-        if self.grid_n is not None:
-            check_grid_size(_node_count(self.grid_n, "grid_n") ** self.m)
-        if self.V is not None:
-            check_subset(self.V, self.m)
         check_seed(self.seed, "seed")
 
 
@@ -193,42 +196,40 @@ def _covariance_report(values: np.ndarray, theoretical: np.ndarray) -> Covarianc
     )
 
 
-def _simulate_covariance(cfg: SimConfig, family, process) -> CovarianceReport:
-    """Empirical covariance at the lattice points of process, a (B, n, m)
-    block of samples and the lattice's per-axis nodes to the (B, G)
-    values there (`rankstats.batch_tied_down` or `batch_process_W`),
-    versus the Green kernel of the family.  Its largest temporaries are
-    the Kronecker product of m - 1 axes' factors and the last axis's,
-    g^(m-1) + g floats per observation.  The R x G values are all kept:
-    past the cap of `rankstats.check_cap` the run is refused before
-    anything is drawn."""
-    if cfg.grid_n is None:
-        raise ValueError("config must include grid_n, the lattice nodes per axis")
-    axes, points = interior_lattice(cfg.m, cfg.grid_n)
+def _simulate_covariance(cfg: SimConfig, family, grid_n: int, process) -> CovarianceReport:
+    """Empirical covariance of process on the interior lattice of grid_n
+    nodes per axis versus the Green kernel of the family; process maps a
+    (B, n, m) block of samples and the lattice's per-axis nodes to the
+    (B, G) values there (`rankstats.batch_tied_down` or
+    `batch_process_W`).  Its largest temporaries are the Kronecker product
+    of m - 1 axes' factors and the last axis's, g^(m-1) + g floats per
+    observation.  The R x G values are all kept: past the cap of
+    `rankstats.check_cap` the run is refused before anything is drawn."""
+    axes, points = interior_lattice(cfg.m, grid_n)
     values = cfg.replications * len(points)
     rankstats.check_cap(values, f"--R {cfg.replications} replications on {len(points)} "
                         f"grid points keep {count_text(values)} process values", "--R or grid_n")
     theo = green_kernel(family).cross(points, points)
-    g = cfg.grid_n
+    g = axes.shape[1]
     return _covariance_report(_replication_values(cfg, lambda X: process(X, axes),
                                                   width=g ** (cfg.m - 1) + g), theo)
 
 
-def simulate_null_covariance(cfg: SimConfig) -> CovarianceReport:
-    """Empirical covariance of the known-margins process on the lattice
-    versus the Green kernel of the matching family; the process is built
-    as the tied-down process is, from per-axis indicators
-    (`rankstats.batch_process_W`)."""
-    if cfg.V is None:
-        raise ValueError("config must specify V")
-    return _simulate_covariance(cfg, family_for_known_margins(cfg.V, cfg.m),
-                                lambda X, axes: rankstats.batch_process_W(X, axes, cfg.V))
+def simulate_null_covariance(cfg: SimConfig, V: int, grid_n: int) -> CovarianceReport:
+    """Empirical covariance of the process with the margins in V known, on
+    the interior lattice of grid_n nodes per axis, versus the Green kernel
+    of the matching family (`family_for_known_margins`, which checks V
+    first); the process is built as the tied-down process is, from
+    per-axis indicators (`rankstats.batch_process_W`)."""
+    return _simulate_covariance(cfg, family_for_known_margins(V, cfg.m), grid_n,
+                                lambda X, axes: rankstats.batch_process_W(X, axes, V))
 
 
-def simulate_tied_down_covariance(cfg: SimConfig) -> CovarianceReport:
-    """Empirical covariance of the tied-down process on the lattice versus
-    the pillow kernel."""
-    return _simulate_covariance(cfg, all_nonempty_family(cfg.m), rankstats.batch_tied_down)
+def simulate_tied_down_covariance(cfg: SimConfig, grid_n: int) -> CovarianceReport:
+    """Empirical covariance of the tied-down process on the interior
+    lattice of grid_n nodes per axis versus the pillow kernel."""
+    return _simulate_covariance(cfg, all_nonempty_family(cfg.m), grid_n,
+                                rankstats.batch_tied_down)
 
 
 def sample_gaussian_field(kernel: GreenKernel, grid, count: int, seed: int) -> np.ndarray:
@@ -257,11 +258,15 @@ def sample_gaussian_field(kernel: GreenKernel, grid, count: int, seed: int) -> n
 
 
 def null_distribution(cfg: SimConfig, statistic: str, p: int = 1,
-                      grid_n: int | None = None,
-                      scale_sqrt_n: bool = False) -> NullDistribution:
+                      grid_n: int | None = None, scale_sqrt_n: bool = False, *,
+                      V: int = 0) -> NullDistribution:
     """Monte Carlo null moments and upper quantiles of a statistic named by
-    `rankstats.STATISTICS`; an unknown name raises ValueError."""
-    V = cfg.V if cfg.V is not None else 0
+    `rankstats.STATISTICS`, given the options of `rankstats.statistic`: p,
+    grid_n (None for the statistic's default) and the known margins V, a
+    subset of M that only B reads.  V, the name, p, grid_n and the
+    statistic's lattice are checked before anything is drawn; an unknown
+    name raises ValueError."""
+    check_subset(V, cfg.m)
 
     def stat(X: np.ndarray) -> np.ndarray:
         v = rankstats.batch_statistic(statistic, X, V, p, grid_n)

@@ -196,6 +196,17 @@ def _check_cells(cells: int) -> None:
               "grid_n, n or m, or choose larger V")
 
 
+def _lattice_shape(name: str, n: int, m: int, V: int, g: int) -> tuple[int, ...]:
+    """The shape of the lattice that the statistic `name`, "B" or "Bhat", at
+    p >= 2 builds for one dataset of n points in m dimensions on g
+    midpoints per axis, refused above _CELL_CAP cells (`_check_cells`):
+    B's g on a V-axis and n elsewhere, B-hat's g + 1 on every axis (index
+    g counting every observation)."""
+    shape = (g + 1,) * m if name == "Bhat" else tuple(g if V >> j & 1 else n for j in range(m))
+    _check_cells(math.prod(shape))
+    return shape
+
+
 def lattice_cells(name: str, n: int, m: int, V: int, p: int, grid_n: int | None) -> int:
     """Cells of the lattice that the statistic builds for one dataset of n
     points in m dimensions: those reading grid_n (B, B-hat) at p >= 2 build
@@ -204,10 +215,7 @@ def lattice_cells(name: str, n: int, m: int, V: int, p: int, grid_n: int | None)
     g = _check_args(p, grid_n, m)
     if "grid_n" not in _lookup(name).options or p == 1:
         return 0
-    known = V.bit_count()
-    cells = (g + 1) ** m if name == "Bhat" else g ** known * n ** (m - known)
-    _check_cells(cells)
-    return cells
+    return math.prod(_lattice_shape(name, n, m, V, g))
 
 
 def _cumcounts(idx: np.ndarray, shape: tuple[int, ...],
@@ -215,7 +223,7 @@ def _cumcounts(idx: np.ndarray, shape: tuple[int, ...],
     """C[..., k] = #{i : idx[..., i, a] <= k[a] on every axis a}, as float64.
 
     idx is a (..., n, d) array of lattice coordinates within `shape`, which
-    `_check_cells` has passed, except in the rows where the (..., n) mask
+    `_lattice_shape` has checked, except in the rows where the (..., n) mask
     `drop` is true: those are counted at no node.  One bincount covers
     every leading index: the flattened coordinates offset by the index
     times the cells, the dropped rows in one overflow bin after the last
@@ -274,8 +282,7 @@ def _batch_Bp(X: np.ndarray, V: int, p: int, g: int) -> np.ndarray:
     """
     n, m = X.shape[1:]
     in_v, out_v = _split_V(V, m)
-    shape = tuple(g if V >> j & 1 else n for j in range(m))
-    _check_cells(math.prod(shape))
+    shape = _lattice_shape("B", n, m, V, g)
     # lattice coordinates: the midpoint bin on a V-axis (1{X <= c_k} =
     # 1{b <= k}; b = g is above every midpoint, the overflow bin), rank - 1
     # elsewhere (1{X <= X_(a)} = 1{R <= a+1})
@@ -313,8 +320,7 @@ def _tied_down_grid(X: np.ndarray, g: int) -> np.ndarray:
     over every face at once (inclusion-exclusion, O(m·(g+1)^m)).
     """
     lead, m = X.ndim - 2, X.shape[-1]
-    shape = (g + 1,) * m
-    _check_cells(math.prod(shape))
+    shape = _lattice_shape("Bhat", X.shape[-2], m, 0, g)
     c = midpoint_grid(1, g)[0].ravel()
     # 1{X_ij <= c_k} = 1{b_ij <= k}; b = g for no midpoint
     T = _cumcounts(np.searchsorted(c, X, side="left"), shape)
@@ -347,7 +353,8 @@ def _batch_Bhatp(X: np.ndarray, p: int, g: int) -> np.ndarray:
         T **= p
         return T
 
-    return _chunk_sums(len(X), (g + 1) ** m, lattice) / g ** m
+    cells = math.prod(_lattice_shape("Bhat", n, m, 0, g))
+    return _chunk_sums(len(X), cells, lattice) / g ** m
 
 
 def _check_args(p: int, grid_n: int | None, m: int) -> int:
@@ -545,7 +552,7 @@ def load_csv(path, name: str = "the input") -> np.ndarray:
             skip = i + 1
             first = next(rows, (0, None))[1]
         if first is None:
-            raise ValueError(f"the input {str(path)!r} has no data rows")
+            raise ValueError(f"{name} {echoed(str(path))} has no data rows")
         try:
             # by path, numpy parses in chunks; a handle it iterates line by
             # line, which is slower from a few hundred rows on

@@ -214,12 +214,12 @@ def test_07_covariance_at_desk_scale(report):
     # the interior lattices (0.2, 0.4, 0.6, 0.8)^2 and (0.25, 0.5, 0.75)^3
     devs = {}
     for label, V in (("W V=M", 0b11), ("W V=empty", 0)):
-        cfg = SimConfig(seed=SEED, n=400, replications=5000, m=2, V=V, grid_n=4)
-        devs[label] = simulate_null_covariance(cfg).max_dev_in_se
-    cfg = SimConfig(seed=SEED, n=400, replications=5000, m=2, grid_n=4)
-    devs["tied m=2"] = simulate_tied_down_covariance(cfg).max_dev_in_se
-    cfg = SimConfig(seed=SEED, n=400, replications=5000, m=3, grid_n=3)
-    devs["tied m=3"] = simulate_tied_down_covariance(cfg).max_dev_in_se
+        cfg = SimConfig(seed=SEED, n=400, replications=5000, m=2)
+        devs[label] = simulate_null_covariance(cfg, V, 4).max_dev_in_se
+    cfg = SimConfig(seed=SEED, n=400, replications=5000, m=2)
+    devs["tied m=2"] = simulate_tied_down_covariance(cfg, 4).max_dev_in_se
+    cfg = SimConfig(seed=SEED, n=400, replications=5000, m=3)
+    devs["tied m=3"] = simulate_tied_down_covariance(cfg, 3).max_dev_in_se
     elapsed = time.perf_counter() - t0
     ok = max(devs.values()) <= 4.0 and elapsed < 480.0
     detail = ", ".join(f"{k} {v:.2f}se" for k, v in devs.items())
@@ -337,11 +337,11 @@ def test_11_thread_determinism(report):
     t0 = time.perf_counter()
     ok = True
     covs = [simulate_null_covariance(SimConfig(
-        seed=SEED, n=100, replications=400, m=2, V=0, grid_n=2, threads=t))
+        seed=SEED, n=100, replications=400, m=2, threads=t), 0, 2)
         for t in (1, 4, 8)]
     ok &= all(np.array_equal(covs[0].empirical, c.empirical) for c in covs[1:])
     tieds = [simulate_tied_down_covariance(SimConfig(
-        seed=SEED, n=100, replications=400, m=2, grid_n=2, threads=t))
+        seed=SEED, n=100, replications=400, m=2, threads=t), 2)
         for t in (1, 4, 8)]
     ok &= all(np.array_equal(tieds[0].empirical, c.empirical) for c in tieds[1:])
     dists = [null_distribution(SimConfig(

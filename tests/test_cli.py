@@ -265,7 +265,7 @@ class TestStatCommand:
             warnings.simplefilter("error")  # a numpy warning fails the test
             code, out, err = run_cli(capsys, "stat", "--name", "rho", "--input", str(path))
         assert code == 2 and out == ""
-        assert err == f"error: the input {str(path)!r} has no data rows\n"
+        assert err == f"error: --input {echoed(str(path))} has no data rows\n"
 
     @pytest.mark.parametrize("name", ["rho", "B"])
     def test_too_many_columns_named_by_the_input(self, capsys, tmp_path, name):

@@ -265,14 +265,21 @@ class TestKnownMarginsFamily:
             assert is_monotone(fam.members, m)
 
 
-    def test_V_outside_M_is_one_message_everywhere(self):
-        from cubegreen.montecarlo import SimConfig
+    def test_V_outside_M_is_one_message_everywhere(self, monkeypatch):
+        from cubegreen import montecarlo
+        from cubegreen.montecarlo import SimConfig, null_distribution, simulate_null_covariance
         from cubegreen.rankstats import empirical_process_W, stat_B
 
+        def never(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(montecarlo, "_uniform_block", never)
         X = np.array([[0.1, 0.2], [0.6, 0.4]])
+        cfg = SimConfig(seed=1, n=10, replications=100, m=2)
         for call in (lambda: check_subset(0b100, 2),
                      lambda: family_for_known_margins(0b100, 2),
-                     lambda: SimConfig(seed=1, n=10, replications=100, m=2, V=0b100),
+                     lambda: simulate_null_covariance(cfg, 0b100, 2),
+                     lambda: null_distribution(cfg, "B", V=0b100),
                      lambda: empirical_process_W(X, 0b100, [0.5, 0.5]),
                      lambda: stat_B(X, 0b100)):
             with pytest.raises(ValueError, match=r"^V=4 is not a subset of M for m=2$"):

@@ -128,6 +128,15 @@ class TestEvaluate:
         # the sheet: an all-ones root, the product of the mins
         assert green_kernel(empty_family(m)).levels == ((((_MIN, 0),),),) * m
 
+    @pytest.mark.parametrize("m", [2, 3, 16])
+    def test_product_factors(self, m):
+        assert green_kernel(all_nonempty_family(m)).product_factors() == (_GAP,) * m
+        assert green_kernel(empty_family(m)).product_factors() == (_MIN,) * m
+        # margin 2 known: {M, {2}}, whose complement {{}, {1}} sums to min_1 gap_2
+        assert green_kernel(family_for_known_margins(0b10, 2)).product_factors() == (_MIN, _GAP)
+        # the top-only family sums two terms at the root
+        assert green_kernel(upward_closure([full_mask(m)], m)).product_factors() is None
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_top_only_closed_form(self, m):
         k = green_kernel(upward_closure([full_mask(m)], m))

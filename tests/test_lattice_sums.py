@@ -13,6 +13,12 @@ from cubegreen import montecarlo, quadrature, rankstats
 from cubegreen.montecarlo import SimConfig, simulate_null_covariance, simulate_tied_down_covariance
 from cubegreen.rankstats import batch_process_W, batch_tied_down
 
+# the covariance simulators, called with a config, the known margins V (the
+# tied-down process reads none) and grid_n
+SIMULATORS = [simulate_null_covariance,
+              pytest.param(lambda cfg, V, grid_n: simulate_tied_down_covariance(cfg, grid_n),
+                           id="simulate_tied_down_covariance")]
+
 RNG = np.random.default_rng(2718)
 
 
@@ -91,24 +97,24 @@ def test_lattice_sums_in_lattice_order():
 
 
 def test_null_covariance_equals_the_comparison_oracle_run(monkeypatch):
-    for cfg in (SimConfig(seed=5, n=30, replications=200, m=3, grid_n=2, V=0b010),
-                SimConfig(seed=9, n=40, replications=150, m=2, grid_n=3, V=0)):
-        rep = simulate_null_covariance(cfg)
+    for cfg, V, grid_n in ((SimConfig(seed=5, n=30, replications=200, m=3), 0b010, 2),
+                           (SimConfig(seed=9, n=40, replications=150, m=2), 0, 3)):
+        rep = simulate_null_covariance(cfg, V, grid_n)
         with monkeypatch.context() as mp:
             mp.setattr(rankstats, "batch_process_W",
                        lambda X, axes, V: comparison_W(X, lattice_points(axes), V))
-            want = simulate_null_covariance(cfg)
+            want = simulate_null_covariance(cfg, V, grid_n)
         for field in ("empirical", "theoretical", "standard_errors"):
             assert np.array_equal(getattr(rep, field), getattr(want, field))
         assert (rep.max_abs_dev, rep.max_dev_in_se) == (want.max_abs_dev, want.max_dev_in_se)
 
 
-@pytest.mark.parametrize("simulate", [simulate_null_covariance, simulate_tied_down_covariance])
+@pytest.mark.parametrize("simulate", SIMULATORS)
 def test_results_do_not_depend_on_the_block_size(monkeypatch, simulate):
-    cfg = SimConfig(seed=8, n=30, replications=150, m=3, grid_n=3, V=0b001)
-    reps = [simulate(cfg)]
+    cfg = SimConfig(seed=8, n=30, replications=150, m=3)
+    reps = [simulate(cfg, 0b001, 3)]
     monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 1)
-    reps.append(simulate(cfg))
+    reps.append(simulate(cfg, 0b001, 3))
     assert np.array_equal(reps[0].empirical, reps[1].empirical)
     assert np.array_equal(reps[0].standard_errors, reps[1].standard_errors)
 
@@ -117,7 +123,7 @@ class Drawn(Exception):
     pass
 
 
-@pytest.mark.parametrize("simulate", [simulate_null_covariance, simulate_tied_down_covariance])
+@pytest.mark.parametrize("simulate", SIMULATORS)
 def test_per_replication_cap_is_the_factor_width(monkeypatch, simulate):
     # at (m, grid_n) = (2, 4) a replication holds n·(4 + 4) floats: n = 2^22
     # reaches the cap of 2^25 and one more observation passes it
@@ -126,10 +132,10 @@ def test_per_replication_cap_is_the_factor_width(monkeypatch, simulate):
 
     monkeypatch.setattr(montecarlo, "_uniform_block", drawn)
     with pytest.raises(Drawn):
-        simulate(SimConfig(seed=1, n=1 << 22, replications=100, m=2, grid_n=4, V=0))
+        simulate(SimConfig(seed=1, n=1 << 22, replications=100, m=2), 0, 4)
     with pytest.raises(ValueError, match=r"^--n 4194305 observations need 33554440 values "
                                          r"per replication, above the cap"):
-        simulate(SimConfig(seed=1, n=(1 << 22) + 1, replications=100, m=2, grid_n=4, V=0))
+        simulate(SimConfig(seed=1, n=(1 << 22) + 1, replications=100, m=2), 0, 4)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 8])

@@ -21,19 +21,47 @@ from cubegreen.montecarlo import (
 )
 
 
+# the covariance simulators, called with a config and grid_n (V = {1} for cov)
+SIMULATORS = [pytest.param(lambda cfg, grid_n: simulate_null_covariance(cfg, 0b01, grid_n),
+                           id="cov"),
+              pytest.param(simulate_tied_down_covariance, id="tiedcov")]
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    def never(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(montecarlo, "_uniform_block", never)
+
+
 class TestConfig:
     def test_rejects_few_replications(self):
         with pytest.raises(ValueError):
             SimConfig(seed=1, n=10, replications=50, m=2)
 
+    @pytest.mark.parametrize("simulate", SIMULATORS)
     @pytest.mark.parametrize("grid_n", [0, 2.5, True])
-    def test_rejects_grid_n_not_a_count(self, grid_n):
+    def test_rejects_grid_n_not_a_count(self, no_draw, simulate, grid_n):
         with pytest.raises(ValueError, match="grid_n must be an integer >= 1"):
-            SimConfig(seed=1, n=10, replications=100, m=2, grid_n=grid_n)
+            simulate(SimConfig(seed=1, n=10, replications=100, m=2), grid_n)
 
-    def test_rejects_bad_V(self):
-        with pytest.raises(ValueError):
-            SimConfig(seed=1, n=10, replications=100, m=2, V=0b100)
+    @pytest.mark.parametrize("grid_n", [0, True])
+    def test_interior_lattice_rejects_grid_n_not_a_count(self, grid_n):
+        with pytest.raises(ValueError, match=f"^grid_n must be an integer >= 1, got {grid_n}$"):
+            interior_lattice(2, grid_n)
+
+    def test_rejects_bad_V(self, no_draw):
+        cfg = SimConfig(seed=1, n=10, replications=100, m=2)
+        for call in (lambda: simulate_null_covariance(cfg, 0b100, 2),
+                     lambda: null_distribution(cfg, "B", V=0b100)):
+            with pytest.raises(ValueError, match=r"^V=4 is not a subset of M for m=2$"):
+                call()
+
+    def test_positional_p_is_still_p(self):
+        cfg = SimConfig(seed=1, n=10, replications=100, m=2)
+        assert null_distribution(cfg, "Bhat", 2) == null_distribution(cfg, "Bhat", p=2)
+        assert null_distribution(cfg, "Bhat", 2) != null_distribution(cfg, "Bhat")
 
     @pytest.mark.parametrize("threads", [0, -1, 10**6])
     def test_rejects_threads_out_of_range(self, monkeypatch, threads):
@@ -56,9 +84,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="5793 points"):
             check_grid_size(5793)
         # at m = 2, 76^2 = 5776 points are within the cap and 77^2 = 5929 are not
-        assert SimConfig(seed=1, n=10, replications=100, m=2, grid_n=76).grid_n == 76
+        assert interior_lattice(2, 76)[1].shape == (5776, 2)
+
+    @pytest.mark.parametrize("simulate", SIMULATORS)
+    def test_grid_size_cap_refused_before_any_draw(self, no_draw, simulate):
         with pytest.raises(ValueError, match="5929 points.*reduce grid_n"):
-            SimConfig(seed=1, n=10, replications=100, m=2, grid_n=77)
+            simulate(SimConfig(seed=1, n=10, replications=100, m=2), 77)
 
     def test_interior_lattice(self):
         axes, points = interior_lattice(2, 2)
@@ -80,10 +111,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="kernel entries"):
             interior_lattice(13, 2)
 
-    def test_covariance_requires_grid(self):
-        cfg = SimConfig(seed=1, n=10, replications=100, m=2, V=0)
-        with pytest.raises(ValueError, match="grid"):
-            simulate_null_covariance(cfg)
 
 
 class TestSubstreams:
@@ -156,10 +183,10 @@ class TestReplicationBlocks:
         assert built == [6 << 64] * 15
 
     def test_block_size_does_not_change_results(self, monkeypatch):
-        cfg = SimConfig(seed=8, n=30, replications=150, m=3, grid_n=2)
-        reps = [simulate_tied_down_covariance(cfg)]
+        cfg = SimConfig(seed=8, n=30, replications=150, m=3)
+        reps = [simulate_tied_down_covariance(cfg, 2)]
         monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 1)
-        reps.append(simulate_tied_down_covariance(cfg))
+        reps.append(simulate_tied_down_covariance(cfg, 2))
         assert np.array_equal(reps[0].empirical, reps[1].empirical)
         assert np.array_equal(reps[0].standard_errors, reps[1].standard_errors)
 
@@ -186,14 +213,14 @@ class TestStandardErrors:
 
 class TestCovarianceSimulations:
     def test_known_margins_covariance_within_bands(self):
-        cfg = SimConfig(seed=11, n=300, replications=2000, m=2, V=0b11, grid_n=2)
-        rep = simulate_null_covariance(cfg)
+        cfg = SimConfig(seed=11, n=300, replications=2000, m=2)
+        rep = simulate_null_covariance(cfg, 0b11, 2)
         assert rep.max_dev_in_se < 4.0
         assert np.allclose(rep.theoretical, rep.theoretical.T)
 
     def test_tied_down_covariance_within_bands(self):
-        cfg = SimConfig(seed=12, n=300, replications=2000, m=2, grid_n=2)
-        rep = simulate_tied_down_covariance(cfg)
+        cfg = SimConfig(seed=12, n=300, replications=2000, m=2)
+        rep = simulate_tied_down_covariance(cfg, 2)
         assert rep.max_dev_in_se < 4.0
         pillow = green_kernel(all_nonempty_family(2))
         points = interior_lattice(2, 2)[1]
@@ -205,22 +232,21 @@ class TestCovarianceSimulations:
         wins = 0
         for seed in range(10):
             small = simulate_null_covariance(SimConfig(
-                seed=seed, n=8, replications=1500, m=2, V=0, grid_n=2))
+                seed=seed, n=8, replications=1500, m=2), 0, 2)
             large = simulate_null_covariance(SimConfig(
-                seed=seed, n=1000, replications=1500, m=2, V=0, grid_n=2))
+                seed=seed, n=1000, replications=1500, m=2), 0, 2)
             wins += large.max_abs_dev <= small.max_abs_dev
         assert wins >= 8
 
     def test_bit_identical_across_threads(self):
         reps = [simulate_null_covariance(SimConfig(
-            seed=5, n=80, replications=400, m=2, V=0b01, grid_n=2,
-            threads=t)) for t in (1, 4)]
+            seed=5, n=80, replications=400, m=2, threads=t), 0b01, 2) for t in (1, 4)]
         assert np.array_equal(reps[0].empirical, reps[1].empirical)
         assert reps[0].max_dev_in_se == reps[1].max_dev_in_se
 
     def test_empirical_covariance_psd(self):
-        cfg = SimConfig(seed=3, n=100, replications=500, m=2, V=0, grid_n=2)
-        rep = simulate_null_covariance(cfg)
+        cfg = SimConfig(seed=3, n=100, replications=500, m=2)
+        rep = simulate_null_covariance(cfg, 0, 2)
         assert np.linalg.eigvalsh(rep.empirical).min() >= -1e-10
 
 
@@ -271,7 +297,7 @@ class TestNullDistribution:
         with pytest.raises(ValueError):
             null_distribution(cfg, "tau")
 
-    @pytest.mark.parametrize("name, m, V, cells", [("Bhat", 16, None, 11 ** 16),
+    @pytest.mark.parametrize("name, m, V, cells", [("Bhat", 16, 0, 11 ** 16),
                                                    ("B", 5, 1, 10 * 100 ** 4)])
     def test_lattice_above_the_cap_refused_before_any_draw(self, monkeypatch, name, m, V,
                                                            cells):
@@ -279,11 +305,11 @@ class TestNullDistribution:
             raise AssertionError("a block was drawn")
 
         monkeypatch.setattr(montecarlo, "_uniform_block", never)
-        cfg = SimConfig(seed=1, n=100, replications=100, m=m, V=V)
+        cfg = SimConfig(seed=1, n=100, replications=100, m=m)
         with pytest.raises(ValueError, match=f"^the statistic needs a lattice of {cells} "
                                              f"cells, above the cap of {2 ** 25}; reduce "
                                              f"grid_n, n or m, or choose larger V$"):
-            null_distribution(cfg, name, p=2, grid_n=10)
+            null_distribution(cfg, name, p=2, grid_n=10, V=V)
 
     def test_bit_identical_across_threads(self):
         cfgs = [SimConfig(seed=4, n=50, replications=300, m=2, threads=t)

@@ -370,9 +370,9 @@ class TestGridECDF:
             raise AssertionError("replications drawn")
 
         monkeypatch.setattr(montecarlo, "_replication_values", never)
-        cfg = montecarlo.SimConfig(seed=1, n=5, replications=100, m=2,
-                                   V=0b01 if name == "B" else None)
-        calls.append(lambda: montecarlo.null_distribution(cfg, name, p))
+        cfg = montecarlo.SimConfig(seed=1, n=5, replications=100, m=2)
+        calls.append(lambda: montecarlo.null_distribution(cfg, name, p,
+                                                          V=0b01 if name == "B" else 0))
         for call in calls:
             with pytest.raises(ValueError, match="^p must be a positive integer$"):
                 call()
@@ -785,3 +785,11 @@ class TestCsv:
         path.write_text(text)
         with pytest.raises(ValueError, match="has no data rows"):
             load_csv(path)
+
+    def test_no_data_rows_names_the_input(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("u,v\n")
+        with pytest.raises(ValueError, match="^the input 'data.csv' has no data rows$"):
+            load_csv("data.csv")
+        with pytest.raises(ValueError, match="^--input 'data.csv' has no data rows$"):
+            load_csv("data.csv", "--input")
