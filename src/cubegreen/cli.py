@@ -35,10 +35,11 @@ from . import __version__
 from .families import (
     MonotoneFamily,
     _check_dim,
+    _enumerated_coord_lists,
+    _list_subsets,
     all_nonempty_family,
     echoed,
     empty_family,
-    enumerate_monotone_families,
     family_for_known_margins,
     family_from_json,
     format_subset,
@@ -175,10 +176,9 @@ def _emit(report: dict, args) -> None:
 
 def _cmd_family(args) -> dict:
     if args.enumerate:
-        fams = enumerate_monotone_families(args.m)
+        fams = _enumerated_coord_lists(args.m)
         return {"config": {"m": args.m, "enumerate": True},
-                "result": {"count": len(fams),
-                           "families": [f.to_coord_lists() for f in fams]}}
+                "result": {"count": len(fams), "families": fams}}
     fam, _ = _resolve_family(args)
     return {"config": {"m": args.m},
             "result": {"family": fam.to_coord_lists(), "text": str(fam)}}
@@ -188,7 +188,8 @@ def _cmd_coeffs(args) -> dict:
     fam, flag = _resolve_family(args)
     coeffs = compute_coefficients(fam)
     return {"config": {"m": args.m, "family": flag},
-            "result": {"a": {format_subset(u): a for u, a in coeffs.items()}}}
+            "result": {"a": dict(zip(_list_subsets(list(coeffs), args.m, texts=True),
+                                     coeffs.values()))}}
 
 
 def _cmd_green_eval(args) -> dict:

@@ -13,6 +13,15 @@ sort by popcount of the table's indices, which are in value order.
 Upward closure is an OR-fold of the table over the m bit axes, and a
 family is upward closed when every member's immediate oversets are
 members, one table lookup.
+
+Reports list many subsets at once, as coordinate lists or brace texts:
+`_list_subsets` reads a whole array of masks as one (k, m) bit array,
+cutting the coordinate lists from its nonzero bits and the brace texts
+from one byte string, with O(1) Python work per mask.  A family's
+`to_coord_lists` and `str`, the keys of a `coeffs` report and `family
+--enumerate` list their subsets that way; the last lists the up-sets of
+`_up_sets` and builds no family object.  `coords_from_mask` and
+`format_subset` serve single subsets.
 """
 
 from __future__ import annotations
@@ -122,16 +131,48 @@ def format_subset(mask: int) -> str:
     return "{" + ",".join(str(c) for c in coords_from_mask(mask)) + "}"
 
 
+def _runs(items: list, sizes) -> list[list]:
+    """items cut into consecutive runs of the given sizes."""
+    ends = np.cumsum(sizes).tolist()
+    return [items[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _list_subsets(masks, m: int, texts: bool = False) -> list:
+    """The coordinate lists of an integer array of masks over m, each as
+    `list(coords_from_mask(u))` gives it, or with texts=True their brace
+    texts, as `format_subset` gives them, from one (k, m) bit array."""
+    masks = np.asarray(masks, dtype=np.int64)
+    bits = (masks[:, None] & _BITS[:m]).astype(bool)
+    if not texts:
+        return _runs((np.nonzero(bits)[1] + 1).tolist(), np.bitwise_count(masks))
+    # a mask's text is '{', 'c,' for each coordinate c it holds, '}' and a
+    # newline, kept from one template row; then every ',}' becomes '}'
+    names = [f"{c}," for c in range(1, m + 1)]
+    template = np.frombuffer(("{" + "".join(names) + "}\n").encode(), dtype=np.uint8)
+    keep = np.ones((len(masks), len(template)), dtype=bool)
+    keep[:, 1:-2] = np.repeat(bits, [len(c) for c in names], axis=1)
+    text = np.broadcast_to(template, keep.shape)[keep].tobytes()
+    return text.replace(b",}", b"}").decode().split("\n")[:-1]
+
+
 def _table(masks, m: int) -> np.ndarray | None:
-    """The boolean table over the 2^m subsets of a sequence of masks, or
-    None unless they form an upward-closed family of nonempty subsets.
-    A mask above the full mask raises ValueError, naming the first one."""
+    """The boolean table over the 2^m subsets of an integer array or a
+    sequence of masks, or None unless they form an upward-closed family
+    of nonempty subsets.  A mask above the full mask raises ValueError,
+    naming the first one."""
     top = full_mask(m)
-    if masks and max(masks) > top:
-        raise ValueError(f"mask {next(u for u in masks if u > top)} out of range for m={m}")
-    if masks and min(masks) <= 0:
-        return None
-    arr = np.array(masks, dtype=np.int64)
+    array = isinstance(masks, np.ndarray)
+    if not array:
+        masks = list(masks)
+    if len(masks):
+        # an array's bounds in numpy; Python compares ints beyond int64 exactly
+        hi, lo = ((np.maximum.reduce(masks), np.minimum.reduce(masks)) if array
+                  else (max(masks), min(masks)))
+        if hi > top:
+            raise ValueError(f"mask {next(u for u in masks if u > top)} out of range for m={m}")
+        if lo <= 0:
+            return None
+    arr = np.asarray(masks, dtype=np.int64)
     table = np.zeros(top + 1, dtype=bool)
     table[arr] = True
     # every immediate overset is a member; u | 1 << j is u itself when u
@@ -148,17 +189,18 @@ def is_monotone(masks, m: int) -> bool:
     <= 0 makes the answer False.
     """
     _check_dim(m)
-    return _table(list(masks), m) is not None
+    return _table(masks, m) is not None
 
 
 @dataclass(frozen=True)
 class MonotoneFamily:
     """An upward-closed family of nonempty subsets of {1..m}.
 
-    The masks may come in any order and with repeats.  `table` is the
-    family's read-only boolean table over the 2^m subsets, and `members`
-    lists it by (cardinality, numeric value): one family compares and
-    hashes equal however given, and derived artifacts are reproducible.
+    The masks, a sequence or an integer array, may come in any order and
+    with repeats.  `table` is the family's read-only boolean table over
+    the 2^m subsets, and `members` lists it by (cardinality, numeric
+    value): one family compares and hashes equal however given, and
+    derived artifacts are reproducible.
     """
 
     m: int
@@ -167,7 +209,7 @@ class MonotoneFamily:
 
     def __post_init__(self):
         _check_dim(self.m)
-        table = _table(list(self.members), self.m)
+        table = _table(self.members, self.m)
         if table is None:
             raise ValueError("family is not upward-closed or contains the empty subset")
         table.flags.writeable = False
@@ -186,10 +228,10 @@ class MonotoneFamily:
         return 0 <= mask < len(self.table) and bool(self.table[mask])
 
     def to_coord_lists(self) -> list[list[int]]:
-        return [list(coords_from_mask(u)) for u in self.members]
+        return _list_subsets(self.members, self.m)
 
     def __str__(self) -> str:
-        return "[" + ",".join(format_subset(u) for u in self.members) + "]"
+        return "[" + ",".join(_list_subsets(self.members, self.m, texts=True)) + "]"
 
 
 def upward_closure(generators, m: int) -> MonotoneFamily:
@@ -208,7 +250,7 @@ def upward_closure(generators, m: int) -> MonotoneFamily:
     for j in range(m):
         v = table.reshape(-1, 2, 1 << j)
         v[:, 1] |= v[:, 0]
-    return MonotoneFamily(m, np.flatnonzero(table).tolist())
+    return MonotoneFamily(m, np.flatnonzero(table))
 
 
 def family_for_known_margins(V: int, m: int) -> MonotoneFamily:
@@ -227,7 +269,7 @@ def family_for_known_margins(V: int, m: int) -> MonotoneFamily:
 def all_nonempty_family(m: int) -> MonotoneFamily:
     """The family of all nonempty subsets (Brownian-pillow boundary set)."""
     _check_dim(m)
-    return MonotoneFamily(m, range(1, full_mask(m) + 1))
+    return MonotoneFamily(m, np.arange(1, full_mask(m) + 1))
 
 
 def empty_family(m: int) -> MonotoneFamily:
@@ -235,14 +277,15 @@ def empty_family(m: int) -> MonotoneFamily:
     return MonotoneFamily(m, ())
 
 
-def enumerate_monotone_families(m: int) -> list[MonotoneFamily]:
-    """All upward-closed families of nonempty subsets of {1..m}, m <= 5.
+def _up_sets(m: int) -> list[list[int]]:
+    """The members of every upward-closed family of nonempty subsets of
+    {1..m}, m <= 5, each family's in (popcount, value) order and the
+    families in (len, members) order.
 
     An upward-closed table over k + 1 bits is a pair of upward-closed
     tables over k bits, the subsets without and with bit k, the first
     inside the second; building them bit by bit gives every up-set, and
-    all but the one holding the empty set are families.  Counts are
-    Dedekind(m) - 1 (5, 19, 167, 7580 for m = 2..5).
+    all but the one holding the empty set are families.
     """
     _check_dim(m)
     if m > MAX_ENUM_DIM:
@@ -251,9 +294,28 @@ def enumerate_monotone_families(m: int) -> list[MonotoneFamily]:
     for _ in range(m):
         low, high = np.nonzero(~(tables[:, None] & ~tables[None, :]).any(axis=2))
         tables = np.concatenate([tables[low], tables[high]], axis=1)
-    families = [MonotoneFamily(m, np.flatnonzero(t).tolist()) for t in tables if not t[0]]
-    families.sort(key=lambda f: (len(f), f.members))
+    # the tables' columns in (popcount, value) order
+    rank = np.argsort(np.bitwise_count(np.arange(1 << m)), kind="stable")
+    held = tables[~tables[:, 0]][:, rank]
+    families = _runs(rank[np.nonzero(held)[1]].tolist(), np.count_nonzero(held, axis=1))
+    families.sort(key=lambda f: (len(f), f))
     return families
+
+
+def enumerate_monotone_families(m: int) -> list[MonotoneFamily]:
+    """All upward-closed families of nonempty subsets of {1..m}, m <= 5,
+    in (len, members) order; see `_up_sets`.  Counts are Dedekind(m) - 1
+    (5, 19, 167, 7580 for m = 2..5).
+    """
+    return [MonotoneFamily(m, f) for f in _up_sets(m)]
+
+
+def _enumerated_coord_lists(m: int) -> list[list[list[int]]]:
+    """`to_coord_lists()` of each family `enumerate_monotone_families(m)`
+    lists, in its order, with no family built: each subset's list is made
+    once and shared by the families holding it."""
+    subsets = _list_subsets(np.arange(1 << m), m)
+    return [list(map(subsets.__getitem__, f)) for f in _up_sets(m)]
 
 
 def family_from_json(spec, m: int) -> MonotoneFamily:

@@ -84,6 +84,9 @@ class SimConfig:
             raise ValueError(f"--n must be at least 1, got {self.n}")
         if not 1 <= self.threads <= MAX_THREADS:
             raise ValueError(f"--threads must be between 1 and {MAX_THREADS}, got {self.threads}")
+        # within their ranges, the counts must also be integers, bools refused
+        for name in ("n", "replications", "threads"):
+            _node_count(getattr(self, name), name)
         check_seed(self.seed, "seed")
 
 

@@ -79,8 +79,14 @@ def _column_ranks(X: np.ndarray, columns) -> np.ndarray:
     (B, n, len(columns)); a tie names its column's number in the data."""
     columns = list(columns)
     B, n, k = X.shape[0], X.shape[1], len(columns)
+    # each run of consecutive columns is copied as one transposed slice,
+    # which numpy copies as fast as a plain transpose, and a list index
+    # on the transposed view does not
+    rows = np.empty((B, k, n), dtype=X.dtype)
+    starts = [i for i in range(k) if i == 0 or columns[i] != columns[i - 1] + 1]
+    for a, b in zip(starts, starts[1:] + [k]):
+        rows[:, a:b] = X[:, :, columns[a]:columns[a] + b - a].transpose(0, 2, 1)
     # ties are refused below, so the order among equal values never matters
-    rows = np.ascontiguousarray(X.transpose(0, 2, 1)[:, columns]).reshape(-1)
     flat = np.argsort(rows.reshape(B * k, n), axis=1)
     flat += np.arange(0, B * k * n, n)[:, None]
     flat = flat.reshape(-1)

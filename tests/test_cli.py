@@ -13,7 +13,14 @@ import pytest
 from cubegreen import cli, extremal, kernel, montecarlo, quadrature, rankstats
 from cubegreen.cli import build_parser, main
 from cubegreen.extremal import ConvergenceError
-from cubegreen.families import subsets_of_size, upward_closure
+from cubegreen.families import (
+    all_nonempty_family,
+    enumerate_monotone_families,
+    family_for_known_margins,
+    format_subset,
+    subsets_of_size,
+    upward_closure,
+)
 
 
 def echoed(text):
@@ -906,6 +913,34 @@ class TestStrictJson:
         code, out, err = run_cli(capsys, "coeffs", "--m", "2", "--family-all")
         assert code == 2 and out == ""
         assert err.startswith("error: Out of range float values are not JSON compliant")
+
+
+class TestBatchReports:
+    """`family --enumerate` and `coeffs` list their subsets in one batch,
+    as the family objects and `format_subset` list them one by one."""
+
+    @pytest.mark.parametrize("m,count", [(2, 5), (3, 19), (4, 167), (5, 7580)])
+    def test_enumerate_lists_the_family_objects(self, capsys, m, count):
+        rep = run_json(capsys, "family", "--enumerate", "--m", str(m))
+        assert rep["result"]["count"] == count == len(rep["result"]["families"])
+        assert rep["result"]["families"] == [
+            f.to_coord_lists() for f in enumerate_monotone_families(m)]
+
+    def test_enumerate_refuses_m6(self, capsys):
+        code, out, err = run_cli(capsys, "family", "--enumerate", "--m", "6")
+        assert code == 2 and out == ""
+        assert err == "error: enumeration supported only for m <= 5\n"
+
+    @pytest.mark.parametrize("m,option,fam", [
+        (3, ["--family-known-margins-V", ""], family_for_known_margins(0, 3)),
+        (10, ["--family-all"], all_nonempty_family(10)),
+        (16, ["--family-all"], all_nonempty_family(16)),
+    ], ids=["km3", "pillow10", "pillow16"])
+    def test_coeffs_keys_are_format_subset(self, capsys, m, option, fam):
+        rep = run_json(capsys, "coeffs", "--m", str(m), *option)
+        coeffs = kernel.compute_coefficients(fam)
+        assert list(rep["result"]["a"].items()) == [
+            (format_subset(u), a) for u, a in coeffs.items()]
 
 
 class TestParseOnce:

@@ -4,8 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from cubegreen.families import (
     MonotoneFamily,
+    _enumerated_coord_lists,
+    _list_subsets,
     check_subset,
     all_nonempty_family,
+    coords_from_mask,
     empty_family,
     echoed,
     enumerate_monotone_families,
@@ -316,6 +319,99 @@ class TestEnumeration:
     def test_refuses_large_m(self):
         with pytest.raises(ValueError):
             enumerate_monotone_families(6)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_families_in_len_then_members_order(self, m):
+        members = [f.members for f in enumerate_monotone_families(m)]
+        assert members == sorted(members, key=lambda u: (len(u), u))
+
+
+class TestBatchListing:
+    """`_list_subsets` lists an array of masks as `coords_from_mask` and
+    `format_subset` list each one, and the reports built on it agree."""
+
+    @staticmethod
+    def one_by_one(masks):
+        masks = [int(u) for u in masks]
+        return [list(coords_from_mask(u)) for u in masks], [format_subset(u) for u in masks]
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_every_mask(self, m):
+        masks = np.arange(1 << m)
+        coords, texts = self.one_by_one(masks)
+        assert _list_subsets(masks, m) == coords
+        assert _list_subsets(masks, m, texts=True) == texts
+
+    def test_seeded_masks_at_m16(self):
+        masks = np.random.default_rng(16).integers(0, 1 << 16, 10_000)
+        coords, texts = self.one_by_one(masks)
+        assert _list_subsets(masks, 16) == coords
+        assert _list_subsets(masks, 16, texts=True) == texts
+
+    def test_a_list_and_no_masks(self):
+        assert _list_subsets([0b101, 0b11], 3) == [[1, 3], [1, 2]]
+        assert _list_subsets([0b101, 0b11], 3, texts=True) == ["{1,3}", "{1,2}"]
+        assert _list_subsets(np.arange(0), 5) == []
+        assert _list_subsets([], 5, texts=True) == []
+
+    @pytest.mark.parametrize("fam", [
+        empty_family(2), all_nonempty_family(2), all_nonempty_family(10),
+        family_for_known_margins(0b11, 12), upward_closure([0b1010, 0b101], 4),
+        all_nonempty_family(16)], ids=["sheet2", "pillow2", "pillow10", "km12", "closure4",
+                                      "pillow16"])
+    def test_family_reports(self, fam):
+        coords, texts = self.one_by_one(fam.members)
+        assert fam.to_coord_lists() == coords
+        assert str(fam) == "[" + ",".join(texts) + "]"
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_enumeration_lists_every_family_as_its_object_does(self, m):
+        assert _enumerated_coord_lists(m) == [
+            f.to_coord_lists() for f in enumerate_monotone_families(m)]
+
+    def test_enumeration_refuses_m6_as_before(self):
+        with pytest.raises(ValueError, match=r"^enumeration supported only for m <= 5$"):
+            _enumerated_coord_lists(6)
+
+
+class TestMaskArrays:
+    """A family reads an integer array as it reads a sequence of masks."""
+
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_array_range_and_list_give_one_family(self, m):
+        top = full_mask(m)
+        given = [np.arange(top, 0, -1), range(1, top + 1), list(range(top, 0, -1)),
+                 np.arange(1, top + 1, dtype=np.uint16)]
+        fams = [MonotoneFamily(m, masks) for masks in given]
+        assert all(f == fams[0] for f in fams)
+        assert fams[0] == all_nonempty_family(m)
+        assert all(type(u) is int for f in fams for u in f.members)
+        for f in fams:
+            assert np.array_equal(f.table, fams[0].table)
+
+    def test_upward_closed_array(self):
+        assert MonotoneFamily(3, np.array([7, 3, 7])).members == (3, 7)
+        assert MonotoneFamily(3, np.arange(0)) == empty_family(3)
+        assert is_monotone(np.array([3, 1]), 2)
+        assert not is_monotone(np.array([1]), 2)
+
+    @pytest.mark.parametrize("masks", [
+        [7, 2**70], np.array([7, 2**70], dtype=object), (3, 7, -1, 2**70)])
+    def test_mask_of_2_to_the_70_is_out_of_range(self, masks):
+        with pytest.raises(ValueError, match=r"^mask 1180591620717411303424 out of range for m=3$"):
+            MonotoneFamily(3, masks)
+
+    @pytest.mark.parametrize("masks", [np.array([7, 9, 8]), [7, 9, 8]])
+    def test_first_mask_out_of_range_is_named(self, masks):
+        with pytest.raises(ValueError, match=r"^mask 9 out of range for m=3$"):
+            MonotoneFamily(3, masks)
+
+    @pytest.mark.parametrize("masks", [[0, 7], np.array([7, 0]), (-1, 7), np.array([7, -1])])
+    def test_mask_at_most_zero_is_refused(self, masks):
+        with pytest.raises(ValueError, match=r"^family is not upward-closed or contains the "
+                                             r"empty subset$"):
+            MonotoneFamily(3, masks)
+        assert not is_monotone(masks, 3)
 
 
 class TestParsing:

@@ -74,6 +74,13 @@ class TestConfig:
             SimConfig(seed=1, n=10, replications=100, m=2, threads=threads)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("field,value", [
+        ("n", 10.5), ("replications", 150.5), ("n", True), ("threads", True)])
+    def test_counts_must_be_integers(self, no_draw, field, value):
+        sample = {"seed": 1, "n": 10, "replications": 100, "m": 2, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got {value}$"):
+            null_distribution(SimConfig(**sample), "rho")
+
     def test_accepts_thread_cap(self):
         assert SimConfig(seed=1, n=10, replications=100, m=2,
                          threads=MAX_THREADS).threads == 64

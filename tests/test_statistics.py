@@ -13,6 +13,7 @@ from cubegreen.quadrature import midpoint_grid
 from cubegreen.rankstats import (
     REGISTRY,
     STATISTICS,
+    _column_ranks,
     _cumcounts,
     _tied_down_grid,
     batch_process_W,
@@ -182,6 +183,17 @@ class TestRanks:
         X = RNG.random((5, 3))
         U = to_copula_scale(X)
         assert set(np.unique(U[:, 0])) == {i / 6 for i in range(1, 6)}
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_column_ranks_of_every_column_subset(self, m):
+        # every subset, in every order: runs of consecutive columns are copied as one
+        X = RNG.random((3, 7, m))
+        for size in range(m + 1):
+            for columns in itertools.permutations(range(m), size):
+                R = _column_ranks(X, columns)
+                assert R.shape == (3, 7, size)
+                for b in range(3):
+                    assert np.array_equal(R[b], ranks(X[b])[:, list(columns)])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 40), st.integers(2, 4), st.integers(0, 2**31))
