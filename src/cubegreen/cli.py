@@ -11,9 +11,11 @@ and refuses a report that has none.
 Wall-clock time lives only under the "timing" key, the last one (with
 `replications_per_second` for `simulate` cov, tiedcov and nulldist); how
 a number was computed (such as `eigen`'s power-iteration counts, 0 for a
-product kernel, whose eigenvalue is a product of per-axis ones) under
-"diagnostics".  Exit codes: 0 ok, 2 validation error or a computation
-that did not converge, 1 I/O error.
+product kernel, whose eigenvalue is a product of per-axis ones, and for a
+principal family, the up-set of one subset, whose eigenvalue is a power
+of a per-axis one times a rank-one secular root) under "diagnostics".
+Exit codes: 0 ok, 2 validation error or a computation that did not
+converge, 1 I/O error.
 Every call is a fresh process, so `extremal` and `measures` are imported
 only by the handlers that solve (`lambda`, `solve`, `efficiency`, `eigen`),
 and parses its argv once: with the named command's own parser, and with
@@ -152,7 +154,9 @@ def _emit(report: dict, args) -> None:
     CSV, each under a `# key` line; for CSV, a report with no matrix is
     refused with ValueError before anything is written."""
     if args.output == "json":
-        text = json.dumps(report, allow_nan=False) + "\n"
+        # a report is a tree the handler built (a shared sublist is no
+        # cycle), so the encoder's circular-reference check is skipped
+        text = json.dumps(report, allow_nan=False, check_circular=False) + "\n"
     else:
         lines = []
         for key, val in report["result"].items():

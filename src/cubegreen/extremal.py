@@ -23,9 +23,11 @@ Spearman statistic and the tied-down one-degree statistic), Fisher
 information of a dependence direction, the efficiency-bound gap, and the
 principal eigenvalue of the kernel's integral operator by the Nystrom
 method: for a product kernel (the pillow, the sheet, gap times min) the
-product of per-axis n x n eigenvalues, otherwise a power iteration that
-applies the kernel matrix through its per-axis Kronecker factors instead
-of forming it.  `trace_bound` is the
+product of per-axis n x n eigenvalues, for a principal family (the up-set
+of one subset U0 with |U0| >= 2) a power of the per-axis min's top
+eigenvalue times the top root of a rank-one secular equation, otherwise
+a power iteration that applies the kernel matrix through its per-axis
+Kronecker factors instead of forming it.  `trace_bound` is the
 closed trace over the complement table.  Every cube integral of a
 dependence direction is a tensor rule filled by `quadrature.node_values`
 within its evaluation budget; every call of a dependence function goes
@@ -73,7 +75,7 @@ from .families import (
     format_subset,
     full_mask,
 )
-from .kernel import GreenKernel, _pair_factors, green_kernel
+from .kernel import _GAP, _K, _MIN, GreenKernel, _pair_factors, green_kernel
 from .measures import (
     Measure,
     PointMassComponent,
@@ -386,6 +388,75 @@ def optimality_gap(family: MonotoneFamily, measure: Measure,
     return GapReport(index=index, fisher=fisher, gap=fisher - index)
 
 
+def _axis_factor(f: int, x: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """One axis factor (_GAP, _K or _MIN) on the nodes x, times scale, with
+    the arithmetic of `_pair_factors`."""
+    X, Y = x[:, None], x[None, :]
+    if f == _K:
+        return X * Y * scale
+    mins = np.minimum(X, Y)
+    if f == _GAP:
+        mins = (1.0 - np.maximum(X, Y)) * mins
+    return mins * scale
+
+
+# Newton or bisection steps of `_rank_one_top`: a bisection halves the
+# bracket, and the Nystrom roots take 4 or 5 Newton steps
+_SECULAR_STEPS = 100
+_EPS = float(np.finfo(float).eps)
+
+
+def _rank_one_top(d: np.ndarray, wt: np.ndarray) -> float:
+    """The largest eigenvalue of diag(d) - c c^T, given d and wt = c**2.
+
+    A d_1 = max d held twice, or with weight 0, is itself the answer.
+    Otherwise the eigenvalues are the d of weight 0 and the roots of the
+    secular equation 1 = sum wt_i / (d_i - mu) (Bunch, Nielsen & Sorensen
+    1978), whose largest root lies above the largest other d of positive
+    weight and below d_1.  The answer is at least lo, the larger of the
+    second largest d (Weyl) and d_1 - w_1 (the Rayleigh quotient at d_1's
+    unit vector), so it is the larger of lo and that root.  The root
+    solves h(mu) = (d_1 - mu) psi(mu) - w_1 = 0, with psi(mu) = 1 + the
+    sum over the other positive weights of wt_i / (mu - d_i), where h is
+    decreasing and convex: Newton from lo climbs to the root, and a step
+    that leaves the bracket (a, b) of the root is a bisection, at most
+    `_SECULAR_STEPS` steps in all.  Returns a float.
+    """
+    i = int(d.argmax())
+    d1, w1 = float(d[i]), float(wt[i])
+    if d.size == 1:
+        return d1 - w1
+    d2 = float(np.partition(d, -2)[-2])
+    if w1 == 0.0 or d2 == d1:
+        return d1
+    lo = max(d2, d1 - w1)
+    live = wt > 0.0
+    live[i] = False
+    dl, wl = d[live], wt[live]
+    # the bracket (a, b) of the root: from lo on when lo is a pole of h,
+    # and open below until h(lo) is known otherwise
+    pole = dl.size and lo <= dl.max()
+    a, b = (lo if pole else -np.inf), d1
+    mu = 0.5 * (lo + d1) if pole else lo
+    inv = np.empty((2, dl.size))  # 1 / (mu - dl) and its square
+    for _ in range(_SECULAR_STEPS):
+        if not a < mu < b:  # no float lies between a and b
+            return b
+        np.reciprocal(mu - dl, out=inv[0])
+        np.square(inv[0], out=inv[1])
+        sum1, sum2 = (inv @ wl).tolist()
+        psi = 1.0 + sum1
+        h = (d1 - mu) * psi - w1
+        if h < 0.0 and mu == lo:  # the root is below lo
+            return lo
+        step = mu + h / (psi + (d1 - mu) * sum2)  # -h' = psi - (d1 - mu) psi'
+        if abs(step - mu) <= 4.0 * _EPS * mu:
+            return step
+        a, b = (mu, b) if h > 0.0 else (a, mu)
+        mu = step if a < step < b else 0.5 * (a + b)
+    return mu
+
+
 def _nystrom_principal(kernel: GreenKernel, n: int, tol: float = 1e-12,
                        max_iter: int = 100_000) -> tuple[float, int]:
     """Principal eigenvalue of the symmetrized Nystrom matrix on the tensor
@@ -393,22 +464,38 @@ def _nystrom_principal(kernel: GreenKernel, n: int, tol: float = 1e-12,
 
     The matrix S K S, with K the kernel on the n**m nodes and S = diag of
     the square-rooted weights, is never formed: both K and S factor by
-    axis into three scaled n x n matrices, each positive semidefinite.
-    A product diagram (one node of one term per level: the pillow, the
-    sheet, gap times min) makes S K S the Kronecker product of one of
-    them per axis, so its top eigenvalue is the product of theirs, one
-    `eigvalsh` per distinct factor and 0 iterations.  Any other diagram
-    is power-iterated from the all-ones vector, `GreenKernel.kron_matvec`
-    applying S K S in O(D n**(m+1)) per iteration for D node terms.
+    axis into three scaled n x n matrices, each positive semidefinite,
+    and each branch builds only those it reads.  A product diagram (one
+    node of one term per level: the pillow, the sheet, gap times min)
+    makes S K S the Kronecker product of one of them per axis, so its top
+    eigenvalue is the product of theirs, one `eigvalsh` per distinct
+    factor and 0 iterations.  A principal family F = {U : U >= U0} with
+    |U0| = r >= 2 makes it A^(m - r) (x) (A^r - u u^T) in Kronecker
+    powers, with A = S min S and u = (s x)^r, s the square-rooted weights:
+    with one `eigh` A = Q diag(L) Q^T and c = Q^T (s x), its top
+    eigenvalue is L_1^(m - r) times the top one of diag(L^r) - (c^r)
+    (c^r)^T, a rank-one secular equation (`_rank_one_top`), and 0
+    iterations.  Any other diagram is power-iterated from the all-ones
+    vector, `GreenKernel.kron_matvec` applying S K S in O(D n**(m+1)) per
+    iteration for D node terms.
     """
     x, w = unit_rule(n)
     s = np.sqrt(w)
-    scale = np.outer(s, s)
-    mins, ks, gaps = (a * scale for a in _pair_factors(x[:, None], x[None, :]))
+    scale = s[:, None] * s
     slots = kernel.product_factors()
     if slots is not None:
-        top = {f: float(np.linalg.eigvalsh((gaps, ks, mins)[f])[-1]) for f in set(slots)}
+        top = {f: float(np.linalg.eigvalsh(_axis_factor(f, x, scale))[-1]) for f in set(slots)}
         return math.prod(top[f] for f in slots), 0
+    U0 = kernel.principal_member()
+    if U0 is not None:
+        r = U0.bit_count()
+        lam, Q = np.linalg.eigh(_axis_factor(_MIN, x, scale))
+        c2 = np.square((s * x) @ Q)
+        d, wt = lam, c2
+        for _ in range(r - 1):
+            d, wt = np.multiply.outer(d, lam).ravel(), np.multiply.outer(wt, c2).ravel()
+        return float(lam[-1]) ** (kernel.m - r) * _rank_one_top(d, wt), 0
+    mins, ks, gaps = (a * scale for a in _pair_factors(x[:, None], x[None, :]))
     v = np.ones(n ** kernel.m)
     v /= np.linalg.norm(v)
     lam_prev = 0.0
@@ -432,10 +519,12 @@ def principal_eigenvalue(kernel: GreenKernel, grid_n: int) -> EigenEstimate:
     second-order convergence.  The reported error is the (conservative)
     difference between the two grids.  Each grid is matrix-free (see
     `_nystrom_principal`): a product kernel takes one n x n eigensolve per
-    distinct axis factor and reports 0 iterations; any other is
-    power-iterated in O(D n**(m+1)) time per iteration, with three n x n
-    matrices and a few vectors of n**m, so no N x N matrix is built.
-    Raises ConvergenceError if a power iteration does not converge.
+    distinct axis factor, and a principal family F = {U : U >= U0},
+    |U0| = r >= 2, one n x n eigensolve and a secular equation over n**r
+    poles, each reporting 0 iterations; any other is power-iterated in
+    O(D n**(m+1)) time per iteration, with three n x n matrices and a few
+    vectors of n**m, so no N x N matrix is built.  Raises
+    ConvergenceError if a power iteration does not converge.
     """
     grid_n = _node_count(grid_n, "grid_n")
     if grid_n < 8:

@@ -26,7 +26,9 @@ array, refuses a coordinate outside [0, 1] or not finite
 a tensor grid with the same n nodes on each axis
 `GreenKernel.kron_matvec` applies the kernel matrix, a sum of Kronecker
 products of three n x n matrices (gap, x xi and min), to a vector
-without forming it.
+without forming it.  Two shapes of family are named for the spectral
+paths: `product_factors` reads a product diagram off the levels, and
+`principal_member` the one minimal member U0 of an up-set F = {U >= U0}.
 
 The signed integer coefficients a_U of the equivalent expansion
 prod min - sum_{U in F} a_U prod_{j not in U} min_j prod_{j in U} k_j are
@@ -152,6 +154,17 @@ class GreenKernel:
         sheet, gap times min); None for any other diagram."""
         if all(len(level) == 1 and len(level[0]) == 1 for level in self.levels):
             return tuple(level[0][0][0] for level in self.levels)
+        return None
+
+    def principal_member(self) -> int | None:
+        """U0, the one minimal member of a principal family F = {U : U >= U0},
+        whose kernel is prod_{j not in U0} min_j (prod_{j in U0} min_j -
+        prod_{j in U0} x_j xi_j); None for any other family, the sheet
+        included.  F holds U0 and is upward closed, so it is the up-set of
+        its first member U0 exactly when it has 2^(m - |U0|) members."""
+        members = self.family.members
+        if members and len(members) == 1 << (self.m - members[0].bit_count()):
+            return members[0]
         return None
 
     def sum_terms(self, mins: np.ndarray, ks: np.ndarray, gaps: np.ndarray) -> np.ndarray:

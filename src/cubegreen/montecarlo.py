@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import all_nonempty_family, check_subset, family_for_known_margins
+from .families import _check_dim, all_nonempty_family, check_subset, family_for_known_margins
 from .kernel import GreenKernel, green_kernel
 from .quadrature import _node_count, blocks, count_text, tensor_points
 from . import rankstats
@@ -70,7 +70,8 @@ def interior_lattice(m: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
 class SimConfig:
     """The sample of a simulation, all that every simulator draws:
     `replications` (at least 100) samples of n >= 1 observations in m
-    dimensions from `seed`, on 1 to MAX_THREADS worker `threads`."""
+    dimensions (an integer from MIN_DIM to MAX_DIM) from `seed`, on 1 to
+    MAX_THREADS worker `threads`."""
     seed: int
     n: int
     replications: int
@@ -87,6 +88,7 @@ class SimConfig:
         # within their ranges, the counts must also be integers, bools refused
         for name in ("n", "replications", "threads"):
             _node_count(getattr(self, name), name)
+        _check_dim(self.m)
         check_seed(self.seed, "seed")
 
 

@@ -165,7 +165,12 @@ class TestBasicCommands:
         assert rep["result"]["value"] == pytest.approx(np.pi**-6, rel=1e-3)
         diag = rep["diagnostics"]
         assert diag == {"coarse_iterations": 0, "fine_iterations": 0}  # a product kernel
+        # {M, {1,2}}, the up-set of {1,2}: a rank-one secular equation, no iteration
         rep = run_json(capsys, "eigen", "--family-known-margins-V", "1,2", "--m", "3",
+                       "--grid-n", "16")
+        assert rep["diagnostics"] == {"coarse_iterations": 0, "fine_iterations": 0}
+        # {M, {1,2}, {1,3}} has two minimal members: a power iteration
+        rep = run_json(capsys, "eigen", "--family-known-margins-V", "1", "--m", "3",
                        "--grid-n", "8")
         diag = rep["diagnostics"]
         assert set(diag) == {"coarse_iterations", "fine_iterations"}

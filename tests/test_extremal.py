@@ -15,6 +15,7 @@ from cubegreen.extremal import (
     DegenerateMeasureError,
     DependenceFunction,
     _nystrom_principal,
+    _rank_one_top,
     bahadur_slope_B1,
     efficiency_coefficient,
     fisher_info,
@@ -40,7 +41,7 @@ from cubegreen.families import (
     subsets_of_size,
     upward_closure,
 )
-from cubegreen.kernel import GreenKernel, green_kernel
+from cubegreen.kernel import GreenKernel, _pair_factors, green_kernel
 from cubegreen.measures import (
     anti_diagonal,
     diagonal,
@@ -51,7 +52,7 @@ from cubegreen.measures import (
     scaled,
     weighted_sum,
 )
-from cubegreen.quadrature import default_nodes, tensor_rule
+from cubegreen.quadrature import default_nodes, tensor_rule, unit_rule
 
 RNG = np.random.default_rng(90210)
 
@@ -1010,8 +1011,75 @@ class TestPrincipalEigenvalue:
             dense = np.linalg.eigvalsh(kern.cross(pts, pts) * np.outer(s, s)).max()
             lam, iterations = _nystrom_principal(kern, n)
             assert lam == pytest.approx(dense, rel=1e-9), fam
-            product_diagram = kern.product_factors() is not None
-            assert iterations == 0 if product_diagram else iterations >= 1
+            closed = kern.product_factors() is not None or kern.principal_member() is not None
+            assert iterations == 0 if closed else iterations >= 1
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n", [4, 6, 9])
+    def test_principal_families_match_dense_to_rounding(self, m, n):
+        """Every principal family with |U0| >= 2 (at m = 3 the three pairs
+        and M) is a rank-one secular root times a power of A's top
+        eigenvalue: within 1e-13 of the dense eigensolve, 0 iterations."""
+        pts, wts = tensor_rule(m, n)
+        s = np.sqrt(wts)
+        seen = 0
+        for fam in enumerate_monotone_families(m):
+            kern = green_kernel(fam)
+            U0 = kern.principal_member()
+            if U0 is None or U0.bit_count() < 2:
+                continue
+            seen += 1
+            dense = np.linalg.eigvalsh(kern.cross(pts, pts) * np.outer(s, s)).max()
+            lam, iterations = _nystrom_principal(kern, n)
+            assert type(lam) is float and iterations == 0
+            assert lam == pytest.approx(dense, rel=1e-13), fam
+        assert seen == (1 if m == 2 else 4)
+
+    @pytest.mark.parametrize("m, n", [(2, 141), (3, 27), (4, 8), (4, 11)])
+    def test_top_family_at_the_cap_edges(self, m, n):
+        """{M}, the known-margins family of V = M, on the largest grids
+        the cap allows: within 1e-11 of a power iteration stopped at 1e-14."""
+        kern = green_kernel(family_for_known_margins(full_mask(m), m))
+        assert kern.principal_member() == full_mask(m)
+        lam, iterations = _nystrom_principal(kern, n)
+        assert iterations == 0
+        assert lam == pytest.approx(self.all_factors_first(kern, n, tol=1e-14)[0], rel=1e-11)
+
+    @staticmethod
+    def all_factors_first(kern, n: int, tol: float = 1e-12) -> tuple[float, int]:
+        """The product path, or else the power iteration stopped at tol,
+        with all three scaled factors built first, as both were before each
+        path built its own."""
+        x, w = unit_rule(n)
+        s = np.sqrt(w)
+        scale = np.outer(s, s)
+        mins, ks, gaps = (a * scale for a in _pair_factors(x[:, None], x[None, :]))
+        slots = kern.product_factors()
+        if slots is not None:
+            top = {f: float(np.linalg.eigvalsh((gaps, ks, mins)[f])[-1]) for f in set(slots)}
+            return math.prod(top[f] for f in slots), 0
+        v = np.ones(n ** kern.m)
+        v /= np.linalg.norm(v)
+        lam_prev = 0.0
+        for it in range(1, 100_001):
+            u = kern.kron_matvec(mins, ks, gaps, v)
+            lam = float(np.linalg.norm(u))
+            v = u / lam
+            if abs(lam - lam_prev) <= tol * max(1.0, lam):
+                return lam, it
+            lam_prev = lam
+        raise AssertionError("no convergence")
+
+    @pytest.mark.parametrize("m, n", [(2, 4), (2, 8), (2, 24), (3, 4), (3, 8)])
+    def test_product_and_iterated_families_are_unchanged(self, m, n):
+        """Families that are neither principal with |U0| >= 2 keep their
+        arithmetic: values and iteration counts bit for bit."""
+        for fam in enumerate_monotone_families(m):
+            kern = green_kernel(fam)
+            U0 = kern.principal_member()
+            if U0 is not None and U0.bit_count() >= 2:
+                continue
+            assert _nystrom_principal(kern, n) == self.all_factors_first(kern, n), fam
 
     def test_no_dense_kernel_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1027,10 +1095,58 @@ class TestPrincipalEigenvalue:
         assert est.coarse_iterations == est.fine_iterations == 0
 
     def test_nonconvergence_raises(self):
+        # V = {1} at m = 3: {M, {1,2}, {1,3}} has two minimal members, so it iterates
         with pytest.raises(ConvergenceError, match="did not converge"):
-            _nystrom_principal(green_kernel(family_for_known_margins(0b11, 2)), 8,
+            _nystrom_principal(green_kernel(family_for_known_margins(0b001, 3)), 8,
                                max_iter=1)
         assert issubclass(ConvergenceError, RuntimeError)
+
+
+def dense_top(d, c) -> float:
+    return float(np.linalg.eigvalsh(np.diag(d) - np.outer(c, c))[-1])
+
+
+class TestRankOneTop:
+    """`_rank_one_top(d, c**2)`, the top eigenvalue of diag(d) - c c^T."""
+
+    @given(st.lists(st.tuples(st.integers(1, 60), st.integers(-3, 3)), min_size=1,
+                    max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense(self, pairs):
+        # small integer grids make ties and zero weights common
+        d = np.array([a / 16.0 for a, _ in pairs])
+        c = np.array([b / 4.0 for _, b in pairs])
+        got = _rank_one_top(d, c * c)
+        assert type(got) is float
+        assert got == pytest.approx(dense_top(d, c), rel=1e-12, abs=1e-14)
+
+    def test_zero_weight_stays_an_eigenvalue(self):
+        # the secular root is near 0.39, below the weightless 0.9, the top
+        d, c = np.array([1.0, 0.9, 0.2]), np.array([0.8, 0.0, 0.1])
+        assert _rank_one_top(d, c * c) == 0.9
+        assert _rank_one_top(d, c * c) == pytest.approx(dense_top(d, c), rel=1e-14)
+
+    def test_repeated_top_is_an_eigenvalue(self):
+        d, c = np.array([1.0, 1.0, 0.5]), np.array([0.3, 0.4, 0.2])
+        assert _rank_one_top(d, c * c) == 1.0
+
+    def test_lone_entry(self):
+        assert _rank_one_top(np.array([2.0]), np.array([0.5])) == 1.5
+
+    @pytest.mark.parametrize("spread", [1e-12, 1e-6, 1.0, 1e6])
+    def test_root_against_a_pole(self, spread):
+        """The root pressed against the second largest d (bisection steps
+        first) or far from it, within the bounded steps."""
+        d = 1.0 + spread * np.linspace(0.0, 1.0, 50) ** 3
+        c = np.full(50, 1e-8)
+        c[-1] = 1e-3
+        assert _rank_one_top(d, c * c) == pytest.approx(dense_top(d, c), rel=1e-12)
+
+    def test_adjacent_floats(self):
+        # no float lies between the two largest d, so neither does the root
+        d1 = 1.0 + 2.0 ** -52
+        got = _rank_one_top(np.array([1.0, d1]), np.array([1e-3, 1e-3]))
+        assert 1.0 <= got <= d1
 
 
 def exact_trace(fam) -> Fraction:

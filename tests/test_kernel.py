@@ -137,6 +137,28 @@ class TestEvaluate:
         # the top-only family sums two terms at the root
         assert green_kernel(upward_closure([full_mask(m)], m)).product_factors() is None
 
+    @pytest.mark.parametrize("m", [2, 3, 16])
+    def test_principal_member(self, m):
+        top = full_mask(m)
+        assert green_kernel(upward_closure([top], m)).principal_member() == top
+        assert green_kernel(family_for_known_margins(top, m)).principal_member() == top
+        # |V| = m - 1: the up-set of M minus the one unknown margin
+        V = top ^ 0b10
+        assert green_kernel(family_for_known_margins(V, m)).principal_member() == V
+        assert green_kernel(upward_closure([0b1], m)).principal_member() == 0b1
+        # the sheet has no member, the pillow m minimal ones, a closure of two pairs two
+        assert green_kernel(empty_family(m)).principal_member() is None
+        assert green_kernel(all_nonempty_family(m)).principal_member() is None
+        if m >= 3:
+            assert green_kernel(upward_closure([0b011, 0b110], m)).principal_member() is None
+            assert green_kernel(family_for_known_margins(0b1, m)).principal_member() is None
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_principal_member_names_every_up_set_of_one_subset(self, m):
+        fams = {upward_closure([U], m): U for U in range(1, full_mask(m) + 1)}
+        for fam in enumerate_monotone_families(m):
+            assert green_kernel(fam).principal_member() == fams.get(fam), fam
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_top_only_closed_form(self, m):
         k = green_kernel(upward_closure([full_mask(m)], m))

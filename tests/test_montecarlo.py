@@ -1,4 +1,5 @@
 import concurrent.futures
+import re
 import threading
 import tracemalloc
 
@@ -80,6 +81,12 @@ class TestConfig:
         sample = {"seed": 1, "n": 10, "replications": 100, "m": 2, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got {value}$"):
             null_distribution(SimConfig(**sample), "rho")
+
+    @pytest.mark.parametrize("m", [2.5, True, 1, 17])
+    def test_m_is_a_dimension(self, no_draw, m):
+        with pytest.raises(ValueError, match=re.escape(
+                f"dimension must be an integer in [2, 16], got {m!r}") + "$"):
+            null_distribution(SimConfig(seed=1, n=10, replications=100, m=m), "rho")
 
     def test_accepts_thread_cap(self):
         assert SimConfig(seed=1, n=10, replications=100, m=2,
