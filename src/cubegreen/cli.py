@@ -18,9 +18,11 @@ Exit codes: 0 ok, 2 validation error or a computation that did not
 converge, 1 I/O error.
 Every call is a fresh process, so `extremal` and `measures` are imported
 only by the handlers that solve (`lambda`, `solve`, `efficiency`, `eigen`),
-and parses its argv once: with the named command's own parser, and with
-the full one only when no command comes first or an argument is left
-over, so usage lines, messages and exit codes are the full parser's.
+and reads its argv once: in one loop over the named command's option
+table, derived from the command's parser when the parser is built, or,
+for any form the table does not read (help, --version, abbreviations,
+--opt=value, a value starting with "-", any error), with the full parser,
+so help, usage lines, messages and exit codes are argparse's own.
 """
 
 from __future__ import annotations
@@ -315,9 +317,9 @@ def _cmd_simulate(args) -> dict:
             "timing": {"replications_per_second": rate}}
 
 
-def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The CLI parser, and its command parsers by name: the `choices` map
-    of the action `add_subparsers` returns."""
+def _build() -> tuple[argparse.ArgumentParser, dict[str, tuple | None]]:
+    """The CLI parser, and the option table of each of its command parsers
+    by name (`_option_table`)."""
     p = argparse.ArgumentParser(prog="cubegreen")
     p.add_argument("--version", action="version", version=f"cubegreen {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -388,7 +390,7 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
     sp.add_argument("--scale-sqrt-n", action="store_true")
     sp.set_defaults(handler=_cmd_simulate)
 
-    return p, sub.choices
+    return p, {name: _option_table(sp) for name, sp in sub.choices.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,34 +398,97 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser `main` uses and its command parsers, built on the first
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple | None]]:
+    """The parser `main` uses and its option tables, built on the first
     call: parsing leaves no state in them, and building them costs far
     more than a parse."""
     return _build()
+
+
+# the action kinds the option table reads
+_TABLE_KINDS = {argparse._StoreAction: "store", argparse._StoreTrueAction: "flag",
+                argparse._AppendAction: "append"}
+
+
+def _option_table(parser: argparse.ArgumentParser) -> tuple | None:
+    """A command parser's grammar as `_read_table` reads it: each option
+    string's action and kind, the namespace defaults (a typed option's str
+    default converted, as argparse converts it, and `set_defaults` last),
+    each grouped action's mutually exclusive group, the required actions
+    and the required groups.  None when the parser holds any action but
+    help, store of one value, store_true and append with no default."""
+    actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    if any(type(a) not in _TABLE_KINDS or a.nargs not in (None, 0)
+           or type(a) is argparse._AppendAction and a.default is not None for a in actions):
+        return None
+    defaults = {a.dest: a.type(a.default) if isinstance(a.default, str) and a.type else a.default
+                for a in actions}
+    defaults.update(parser._defaults)
+    return ({s: (a, _TABLE_KINDS[type(a)]) for a in actions for s in a.option_strings},
+            defaults,
+            {a: g for g in parser._mutually_exclusive_groups for a in g._group_actions},
+            {a for a in actions if a.required},
+            [g for g in parser._mutually_exclusive_groups if g.required])
+
+
+def _read_table(table: tuple, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace `build_parser().parse_args(argv)` gives, argv[0]
+    naming the command whose option table this is; None where argparse
+    may judge argv otherwise: a token that is not an exact option string
+    of the command (-h, --version, --, --opt=value, an abbreviation, a
+    stray value), an option missing its value or given one that starts
+    with "-" (a negative number, a lone -), a value its type refuses or
+    outside its choices, two members of one exclusive group, a required
+    option or group left out."""
+    options, defaults, group_of, required, required_groups = table
+    values = {"command": argv[0], **defaults}
+    seen, chosen = set(), {}  # the actions given; each group's given member
+    i, n = 1, len(argv)
+    while i < n:
+        action, kind = options.get(argv[i], (None, None))
+        if action is None:
+            return None
+        if kind == "flag":
+            value = action.const
+        else:
+            i += 1
+            if i == n or argv[i].startswith("-"):
+                return None
+            try:
+                value = argv[i] if action.type is None else action.type(argv[i])
+                if action.choices is not None and value not in action.choices:
+                    return None
+            except Exception:  # argparse judges the value, and reports it
+                return None
+        seen.add(action)
+        # argparse counts a given value that is the default as absent from its group
+        group = group_of.get(action)
+        if (group is not None and (kind == "flag" or value is not action.default)
+                and chosen.setdefault(group, action) is not action):
+            return None
+        if kind == "append":
+            value = [*(values[action.dest] or ()), value]
+        values[action.dest] = value
+        i += 1
+    if not required <= seen or any(g not in chosen for g in required_groups):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv) -> argparse.Namespace:
     """The namespace `build_parser().parse_args(argv)` gives, each token
     read once.
 
-    The full parser classifies every token, then hands those after the
-    command to the command's parser, which reads them all again; so when
-    argv[0] names a command, its parser alone reads the rest.  Every
-    other argv goes to the full parser, whose usage line, message and
-    exit code the user then sees: no command first (no argument, an
-    option, an unknown command), arguments the command's parser leaves
-    over ("unrecognized arguments" is the full parser's error), or a
-    token starting "--=", which the full parser refuses as an ambiguous
-    option of its own (--help or --version)."""
-    parser, commands = _parser()
+    An argv whose first token names a command is read in one loop over
+    that command's option table (`_read_table`), which accepts only the
+    plain forms whose namespace provably matches argparse's.  Every other
+    argv, and any the table defers, goes to the full parser, whose help,
+    usage line, message and exit code the user then sees."""
+    parser, tables = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    if command is not None and not any(t.startswith("--=") for t in argv):
-        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+    table = tables.get(argv[0]) if argv else None
+    args = _read_table(table, argv) if table is not None else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -286,7 +286,8 @@ def null_distribution(cfg: SimConfig, statistic: str, p: int = 1,
     centered = vals - vals.mean()
     m4 = float(np.mean(centered ** 4))
     var_se = float(np.sqrt(max(m4 - var * var, 0.0) / R))
-    qs = {q: float(np.quantile(vals, q)) for q in (0.9, 0.95, 0.99)}
+    levels = (0.9, 0.95, 0.99)
+    qs = dict(zip(levels, np.quantile(vals, levels).tolist()))
     return NullDistribution(
         mean=float(vals.mean()),
         variance=var,

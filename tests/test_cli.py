@@ -1,14 +1,18 @@
 import argparse
 import concurrent.futures
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubegreen import cli, extremal, kernel, montecarlo, quadrature, rankstats
 from cubegreen.cli import build_parser, main
@@ -21,6 +25,7 @@ from cubegreen.families import (
     subsets_of_size,
     upward_closure,
 )
+from test_readme import _examples
 
 
 def echoed(text):
@@ -948,10 +953,93 @@ class TestBatchReports:
             (format_subset(u), a) for u, a in coeffs.items()]
 
 
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _benchmark_argvs() -> list[list[str]]:
+    """Every CLI argv of the benchmark's three workloads at seeds 1-3, its
+    output and dataset placeholders filled with plain paths; the job
+    generator is imported without writing bytecode next to it."""
+    saved = sys.path[:], sys.dont_write_bytecode
+    sys.path.insert(0, str(BENCH))
+    sys.dont_write_bytecode = True
+    try:
+        import jobs
+
+        fill = {"{out}": "out.json"}
+        return [[fill.get(tok) or (f"data/{tok[6:-1]}.csv" if tok.startswith("{data:") else tok)
+                 for tok in job["argv"]]
+                for workload in jobs.WORKLOADS for seed in (1, 2, 3)
+                for job in jobs.generate(workload, seed)[0] if job["kind"] == "cli"]
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
+        for name in ("jobs", "oracle"):
+            sys.modules.pop(name, None)
+
+
+# tokens argparse judges by its own rules, and values per kind: (valid, invalid)
+_ODD_TOKENS = ("", "-", "--", "-h", "--help", "--version", "-1", "-0.5", "--=1", "extra",
+               "--bogus", "eigen")
+_INT_VALUES = (("2", "3", "8", " 3", "1_0"), ("x", "2.5", "", "-1", "-"))
+_TEXT_VALUES = (("", "1,2", "{1}", "[[1,2]]", "0.5,0.5", "a b", "lebesgue"),
+                ("-", "-x", "--m", "-1", "--"))
+_FLAWS = ("value", "odd", "abbreviated", "joined", "bare", "conflict", "missing")
+
+
+@st.composite
+def _command_argvs(draw, command: str) -> list[str]:
+    """A valid argv of the command: its required options and groups and a
+    few other options (some repeated), each with a valid value; then, most
+    of the time, one flaw: an invalid value, an odd token, an option
+    abbreviated, joined to its value by "=" or missing its value, a second
+    member of an exclusive group, or a required option or group left out."""
+    parser = cli._parser()[0]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sp = sub.choices[command]
+    grouped = [a for g in sp._mutually_exclusive_groups for a in g._group_actions]
+    actions = [a for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+
+    def values(action):
+        return ((tuple(action.choices), ("nope",)) if action.choices else
+                _INT_VALUES if action.type is int else _TEXT_VALUES)
+
+    def piece(action, value=None):
+        if action.nargs == 0:
+            return [action.option_strings[0]]
+        return [action.option_strings[0], draw(st.sampled_from(values(action)[0]))
+                if value is None else value]
+
+    pieces = [piece(a) for a in actions if a.required]
+    pieces += [piece(draw(st.sampled_from(g._group_actions)))
+               for g in sp._mutually_exclusive_groups if g.required]
+    required = len(pieces)
+    free = [a for a in actions if a not in grouped]
+    for action in draw(st.lists(st.sampled_from(free), max_size=4)):
+        pieces += [piece(action) for _ in range(draw(st.integers(1, 2)))]
+    flaw = draw(st.sampled_from((*_FLAWS, *[None] * len(_FLAWS))))
+    if flaw == "value":
+        action = draw(st.sampled_from([a for a in actions if a.nargs is None]))
+        pieces.append(piece(action, draw(st.sampled_from(values(action)[1]))))
+    elif flaw == "odd":
+        pieces.append([draw(st.sampled_from(_ODD_TOKENS))])
+    elif flaw in ("abbreviated", "joined", "bare") and pieces:
+        i = draw(st.integers(0, len(pieces) - 1))
+        option, *value = pieces[i]
+        if flaw == "abbreviated":
+            pieces[i] = [option[:draw(st.integers(2, len(option) - 1))], *value]
+        else:
+            pieces[i] = [f"{option}={''.join(value)}"] if flaw == "joined" else [option]
+    elif flaw == "conflict" and grouped:
+        pieces.append(piece(draw(st.sampled_from(grouped))))
+    elif flaw == "missing" and required:
+        del pieces[draw(st.integers(0, required - 1))]
+    return [command, *(tok for p in draw(st.permutations(pieces)) for tok in p)]
+
+
 class TestParseOnce:
-    """`main` parses a command's argv with that command's parser alone;
-    every outcome (namespace, stdout, stderr, exit code) is the full
-    parser's."""
+    """`main` reads a command's plain argv from the command's option table,
+    and every other argv with the full parser; every outcome (namespace,
+    stdout, stderr, exit code) is the full parser's."""
 
     # per command: an accepted argv, and one missing a required option
     # (efficiency has none: its --V misses its value)
@@ -1026,17 +1114,58 @@ class TestParseOnce:
         result, _, _ = self.check(capsys, argv)
         assert result == ("exit 0" if argv[:1] in (["--version"], ["-h"]) else "exit 2")
 
-    def test_command_argv_skips_the_full_parser(self, capsys, monkeypatch):
-        parse_known_args = argparse.ArgumentParser.parse_known_args
+    def test_benchmark_and_readme_argvs_take_the_table(self, monkeypatch):
+        argvs = [*_benchmark_argvs(), *(shlex.split(line)[1:] for line in _examples())]
+        assert {argv[0] for argv in argvs} == set(self.ACCEPTED)
+        parser = cli._parser()[0]
+        expected = [parser.parse_args(argv) for argv in argvs]
 
-        def only_commands(parser, *args, **kwargs):
-            if parser.prog == "cubegreen":
-                raise AssertionError("the full parser read a command's argv")
-            return parse_known_args(parser, *args, **kwargs)
+        def no_parse(*args, **kwargs):
+            raise AssertionError("argparse parsed an argv")
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", only_commands)
-        rep = run_json(capsys, "eigen", "--family-all", "--m", "2", "--grid-n", "8")
-        assert rep["config"] == {"m": 2, "family": ["--family-all"], "grid_n": 8}
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", no_parse)
+        assert [cli._parse_args(argv) for argv in argvs] == expected
+
+    @pytest.mark.parametrize("command", list(ACCEPTED))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_table_defers_or_gives_the_full_parsers_namespace(self, command, data):
+        argv = data.draw(_command_argvs(command))
+        parser, tables = cli._parser()
+        read = cli._read_table(tables[argv[0]], argv)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                full = parser.parse_args(argv)
+            except SystemExit:
+                full = None
+        assert read is None or read == full
+
+    def test_every_command_has_a_table(self):
+        parser, tables = cli._parser()
+        assert set(tables) == set(self.ACCEPTED)
+        assert None not in tables.values()
+        # what the table takes as given: "-" options, no argument files, one
+        # action per dest, no suppressed default, and one exclusive group
+        # at most per action
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for p in [parser, *sub.choices.values()]:
+            assert (p.prefix_chars, p.fromfile_prefix_chars) == ("-", None)
+        for sp in sub.choices.values():
+            actions = [a for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+            assert len({a.dest for a in actions}) == len(actions)
+            assert argparse.SUPPRESS not in [a.default for a in actions]
+            grouped = [a for g in sp._mutually_exclusive_groups for a in g._group_actions]
+            assert len(set(grouped)) == len(grouped)
+
+    @pytest.mark.parametrize("kwargs", [{"action": "store_const", "const": 1},
+                                        {"action": "count"}, {"nargs": "?"},
+                                        {"action": "append", "default": []}])
+    def test_a_kind_the_table_does_not_read_leaves_the_command_to_argparse(self, kwargs):
+        parser = argparse.ArgumentParser()
+        parser.add_argument("--m", type=int, default=2)
+        assert cli._option_table(parser) is not None
+        parser.add_argument("--k", **kwargs)
+        assert cli._option_table(parser) is None
 
     def test_module_entry_point_reads_sys_argv(self, capsys, monkeypatch):
         """`python -m cubegreen.cli`, main(None), writes what main(argv) does."""

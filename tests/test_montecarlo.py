@@ -306,6 +306,16 @@ class TestNullDistribution:
         nd = null_distribution(cfg, "rho")
         assert nd.quantiles[0.9] <= nd.quantiles[0.95] <= nd.quantiles[0.99]
 
+    def test_quantiles_are_the_per_level_quantiles(self, monkeypatch):
+        kept = []
+        replication_values = montecarlo._replication_values
+        monkeypatch.setattr(montecarlo, "_replication_values",
+                            lambda *args: kept.append(replication_values(*args)) or kept[-1])
+        nd = null_distribution(SimConfig(seed=13, n=20, replications=2000, m=2), "rho")
+        levels = [0.9, 0.95, 0.99]
+        assert list(nd.quantiles) == levels  # the order a report lists them in
+        assert nd.quantiles == {q: float(np.quantile(kept[0], q)) for q in levels}
+
     def test_unknown_statistic(self):
         cfg = SimConfig(seed=1, n=10, replications=100, m=2)
         with pytest.raises(ValueError):
