@@ -55,7 +55,6 @@ from .quadrature import _node_count
 from .montecarlo import (
     SimConfig,
     check_seed,
-    interior_lattice,
     null_distribution,
     sample_gaussian_field,
     simulate_null_covariance,
@@ -285,10 +284,9 @@ def _cmd_simulate(args) -> dict:
              else _read_option("--V", parse_subset, args.V, args.m))
     V_text = format_subset(V) if V is not None else None
     if args.mode == "field":
-        _, points = interior_lattice(args.m, grid_n)
         fam = all_nonempty_family(args.m) if V is None \
             else family_for_known_margins(V, args.m)
-        draws = sample_gaussian_field(green_kernel(fam), points, args.count, args.seed)
+        draws = sample_gaussian_field(green_kernel(fam), grid_n, args.count, args.seed)
         return {"config": {"mode": args.mode, "m": args.m, "seed": args.seed,
                            "grid_n": grid_n, "V": V_text, "count": args.count},
                 "result": {"draws": draws.tolist()}}

@@ -22,13 +22,18 @@ arrays, is the one evaluator; `evaluate` and `cross` call it or its
 body, `cross` on row blocks within the one block budget
 (`quadrature.blocks`).  Their one point check, made once per input
 array, refuses a coordinate outside [0, 1] or not finite
-(`check_unit_cube`).  Every diagram term is a product over axes, so on
-a tensor grid with the same n nodes on each axis
-`GreenKernel.kron_matvec` applies the kernel matrix, a sum of Kronecker
-products of three n x n matrices (gap, x xi and min), to a vector
-without forming it.  Two shapes of family are named for the spectral
-paths: `product_factors` reads a product diagram off the levels, and
-`principal_member` the one minimal member U0 of an up-set F = {U >= U0}.
+(`check_unit_cube`).  Every diagram term is a product over axes, so the
+diagram is one operator, `GreenKernel.kron_matvec`: a sum of Kronecker
+products of three per-axis factors (gap, x xi and min), applied to a
+tensor of values, with a trailing batch axis, without forming it.  With
+the n x n factors on one axis's nodes it is the kernel matrix (the
+Nystrom matvec); with their g x (g + 1) square roots on a Brownian
+factor it is a square root of the kernel matrix on the interior lattice,
+and draws the limit field from normals
+(`montecarlo.sample_gaussian_field`).  Two shapes of family are named
+for the spectral paths: `product_factors` reads a product diagram off
+the levels, and `principal_member` the one minimal member U0 of an
+up-set F = {U >= U0}.
 
 The signed integer coefficients a_U of the equivalent expansion
 prod min - sum_{U in F} a_U prod_{j not in U} min_j prod_{j in U} k_j are
@@ -187,16 +192,22 @@ class GreenKernel:
 
     def kron_matvec(self, mins: np.ndarray, ks: np.ndarray, gaps: np.ndarray,
                     v: np.ndarray) -> np.ndarray:
-        """The kernel matrix on an n**m tensor grid applied to v, matrix-free.
+        """The diagram operator, the sum over its paths of the Kronecker
+        product of one per-axis factor per axis, applied to v, matrix-free.
 
-        mins, ks and gaps are the n x n matrices min(x, xi), x xi and the
-        gap on one axis's nodes (symmetrically scaled, if need be); in
-        `tensor_rule` order, each diagram term is the Kronecker product of
-        one of them per axis.  Level j's inputs have axis j leading, and
-        each term's product contracts it and moves it last: O(n**(m+1))
-        per term, and no matrix larger than n x n.
+        mins, ks and gaps are (n_out, n_in) matrices standing for the
+        factors min(x, xi), x xi and the gap on one axis; v holds n_in**m
+        values in `tensor_rule` order, with an optional trailing batch
+        axis, and the result n_out**m values in that order, the batch axis
+        trailing.  With the n x n factors on one axis's nodes
+        (symmetrically scaled, if need be) it applies the kernel matrix;
+        with their square roots on a Brownian factor, it draws the field
+        (`montecarlo.sample_gaussian_field`).  Level j's inputs have axis j
+        leading, and each term's product contracts it and moves it last:
+        O(n**(m+1)) per term and column, and no matrix larger than
+        n_out x n_in.
         """
-        n = len(mins)
+        n = mins.shape[1]
         mats = (gaps.T, ks.T, mins.T)
         below = [v]
         for level in self.levels:
@@ -207,7 +218,8 @@ class GreenKernel:
                     acc += below[c].reshape(n, -1).T @ mats[f]
                 here.append(acc)
             below = here
-        return below[0].reshape(-1)
+        # the batch axis, carried after the input axes, now leads
+        return np.moveaxis(below[0].reshape(v.shape[1:] + (-1,)), -1, 0)
 
     def _check_points(self, P) -> np.ndarray:
         P = np.asarray(P, dtype=float)

@@ -4,7 +4,15 @@ A `SimConfig` is the sample alone, what every simulation draws.  Each
 simulator takes the other options it reads and checks each once, before
 anything is drawn: `simulate_null_covariance` the known margins V and
 the lattice's grid_n, `simulate_tied_down_covariance` the grid_n alone,
-and `null_distribution` the statistic, its p and grid_n, and V.
+and `null_distribution` the statistic, its p and grid_n, and V.  The two
+covariance simulators, the only code that builds G x G kernel matrices,
+refuse them past the cap (`check_grid_size`), and their standard errors
+come from two G x G Gram matrices, of the values and of their squares.
+
+`sample_gaussian_field(kernel, grid_n, count, seed)` draws the limit
+field exactly, with no ridge and no G x G matrix: the kernel's diagram
+operator applied to (g + 1)^m normals per draw (`field_factors`), so
+the lattice is bounded only by the value cap.
 
 Every simulation reads one counter-based Philox stream, the stream of
 `substream(seed, 0)`.  A Philox block is one counter value and gives four
@@ -36,7 +44,6 @@ from .quadrature import _node_count, blocks, count_text, tensor_points
 from . import rankstats
 
 MAX_THREADS = 64
-_BASE_RIDGE = 1e-12
 
 
 def check_grid_size(points: int) -> None:
@@ -45,23 +52,30 @@ def check_grid_size(points: int) -> None:
                         f"{count_text(points)}^2 kernel entries", "grid_n or m")
 
 
-def check_field_size(count: int, points: int) -> None:
-    """Refuse `count` field draws on a grid of `points` points before anything
-    is drawn: fewer than one draw, or more values than `rankstats.check_cap` allows."""
+def check_field_size(count: int, g: int, m: int) -> None:
+    """Refuse `count` field draws on the interior lattice of g nodes per axis
+    in m dimensions before anything is drawn: fewer than one draw, or more
+    values (count·g^m) or normals per draw ((g+1)^m) than
+    `rankstats.check_cap` allows."""
     if count < 1:
         raise ValueError(f"--count must be at least 1, got {count}")
-    rankstats.check_cap(count * points, f"--count {count} draws of {points} points need "
-                        f"{count_text(count * points)} values", "--count or grid_n")
+    points, normals = g ** m, (g + 1) ** m
+    rankstats.check_cap(count * points, f"--count {count} draws of {count_text(points)} points "
+                        f"need {count_text(count * points)} values", "--count or grid_n")
+    rankstats.check_cap(normals, f"a draw on {g} nodes per axis at m = {m} reads "
+                        f"{count_text(normals)} normals", "--grid-n or --m")
 
 
 def interior_lattice(m: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     """The interior lattice of grid_n nodes (k+1)/(grid_n+1) on each of m
     axes: the (m, grid_n) nodes per axis and the (grid_n^m, m) points, the
     last axis varying fastest.  It is the one check of a lattice's
-    grid_n: an integer >= 1, a bool refused, and a lattice too large for
-    its kernel matrices refused before it is built."""
+    grid_n: an integer >= 1, a bool refused, and a lattice whose
+    coordinates pass `rankstats.check_cap` refused before it is built."""
     grid_n = _node_count(grid_n, "grid_n")
-    check_grid_size(grid_n ** m)
+    rankstats.check_cap(m * grid_n ** m, f"a lattice of {count_text(grid_n ** m)} points in "
+                        f"{m} dimensions needs {count_text(m * grid_n ** m)} coordinates",
+                        "grid_n or m")
     axis = (np.arange(grid_n) + 1.0) / (grid_n + 1.0)
     return np.tile(axis, (m, 1)), tensor_points(axis, m)
 
@@ -179,13 +193,10 @@ def _covariance_report(values: np.ndarray, theoretical: np.ndarray) -> Covarianc
     R, G = values.shape
     centered = values - values.mean(axis=0)
     empirical = centered.T @ centered / (R - 1)
-    # standard errors of the products v_g v_h, a block of grid rows at a
-    # time: each entry is the same reduction over R as on the whole
-    # R x G x G array of products
-    se = np.empty((G, G))
-    for rows in blocks(G, 8 * R * G):
-        prods = values[:, rows, None] * values[:, None, :]
-        se[rows] = prods.std(axis=0, ddof=1) / np.sqrt(R)
+    # standard errors of the products v_g v_h, whose sums over R are S1 and
+    # whose sums of squares are S2, so no R x G x G array of them is built
+    S1, S2 = (v.T @ v for v in (values, values * values))
+    se = np.sqrt((S2 - S1 * S1 / R) / ((R - 1) * R))
     if not np.all(se > 0.0):
         raise ValueError(f"max_dev_in_se is undefined: {int(np.sum(se == 0.0))} of the "
                          f"{G * G} standard errors are zero (a product of process values "
@@ -211,6 +222,7 @@ def _simulate_covariance(cfg: SimConfig, family, grid_n: int, process) -> Covari
     observation.  The R x G values are all kept: past the cap of
     `rankstats.check_cap` the run is refused before anything is drawn."""
     axes, points = interior_lattice(cfg.m, grid_n)
+    check_grid_size(len(points))
     values = cfg.replications * len(points)
     rankstats.check_cap(values, f"--R {cfg.replications} replications on {len(points)} "
                         f"grid points keep {count_text(values)} process values", "--R or grid_n")
@@ -237,29 +249,47 @@ def simulate_tied_down_covariance(cfg: SimConfig, grid_n: int) -> CovarianceRepo
                                 rankstats.batch_tied_down)
 
 
-def sample_gaussian_field(kernel: GreenKernel, grid, count: int, seed: int) -> np.ndarray:
-    """Draw centered Gaussian vectors with the kernel's Gram covariance.
+def field_factors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The square roots of the diagram's factors min, x xi and gap on the
+    g axis nodes t, as `GreenKernel.kron_matvec` takes them: the
+    g x (g + 1) matrices that map g + 1 standard normals z to B(t),
+    t B(1) and B(t) - t B(1), for B = L z Brownian motion at t and 1.  L is
+    lower triangular with entries sqrt(t_k - t_{k-1}).  Each times its own
+    transpose is its factor, and the last two are uncorrelated: t B(1) and
+    B(t) - t B(1) are independent."""
+    g = len(t)
+    L = np.tril(np.broadcast_to(np.sqrt(np.diff(t, prepend=0.0, append=1.0)), (g + 1, g + 1)))
+    mins, ks = L[:g], np.outer(t, L[g])
+    return mins, ks, mins - ks
 
-    A ridge of `_BASE_RIDGE` times the mean diagonal is added before
-    Cholesky; it escalates tenfold up to three times on failure.  The grid
-    size and the count are checked before anything is built or drawn.
+
+def sample_gaussian_field(kernel: GreenKernel, grid_n: int, count: int, seed: int) -> np.ndarray:
+    """`count` draws of the centred Gaussian field whose covariance is the
+    kernel, on the interior lattice of grid_n nodes per axis: a
+    (count, grid_n^m) array in `tensor_rule` order.
+
+    A draw is the diagram operator `kernel.kron_matvec` with the factors
+    of `field_factors` applied to (g + 1)^m standard normals.  Its
+    covariance is the kernel exactly: each path of the diagram gives its
+    term, and two distinct paths part at a node where one takes t B(1)
+    and the other B(t) - t B(1), which are uncorrelated (the split of the
+    Brownian pillow; Deheuvels 1981).  No g^m x g^m matrix is built.
+    Draw r reads the r-th (g + 1)^m normals of substream(seed, 0), and
+    draws run in blocks within the one block budget; the values do not
+    depend on the block size, but at grid_n = 1 a block of one draw takes
+    numpy's dot product for its last 1 x 2 by 2 x 1 product, which may
+    round its last bit differently.  grid_n and the count are checked
+    before anything is drawn (`check_field_size`).
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    check_grid_size(len(grid))
-    check_field_size(count, len(grid))
-    G = kernel.cross(grid, grid)
-    ridge = _BASE_RIDGE * np.trace(G) / len(G)
-    L = None
-    for attempt in range(3):
-        try:
-            L = np.linalg.cholesky(G + ridge * 10 ** attempt * np.eye(len(G)))
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if L is None:
-        raise np.linalg.LinAlgError("Cholesky failed after ridge escalation")
-    z = substream(seed, 0).standard_normal((count, len(G)))
-    return z @ L.T
+    t = interior_lattice(kernel.m, grid_n)[0][0]
+    check_field_size(count, len(t), kernel.m)
+    factors = field_factors(t)
+    normals = (len(t) + 1) ** kernel.m
+    width = 1 + max(map(len, kernel.levels))  # the normals and one level's nodes
+    gen = substream(seed, 0)
+    return np.concatenate([
+        kernel.kron_matvec(*factors, gen.standard_normal((b.stop - b.start, normals)).T).T
+        for b in blocks(count, 8 * width * normals)])
 
 
 def null_distribution(cfg: SimConfig, statistic: str, p: int = 1,

@@ -48,16 +48,28 @@ def test_statistic_lattice(capsys, monkeypatch, csv2, name, V, cells):
 
 
 def test_grid_size(capsys, monkeypatch):
-    # 2 interior nodes per axis at m = 2: 4 points, 16 kernel entries
-    argv = ["simulate", "--mode", "field", "--m", "2", "--grid-n", "2", "--count", "1"]
+    # 2 interior nodes per axis at m = 2: 4 points, 16 kernel entries; at
+    # the cap of 16 the next check refuses the R x G = 400 kept values
+    argv = ["simulate", "--mode", "tiedcov", "--m", "2", "--n", "2", "--R", "100",
+            "--grid-n", "2"]
     err = refused(capsys, monkeypatch, 15, argv)
     assert err == ("error: a grid of 4 points needs 4^2 kernel entries, above the cap of 15; "
                    "reduce grid_n or m\n")
-    assert len(runs(capsys, monkeypatch, 16, argv)["result"]["draws"]) == 1
+    assert refused(capsys, monkeypatch, 16, argv).startswith(
+        "error: --R 100 replications on 4 grid points keep 400 process values")
+
+
+def test_field_normals(capsys, monkeypatch):
+    # a draw of 4 values on 2 nodes per axis at m = 2 reads 3^2 normals
+    argv = ["simulate", "--mode", "field", "--m", "2", "--grid-n", "2", "--count", "1"]
+    err = refused(capsys, monkeypatch, 8, argv)
+    assert err == ("error: a draw on 2 nodes per axis at m = 2 reads 9 normals, above the cap "
+                   "of 8; reduce --grid-n or --m\n")
+    assert len(runs(capsys, monkeypatch, 9, argv)["result"]["draws"]) == 1
 
 
 def test_field_size(capsys, monkeypatch):
-    # 5 draws of 4 points: 20 values, the grid's 16 kernel entries within the cap
+    # 5 draws of 4 points: 20 values, each draw's 9 normals within the cap
     argv = ["simulate", "--mode", "field", "--m", "2", "--grid-n", "2", "--count", "5"]
     err = refused(capsys, monkeypatch, 19, argv)
     assert err == ("error: --count 5 draws of 4 points need 20 values, above the cap of 19; "

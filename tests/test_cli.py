@@ -379,7 +379,6 @@ class TestSimulateCommand:
         def no_grid(*args):
             raise AssertionError("nulldist built an interior grid")
 
-        monkeypatch.setattr(cli, "interior_lattice", no_grid)
         monkeypatch.setattr(montecarlo, "interior_lattice", no_grid)
         argv = ["simulate", "--mode", "nulldist", "--stat", "Bhat", "--p", "2", "--m", "2",
                 "--n", "30", "--R", "100", "--seed", "5"]
@@ -400,7 +399,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--mode", "cov", "--m", "16", "--grid-n", "4", "--V", ""],
-        ["--mode", "field", "--m", "8", "--grid-n", "4"],
+        ["--mode", "tiedcov", "--m", "8", "--grid-n", "4"],
     ])
     def test_grid_too_large_for_memory(self, capsys, argv):
         # 4^16 and 4^8 grid points: refused before the grid is built
@@ -452,7 +451,6 @@ class TestSimulateCommand:
 
         for name in ("_uniform_block", "substream", "interior_lattice"):
             monkeypatch.setattr(montecarlo, name, built)
-        monkeypatch.setattr(cli, "interior_lattice", built)
         monkeypatch.setattr(cli, "SimConfig", built)
         # cov needs --V; an m out of range is not blamed on it
         V = ["--V", "{1}"] if mode == "cov" else []

@@ -9,7 +9,7 @@ import pytest
 
 from cubegreen import montecarlo, quadrature, rankstats
 from cubegreen.cli import main
-from cubegreen.families import family_for_known_margins
+from cubegreen.families import all_nonempty_family, family_for_known_margins
 from cubegreen.kernel import green_kernel
 from cubegreen.montecarlo import SimConfig, null_distribution, substream
 
@@ -87,6 +87,35 @@ class TestSampleCaps:
             null_distribution(cfg, "rho")
 
 
+class TestFieldAtMaxDim:
+    """The field at m = MAX_DIM = 16: a draw reads (g + 1)^16 normals."""
+
+    def test_one_node_per_axis_runs(self, capsys):
+        # 2^16 normals per draw, one value each: the centre (1/2, ..., 1/2)
+        rep = run_json(capsys, "simulate", "--mode", "field", "--m", "16", "--grid-n", "1",
+                       "--count", "2", "--seed", "3")
+        pillow = green_kernel(all_nonempty_family(16))
+        # the operator's one row: its transpose applied to the one output
+        row = pillow.kron_matvec(*(f.T for f in montecarlo.field_factors(np.array([0.5]))),
+                                 np.ones(1))
+        assert row.shape == (2 ** 16,)
+        # the draws' variance, the row's squared norm, is the pillow's 4^-16
+        assert row @ row == pytest.approx(4.0 ** -16, rel=1e-12)
+        z = substream(3, 0).standard_normal((2, 2 ** 16))
+        assert np.allclose(rep["result"]["draws"], (z @ row)[:, None], rtol=1e-12, atol=0.0)
+
+    def test_two_nodes_per_axis_are_refused_before_any_draw(self, capsys, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("something was drawn")
+
+        monkeypatch.setattr(montecarlo, "substream", drawn)
+        code, out, err = run_cli(capsys, "simulate", "--mode", "field", "--m", "16",
+                                 "--grid-n", "2", "--count", "1")
+        assert code == 2 and out == ""
+        assert err == ("error: a draw on 2 nodes per axis at m = 16 reads 43046721 normals, "
+                       "above the cap of 33554432; reduce --grid-n or --m\n")
+
+
 class TestSeedRange:
     MODES = [["--mode", "nulldist", "--stat", "rho", "--n", "10", "--R", "100"],
              ["--mode", "cov", "--V", "1", "--n", "10", "--R", "100", "--grid-n", "2"],
@@ -147,8 +176,8 @@ class TestHugeCounts:
     def test_simulate(self, capsys, mode):
         code, out, err = run_cli(capsys, "simulate", "--m", "16", *mode, "--grid-n", HUGE)
         assert code == 2 and out == ""
-        assert err == ("error: a grid of 1.00e4800 points needs 1.00e4800^2 kernel entries, "
-                       "above the cap of 33554432; reduce grid_n or m\n")
+        assert err == ("error: a lattice of 1.00e4800 points in 16 dimensions needs 1.60e4801 "
+                       "coordinates, above the cap of 33554432; reduce grid_n or m\n")
 
     def test_stat(self, capsys, tmp_path):
         path = tmp_path / "m16.csv"
@@ -185,35 +214,6 @@ class TestHugeCounts:
 
 
 class TestUnreachedBranches:
-    def test_cholesky_ridge_escalates_tenfold(self, monkeypatch):
-        grid = np.array([[0.2, 0.3], [0.6, 0.5], [0.8, 0.9]])
-        kern = green_kernel(family_for_known_margins(0b01, 2))
-        G = kern.cross(grid, grid)
-        ridge = montecarlo._BASE_RIDGE * np.trace(G) / len(G)
-        L = np.linalg.cholesky(G + ridge * 10 * np.eye(len(G)))
-        want = substream(4, 0).standard_normal((5, len(G))) @ L.T
-        cholesky, calls = np.linalg.cholesky, []
-
-        def fails_once(a):
-            calls.append(a)
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("not positive definite")
-            return cholesky(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", fails_once)
-        draws = montecarlo.sample_gaussian_field(kern, grid, 5, 4)
-        assert len(calls) == 2 and np.array_equal(draws, want)
-
-    def test_cholesky_failing_three_times_exits_2(self, capsys, monkeypatch):
-        def fails(a):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", fails)
-        code, out, err = run_cli(capsys, "simulate", "--mode", "field", "--m", "2",
-                                 "--grid-n", "2", "--count", "2")
-        assert code == 2 and out == ""
-        assert err == "error: Cholesky failed after ridge escalation\n"
-
     def test_eigen_grid_below_8(self, capsys):
         code, out, err = run_cli(capsys, "eigen", "--family-all", "--grid-n", "7")
         assert code == 2 and out == ""
@@ -228,9 +228,8 @@ class TestUnreachedBranches:
     def test_field_with_V_draws_from_the_known_margins_kernel(self, capsys):
         rep = run_json(capsys, "simulate", "--mode", "field", "--m", "2", "--grid-n", "2",
                        "--count", "3", "--seed", "7", "--V", "1")
-        _, points = montecarlo.interior_lattice(2, 2)
         want = montecarlo.sample_gaussian_field(
-            green_kernel(family_for_known_margins(0b01, 2)), points, 3, 7)
+            green_kernel(family_for_known_margins(0b01, 2)), 2, 3, 7)
         assert rep["config"]["V"] == "{1}"
         assert rep["result"]["draws"] == want.tolist()
         pillow = run_json(capsys, "simulate", "--mode", "field", "--m", "2", "--grid-n", "2",

@@ -276,6 +276,28 @@ class TestMatrixOps:
                 want = [k.evaluate(p, p) for p in P]
                 assert np.allclose(k.values(P, P), want, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_kron_matvec_is_the_sum_over_the_complement(self, m):
+        """With (n_out, n_in) factors, mins = gaps + ks, and a trailing batch
+        axis, the operator is the sum over the subsets W outside F of the
+        Kronecker product of ks on W and gaps off W, axis 0 slowest."""
+        n_out, n_in, batch = 2, 3, 4
+        ks, gaps = RNG.random((n_out, n_in)), RNG.random((n_out, n_in))
+        v = RNG.random((n_in ** m, batch))
+        for fam in enumerate_monotone_families(m):
+            k = green_kernel(fam)
+            dense = np.zeros((n_out ** m, n_in ** m))
+            for W in np.flatnonzero(~fam.table):
+                term = np.ones((1, 1))
+                for j in range(m):
+                    term = np.kron(term, ks if W >> j & 1 else gaps)
+                dense += term
+            out = k.kron_matvec(gaps + ks, ks, gaps, v)
+            assert out.shape == (n_out ** m, batch)
+            assert np.allclose(out, dense @ v, rtol=1e-13, atol=0.0)
+            # each column is the one-column operator on it
+            assert np.array_equal(out[:, 1], k.kron_matvec(gaps + ks, ks, gaps, v[:, 1]))
+
     def test_dimension_mismatch(self):
         k = green_kernel(empty_family(2))
         with pytest.raises(ValueError):

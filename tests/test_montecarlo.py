@@ -1,13 +1,21 @@
 import concurrent.futures
+import itertools
 import re
+import statistics
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cubegreen import montecarlo, quadrature
-from cubegreen.families import all_nonempty_family, empty_family
+from cubegreen import montecarlo, quadrature, rankstats
+from cubegreen.families import (
+    all_nonempty_family,
+    empty_family,
+    enumerate_monotone_families,
+    family_for_known_margins,
+    upward_closure,
+)
 from cubegreen.kernel import green_kernel
 from cubegreen.montecarlo import (
     MAX_THREADS,
@@ -117,13 +125,27 @@ class TestConfig:
         assert interior_lattice(3, 3)[1].tolist() == [
             [a, b, c] for a in axis for b in axis for c in axis]
 
-    def test_interior_lattice_at_the_cap(self):
-        # 2^12 points: 2^24 kernel entries are accepted, 2^13 points are not
+    @pytest.mark.parametrize("simulate", SIMULATORS)
+    def test_interior_lattice_at_the_cap(self, no_draw, simulate):
+        # 2^12 points: 2^24 kernel entries are accepted, 2^13 points are not;
+        # the lattice itself is built at m = 13, and the covariance simulators
+        # refuse its kernel matrices
         axes, points = interior_lattice(12, 2)
         assert axes.shape == (12, 2) and points.shape == (4096, 12)
         assert points[0].tolist() == [1 / 3] * 12 and points[1, -1] == 2 / 3
-        with pytest.raises(ValueError, match="kernel entries"):
-            interior_lattice(13, 2)
+        assert interior_lattice(13, 2)[1].shape == (8192, 13)
+        with pytest.raises(ValueError, match="8192 points needs 8192\\^2 kernel entries"):
+            simulate(SimConfig(seed=1, n=10, replications=100, m=13), 2)
+
+    def test_interior_lattice_coordinates_at_the_cap(self, monkeypatch):
+        # 4 points in 2 dimensions: 8 coordinates
+        monkeypatch.setattr(rankstats, "_CELL_CAP", 8)
+        assert interior_lattice(2, 2)[1].shape == (4, 2)
+        monkeypatch.setattr(rankstats, "_CELL_CAP", 7)
+        with pytest.raises(ValueError) as exc:
+            interior_lattice(2, 2)
+        assert str(exc.value) == ("a lattice of 4 points in 2 dimensions needs 8 coordinates, "
+                                  "above the cap of 7; reduce grid_n or m")
 
 
 
@@ -206,12 +228,14 @@ class TestReplicationBlocks:
 
 
 class TestStandardErrors:
-    def test_streamed_equals_one_shot(self):
+    def test_gram_matrices_equal_the_products_reduction(self):
+        # S1 = V^T V and S2 = (V∘V)^T (V∘V) give the products' standard
+        # deviations over R to rounding
         values = np.random.default_rng(4).standard_normal((500, 27))
         rep = montecarlo._covariance_report(values, np.eye(27))
         prods = values[:, :, None] * values[:, None, :]
-        assert np.array_equal(rep.standard_errors,
-                              prods.std(axis=0, ddof=1) / np.sqrt(500))
+        assert np.allclose(rep.standard_errors, prods.std(axis=0, ddof=1) / np.sqrt(500),
+                           rtol=1e-13, atol=0.0)
 
     def test_peak_memory_far_below_product_array(self):
         # the R x G x G products at G = 256, R = 200 would take 105 MB
@@ -264,25 +288,101 @@ class TestCovarianceSimulations:
         assert np.linalg.eigvalsh(rep.empirical).min() >= -1e-10
 
 
+def _field_operator(kern, grid_n: int) -> np.ndarray:
+    """B_F, the field's square root on the interior lattice: the diagram
+    operator applied to the identity, one column per normal."""
+    factors = montecarlo.field_factors(interior_lattice(1, grid_n)[0][0])
+    return kern.kron_matvec(*factors, np.eye((grid_n + 1) ** kern.m))
+
+
+def _relative(A: np.ndarray, B: np.ndarray) -> float:
+    return float(np.abs(A - B).max() / np.abs(B).max())
+
+
 class TestGaussianField:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_square_root_is_the_kernel_for_every_family(self, m):
+        for fam in enumerate_monotone_families(m):
+            kern = green_kernel(fam)
+            for grid_n in (1, 3, 4):
+                B = _field_operator(kern, grid_n)
+                points = interior_lattice(m, grid_n)[1]
+                assert B.shape == (grid_n ** m, (grid_n + 1) ** m)
+                assert _relative(B @ B.T, kern.cross(points, points)) <= 1e-14
+
+    @pytest.mark.parametrize("family", [
+        all_nonempty_family(6), empty_family(6), family_for_known_margins(0b11, 6),
+        upward_closure([sum(1 << j for j in c) for c in itertools.combinations(range(6), 3)], 6)],
+        ids=["pillow", "sheet", "known-12", "closure-3-subsets"])
+    def test_square_root_is_the_kernel_at_m6(self, family):
+        kern = green_kernel(family)
+        points = interior_lattice(6, 2)[1]
+        B = _field_operator(kern, 2)
+        assert _relative(B @ B.T, kern.cross(points, points)) <= 1e-14
+
+    def test_draws_are_the_operator_on_the_stream(self):
+        kern = green_kernel(family_for_known_margins(0b01, 3))
+        z = substream(9, 0).standard_normal((7, 4 ** 3))
+        draws = sample_gaussian_field(kern, 3, 7, 9)
+        assert np.allclose(draws, z @ _field_operator(kern, 3).T, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("m, grid_n", [(2, 4), (3, 3), (3, 16)])
+    def test_values_do_not_depend_on_the_block_size(self, monkeypatch, m, grid_n):
+        kern = green_kernel(upward_closure([0b011, 0b101][:m - 1], m))
+        want = sample_gaussian_field(kern, grid_n, 30, 5)
+        for budget in (1, 8 * 5 ** m, 1 << 30):
+            monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
+            assert np.array_equal(sample_gaussian_field(kern, grid_n, 30, 5), want)
+        # draw r is the same whatever the count
+        assert np.array_equal(sample_gaussian_field(kern, grid_n, 4, 5), want[:4])
+
     def test_single_point_variance(self):
+        # grid_n = 1 is the one point (1/2, 1/2), where the pillow is 1/16
         k = green_kernel(all_nonempty_family(2))
-        z = sample_gaussian_field(k, [[0.5, 0.5]], count=40000, seed=2)
-        # target variance 1/16; SE of the sample variance ~ sqrt(2/R)/16
+        z = sample_gaussian_field(k, 1, count=40000, seed=2)
+        assert z.shape == (40000, 1)
+        # SE of the sample variance ~ sqrt(2/R)/16
         assert z.mean() == pytest.approx(0.0, abs=4 * 0.25 / np.sqrt(40000))
         assert z.var() == pytest.approx(0.0625, abs=5 * 0.0625 * np.sqrt(2 / 40000))
 
     def test_sheet_matches_gram(self):
         k = green_kernel(empty_family(2))
-        pts = np.array([[0.3, 0.4], [0.8, 0.9]])
-        z = sample_gaussian_field(k, pts, count=60000, seed=7)
+        pts = interior_lattice(2, 2)[1]
+        z = sample_gaussian_field(k, 2, count=60000, seed=7)
         emp = np.cov(z.T)
         assert np.abs(emp - k.cross(pts, pts)).max() < 0.02
 
+    @pytest.mark.parametrize("family", [
+        all_nonempty_family(3), empty_family(3), upward_closure([0b011], 3),
+        upward_closure([0b001, 0b110], 3)], ids=["pillow", "sheet", "closure-12", "closure-1-23"])
+    def test_covariance_within_bonferroni_bound(self, family):
+        # 20 000 draws on the 4^3 lattice: every entry of the upper triangle
+        # within its standard error sqrt((G_ii G_jj + G_ij^2) / R) times the
+        # two-sided Bonferroni bound at family-wise level 1e-4, as the
+        # benchmark's field check takes it
+        kern = green_kernel(family)
+        pts = interior_lattice(3, 4)[1]
+        G = kern.cross(pts, pts)
+        D = sample_gaussian_field(kern, 4, 20000, 11)
+        S = D.T @ D / len(D)
+        se = np.sqrt((np.outer(np.diag(G), np.diag(G)) + G ** 2) / len(D))
+        iu = np.triu_indices(len(pts))
+        z = statistics.NormalDist().inv_cdf(1 - 1e-4 / (2 * len(iu[0])))
+        assert np.max(np.abs(S - G)[iu] / se[iu]) <= z
+
+    @pytest.mark.parametrize("m, grid_n", [(3, 40), (8, 4)])
+    def test_lattices_whose_kernel_matrix_passes_the_cap(self, m, grid_n):
+        # 64 000 and 65 536 points: their G x G matrices would pass 2^25
+        with pytest.raises(ValueError, match="kernel entries"):
+            check_grid_size(grid_n ** m)
+        draws = sample_gaussian_field(green_kernel(family_for_known_margins(0b01, m)),
+                                      grid_n, 2, 1)
+        assert draws.shape == (2, grid_n ** m) and np.all(np.isfinite(draws))
+
     def test_reproducible(self):
         k = green_kernel(empty_family(2))
-        a = sample_gaussian_field(k, [[0.2, 0.7]], count=10, seed=9)
-        b = sample_gaussian_field(k, [[0.2, 0.7]], count=10, seed=9)
+        a = sample_gaussian_field(k, 2, count=10, seed=9)
+        b = sample_gaussian_field(k, 2, count=10, seed=9)
         assert np.array_equal(a, b)
 
 
